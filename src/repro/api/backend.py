@@ -10,16 +10,11 @@ methods and registering itself:
 ``execute(plan, frame) -> InferenceResult``
     Functionally run one frame of pixels (every backend computes the same
     network, so outputs are comparable bit-for-bit across backends).
-    Backends that support it accept ``parallel=`` selecting the
-    block-parallel fused execution (the default) or the scalar flow.
+    Block-flow backends run the frame one truncated-pyramid block at a
+    time (:func:`repro.core.blockflow.block_based_inference`); several
+    frames are served by calling ``execute`` once per frame.
 ``cost() -> CostReport``
     Silicon cost of the backend configuration.
-
-Backends may additionally implement
-``execute_batch(plan, frames, *, parallel=True) -> list[InferenceResult]``
-to serve several frames of one workload in shared fused passes; the
-session layer falls back to per-frame ``execute`` calls when the method is
-absent, so it is not part of the required protocol surface.
 
 Registration is declarative::
 

@@ -25,7 +25,7 @@ their provenance explicit via ``CostReport.source == "published"``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro import hotpath
 from repro.api.backend import register_backend
@@ -130,32 +130,12 @@ class _WholeFrameExecutionMixin:
     exact.  Frames smaller than the block execute as a single piece.
     """
 
-    def execute(
-        self, plan: CompiledPlan, frame: FeatureMap, *, parallel: bool = True
-    ) -> InferenceResult:
+    def execute(self, plan: CompiledPlan, frame: FeatureMap) -> InferenceResult:
         block = max(
             frame.height, frame.width, recommended_input_block(plan.network)
         )
         pipeline = BlockInferencePipeline(plan.network, input_block=block)
-        return pipeline.run(frame, parallel=parallel)
-
-    def execute_batch(
-        self,
-        plan: CompiledPlan,
-        frames: Sequence[FeatureMap],
-        *,
-        parallel: bool = True,
-    ) -> List[InferenceResult]:
-        """Run several frames; same-shaped frames share fused passes."""
-        if not frames:
-            return []
-        block = max(
-            max(frame.height for frame in frames),
-            max(frame.width for frame in frames),
-            recommended_input_block(plan.network),
-        )
-        pipeline = BlockInferencePipeline(plan.network, input_block=block)
-        return pipeline.run_batch(frames, parallel=parallel)
+        return pipeline.run(frame)
 
 
 @register_backend
@@ -319,27 +299,9 @@ class EcnnBackend:
             program.total_weights + program.total_biases, streaming_gb_s
         )
 
-    def execute(
-        self, plan: CompiledPlan, frame: FeatureMap, *, parallel: bool = True
-    ) -> InferenceResult:
+    def execute(self, plan: CompiledPlan, frame: FeatureMap) -> InferenceResult:
         pipeline = BlockInferencePipeline(plan.network, input_block=plan.input_block)
-        return pipeline.run(frame, parallel=parallel)
-
-    def execute_batch(
-        self,
-        plan: CompiledPlan,
-        frames: Sequence[FeatureMap],
-        *,
-        parallel: bool = True,
-    ) -> List[InferenceResult]:
-        """Run several frames, pooling truncated-pyramid blocks across all.
-
-        This is the functional analogue of the hardware's 81 parallel block
-        pipelines: corresponding blocks of every frame land in the same
-        fused network pass.
-        """
-        pipeline = BlockInferencePipeline(plan.network, input_block=plan.input_block)
-        return pipeline.run_batch(frames, parallel=parallel)
+        return pipeline.run(frame)
 
     def cost(self) -> CostReport:
         report = area_report(self.config)

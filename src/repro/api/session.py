@@ -323,9 +323,7 @@ class Session:
             raise ValueError("recognition serves single zero-padded blocks, not block flow")
         return entry
 
-    def _frame_key(
-        self, entry: RuntimeWorkload, frame: FeatureMap, parallel: bool
-    ) -> str:
+    def _frame_key(self, entry: RuntimeWorkload, frame: FeatureMap) -> str:
         """Content address of one frame's pixel result under this session."""
         import hashlib
 
@@ -346,7 +344,6 @@ class Session:
             frame.data.dtype.str,
             frame.qformat,
             digest,
-            parallel,
         )
 
     def execute(
@@ -354,7 +351,6 @@ class Session:
         workload_name: str,
         frame: FeatureMap,
         *,
-        parallel: bool = True,
         cached: bool = True,
     ) -> InferenceResult:
         """Run one frame of pixels through the backend's compiled plan.
@@ -362,8 +358,6 @@ class Session:
         Only block-flow workloads support pixel serving (recognition runs
         single zero-padded blocks, as in the legacy engine path).
 
-        ``parallel`` selects the block-parallel fused execution (default) or
-        the scalar one-block-at-a-time flow; outputs are bit-identical.
         With ``cached=True`` results are content-addressed in the session's
         bounded :attr:`frame_cache`, so serving the same frame twice is a
         lookup — pass ``cached=False`` to force a fresh computation (the
@@ -371,29 +365,25 @@ class Session:
         """
         entry = self._pixel_entry(workload_name)
         compute = lambda: self.backend.execute(  # noqa: E731
-            self.compile(workload_name), frame, parallel=parallel
+            self.compile(workload_name), frame
         )
         if not cached:
             return compute()
-        return self.frame_cache.get_or_compute(
-            self._frame_key(entry, frame, parallel), compute
-        )
+        return self.frame_cache.get_or_compute(self._frame_key(entry, frame), compute)
 
     def execute_many(
         self,
         workload_name: str,
         frames: Sequence[FeatureMap],
         *,
-        parallel: bool = True,
         cached: bool = True,
     ) -> List[InferenceResult]:
-        """Run several frames of one workload, batched across frames.
+        """Run several frames of one workload.
 
-        Frames already in the :attr:`frame_cache` are answered from it; the
-        remainder execute together through the backend's ``execute_batch``
-        (corresponding blocks of same-sized frames share fused network
-        passes) and are cached for the next request.  Backends without an
-        ``execute_batch`` method fall back to per-frame execution.
+        Frames already in the :attr:`frame_cache` are answered from it, and
+        a frame repeated within the batch is computed once; every remaining
+        frame runs through the backend's ``execute`` and is cached for the
+        next request.  Each result equals :meth:`execute` on that frame.
         """
         entry = self._pixel_entry(workload_name)
         results: List[Optional[InferenceResult]] = [None] * len(frames)
@@ -402,7 +392,7 @@ class Session:
             seen: Dict[str, List[int]] = {}
             keys: List[str] = []
             for index, frame in enumerate(frames):
-                key = self._frame_key(entry, frame, parallel)
+                key = self._frame_key(entry, frame)
                 keys.append(key)
                 if key in self.frame_cache:
                     results[index] = self.frame_cache.get_or_compute(
@@ -419,17 +409,8 @@ class Session:
             misses = list(range(len(frames)))
         if misses:
             plan = self.compile(workload_name)
-            batch = getattr(self.backend, "execute_batch", None)
-            if callable(batch):
-                fresh = batch(
-                    plan, [frames[index] for index in misses], parallel=parallel
-                )
-            else:
-                fresh = [
-                    self.backend.execute(plan, frames[index], parallel=parallel)
-                    for index in misses
-                ]
-            for index, result in zip(misses, fresh):
+            for index in misses:
+                result = self.backend.execute(plan, frames[index])
                 if cached:
                     self.frame_cache.get_or_compute(
                         keys[index], lambda value=result: value
@@ -492,7 +473,6 @@ class Session:
         *,
         threshold: float = 0.0,
         metric: str = "mae",
-        parallel: bool = True,
         output_block: Optional[int] = None,
     ) -> "StreamFrameResult":
         """Serve the next ordered frame of a video stream by block deltas.
@@ -511,7 +491,7 @@ class Session:
             metric=metric,
             output_block=output_block,
         )
-        return stream.submit(frame, parallel=parallel)
+        return stream.submit(frame)
 
     @property
     def video_stream_stats(self) -> Tuple["VideoStreamStats", ...]:

@@ -176,9 +176,9 @@ _rule(
     "ECNN207", "kernel-set-protocol", Severity.ERROR,
     "Kernel-set classes in repro.kernels must register via @register_kernel "
     "and implement the full KernelSet protocol (name, description, "
-    "tolerance, available, warmup, conv2d, conv2d_batch, quantize_to_codes, "
-    "fraction_search), and kernel modules must not import numba at module "
-    "import time — an unconditional import would crash every numba-less "
+    "tolerance, available, warmup, conv2d, quantize_to_codes, fraction_search), "
+    "and kernel modules must not import numba at module import time — an "
+    "unconditional import would crash every numba-less "
     "environment the registry promises to fall back cleanly on.",
 )
 

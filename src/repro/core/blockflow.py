@@ -17,31 +17,33 @@ required input window is derived by walking the layer stack backwards
 by one pixel per side, a pixel-shuffle upsampler divides coordinates by its
 factor, a pooling/unshuffle stage multiplies them.
 
-Block-parallel execution
-------------------------
+One block runner
+----------------
 All blocks of a frame are independent — the property the eCNN hardware
-exploits with 81 parallel block pipelines.  The functional path exploits it
-too: :func:`block_based_inference` groups the partition grid by input-window
-shape (every interior block is identical; edge remainders form a handful of
-smaller groups), stacks each group into a
-:class:`~repro.nn.tensor.BatchedFeatureMap`, runs the network once per group
-and scatters the cropped results into the stitched output.  The scalar
-one-block-at-a-time flow stays available as ``parallel=False`` and produces
-bit-identical pixels (the batched layer kernels perform the same-shaped
-per-slice arithmetic).
+exploits with 81 parallel block pipelines.  Functionally that independence
+is all the reproduction needs: every pixel path (:func:`block_based_inference`,
+:func:`run_selected_blocks` behind the video delta path, and the hardware
+executor's ``Processor.run_image``) runs blocks one at a time through the
+same three steps — cut the window from the padded frame
+(:func:`_block_window`), run the network on it, crop the owned output region
+(:func:`_crop_to_block`) — and writes them into the frame with one stitch
+helper (:func:`_stitch`).  There is no batched twin: the served workloads'
+input windows are 64x64 or larger, where stacking same-shaped blocks into
+fused passes measured no faster (``fusion_speedup`` 1.0001 in
+``BENCH_6.json``) and would only multiply live activation memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.layers import Layer
 from repro.nn.network import Sequential
 from repro.nn.receptive_field import layer_geometry
-from repro.nn.tensor import BatchedFeatureMap, FeatureMap
+from repro.nn.tensor import FeatureMap
 
 
 @dataclass(frozen=True)
@@ -261,160 +263,66 @@ def _block_window(
     return window
 
 
-def _scatter_block(output: np.ndarray, block: BlockSpec, result: FeatureMap) -> None:
-    """Write one block's cropped output into the stitched frame."""
-    output[
-        :,
-        block.out_row : block.out_row + block.out_height,
-        block.out_col : block.out_col + block.out_width,
-    ] = result.data
+def _run_blocks(
+    forward: Callable[[FeatureMap], FeatureMap],
+    padded: np.ndarray,
+    blocks: Iterable[BlockSpec],
+    layers: Sequence[Layer],
+    qformat: Optional[str] = None,
+) -> Iterator[Tuple[BlockSpec, FeatureMap]]:
+    """Window, forward, crop: yield each block with its owned output region.
 
-
-#: Input windows at least this large (in pixels) execute scalar even under
-#: ``parallel=True``: their layer passes are BLAS-bound, so fusing buys no
-#: python-overhead amortization while the batch-wide temporaries only add
-#: allocator pressure.  Small-window groups — the many-blocks regime the
-#: paper's 81 parallel pipelines target — are where fusion wins.
-_SCALAR_FALLBACK_WINDOW_PIXELS = 64 * 64
-
-
-def _run_block_groups(
-    network: Sequential,
-    jobs: Sequence[Tuple[BlockSpec, np.ndarray, Optional[str]]],
-) -> List[FeatureMap]:
-    """Run ``(block, window, qformat)`` jobs through the network, batched.
-
-    Jobs whose input windows share a shape (and dtype/Q-format) are stacked
-    into one :class:`BatchedFeatureMap` and run through the network in a
-    single fused pass; the raw group output is then cropped per block.
-    Groups of one block, and groups of large (BLAS-bound) windows, run the
-    scalar ``forward`` instead — same pixels, better allocator behaviour.
-    Returns the cropped per-job outputs in job order.
+    ``forward`` runs one block's input window (the network's ``forward``,
+    or the hardware executor's ``execute_block``); ``padded`` is the frame
+    zero-padded by the total input margin of ``layers``.
     """
-    groups: Dict[tuple, List[int]] = {}
-    for index, (block, window, qformat) in enumerate(jobs):
-        key = (window.shape, window.dtype.str, qformat)
-        groups.setdefault(key, []).append(index)
-    results: List[Optional[FeatureMap]] = [None] * len(jobs)
-    for indices in groups.values():
-        window = jobs[indices[0]][1]
-        window_pixels = window.shape[-2] * window.shape[-1]
-        if len(indices) == 1 or window_pixels >= _SCALAR_FALLBACK_WINDOW_PIXELS:
-            for index in indices:
-                block, window, qformat = jobs[index]
-                raw = network.forward(FeatureMap(data=window.copy(), qformat=qformat))
-                results[index] = _crop_to_block(raw, block, network.layers)
-            continue
-        batch = BatchedFeatureMap(
-            data=np.stack([jobs[index][1] for index in indices]),
-            qformat=jobs[indices[0]][2],
-        )
-        raw = network.forward_batch(batch)
-        for slot, index in enumerate(indices):
-            result = FeatureMap(data=raw.data[slot], qformat=raw.qformat)
-            results[index] = _crop_to_block(result, jobs[index][0], network.layers)
-    return results  # type: ignore[return-value]
+    margin = total_input_margin(layers)
+    for block in blocks:
+        window = _block_window(padded, block, margin)
+        raw = forward(FeatureMap(data=window.copy(), qformat=qformat))
+        yield block, _crop_to_block(raw, block, layers)
+
+
+def _stitch(
+    pieces: Iterable[Tuple[BlockSpec, FeatureMap]],
+    output_height: int,
+    output_width: int,
+) -> Optional[np.ndarray]:
+    """Write cropped block outputs into one frame (``None`` when empty).
+
+    The frame takes the channel count and dtype of the first block.
+    """
+    output: Optional[np.ndarray] = None
+    for block, result in pieces:
+        if output is None:
+            output = np.zeros(
+                (result.channels, output_height, output_width), dtype=result.data.dtype
+            )
+        output[
+            :,
+            block.out_row : block.out_row + block.out_height,
+            block.out_col : block.out_col + block.out_width,
+        ] = result.data
+    return output
 
 
 def block_based_inference(
-    network: Sequential,
-    image: FeatureMap,
-    output_block: int,
-    *,
-    parallel: bool = True,
+    network: Sequential, image: FeatureMap, output_block: int
 ) -> Tuple[FeatureMap, BlockGrid]:
     """Run the block-based truncated-pyramid flow and stitch the result.
 
     Returns the stitched output feature map and the block grid (for overhead
     accounting).  The stitched output equals :func:`frame_based_inference`
     exactly.
-
-    With ``parallel=True`` (the default) the partition grid is grouped by
-    block shape and each group runs through the network as one fused
-    :class:`BatchedFeatureMap` pass; ``parallel=False`` keeps the original
-    one-block-at-a-time execution.  Both paths produce bit-identical output.
     """
     grid = partition_image(image.height, image.width, network, output_block)
-    margin = total_input_margin(network.layers)
-    padded = np.pad(image.data, ((0, 0), (margin, margin), (margin, margin)))
-
-    output: np.ndarray | None = None
-    if parallel:
-        jobs = [
-            (block, _block_window(padded, block, margin), image.qformat)
-            for block in grid.blocks
-        ]
-        for block, result in zip(grid.blocks, _run_block_groups(network, jobs)):
-            if output is None:
-                output = np.zeros(
-                    (result.channels, grid.output_height, grid.output_width),
-                    dtype=result.data.dtype,
-                )
-            _scatter_block(output, block, result)
-    else:
-        for block in grid.blocks:
-            window = _block_window(padded, block, margin)
-            result = network.forward(image.with_data(window.copy()))
-            result = _crop_to_block(result, block, network.layers)
-            if output is None:
-                output = np.zeros(
-                    (result.channels, grid.output_height, grid.output_width),
-                    dtype=result.data.dtype,
-                )
-            _scatter_block(output, block, result)
+    padded = pad_frame(image, network.layers)
+    blocks = _run_blocks(
+        network.forward, padded, grid.blocks, network.layers, image.qformat
+    )
+    output = _stitch(blocks, grid.output_height, grid.output_width)
     assert output is not None
     return FeatureMap(data=output), grid
-
-
-def block_based_inference_many(
-    network: Sequential,
-    images: Sequence[FeatureMap],
-    output_block: int,
-    *,
-    parallel: bool = True,
-) -> List[Tuple[FeatureMap, BlockGrid]]:
-    """Run several frames through the block flow with cross-frame batching.
-
-    Blocks are pooled across *all* frames before grouping, so corresponding
-    blocks of same-sized frames share fused passes (frames of one workload
-    usually have identical partition grids, making the interior-block group
-    ``num_frames`` times deeper than in single-frame execution).  Each
-    frame's stitched output equals its :func:`block_based_inference` result
-    exactly.
-    """
-    if not images:
-        return []
-    if not parallel:
-        return [
-            block_based_inference(network, image, output_block, parallel=False)
-            for image in images
-        ]
-    margin = total_input_margin(network.layers)
-    grids: List[BlockGrid] = []
-    jobs: List[Tuple[BlockSpec, np.ndarray, Optional[str]]] = []
-    owners: List[int] = []
-    for frame_index, image in enumerate(images):
-        grid = partition_image(image.height, image.width, network, output_block)
-        grids.append(grid)
-        padded = np.pad(image.data, ((0, 0), (margin, margin), (margin, margin)))
-        for block in grid.blocks:
-            jobs.append((block, _block_window(padded, block, margin), image.qformat))
-            owners.append(frame_index)
-    outputs: List[Optional[np.ndarray]] = [None] * len(images)
-    for (block, _, _), owner, result in zip(
-        jobs, owners, _run_block_groups(network, jobs)
-    ):
-        grid = grids[owner]
-        if outputs[owner] is None:
-            outputs[owner] = np.zeros(
-                (result.channels, grid.output_height, grid.output_width),
-                dtype=result.data.dtype,
-            )
-        _scatter_block(outputs[owner], block, result)
-    assert all(output is not None for output in outputs)
-    return [
-        (FeatureMap(data=output), grid) for output, grid in zip(outputs, grids)
-    ]
 
 
 #: Residual metrics the delta path understands: mean / sum of absolute
@@ -426,7 +334,7 @@ def pad_frame(image: FeatureMap, layers: Sequence[Layer]) -> np.ndarray:
     """Zero-pad a frame by the stack's total input margin.
 
     This is the canonical padding every block's input window is drawn from
-    (:func:`block_based_inference` builds the same array), exposed so the
+    (:func:`block_based_inference` uses it too), exposed so the
     video delta path can diff consecutive padded frames window-by-window.
     """
     margin = total_input_margin(layers)
@@ -477,33 +385,23 @@ def run_selected_blocks(
     grid: BlockGrid,
     indices: Sequence[int],
     qformat: Optional[str] = None,
-    *,
-    parallel: bool = True,
 ) -> List[FeatureMap]:
     """Run only the named blocks of a partition and return their outputs.
 
     The selective counterpart of :func:`block_based_inference`: the caller
     supplies the padded frame and the partition grid, names the block
     indices to recompute, and gets each block's cropped output back in
-    ``indices`` order.  Pixels are bit-identical to a full run — the
-    parallel path reuses the same grouped-batch machinery, the scalar path
-    the same per-block ``forward`` — which is the invariant the video delta
+    ``indices`` order.  Pixels are bit-identical to a full run — both use
+    the same per-block runner — which is the invariant the video delta
     path's exact-reuse mode rests on.
     """
-    margin = total_input_margin(network.layers)
     blocks = [grid.blocks[index] for index in indices]
-    if parallel:
-        jobs = [
-            (block, _block_window(padded, block, margin), qformat)
-            for block in blocks
-        ]
-        return _run_block_groups(network, jobs)
-    results: List[FeatureMap] = []
-    for block in blocks:
-        window = _block_window(padded, block, margin)
-        raw = network.forward(FeatureMap(data=window.copy(), qformat=qformat))
-        results.append(_crop_to_block(raw, block, network.layers))
-    return results
+    return [
+        result
+        for _, result in _run_blocks(
+            network.forward, padded, blocks, network.layers, qformat
+        )
+    ]
 
 
 def _crop_to_block(
@@ -538,20 +436,13 @@ def stitch_blocks(
     output_height: int,
     output_width: int,
 ) -> FeatureMap:
-    """Stitch per-block outputs into a full image (used by the hw executor)."""
+    """Stitch per-block outputs into a full image after checking their shapes."""
     if not blocks:
         raise ValueError("no blocks to stitch")
-    channels = blocks[0][1].channels
-    output = np.zeros((channels, output_height, output_width), dtype=np.float64)
     for spec, fm in blocks:
         if fm.height != spec.out_height or fm.width != spec.out_width:
             raise ValueError(
                 f"block output {fm.height}x{fm.width} does not match spec "
                 f"{spec.out_height}x{spec.out_width}"
             )
-        output[
-            :,
-            spec.out_row : spec.out_row + spec.out_height,
-            spec.out_col : spec.out_col + spec.out_width,
-        ] = fm.data
-    return FeatureMap(data=output)
+    return FeatureMap(data=_stitch(blocks, output_height, output_width))

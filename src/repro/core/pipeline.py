@@ -9,12 +9,11 @@ traffic statistics the evaluation section cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.core.blockflow import (
     BlockGrid,
     block_based_inference,
-    block_based_inference_many,
     frame_based_inference,
 )
 from repro.core.overheads import OverheadReport, overhead_report
@@ -89,36 +88,11 @@ class BlockInferencePipeline:
             apply_plan(network, quantization)
         self.quantization = quantization
 
-    def run(self, image: FeatureMap, *, parallel: bool = True) -> InferenceResult:
-        """Execute the block-based flow on ``image``.
-
-        ``parallel`` selects the block-parallel grouped execution (default)
-        or the scalar one-block-at-a-time flow; the output pixels are
-        bit-identical either way.
-        """
-        output, grid = block_based_inference(
-            self.network, image, self.output_block, parallel=parallel
-        )
+    def run(self, image: FeatureMap) -> InferenceResult:
+        """Execute the block-based flow on ``image``."""
+        output, grid = block_based_inference(self.network, image, self.output_block)
         report = overhead_report(self.network, self.input_block)
         return InferenceResult(output=output, grid=grid, overheads=report)
-
-    def run_batch(
-        self, images: Sequence[FeatureMap], *, parallel: bool = True
-    ) -> List[InferenceResult]:
-        """Execute several frames, batching blocks across all of them.
-
-        With ``parallel=True`` the truncated-pyramid blocks of *every* frame
-        are pooled before grouping, so same-sized frames share fused network
-        passes.  Each frame's result equals its individual :meth:`run`.
-        """
-        results = block_based_inference_many(
-            self.network, images, self.output_block, parallel=parallel
-        )
-        report = overhead_report(self.network, self.input_block)
-        return [
-            InferenceResult(output=output, grid=grid, overheads=report)
-            for output, grid in results
-        ]
 
     def run_frame_based(self, image: FeatureMap) -> FeatureMap:
         """Reference frame-based execution (for equivalence checks)."""

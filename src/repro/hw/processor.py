@@ -20,9 +20,10 @@ import numpy as np
 from repro import hotpath
 from repro.core.blockflow import (
     BlockGrid,
-    _crop_to_block,
+    _run_blocks,
+    _stitch,
+    pad_frame,
     partition_image,
-    total_input_margin,
 )
 from repro.fbisa.compiler import CompiledModel
 from repro.fbisa.isa import Instruction
@@ -197,25 +198,11 @@ class EcnnProcessor:
         needed, use :func:`repro.hw.performance.evaluate_performance` instead.
         """
         grid = partition_image(image.height, image.width, network, output_block)
-        margin = total_input_margin(network.layers)
-        padded = np.pad(image.data, ((0, 0), (margin, margin), (margin, margin)))
-        output: Optional[np.ndarray] = None
-        for spec in grid.blocks:
-            r0 = spec.in_row + margin
-            c0 = spec.in_col + margin
-            window = padded[:, r0 : r0 + spec.in_height, c0 : c0 + spec.in_width]
-            result = self.execute_block(image.with_data(window.copy()))
-            result = _crop_to_block(result, spec, network.layers)
-            if output is None:
-                output = np.zeros(
-                    (result.channels, grid.output_height, grid.output_width),
-                    dtype=result.data.dtype,
-                )
-            output[
-                :,
-                spec.out_row : spec.out_row + spec.out_height,
-                spec.out_col : spec.out_col + spec.out_width,
-            ] = result.data
+        padded = pad_frame(image, network.layers)
+        blocks = _run_blocks(
+            self.execute_block, padded, grid.blocks, network.layers, image.qformat
+        )
+        output = _stitch(blocks, grid.output_height, grid.output_width)
         return ImageExecutionReport(
             output=FeatureMap(data=output) if output is not None else None,
             grid=grid,

@@ -1,13 +1,12 @@
 """Pluggable compute-kernel registry: the numeric floor of every hot path.
 
 The serving stack's pixel arithmetic bottoms out in a handful of hot loops —
-valid-mode convolution (scalar and batched im2col + gemm) and the Q-format
+valid-mode convolution (im2col + gemm) and the Q-format
 quantize/clip and fraction-search passes.  This package puts those loops
 behind a registry, mirroring :mod:`repro.api.backend`:
 
 * a **kernel set** is an object implementing the :class:`KernelSet` protocol
-  (``conv2d``, ``conv2d_batch``, ``quantize_to_codes``, ``fraction_search``
-  plus ``available()``/``warmup()`` lifecycle hooks), registered under a
+  (``conv2d``, ``quantize_to_codes``, ``fraction_search`` plus ``available()``/``warmup()`` lifecycle hooks), registered under a
   stable name with :func:`register_kernel`;
 * the ``numpy`` set (:mod:`repro.kernels.numpy_set`) is the **reference
   oracle**: a verbatim extraction of the historical code paths, so routing
@@ -75,10 +74,6 @@ class KernelSet(Protocol):
         """Valid-mode convolution of one ``(C, H, W)`` map -> ``(O, Ho, Wo)``."""
         ...
 
-    def conv2d_batch(self, data: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """Valid-mode convolution of an ``(N, C, H, W)`` batch -> ``(N, O, Ho, Wo)``."""
-        ...
-
     def quantize_to_codes(
         self, values: np.ndarray, step: float, min_code: int, max_code: int
     ) -> np.ndarray:
@@ -105,7 +100,6 @@ _REQUIRED_METHODS = (
     "available",
     "warmup",
     "conv2d",
-    "conv2d_batch",
     "quantize_to_codes",
     "fraction_search",
 )

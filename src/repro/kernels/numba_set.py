@@ -18,8 +18,8 @@ Design constraints (enforced by lint rule ECNN207 and the registry):
 
 The fused im2col+gemm follows the tiling idiom of the burst-SR
 ``block_matching.py`` exemplar: one ``@njit`` kernel walks output pixels and
-gathers the receptive field inline (no materialized patch matrix at all),
-and the batched variant reuses it per slice.  The elementwise Q-format
+gathers the receptive field inline (no materialized patch matrix at all).
+The elementwise Q-format
 quantize/clip is a ``@guvectorize`` ufunc so it broadcasts across any
 tensor shape for free.
 """
@@ -52,11 +52,6 @@ def _compile_kernels():
                             for kx in range(kernel):
                                 acc += weights[o, c, ky, kx] * data[c, y + ky, x + kx]
                     out[o, y, x] = acc + b
-
-    @njit(cache=False, fastmath=False)
-    def conv2d_batch_into(data, weights, bias, out):
-        for index in range(data.shape[0]):
-            conv2d_into(data[index], weights, bias, out[index])
 
     @guvectorize(
         ["void(float64[:], float64, int64, int64, int64[:])"],
@@ -108,7 +103,6 @@ def _compile_kernels():
 
     return {
         "conv2d_into": conv2d_into,
-        "conv2d_batch_into": conv2d_batch_into,
         "quantize_to_codes": quantize_to_codes,
         "fraction_search": fraction_search,
     }
@@ -156,7 +150,6 @@ class NumbaKernelSet:
         out1 = np.empty((1, 3, 3), dtype=np.float64)
         kernels["conv2d_into"](tiny, weights3, bias, out3)
         kernels["conv2d_into"](tiny, weights1, bias, out1)
-        kernels["conv2d_batch_into"](tiny[np.newaxis], weights3, bias, out3[np.newaxis])
         codes = np.empty(2, dtype=np.int64)
         kernels["quantize_to_codes"](
             np.zeros(2, dtype=np.float64), 1.0, np.int64(-8), np.int64(7), codes
@@ -180,21 +173,6 @@ class NumbaKernelSet:
             dtype=np.float64,
         )
         kernels["conv2d_into"](
-            np.ascontiguousarray(data, dtype=np.float64), weights, bias, out
-        )
-        return out
-
-    def conv2d_batch(
-        self, data: np.ndarray, weights: np.ndarray, bias: np.ndarray
-    ) -> np.ndarray:
-        kernels = self.warmup()
-        out_channels, _, kernel, _ = weights.shape
-        batch = data.shape[0]
-        out = np.empty(
-            (batch, out_channels, data.shape[2] - kernel + 1, data.shape[3] - kernel + 1),
-            dtype=np.float64,
-        )
-        kernels["conv2d_batch_into"](
             np.ascontiguousarray(data, dtype=np.float64), weights, bias, out
         )
         return out

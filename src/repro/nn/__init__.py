@@ -8,14 +8,12 @@ connections, pixel shuffle/unshuffle, strided and max pooling) in both
 ``valid`` padding (the mode the block-based truncated-pyramid flow relies on)
 and ``zero`` padding (the mode frame-based baselines use at image borders).
 
-The engine favours clarity over raw speed, but the block-parallel serving
-path needs throughput too: every layer also implements ``forward_batch``
-over a :class:`BatchedFeatureMap` of N independent inputs, fusing the whole
-batch into one im2col/matmul (or broadcast) per layer with outputs
-bit-identical to the scalar ``forward`` path.
+The engine favours clarity over raw speed.  Every layer has exactly one
+execution path, ``forward`` on a 3-D :class:`FeatureMap`; the block flow
+calls it once per truncated-pyramid block.
 """
 
-from repro.nn.tensor import BatchedFeatureMap, FeatureMap
+from repro.nn.tensor import FeatureMap
 from repro.nn.layers import (
     AddBias,
     ClippedReLU,
@@ -43,7 +41,6 @@ from repro.nn.initializers import he_laplace, he_normal, lecun_uniform, seeded_r
 
 __all__ = [
     "AddBias",
-    "BatchedFeatureMap",
     "ClippedReLU",
     "Conv2d",
     "FeatureMap",

@@ -3,12 +3,8 @@
 Only the operator vocabulary used by the eCNN paper is implemented.  Each
 layer exposes:
 
-* ``forward(fm)`` — functional execution on a :class:`~repro.nn.tensor.FeatureMap`;
-* ``forward_batch(bfm)`` — the same arithmetic fused across a
-  :class:`~repro.nn.tensor.BatchedFeatureMap` of N independent inputs (one
-  im2col/matmul per layer instead of N scalar calls; pointwise ops
-  broadcast for free).  Outputs are bit-identical per batch entry to
-  ``forward`` on the corresponding :class:`FeatureMap`;
+* ``forward(fm)`` — functional execution on a :class:`~repro.nn.tensor.FeatureMap`
+  (the only pixel path: the block flow calls it once per block);
 * ``output_shape(c, h, w)`` — static shape propagation (used by the
   block-flow geometry analysis without running any arithmetic);
 * ``macs_per_output_pixel(...)`` / ``num_parameters`` — complexity accounting
@@ -25,13 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.kernels import active_kernel_set
-from repro.kernels.numpy_set import (  # noqa: F401  (re-exported for historical callers)
-    _CONV_BATCH_BUDGET_VALUES,
-    _fill_patches,
-    _im2col,
-)
 from repro.nn.initializers import he_laplace, seeded_rng
-from repro.nn.tensor import BatchedFeatureMap, FeatureMap
+from repro.nn.tensor import FeatureMap
 
 
 class Layer:
@@ -42,15 +33,6 @@ class Layer:
 
     def forward(self, fm: FeatureMap) -> FeatureMap:
         raise NotImplementedError
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        """Execute a batch of independent inputs in one pass.
-
-        The base implementation falls back to per-entry ``forward`` calls so
-        any layer is batch-correct by construction; the layers on the pixel
-        hot path override it with fused numpy implementations.
-        """
-        return BatchedFeatureMap.from_maps([self.forward(fm) for fm in bfm.maps()])
 
     def output_shape(self, channels: int, height: int, width: int) -> tuple[int, int, int]:
         """Propagate a (C, H, W) shape through the layer without computing."""
@@ -71,13 +53,6 @@ class Layer:
 
     def __call__(self, fm: FeatureMap) -> FeatureMap:
         return self.forward(fm)
-
-
-#: Backwards-compatible alias of the shared patch extraction, which now
-#: lives with the reference kernels in :mod:`repro.kernels.numpy_set`
-#: (re-exported above together with ``_fill_patches``/``_im2col`` and the
-#: batched-chunking budget ``_CONV_BATCH_BUDGET_VALUES``).
-_im2col_valid = _im2col
 
 
 class Conv2d(Layer):
@@ -170,23 +145,6 @@ class Conv2d(Layer):
         out = active_kernel_set().conv2d(data, self.weights, self.bias)
         return fm.with_data(out, qformat=None)
 
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        # One fused pass over all N inputs through the active kernel set.
-        # Within a set the batched kernel performs the identical per-entry
-        # arithmetic as its scalar conv2d, so every batch entry's output is
-        # bit-identical to forward() on that entry (the parity suite pins
-        # this per kernel set).
-        if bfm.channels != self.in_channels:
-            raise ValueError(
-                f"layer {self.name} expects {self.in_channels} channels, got {bfm.channels}"
-            )
-        data = bfm.data
-        if self.padding == "zero" and self.kernel > 1:
-            pad = (self.kernel - 1) // 2
-            data = np.pad(data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        out = active_kernel_set().conv2d_batch(data, self.weights, self.bias)
-        return bfm.with_data(out, qformat=None)
-
 
 class ReLU(Layer):
     """Rectified linear unit."""
@@ -198,9 +156,6 @@ class ReLU(Layer):
 
     def forward(self, fm: FeatureMap) -> FeatureMap:
         return fm.with_data(np.maximum(fm.data, 0.0))
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        return bfm.with_data(np.maximum(bfm.data, 0.0))
 
 
 class ClippedReLU(Layer):
@@ -222,9 +177,6 @@ class ClippedReLU(Layer):
 
     def forward(self, fm: FeatureMap) -> FeatureMap:
         return fm.with_data(np.clip(fm.data, 0.0, self.max_value))
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        return bfm.with_data(np.clip(bfm.data, 0.0, self.max_value))
 
 
 class AddBias(Layer):
@@ -254,13 +206,6 @@ class AddBias(Layer):
                 f"AddBias expects {self.bias.size} channels, got {fm.channels}"
             )
         return fm.with_data(fm.data + self.bias[:, np.newaxis, np.newaxis])
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        if bfm.channels != self.bias.size:
-            raise ValueError(
-                f"AddBias expects {self.bias.size} channels, got {bfm.channels}"
-            )
-        return bfm.with_data(bfm.data + self.bias[:, np.newaxis, np.newaxis])
 
 
 class Residual(Layer):
@@ -317,28 +262,5 @@ class Residual(Layer):
             :,
             crop_h // 2 : fm.height - crop_h // 2,
             crop_w // 2 : fm.width - crop_w // 2,
-        ]
-        return out.with_data(out.data + skip)
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        out = bfm
-        for layer in self.body:
-            out = layer.forward_batch(out)
-        if out.channels != bfm.channels:
-            raise ValueError(
-                f"residual body changes channel count {bfm.channels} -> {out.channels}"
-            )
-        crop_h = bfm.height - out.height
-        crop_w = bfm.width - out.width
-        if crop_h < 0 or crop_w < 0 or crop_h % 2 or crop_w % 2:
-            raise ValueError(
-                f"residual body output {out.height}x{out.width} cannot be aligned "
-                f"with input {bfm.height}x{bfm.width}"
-            )
-        skip = bfm.data[
-            :,
-            :,
-            crop_h // 2 : bfm.height - crop_h // 2,
-            crop_w // 2 : bfm.width - crop_w // 2,
         ]
         return out.with_data(out.data + skip)

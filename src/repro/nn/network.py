@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.nn.layers import Layer
-from repro.nn.tensor import BatchedFeatureMap, FeatureMap
+from repro.nn.tensor import FeatureMap
 
 
 class Sequential(Layer):
@@ -48,13 +48,6 @@ class Sequential(Layer):
         out = fm
         for layer in self.layers:
             out = layer.forward(out)
-        return out
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        """Run N independent inputs through the pipeline in fused passes."""
-        out = bfm
-        for layer in self.layers:
-            out = layer.forward_batch(out)
         return out
 
     def forward_trace(self, fm: FeatureMap) -> List[FeatureMap]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Layer
-from repro.nn.tensor import BatchedFeatureMap, FeatureMap
+from repro.nn.tensor import FeatureMap
 
 
 class PixelShuffle(Layer):
@@ -38,13 +38,6 @@ class PixelShuffle(Layer):
         data = fm.data.reshape(c_out, r, r, fm.height, fm.width)
         data = np.transpose(data, (0, 3, 1, 4, 2))
         return fm.with_data(data.reshape(c_out, h_out, w_out))
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        r = self.factor
-        c_out, h_out, w_out = self.output_shape(bfm.channels, bfm.height, bfm.width)
-        data = bfm.data.reshape(bfm.batch, c_out, r, r, bfm.height, bfm.width)
-        data = np.transpose(data, (0, 1, 4, 2, 5, 3))
-        return bfm.with_data(data.reshape(bfm.batch, c_out, h_out, w_out))
 
 
 class PixelUnshuffle(Layer):
@@ -73,13 +66,6 @@ class PixelUnshuffle(Layer):
         data = np.transpose(data, (0, 2, 4, 1, 3))
         return fm.with_data(data.reshape(c_out, h_out, w_out))
 
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        r = self.factor
-        c_out, h_out, w_out = self.output_shape(bfm.channels, bfm.height, bfm.width)
-        data = bfm.data.reshape(bfm.batch, bfm.channels, h_out, r, w_out, r)
-        data = np.transpose(data, (0, 1, 3, 5, 2, 4))
-        return bfm.with_data(data.reshape(bfm.batch, c_out, h_out, w_out))
-
 
 class StridedPool2x2(Layer):
     """Strided 2x2 "pooling" that keeps the top-left sample of each 2x2 tile."""
@@ -94,10 +80,6 @@ class StridedPool2x2(Layer):
     def forward(self, fm: FeatureMap) -> FeatureMap:
         self.output_shape(fm.channels, fm.height, fm.width)
         return fm.with_data(fm.data[:, ::2, ::2].copy())
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        self.output_shape(bfm.channels, bfm.height, bfm.width)
-        return bfm.with_data(bfm.data[:, :, ::2, ::2].copy())
 
 
 class MaxPool2x2(Layer):
@@ -114,11 +96,6 @@ class MaxPool2x2(Layer):
         c, h, w = self.output_shape(fm.channels, fm.height, fm.width)
         data = fm.data.reshape(c, h, 2, w, 2)
         return fm.with_data(data.max(axis=(2, 4)))
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        c, h, w = self.output_shape(bfm.channels, bfm.height, bfm.width)
-        data = bfm.data.reshape(bfm.batch, c, h, 2, w, 2)
-        return bfm.with_data(data.max(axis=(3, 5)))
 
 
 class ZeroPad(Layer):
@@ -139,14 +116,6 @@ class ZeroPad(Layer):
             return fm
         data = np.pad(fm.data, ((0, 0), (self.pad, self.pad), (self.pad, self.pad)))
         return fm.with_data(data)
-
-    def forward_batch(self, bfm: BatchedFeatureMap) -> BatchedFeatureMap:
-        if self.pad == 0:
-            return bfm
-        data = np.pad(
-            bfm.data, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad))
-        )
-        return bfm.with_data(data)
 
 
 def pad_channels(fm: FeatureMap, target_channels: int) -> FeatureMap:

@@ -5,17 +5,15 @@ arrays.  The container also carries an optional fixed-point format so the
 quantized execution path can track per-layer Q-formats the way the eCNN
 hardware does (Section 4.3 of the paper).
 
-:class:`BatchedFeatureMap` stacks N independent same-shaped maps into one
-``(N, C, H, W)`` array.  The paper's central parallelism claim is that the
-truncated-pyramid blocks of a frame are independent; the batched container
-is how the functional path exploits that — one fused numpy pass per layer
-across all N blocks instead of N scalar layer calls.
+The block flow runs one truncated-pyramid block at a time through this
+3-D container; the blocks are independent, so stitching their outputs
+reproduces the frame flow without a batched ``(N, C, H, W)`` twin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -102,98 +100,3 @@ class FeatureMap:
         return self.shape == other.shape and bool(
             np.allclose(self.data, other.data, atol=atol)
         )
-
-
-@dataclass(frozen=True)
-class BatchedFeatureMap:
-    """N same-shaped feature maps stacked into one ``(N, C, H, W)`` array.
-
-    The batch dimension carries *independent* inputs — truncated-pyramid
-    blocks of one frame, or corresponding blocks of several frames — so
-    every layer can process all of them in one fused numpy pass.  Per-slice
-    arithmetic is identical to running :class:`FeatureMap` through the same
-    layer: pointwise ops broadcast, and the batched convolution performs the
-    same-shaped matmul per slice, keeping outputs bit-identical to the
-    scalar path.
-
-    Parameters
-    ----------
-    data:
-        Array of shape ``(batch, channels, height, width)``.
-    qformat:
-        Optional shared fixed-point format name (``None`` = floating point).
-    """
-
-    data: np.ndarray
-    qformat: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.data.ndim != 4:
-            raise ValueError(
-                f"BatchedFeatureMap expects a (N, C, H, W) array, got shape {self.data.shape}"
-            )
-        if self.data.shape[0] == 0:
-            raise ValueError("BatchedFeatureMap needs at least one batch entry")
-
-    @property
-    def batch(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def channels(self) -> int:
-        return int(self.data.shape[1])
-
-    @property
-    def height(self) -> int:
-        return int(self.data.shape[2])
-
-    @property
-    def width(self) -> int:
-        return int(self.data.shape[3])
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return tuple(int(s) for s in self.data.shape)  # type: ignore[return-value]
-
-    def with_data(
-        self, data: np.ndarray, qformat: Optional[str] = None
-    ) -> "BatchedFeatureMap":
-        """Return a new batched map with replaced data (and optionally Q-format)."""
-        return BatchedFeatureMap(
-            data=data, qformat=qformat if qformat is not None else self.qformat
-        )
-
-    def __len__(self) -> int:
-        return self.batch
-
-    def __getitem__(self, index: int) -> FeatureMap:
-        """One batch entry as a standalone :class:`FeatureMap` (a view)."""
-        return FeatureMap(data=self.data[index], qformat=self.qformat)
-
-    def maps(self) -> List[FeatureMap]:
-        """Unstack into per-entry :class:`FeatureMap` views."""
-        return [self[index] for index in range(self.batch)]
-
-    @staticmethod
-    def from_maps(maps: Sequence[FeatureMap]) -> "BatchedFeatureMap":
-        """Stack same-shaped feature maps along a new batch dimension."""
-        if not maps:
-            raise ValueError("cannot stack an empty feature-map sequence")
-        first = maps[0]
-        for fm in maps[1:]:
-            if fm.shape != first.shape:
-                raise ValueError(
-                    f"cannot stack maps of shapes {first.shape} and {fm.shape}"
-                )
-        return BatchedFeatureMap(
-            data=np.stack([fm.data for fm in maps]), qformat=first.qformat
-        )
-
-    @staticmethod
-    def from_arrays(
-        arrays: Sequence[np.ndarray], qformat: Optional[str] = None
-    ) -> "BatchedFeatureMap":
-        """Stack same-shaped ``(C, H, W)`` arrays along a new batch dimension."""
-        if not arrays:
-            raise ValueError("cannot stack an empty array sequence")
-        return BatchedFeatureMap(data=np.stack(list(arrays)), qformat=qformat)

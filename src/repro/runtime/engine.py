@@ -18,11 +18,9 @@ characterized once no matter how many batches or reports ask.
 For pixel-level serving (functional results, not just timing),
 :meth:`ServingEngine.execute_frame` runs one frame through the backend's
 compiled plan (the block-based truncated-pyramid flow on eCNN, whole-frame
-execution on the frame-based baselines).  The flow is block-parallel by
-default — the independent truncated-pyramid blocks are grouped by shape and
-run through the network in fused numpy passes — and
-:meth:`ServingEngine.execute_frames` additionally batches *across frames*
-of one workload.  Repeated frames are answered from the session's bounded
+execution on the frame-based baselines), one truncated-pyramid block at a
+time, and :meth:`ServingEngine.execute_frames` serves several frames of one
+workload.  Repeated frames are answered from the session's bounded
 content-addressed frame cache.
 """
 
@@ -314,41 +312,31 @@ class ServingEngine:
         workload_name: str,
         image: FeatureMap,
         *,
-        parallel: bool = True,
         cached: bool = True,
     ) -> InferenceResult:
         """Run one frame of pixels through the backend's compiled plan.
 
         The plan is compiled once (cache-resident) and reused; only
         block-flow workloads (not recognition) support this path.
-        ``parallel`` selects the block-parallel grouped execution (default)
-        or the scalar flow — pixels are bit-identical either way — and
         ``cached`` routes repeats of the same frame through the session's
         bounded frame cache.
         """
-        return self.session.execute(
-            workload_name, image, parallel=parallel, cached=cached
-        )
+        return self.session.execute(workload_name, image, cached=cached)
 
     def execute_frames(
         self,
         workload_name: str,
         images: Sequence[FeatureMap],
         *,
-        parallel: bool = True,
         cached: bool = True,
     ) -> List[InferenceResult]:
-        """Serve a batch of frames of one workload in fused passes.
+        """Serve a batch of frames of one workload.
 
-        On the block-based eCNN backend the truncated-pyramid blocks of
-        *all* frames are pooled and grouped by shape, so corresponding
-        blocks of same-sized frames run through the network together — the
-        functional counterpart of the scheduler batching requests of one
-        workload onto one instance.
+        Delegates to :meth:`repro.api.Session.execute_many`: cached frames
+        are lookups, a frame repeated within the batch is computed once,
+        and every result equals :meth:`execute_frame` on that frame.
         """
-        return self.session.execute_many(
-            workload_name, images, parallel=parallel, cached=cached
-        )
+        return self.session.execute_many(workload_name, images, cached=cached)
 
     def execute_stream(
         self,
@@ -358,7 +346,6 @@ class ServingEngine:
         *,
         threshold: float = 0.0,
         metric: str = "mae",
-        parallel: bool = True,
         output_block: Optional[int] = None,
     ) -> StreamFrameResult:
         """Serve the next ordered frame of a video stream by block deltas.
@@ -375,7 +362,6 @@ class ServingEngine:
             image,
             threshold=threshold,
             metric=metric,
-            parallel=parallel,
             output_block=output_block,
         )
 

@@ -9,7 +9,7 @@ granularity:
 * every submitted frame is diffed against its predecessor over each
   block's *input window* (margin included), using a SAD or MAE residual;
 * blocks whose residual exceeds the stream's threshold re-run through the
-  grouped block-parallel machinery
+  block flow's one block runner
   (:func:`repro.core.blockflow.run_selected_blocks`);
 * unchanged blocks are stitched from a bounded per-stream LRU block cache.
 
@@ -47,6 +47,8 @@ import numpy as np
 
 from repro.core.blockflow import (
     RESIDUAL_METRICS,
+    BlockSpec,
+    _stitch,
     block_window_residuals,
     pad_frame,
     partition_image,
@@ -244,13 +246,13 @@ class VideoStream:
         return plan.network, output_block
 
     # ----------------------------------------------------------------- serving
-    def submit(self, frame: FeatureMap, *, parallel: bool = True) -> StreamFrameResult:
+    def submit(self, frame: FeatureMap) -> StreamFrameResult:
         """Serve the stream's next frame, reusing unchanged blocks.
 
         Blocks whose input-window residual against the predecessor frame is
         at or below the threshold — and whose output is still resident in
         the block cache — are stitched from the cache; the rest re-run
-        through the grouped block-parallel flow.  The first frame, a frame
+        through the block flow.  The first frame, a frame
         after a resolution/dtype/Q-format change, and the frame after an
         :meth:`invalidate` recompute in full.
         """
@@ -278,31 +280,14 @@ class VideoStream:
                 else:
                     recomputed.append(index)
 
-        fresh = run_selected_blocks(
-            network, padded, grid, recomputed, frame.qformat, parallel=parallel
-        )
-        output: Optional[np.ndarray] = None
-
-        def scatter(index: int, result: FeatureMap) -> None:
-            nonlocal output
-            block = grid.blocks[index]
-            if output is None:
-                output = np.zeros(
-                    (result.channels, grid.output_height, grid.output_width),
-                    dtype=result.data.dtype,
-                )
-            output[
-                :,
-                block.out_row : block.out_row + block.out_height,
-                block.out_col : block.out_col + block.out_width,
-            ] = result.data
-
+        fresh = run_selected_blocks(network, padded, grid, recomputed, frame.qformat)
+        pieces: list[tuple[BlockSpec, FeatureMap]] = []
         window_itemsize = frame.data.dtype.itemsize
         for index in reused:
             cached = self._cache[index]
             self._cache.move_to_end(index)
-            scatter(index, cached)
             block = grid.blocks[index]
+            pieces.append((block, cached))
             self._bytes_saved += (
                 block.input_pixels * frame.channels * window_itemsize
                 + cached.data.nbytes
@@ -312,7 +297,7 @@ class VideoStream:
                     self._max_reused_residual, float(residuals[index])
                 )
         for index, result in zip(recomputed, fresh):
-            scatter(index, result)
+            pieces.append((grid.blocks[index], result))
             self._cache[index] = result
             self._cache.move_to_end(index)
             if self.max_cached_blocks is not None:
@@ -325,6 +310,7 @@ class VideoStream:
         self._frames += 1
         self._blocks_reused += len(reused)
         self._blocks_recomputed += len(recomputed)
+        output = _stitch(pieces, grid.output_height, grid.output_width)
         assert output is not None
         return StreamFrameResult(
             output=FeatureMap(data=output),

@@ -22,7 +22,7 @@ def _parity_pixels(value: Any) -> np.ndarray:
         return value
     # InferenceResult (engine/session/cluster paths) carries .output.
     output = getattr(value, "output", value)
-    # FeatureMap / BatchedFeatureMap carry .data.
+    # FeatureMap carries .data.
     data = getattr(output, "data", output)
     if not isinstance(data, np.ndarray):
         raise TypeError(f"cannot extract pixels from {type(value).__name__}")
@@ -33,11 +33,10 @@ def assert_parity(outputs: Mapping[str, Any], *, context: str = "") -> None:
     """Assert every named output is bit-identical to the first one.
 
     This is the repository's A/B verification discipline as a reusable
-    check: every optimized execution path (fused batch kernels,
-    block-parallel grouping, cross-frame batching, sharded cluster
-    serving) must produce pixels *bit-identical* — not merely close — to
-    the scalar reference it replaced.  ``outputs`` maps a path name to its
-    output (a raw array, a ``FeatureMap``/``BatchedFeatureMap`` or an
+    check: every optimized execution path (frame caching, video delta
+    reuse, sharded cluster serving) must produce pixels *bit-identical* —
+    not merely close — to the reference it replaced.  ``outputs`` maps a
+    path name to its output (a raw array, a ``FeatureMap`` or an
     ``InferenceResult``); the first entry is the reference.
     """
     if len(outputs) < 2:
@@ -60,7 +59,7 @@ def assert_parity(outputs: Mapping[str, Any], *, context: str = "") -> None:
 
 
 def draw_layer_stack(rng: np.random.Generator, channels: int) -> Sequential:
-    """A random little network whose layer mix exercises the fused kernels.
+    """A random little network whose layer mix exercises every layer kernel.
 
     Shared by the parity suite and the static-analysis fuzz harness: any
     stack this draws must both execute on every backend and pass

@@ -591,7 +591,6 @@ class TestRepoLint:
             "    def available(self): ...\n"
             "    def warmup(self): ...\n"
             "    def conv2d(self, data, weights, bias): ...\n"
-            "    def conv2d_batch(self, data, weights, bias): ...\n"
             "    def quantize_to_codes(self, values, step, lo, hi): ...\n"
             "    def fraction_search(self, values, fracs, lo, hi, norm): ...\n"
         )
@@ -601,7 +600,6 @@ class TestRepoLint:
         source = (
             "class ShadowKernels:\n"
             "    def conv2d(self, data, weights, bias): ...\n"
-            "    def conv2d_batch(self, data, weights, bias): ...\n"
         )
         report = lint.lint_source(source, "src/repro/kernels/demo.py")
         assert [d.rule_id for d in report.diagnostics] == ["ECNN207"]

@@ -297,9 +297,9 @@ class TestClusterProcesses:
         scattered = process_cluster.execute_frames("denoise", images, cached=False)
         assert len(scattered) == len(images)
         for index, (image, result) in enumerate(zip(images, scattered)):
-            reference = session.execute("denoise", image, parallel=False, cached=False)
+            reference = session.execute("denoise", image, cached=False)
             assert_parity(
-                {"scalar": reference, "cluster": result}, context=f"frame {index}"
+                {"reference": reference, "cluster": result}, context=f"frame {index}"
             )
         assert process_cluster.execute_frames("denoise", []) == []
 
@@ -342,8 +342,8 @@ class TestClusterProcesses:
             results = cluster.execute_frames("denoise", images, cached=False)
             session = Session(backend="ecnn", cache=ResultCache())
             for index, (image, result) in enumerate(zip(images, results)):
-                reference = session.execute("denoise", image, parallel=False, cached=False)
-                assert_parity({"scalar": reference, "cluster": result}, context=f"frame {index}")
+                reference = session.execute("denoise", image, cached=False)
+                assert_parity({"reference": reference, "cluster": result}, context=f"frame {index}")
             # The survivor served each frame exactly once; the dead shard's
             # chunk shows up in the requeue counter, not in served frames.
             assert cluster.stats().total_served_frames == len(images)

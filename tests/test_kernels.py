@@ -64,9 +64,6 @@ class _CompleteSet:
     def conv2d(self, data, weights, bias):
         return kernel_set("numpy").conv2d(data, weights, bias)
 
-    def conv2d_batch(self, data, weights, bias):
-        return kernel_set("numpy").conv2d_batch(data, weights, bias)
-
     def quantize_to_codes(self, values, step, min_code, max_code):
         return kernel_set("numpy").quantize_to_codes(values, step, min_code, max_code)
 
@@ -112,9 +109,9 @@ class TestRegistry:
         assert "dummy" not in KERNEL_SETS
 
     def test_registration_rejects_missing_method(self):
-        incomplete = type("NoBatch", (), dict(vars(_CompleteSet)))
-        del incomplete.conv2d_batch
-        with pytest.raises(TypeError, match="conv2d_batch"):
+        incomplete = type("NoConv", (), dict(vars(_CompleteSet)))
+        del incomplete.conv2d
+        with pytest.raises(TypeError, match="conv2d"):
             register_kernel(incomplete)
         assert "dummy" not in KERNEL_SETS
 
@@ -168,53 +165,36 @@ class TestSelection:
 
 
 class TestNumpyFallbackRouting:
-    """Satellite: the chunked-conv scalar fallback routes through the registry.
+    """With numba force-disabled the block flow routes through the numpy set.
 
-    With numba force-disabled, auto-selection lands on the numpy oracle and
-    both block-flow paths (scalar one-block-at-a-time and block-parallel
-    batched) call *its* conv kernels — pinned by counting calls on the
-    registered singleton — and produce bit-identical pixels.
+    Auto-selection lands on the numpy oracle and the block flow calls *its*
+    conv kernel — pinned by counting calls on the registered singleton —
+    without changing a pixel.
     """
 
-    def test_scalar_and_batched_paths_route_through_numpy_set(self, monkeypatch):
+    def test_block_flow_routes_through_numpy_set(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS_DISABLE", "numba")
         select_kernel_set("auto")
         assert active_kernel_set().name == "numpy"
 
         network = build_plain_network(3, 4, seed=11)
         image = synthetic_image(20, 23, seed=11)
-        baseline, _ = block_based_inference(network, image, 8, parallel=False)
+        baseline, grid = block_based_inference(network, image, 8)
 
         numpy_set = kernel_set("numpy")
-        calls = {"conv2d": 0, "conv2d_batch": 0}
+        calls = 0
         original_conv2d = numpy_set.conv2d
-        original_batch = numpy_set.conv2d_batch
 
         def counting_conv2d(data, weights, bias):
-            calls["conv2d"] += 1
+            nonlocal calls
+            calls += 1
             return original_conv2d(data, weights, bias)
 
-        def counting_batch(data, weights, bias):
-            calls["conv2d_batch"] += 1
-            return original_batch(data, weights, bias)
-
         monkeypatch.setattr(numpy_set, "conv2d", counting_conv2d)
-        monkeypatch.setattr(numpy_set, "conv2d_batch", counting_batch)
-
-        scalar, _ = block_based_inference(network, image, 8, parallel=False)
-        assert calls["conv2d"] > 0
-        assert calls["conv2d_batch"] == 0
-        scalar_convs = calls["conv2d"]
-
-        # The parallel path fuses same-shaped groups through conv2d_batch
-        # (singleton groups may legitimately take the scalar kernel — both
-        # live in the same registered set either way).
-        batched, _ = block_based_inference(network, image, 8, parallel=True)
-        assert calls["conv2d_batch"] > 0
-        assert calls["conv2d"] >= scalar_convs
-
-        assert np.array_equal(scalar.data, baseline.data)
-        assert np.array_equal(batched.data, baseline.data)
+        routed, _ = block_based_inference(network, image, 8)
+        # One call per conv layer per block: the blocks run one at a time.
+        assert calls == grid.num_blocks * 3
+        assert np.array_equal(routed.data, baseline.data)
 
 
 class TestSessionPlumbing:
@@ -252,9 +232,9 @@ class TestSessionPlumbing:
         session = Session(backend="ecnn", cache=ResultCache(), kernels="numpy")
         entry = session.workload("denoise")
         frame = synthetic_image(24, 24, seed=3)
-        key_numpy = session._frame_key(entry, frame, True)
+        key_numpy = session._frame_key(entry, frame)
         session.kernels = "other-set"
-        assert session._frame_key(entry, frame, True) != key_numpy
+        assert session._frame_key(entry, frame) != key_numpy
 
 
 class TestCli:

@@ -5,16 +5,19 @@ accepted with bit-identical A/B verification against the path it replaced.
 This harness generalizes those hand-picked A/B checks into a seeded
 randomized sweep: each seed draws shapes, channel counts, network
 geometries and Q-formats, then drives the same pixels through every tier —
-scalar layer kernels vs fused ``forward_batch``, scalar block flow vs
-block-parallel grouping, quantized deployments, and the session / engine /
-sharded-cluster serving stack — asserting exact equality with the shared
-:func:`conftest.assert_parity` helper.
+the block flow against ``frame_based_inference`` (the paper's invariant,
+to float tolerance: the summation order differs by construction),
+quantized deployments, the session / engine / sharded-cluster serving
+stack and the video delta path — asserting exact equality between serving
+tiers with the shared :func:`conftest.assert_parity` helper.
 
 Randomization is *seeded*: a failure reproduces from its seed, and the
 drawn configurations are stable across runs.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,8 +33,9 @@ from repro.kernels import (
     use_kernel_set,
 )
 from repro.models.baselines import build_plain_network
+from repro.models.ernet import build_dnernet, build_sr2ernet
 from repro.nn.ops import MaxPool2x2, PixelShuffle, PixelUnshuffle
-from repro.nn.tensor import BatchedFeatureMap, FeatureMap
+from repro.nn.tensor import FeatureMap
 from repro.quant.quantize import optimal_fraction_bits, quantize_network
 from repro.runtime import ResultCache, ServingCluster, ServingEngine
 
@@ -110,81 +114,118 @@ class TestAssertParityHelper:
 # the benchmarks suite is collected too).
 @pytest.mark.parametrize("seed", SEEDS)
 class TestRandomizedKernels:
-    def test_random_stack_forward_batch_matches_scalar(
-        self, seed, assert_parity, draw_layer_stack
-    ):
-        rng = np.random.default_rng(seed)
-        channels = int(rng.integers(2, 7))
-        height = int(rng.integers(8, 20))
-        width = int(rng.integers(8, 20))
-        batch = int(rng.integers(2, 6))
-        network = draw_layer_stack(rng, channels)
-        maps = [
-            FeatureMap(data=rng.normal(size=(channels, height, width)))
-            for _ in range(batch)
-        ]
-        fused = network.forward_batch(BatchedFeatureMap.from_maps(maps))
-        for index, single in enumerate(maps):
-            assert_parity(
-                {
-                    "scalar": network.forward(single),
-                    "forward_batch": fused[index],
-                },
-                context=f"seed={seed} frame={index} shape={single.data.shape}",
-            )
-
     def test_random_shuffle_pool_kernels(self, seed, assert_parity):
+        # Each rearrangement/pooling kernel against an index-by-index
+        # reference built from strided slices.
         rng = np.random.default_rng(1000 + seed)
         factor = int(rng.choice([2, 3]))
         height = factor * int(rng.integers(3, 7))
         width = factor * int(rng.integers(3, 7))
         even_height = 2 * int(rng.integers(3, 9))
         even_width = 2 * int(rng.integers(3, 9))
-        for layer, channels, size in (
-            (PixelShuffle(factor), factor * factor * int(rng.integers(1, 4)), (height, width)),
-            (PixelUnshuffle(factor), int(rng.integers(1, 5)), (height, width)),
-            (MaxPool2x2(), int(rng.integers(1, 6)), (even_height, even_width)),
+        r = factor
+        packed = rng.normal(size=(r * r * int(rng.integers(1, 4)), height, width))
+        shuffled = np.empty((packed.shape[0] // (r * r), height * r, width * r))
+        for i in range(r):
+            for j in range(r):
+                shuffled[:, i::r, j::r] = packed[i * r + j :: r * r]
+        spatial = rng.normal(size=(int(rng.integers(1, 5)), height, width))
+        unshuffled = np.empty((spatial.shape[0] * r * r, height // r, width // r))
+        for i in range(r):
+            for j in range(r):
+                unshuffled[i * r + j :: r * r] = spatial[:, i::r, j::r]
+        pooled_in = rng.normal(size=(int(rng.integers(1, 6)), even_height, even_width))
+        pooled = np.maximum.reduce(
+            [pooled_in[:, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
+        )
+        for layer, data, expected in (
+            (PixelShuffle(factor), packed, shuffled),
+            (PixelUnshuffle(factor), spatial, unshuffled),
+            (MaxPool2x2(), pooled_in, pooled),
         ):
-            maps = [
-                FeatureMap(data=rng.normal(size=(channels, *size)))
-                for _ in range(3)
-            ]
-            fused = layer.forward_batch(BatchedFeatureMap.from_maps(maps))
-            for index, single in enumerate(maps):
-                assert_parity(
-                    {"scalar": layer.forward(single), "batched": fused[index]},
-                    context=f"seed={seed} {type(layer).__name__}",
-                )
+            assert_parity(
+                {"reference": expected, "kernel": layer.forward(FeatureMap(data=data))},
+                context=f"seed={seed} {type(layer).__name__}",
+            )
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+#: Frame sizes per catalogue workload: one block-aligned size and one
+#: non-divisible size that leaves edge-remainder blocks.
+CATALOGUE_SIZES = {
+    "denoise": ((40, 40), (35, 27)),
+    "super_resolution": ((40, 40), (35, 27)),
+    "style_transfer": ((64, 64), (68, 52)),
+}
+
+#: The two functionally-executing backend families.
+PIXEL_BACKENDS = ("ecnn", "frame_based")
+
+
+def _random_plain_case(seed):
+    """A seeded plain network, frame size and output block."""
+    rng = np.random.default_rng(2000 + seed)
+    depth = int(rng.integers(2, 5))
+    width = int(rng.integers(4, 11))
+    network = build_plain_network(depth, width, seed=seed)
+    height = int(rng.integers(24, 44))
+    image_width = int(rng.integers(24, 44))
+    output_block = int(rng.integers(8, 15))
+    image = synthetic_image(height, image_width, seed=seed)
+    output, grid = block_based_inference(network, image, output_block=output_block)
+    assert grid.num_blocks > 1
+    return network, image, output
+
+
+def _served_case(workload, backend, size):
+    """One catalogue frame served fresh through a session."""
+    session = Session(backend=backend, cache=ResultCache())
+    image = synthetic_image(*size, seed=23)
+    output = session.execute(workload, image, cached=False).output
+    return session.compile(workload).network, image, output
+
+
+def _tiny_network_case(build, size):
+    """A tiny network (upsampler or residual body) at output block 10."""
+    network = build()
+    image = synthetic_image(*size, seed=13)
+    output, _ = block_based_inference(network, image, output_block=10)
+    return network, image, output
+
+
+BLOCK_FLOW_CASES = (
+    [pytest.param(partial(_random_plain_case, seed), id=f"random-{seed}") for seed in SEEDS]
+    + [
+        pytest.param(
+            partial(_served_case, workload, backend, size),
+            id=f"{workload}-{backend}-{size[0]}x{size[1]}",
+        )
+        for workload, sizes in CATALOGUE_SIZES.items()
+        for backend in PIXEL_BACKENDS
+        for size in sizes
+    ]
+    + [
+        pytest.param(
+            partial(_tiny_network_case, partial(build_sr2ernet, 2, 1, 0, seed=9), (26, 22)),
+            id="tiny_sr",
+        ),
+        pytest.param(
+            partial(_tiny_network_case, partial(build_dnernet, 2, 2, 0, seed=5), (33, 27)),
+            id="tiny_ernet",
+        ),
+    ]
+)
+
+
 class TestRandomizedBlockFlow:
-    def test_random_geometry_scalar_vs_parallel(self, seed, assert_parity):
-        rng = np.random.default_rng(2000 + seed)
-        depth = int(rng.integers(2, 5))
-        width = int(rng.integers(4, 11))
-        network = build_plain_network(depth, width, seed=seed)
-        height = int(rng.integers(24, 44))
-        image_width = int(rng.integers(24, 44))
-        output_block = int(rng.integers(8, 15))
-        image = synthetic_image(height, image_width, seed=seed)
-        scalar, scalar_grid = block_based_inference(
-            network, image, output_block=output_block, parallel=False
-        )
-        fused, fused_grid = block_based_inference(
-            network, image, output_block=output_block, parallel=True
-        )
-        assert fused_grid.num_blocks == scalar_grid.num_blocks
-        assert_parity(
-            {"scalar": scalar, "block_parallel": fused},
-            context=f"seed={seed} {height}x{image_width} block={output_block}",
-        )
-        # The block flow itself must agree with whole-frame execution (to
-        # float tolerance: the summation order differs by construction).
+    @pytest.mark.parametrize("case", BLOCK_FLOW_CASES)
+    def test_block_flow_matches_frame_flow(self, case):
+        network, image, output = case()
         reference = frame_based_inference(network, image)
-        assert np.allclose(fused.data, reference.data)
+        assert output.shape == reference.shape
+        assert np.allclose(output.data, reference.data)
 
-    def test_random_qformat_quantized_parity(self, seed, assert_parity):
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_qformat_quantized_parity(self, seed):
         rng = np.random.default_rng(3000 + seed)
         network = build_plain_network(int(rng.integers(2, 4)), int(rng.integers(4, 9)), seed=seed)
         bits = int(rng.choice([6, 7, 8]))
@@ -197,13 +238,10 @@ class TestRandomizedBlockFlow:
             network, output_block=int(rng.integers(8, 13)), quantization=plan
         )
         image = synthetic_image(int(rng.integers(24, 40)), int(rng.integers(24, 40)), seed=seed)
-        assert_parity(
-            {
-                "scalar": pipeline.run(image, parallel=False),
-                "block_parallel": pipeline.run(image, parallel=True),
-            },
-            context=f"seed={seed} Q bits={bits}/{feature_bits}",
-        )
+        output = pipeline.run(image).output
+        reference = pipeline.run_frame_based(image)
+        assert output.shape == reference.shape, f"seed={seed} Q bits={bits}/{feature_bits}"
+        assert np.allclose(output.data, reference.data), f"seed={seed} Q bits={bits}/{feature_bits}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -214,7 +252,7 @@ class TestPostChaosParity:
     pixel workload, serve it through a fresh inline cluster, kill the
     owning shard (twice — down to the last survivor), and hold every
     surviving shard's ``execute_frame`` output to ``assert_parity``
-    against the scalar single-process reference.
+    against the single-process reference.
     """
 
     def test_survivors_bit_identical_after_each_worker_death(self, seed, assert_parity):
@@ -227,9 +265,9 @@ class TestPostChaosParity:
         width = int(rng.integers(low, high)) // 4 * 4
         image = synthetic_image(height, width, seed=seed)
         session = Session(backend="ecnn", cache=ResultCache())
-        reference = session.execute(workload, image, parallel=False, cached=False)
+        reference = session.execute(workload, image, cached=False)
         with ServingCluster(workers=3, backend="ecnn", mode="inline") as chaos_cluster:
-            outputs = {"scalar_reference": reference}
+            outputs = {"reference": reference}
             outputs["before_chaos"] = chaos_cluster.execute_frame(
                 workload, image, cached=False
             )
@@ -287,9 +325,8 @@ class TestRandomizedVideoStreams:
 
     For every seed, workload and motion model, each frame served through
     the video-stream tier (session and sharded cluster, exact-reuse mode at
-    the default block geometry) must equal the scalar and block-parallel
-    full re-inference of that same frame — reuse is an optimization, never
-    an approximation.
+    the default block geometry) must equal full re-inference of that same
+    frame — reuse is an optimization, never an approximation.
     """
 
     @pytest.mark.parametrize("kind", VIDEO_KINDS)
@@ -311,12 +348,7 @@ class TestRandomizedVideoStreams:
             served = session.execute_stream(stream_id, workload, frame)
             assert_parity(
                 {
-                    "scalar": session.execute(
-                        workload, frame, parallel=False, cached=False
-                    ),
-                    "block_parallel": session.execute(
-                        workload, frame, parallel=True, cached=False
-                    ),
+                    "session": session.execute(workload, frame, cached=False),
                     "stream_delta": served.output,
                     "cluster_stream": cluster.execute_stream(
                         stream_id, workload, frame
@@ -346,12 +378,8 @@ class TestRandomizedVideoStreams:
         stream = session.video_stream("lossy", "denoise", threshold=threshold)
         stream.submit(base)
         served = stream.submit(noisy)
-        reference_prev = session.execute(
-            "denoise", base, parallel=False, cached=False
-        ).output.data
-        reference_cur = session.execute(
-            "denoise", noisy, parallel=False, cached=False
-        ).output.data
+        reference_prev = session.execute("denoise", base, cached=False).output.data
+        reference_cur = session.execute("denoise", noisy, cached=False).output.data
         # Low-amplitude noise reuses everything; the served pixels are the
         # predecessor's exact output, so the error against fresh
         # re-inference is bounded by the drift between the two references —
@@ -404,9 +432,8 @@ def _assert_kernel_tolerance(outputs, context):
 class TestKernelSetParity:
     """Every available kernel set agrees with the numpy reference oracle.
 
-    The sweep re-runs representative paths of every tier — scalar layer
-    kernels, fused ``forward_batch``, block-parallel flow, quantized
-    Q-format passes, and the session / cluster / video-stream serving
+    The sweep re-runs representative paths of every tier — layer kernels,
+    the block flow, quantized Q-format passes, and the session / cluster / video-stream serving
     stack — once per registered-and-available kernel set (numpy always;
     numba on the CI leg that installs it), holding each set's pixels to
     its documented tolerance against the numpy oracle.  On a numba-less
@@ -418,15 +445,9 @@ class TestKernelSetParity:
         rng = np.random.default_rng(8000 + seed)
         channels = int(rng.integers(2, 6))
         network = draw_layer_stack(rng, channels)
-        maps = [
-            FeatureMap(data=rng.normal(size=(channels, 14, 15))) for _ in range(3)
-        ]
-        scalar = _sweep_kernel_sets(lambda: network.forward(maps[0]).data)
-        _assert_kernel_tolerance(scalar, f"seed={seed} scalar forward")
-        batched = _sweep_kernel_sets(
-            lambda: network.forward_batch(BatchedFeatureMap.from_maps(maps)).data
-        )
-        _assert_kernel_tolerance(batched, f"seed={seed} forward_batch")
+        fm = FeatureMap(data=rng.normal(size=(channels, 14, 15)))
+        outputs = _sweep_kernel_sets(lambda: network.forward(fm).data)
+        _assert_kernel_tolerance(outputs, f"seed={seed} forward")
 
     def test_block_flow_and_qformat_across_sets(self, seed):
         rng = np.random.default_rng(8100 + seed)
@@ -436,12 +457,10 @@ class TestKernelSetParity:
         image = synthetic_image(
             int(rng.integers(24, 40)), int(rng.integers(24, 40)), seed=seed
         )
-        fused = _sweep_kernel_sets(
-            lambda: block_based_inference(
-                network, image, output_block=12, parallel=True
-            )[0].data
+        flow = _sweep_kernel_sets(
+            lambda: block_based_inference(network, image, output_block=12)[0].data
         )
-        _assert_kernel_tolerance(fused, f"seed={seed} block-parallel flow")
+        _assert_kernel_tolerance(flow, f"seed={seed} block flow")
         # The Q-format passes are integer-exact in every set: quantize codes
         # are bit-identical and the fraction search picks the same format
         # (ties included — every set breaks toward the larger frac).
@@ -472,10 +491,7 @@ class TestKernelSetParity:
                 cache=ResultCache(),
                 kernels=active_kernel_set().name,
             )
-            outputs = [
-                session.execute("denoise", image, parallel=False, cached=False),
-                session.execute("denoise", image, parallel=True, cached=False),
-            ]
+            outputs = [session.execute("denoise", image, cached=False)]
             with ServingCluster(
                 workers=2, backend="ecnn", mode="inline", kernels=session.kernels
             ) as sharded:
@@ -506,12 +522,7 @@ class TestRandomizedServingStack:
         session = Session(backend="ecnn", cache=ResultCache())
         assert_parity(
             {
-                "session_scalar": session.execute(
-                    workload, image, parallel=False, cached=False
-                ),
-                "session_parallel": session.execute(
-                    workload, image, parallel=True, cached=False
-                ),
+                "session": session.execute(workload, image, cached=False),
                 "engine": engine.execute_frame(workload, image, cached=False),
                 "cluster": cluster.execute_frame(workload, image, cached=False),
                 "cluster_batch": cluster.execute_frames(

@@ -9,7 +9,7 @@ block's input window, and :class:`repro.runtime.video.VideoStream` must
 recompute exactly that block — no more, no fewer.
 
 The bit-identity reference for this custom geometry is
-``block_based_inference(network, frame, 16, parallel=False)`` (the parity
+``block_based_inference(network, frame, 16)`` (the parity
 contract is per-geometry; see the module docstring of
 :mod:`repro.runtime.video`).
 """
@@ -58,7 +58,7 @@ def _mutated(frame: FeatureMap, blocks) -> FeatureMap:
 
 def _reference(session: Session, frame: FeatureMap) -> np.ndarray:
     network = session.compile("denoise").network
-    output, _ = block_based_inference(network, frame, output_block=BLOCK, parallel=False)
+    output, _ = block_based_inference(network, frame, output_block=BLOCK)
     return output.data
 
 

@@ -35,10 +35,9 @@ enforce the project invariants that grew with the serving/soak tiers:
 * **ECNN207 kernel-set-protocol** — every ``@register_kernel`` class
   defines (or inherits from a same-module base) the full ``KernelSet``
   surface (``name``, ``description``, ``tolerance``, ``available``,
-  ``warmup``, ``conv2d``, ``conv2d_batch``, ``quantize_to_codes``,
-  ``fraction_search``); a class in ``src/repro/kernels/`` implementing the
-  conv surface without registering is flagged too (the registry is the
-  only selection path).  Kernel modules must not import numba at module
+  ``warmup``, ``conv2d``, ``quantize_to_codes``, ``fraction_search``); a
+  class in ``src/repro/kernels/`` implementing ``conv2d`` without
+  registering is flagged too (the registry is the only selection path).  Kernel modules must not import numba at module
   import time — ``import numba`` outside a function body crashes every
   numba-less environment the registry promises a clean fallback on.
 
@@ -80,7 +79,6 @@ _KERNEL_METHODS = (
     "available",
     "warmup",
     "conv2d",
-    "conv2d_batch",
     "quantize_to_codes",
     "fraction_search",
 )
@@ -423,7 +421,7 @@ def lint_source(source: str, relpath: str) -> CheckReport:
             attrs, methods = _class_surface(cls, index.classes)
             # The KernelSet Protocol definition itself declares the surface
             # without registering — structural typing, not an implementation.
-            if "Protocol" not in bases and "conv2d" in methods and "conv2d_batch" in methods:
+            if "Protocol" not in bases and "conv2d" in methods:
                 report.add(
                     "ECNN207",
                     f"class {cls.name} implements the kernel conv surface but "
