@@ -105,11 +105,6 @@ class PerfProfile:
     peak_tops: float
     #: Useful operations per second actually delivered, TOPS.
     achieved_tops: float
-    #: Compute-kernel set (``repro.kernels`` registry name) active in the
-    #: session that produced this profile.  Metadata only — the analytic
-    #: figures above are kernel-independent, so the session stamps this
-    #: after cache retrieval rather than baking it into the content address.
-    kernels: str = "numpy"
 
     @property
     def fps(self) -> float:

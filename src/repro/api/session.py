@@ -19,7 +19,7 @@ wiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.backend import AcceleratorBackend, available_backends, create_backend
@@ -88,11 +88,6 @@ class SessionHandle:
     config: EcnnConfig = DEFAULT_CONFIG
     #: Frame-cache residency bound; ``None`` rebuilds an unbounded cache.
     frame_cache_entries: Optional[int] = 64
-    #: Compute-kernel set name (see :mod:`repro.kernels`).  Handles minted by
-    #: :meth:`Session.handle` carry the *resolved* set name (never ``"auto"``)
-    #: so every worker rebuilds with the coordinator's arithmetic; ``"auto"``
-    #: remains valid for hand-built handles and re-resolves per process.
-    kernels: str = "auto"
 
     def create(self) -> "Session":
         """Build a fresh session (scoped caches) from this handle."""
@@ -103,7 +98,6 @@ class SessionHandle:
             config=self.config,
             cache=ResultCache(),
             frame_cache_entries=self.frame_cache_entries,
-            kernels=self.kernels,
         )
 
 
@@ -128,15 +122,6 @@ class Session:
         Residency bound of the per-session pixel-result cache (LRU); pass
         ``None`` for an unbounded cache.  Frame results carry pixel data,
         so the default keeps this one bounded (unlike the analytic cache).
-    kernels:
-        Compute-kernel set for the host-side reference arithmetic (see
-        :mod:`repro.kernels`).  ``"auto"`` (the default) picks the fastest
-        available registered set — numba when importable, numpy otherwise —
-        and warm-compiles it off the hot path; an explicit name selects that
-        set or raises :class:`~repro.kernels.KernelUnavailableError`.  The
-        selection is process-global (kernel sets are stateless arithmetic,
-        so the last construction wins); :attr:`kernels` records the resolved
-        name this session asked for.
     verify:
         Run :func:`repro.check.verify_plan` on every freshly compiled plan
         (the default); a plan with error-level diagnostics raises
@@ -154,16 +139,10 @@ class Session:
         workloads: Optional[Mapping[str, RuntimeWorkload]] = None,
         frame_cache_entries: Optional[int] = 64,
         verify: bool = True,
-        kernels: str = "auto",
     ) -> None:
-        from repro.kernels import select_kernel_set
         from repro.runtime.cache import DEFAULT_CACHE, ResultCache
         from repro.runtime.workloads import WORKLOADS
 
-        #: Resolved compute-kernel set name (never ``"auto"``): the session
-        #: selects and warm-compiles the set at construction so JIT cost is
-        #: paid here, not on the first served frame.
-        self.kernels = select_kernel_set(kernels).name
         self.config = config
         self.cache = cache if cache is not None else DEFAULT_CACHE
         self.backend: AcceleratorBackend = (
@@ -201,7 +180,6 @@ class Session:
             backend=self.backend_name,
             config=self.config,
             frame_cache_entries=self.frame_cache.max_entries,
-            kernels=self.kernels,
         )
 
     def plan_handle(self, workload_name: str) -> PlanHandle:
@@ -293,20 +271,12 @@ class Session:
         return self.cache.get_or_compute(self._key("plan", entry), build)
 
     def profile(self, workload_name: str) -> PerfProfile:
-        """Per-frame serving figures of a workload on this backend (cached).
-
-        The profile's :attr:`~repro.api.results.PerfProfile.kernels` field is
-        stamped with this session's kernel set *after* cache retrieval: the
-        analytic figures are kernel-independent, so two sessions differing
-        only in kernel set share the cached computation but each report their
-        own arithmetic provenance.
-        """
+        """Per-frame serving figures of a workload on this backend (cached)."""
         entry = self.workload(workload_name)
-        profile = self.cache.get_or_compute(
+        return self.cache.get_or_compute(
             self._key("profile", entry),
             lambda: self.backend.profile(self.compile(workload_name), entry.spec),
         )
-        return replace(profile, kernels=self.kernels)
 
     def cost(self) -> CostReport:
         """Silicon cost of this session's backend configuration (cached)."""
@@ -335,10 +305,6 @@ class Session:
             "frame",
             self.backend_name,
             self._backend_identity(),
-            # Pixel results are kernel-set-addressed: jitted sets agree with
-            # numpy only within a documented tolerance, so a frame served
-            # under one set must never answer a lookup made under another.
-            self.kernels,
             entry.cache_key(self.config),
             frame.shape,
             frame.data.dtype.str,
@@ -568,7 +534,6 @@ class Session:
                     config=self.config,
                     cache=self.cache,
                     workloads=self._workloads,
-                    kernels=self.kernels,
                 )
             )
             profiles.append(session.profile(workload_name))

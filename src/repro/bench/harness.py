@@ -225,17 +225,10 @@ def run_scenario(scenario: BenchScenario, *, repeats: int = 3) -> BenchResult:
 def _environment() -> Tuple[Tuple[str, str], ...]:
     import numpy
 
-    from repro.kernels import active_kernel_set, available_kernel_sets
-
     return (
         ("python", platform.python_version()),
         ("numpy", numpy.__version__),
         ("platform", platform.platform()),
-        # Which kernel set the suite's arithmetic ran on, and which sets the
-        # machine could have run — a report claiming a numba A/B is only
-        # honest if "numba" appears here.
-        ("kernels", active_kernel_set().name),
-        ("kernels_available", "+".join(available_kernel_sets())),
     )
 
 

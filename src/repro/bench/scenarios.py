@@ -53,14 +53,7 @@ Scenario families (see ``docs/performance.md`` for the full reading guide):
 * ``hotpath_memoization`` — the A/B scenario: the same profile pass with
   the process-level memos disabled (baseline) and enabled (optimized),
   recording the measured speedup and checking the analytic figures are
-  bit-identical between the two modes;
-* ``kernel_sweep`` — the compute-kernel A/B (:mod:`repro.kernels`): the
-  block-flow denoise pass run once per *available* kernel set
-  (numpy always; numba when importable, warm-compiled in setup), every
-  set's pixels verified against the numpy oracle within its documented
-  tolerance, recording per-set wall time and the numpy-vs-fastest speedup.
-  The report's environment block says which sets were actually available —
-  on a numba-less machine the sweep records numpy alone (speedup 1.0).
+  bit-identical between the two modes.
 
 Every scenario is deterministic in its *figures* (seeded workloads, stable
 scenario ids); only wall time varies run to run.
@@ -860,94 +853,6 @@ def _hotpath_scenario(optimized_passes: int = 5):
     )
 
 
-def _kernel_sweep_scenario(
-    size: int = 64, output_block: int = 16, inner_passes: int = 3
-):
-    from repro.core.blockflow import block_based_inference
-    from repro.kernels import available_kernel_sets, kernel_set, use_kernel_set
-
-    image = synthetic_image(size, size, seed=7)
-
-    def setup() -> None:
-        # Compile the plan once and warm-compile every available kernel set,
-        # so the measured passes time arithmetic, not builds or JIT.
-        Session(backend="ecnn", cache=ResultCache()).compile("denoise")
-        for name in available_kernel_sets():
-            kernel_set(name).warmup()
-
-    def run(recorder: PhaseRecorder) -> ScenarioOutcome:
-        session = Session(backend="ecnn", cache=ResultCache(), kernels="numpy")
-        network = session.compile("denoise").network
-        names = available_kernel_sets()
-        outputs = {}
-        timings = {}
-        for name in names:
-            with recorder.phase(name):
-                with use_kernel_set(name):
-                    best = float("inf")
-                    for _ in range(inner_passes):
-                        start = time.perf_counter()
-                        result = block_based_inference(
-                            network, image, output_block=output_block
-                        )[0]
-                        best = min(best, time.perf_counter() - start)
-            outputs[name] = result.data
-            timings[name] = best
-        reference = outputs["numpy"]
-        extra = []
-        for name in names:
-            # Parity oracle: every set must agree with the numpy reference
-            # within its documented tolerance (0.0 for numpy itself).
-            tolerance = kernel_set(name).tolerance
-            data = outputs[name]
-            if data.shape != reference.shape:
-                raise AssertionError(
-                    f"kernel set {name!r} changed the output shape: "
-                    f"{data.shape} != {reference.shape}"
-                )
-            diff = float(np.max(np.abs(data - reference))) if data.size else 0.0
-            if diff > tolerance:
-                raise AssertionError(
-                    f"kernel set {name!r} diverged from the numpy oracle: "
-                    f"max abs diff {diff:g} > tolerance {tolerance:g}"
-                )
-            extra.append((f"{name}_s", timings[name]))
-            extra.append((f"max_abs_diff:{name}", diff))
-        fastest = min(timings, key=lambda name: timings[name])
-        extra.extend(
-            [
-                ("baseline_s", timings["numpy"]),
-                ("optimized_s", timings[fastest]),
-                ("speedup", timings["numpy"] / timings[fastest]),
-            ]
-        )
-        blocks = (size // output_block) ** 2
-        return ScenarioOutcome(
-            units=float(blocks * len(names)),
-            figures=(
-                ("output_mean_abs", float(abs(reference).mean())),
-                ("kernel_sets", float(len(names))),
-            ),
-            extra=tuple(extra),
-        )
-
-    return BenchScenario(
-        name="kernel_sweep",
-        description=(
-            f"compute-kernel A/B: one {size}x{size} denoise frame through the "
-            f"block flow (output block {output_block}) once "
-            "per available kernel set, pixels verified against the numpy "
-            "oracle within each set's documented tolerance; records per-set "
-            "wall time and the numpy-vs-fastest speedup (1.0 when only "
-            "numpy is available — see the report's environment block)"
-        ),
-        backends=("ecnn",),
-        unit="blocks",
-        run=run,
-        setup=setup,
-    )
-
-
 def default_suite() -> BenchSuite:
     """The standard ``repro-bench`` suite (what ``BENCH_<n>.json`` records)."""
     scenarios = [
@@ -979,7 +884,6 @@ def default_suite() -> BenchSuite:
         _execute_frame_parallel_scenario(),
         _video_stream_scenario(),
         _hotpath_scenario(),
-        _kernel_sweep_scenario(),
     ]
     return BenchSuite("default", scenarios)
 

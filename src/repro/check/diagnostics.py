@@ -172,15 +172,7 @@ _rule(
     "or captured clocks in scheduling fields break EDF ordering, pickling "
     "across cluster workers, and deterministic replay.",
 )
-_rule(
-    "ECNN207", "kernel-set-protocol", Severity.ERROR,
-    "Kernel-set classes in repro.kernels must register via @register_kernel "
-    "and implement the full KernelSet protocol (name, description, "
-    "tolerance, available, warmup, conv2d, quantize_to_codes, fraction_search), "
-    "and kernel modules must not import numba at module import time — an "
-    "unconditional import would crash every numba-less "
-    "environment the registry promises to fall back cleanly on.",
-)
+# ECNN207 (kernel-set-protocol) is retired; the id stays reserved.
 
 
 @dataclass(frozen=True)

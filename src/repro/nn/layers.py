@@ -20,9 +20,39 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.kernels import active_kernel_set
 from repro.nn.initializers import he_laplace, seeded_rng
 from repro.nn.tensor import FeatureMap
+
+
+def _im2col(data: np.ndarray, kernel: int):
+    """Return ``(C*K*K, H_out*W_out)`` patches of a ``(C, H, W)`` map for valid convolution."""
+    channels, height, width = data.shape
+    out_h = height - kernel + 1
+    out_w = width - kernel + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"input {height}x{width} too small for valid {kernel}x{kernel} convolution"
+        )
+    cols = np.empty((channels, kernel, kernel, out_h, out_w), dtype=data.dtype)
+    for dy in range(kernel):
+        for dx in range(kernel):
+            cols[:, dy, dx] = data[:, dy : dy + out_h, dx : dx + out_w]
+    return cols.reshape(channels * kernel * kernel, out_h * out_w), out_h, out_w
+
+
+def _conv2d_valid(data: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Valid-mode convolution of one ``(C, H, W)`` map -> ``(O, H_out, W_out)``."""
+    out_channels, in_channels, kernel, _ = weights.shape
+    if kernel == 1:
+        channels, height, width = data.shape
+        flat = data.reshape(channels, height * width)
+        out = weights.reshape(out_channels, in_channels) @ flat
+        out = out + bias[:, np.newaxis]
+        return out.reshape(out_channels, height, width)
+    cols, out_h, out_w = _im2col(data, kernel)
+    w2d = weights.reshape(out_channels, -1)
+    out = w2d @ cols + bias[:, np.newaxis]
+    return out.reshape(out_channels, out_h, out_w)
 
 
 class Layer:
@@ -140,9 +170,7 @@ class Conv2d(Layer):
         if self.padding == "zero" and self.kernel > 1:
             pad = (self.kernel - 1) // 2
             data = np.pad(data, ((0, 0), (pad, pad), (pad, pad)))
-        # Padding is resolved here so every kernel set implements only the
-        # valid-mode arithmetic; the active set owns the multiply-accumulate.
-        out = active_kernel_set().conv2d(data, self.weights, self.bias)
+        out = _conv2d_valid(data, self.weights, self.bias)
         return fm.with_data(out, qformat=None)
 
 

@@ -65,19 +65,10 @@ class QFormat:
         return self.max_code * self.step
 
     def quantize_to_codes(self, values: np.ndarray) -> np.ndarray:
-        """Clip and round floating values to integer codes of this format.
-
-        The rint/clip pass runs on the active kernel set
-        (:func:`repro.kernels.active_kernel_set`); every registered set is
-        bit-exact here — round half to even then clip is integer-exact
-        arithmetic regardless of how a set fuses it.
-        """
-        from repro.kernels import active_kernel_set
-
+        """Clip and round floating values to integer codes of this format."""
         values = np.asarray(values, dtype=np.float64)
-        return active_kernel_set().quantize_to_codes(
-            values, self.step, self.min_code, self.max_code
-        )
+        codes = np.rint(values / self.step)
+        return np.clip(codes, self.min_code, self.max_code).astype(np.int64)
 
     def codes_to_values(self, codes: np.ndarray) -> np.ndarray:
         """Convert integer codes back to their real values."""

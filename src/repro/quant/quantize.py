@@ -101,18 +101,20 @@ def optimal_fraction_bits(
     if fracs.size == 0:
         raise ValueError("search_range must contain at least one candidate")
     probe = QFormat(frac=0, bits=bits, signed=signed)  # validates bits
-    # The candidate sweep runs on the active kernel set.  The numpy oracle
-    # evaluates every candidate's clip-and-round error in one
-    # ``(candidates, values)`` pass with the same per-candidate arithmetic
-    # (and summation order) as the scalar reference, so its selection is
-    # bit-for-bit identical; jitted sets accumulate sequentially and agree
-    # within their documented tolerance (ties included — every set breaks
-    # error ties toward the larger frac).
-    from repro.kernels import active_kernel_set
-
-    best_frac = active_kernel_set().fraction_search(
-        values, fracs, probe.min_code, probe.max_code, norm
-    )
+    steps = (2.0 ** (-fracs.astype(np.float64)))[:, np.newaxis]  # (F, 1) LSBs
+    # One (candidates, values) pass, reusing a single working buffer: round
+    # to codes, clip to the format's range, back to real values, subtract.
+    work = values[np.newaxis, :] / steps
+    np.rint(work, out=work)
+    np.clip(work, probe.min_code, probe.max_code, out=work)
+    work *= steps
+    np.subtract(values[np.newaxis, :], work, out=work)
+    if norm == "l1":
+        np.abs(work, out=work)
+    else:
+        np.multiply(work, work, out=work)
+    errors = work.sum(axis=1)
+    best_frac = fracs[errors == errors.min()].max()
     return QFormat(frac=int(best_frac), bits=bits, signed=signed)
 
 

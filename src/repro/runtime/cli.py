@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.api import available_backends, describe_backends
-from repro.kernels import KERNEL_SETS, describe_kernel_sets, set_is_available
 from repro.runtime.cluster import ServingCluster
 from repro.runtime.engine import ServingEngine
 from repro.runtime.scheduler import POLICIES
@@ -79,13 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(earliest-deadline-first, used by the SLO gateway)",
     )
     parser.add_argument(
-        "--kernels",
-        default="auto",
-        choices=("auto", *sorted(KERNEL_SETS)),
-        help="compute-kernel set for the host-side reference arithmetic "
-        "(default: auto = fastest available; see --list-kernels)",
-    )
-    parser.add_argument(
         "--analyze",
         action="store_true",
         help="also print per-workload analytics (asked twice to show cache hits)",
@@ -99,11 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-backends",
         action="store_true",
         help="list the registered accelerator backends and exit",
-    )
-    parser.add_argument(
-        "--list-kernels",
-        action="store_true",
-        help="list the registered compute-kernel sets and exit",
     )
     return parser
 
@@ -154,11 +141,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name, description in describe_backends().items():
             print(f"{name:12s} {description}")
         return 0
-    if args.list_kernels:
-        for name, description in describe_kernel_sets().items():
-            status = "available" if set_is_available(name) else "unavailable"
-            print(f"{name:12s} [{status}] {description}")
-        return 0
 
     selected = trace(args.trace)
     if args.workers:
@@ -169,10 +151,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_batch_frames=args.batch_frames,
             mode=args.cluster_mode,
             policy=args.policy,
-            kernels=args.kernels,
         ) as cluster:
             print(f"backend {cluster.backend_name!r}, "
-                  f"kernels {cluster.session.kernels!r}, "
                   f"{args.workers} worker shard(s) ({cluster.mode})")
             print(f"trace {selected.name!r}: {selected.description}")
             print(f"streams: {', '.join(selected.streams)}; "
@@ -199,9 +179,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_batch_frames=args.batch_frames,
         backend=args.backend,
         policy=args.policy,
-        kernels=args.kernels,
     )
-    print(f"backend {engine.backend_name!r}, kernels {engine.session.kernels!r}")
+    print(f"backend {engine.backend_name!r}")
     print(f"trace {selected.name!r}: {selected.description}")
     print(f"streams: {', '.join(selected.streams)}; "
           f"{len(selected.events)} requests, {selected.total_frames} frames\n")

@@ -575,11 +575,6 @@ class ServingCluster:
         call, ``"run:round"`` before every dispatch round).  Chaos tests
         use it to kill shards deterministically while their requests are
         in flight; it must not submit or drain work itself.
-    kernels:
-        Compute-kernel set for the coordinator session (see
-        :mod:`repro.kernels`); the resolved name travels in the session
-        handle so worker processes rebuild with the same arithmetic.
-        Ignored when ``backend`` is a pre-built session.
     """
 
     def __init__(
@@ -598,7 +593,6 @@ class ServingCluster:
         start_timeout_s: float = 120.0,
         call_timeout_s: float = 600.0,
         fault_hook: Optional[Callable[["ServingCluster", str], None]] = None,
-        kernels: str = "auto",
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -616,10 +610,7 @@ class ServingCluster:
                 config=config,
                 cache=ResultCache(),
                 frame_cache_entries=frame_cache_entries,
-                kernels=kernels,
             )
-            # handle() carries the coordinator's *resolved* kernel-set name,
-            # so every worker process rebuilds with identical arithmetic.
             self._handle = self.session.handle()
         self.workers = workers
         self.instances_per_worker = instances_per_worker

@@ -163,11 +163,6 @@ class ServingEngine:
     policy:
         Queue/scheduler ordering — ``"fifo"`` (default, bit-identical to
         the historical engine) or ``"edf"`` for deadline-aware serving.
-    kernels:
-        Compute-kernel set for the engine's session (see
-        :mod:`repro.kernels`); ``"auto"`` picks the fastest available.
-        Ignored when ``backend`` is a pre-built session (the session's own
-        selection stands).
     """
 
     def __init__(
@@ -179,14 +174,11 @@ class ServingEngine:
         cache: Optional[ResultCache] = None,
         backend: Union[str, Session] = "ecnn",
         policy: str = "fifo",
-        kernels: str = "auto",
     ) -> None:
         if isinstance(backend, Session):
             self.session = backend
         else:
-            self.session = Session(
-                backend=backend, config=config, cache=cache, kernels=kernels
-            )
+            self.session = Session(backend=backend, config=config, cache=cache)
         self.config = self.session.config
         self.cache = self.session.cache
         self.policy = policy

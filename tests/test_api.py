@@ -19,12 +19,13 @@ from repro.api import (
     register_backend,
     unregister_backend,
 )
+from repro.core.blockflow import frame_based_inference
 from repro.hw.area_power import analyze_area, area_report, power_report
 from repro.hw.config import DEFAULT_CONFIG
 from repro.hw.dram import dram_traffic
 from repro.hw.performance import analyze_performance, evaluate_performance
 from repro.models.ernet import PAPER_MODELS, build_ernet
-from repro.runtime import ResultCache, ServingEngine, workload
+from repro.runtime import ResultCache, ServingCluster, ServingEngine, workload
 from repro.runtime.cli import main as cli_main
 from repro.specs import SPECIFICATIONS
 
@@ -270,6 +271,47 @@ class TestPixelBackendMatrix:
         repeat = engine.execute_frame("denoise", self._IMAGE)
         assert repeat.output.data.tobytes() == served.output.data.tobytes()
         assert engine.frame_cache_stats.hits >= 1
+
+
+# ------------------------------------------------------- arithmetic isolation
+class TestSessionArithmeticIsolation:
+    def test_later_sessions_cannot_change_an_earlier_sessions_pixels(self):
+        """Constructing other sessions and serving tiers leaves A's pixels alone.
+
+        Guards the leak class of a process-global arithmetic selection: the
+        last session constructed decided every session's convolution, and
+        the drifted pixels were cached under the first session's own frame
+        key.  The test also passes against the former process-global kernel
+        registry when only its numpy set could be selected, because the
+        leak needed a second selectable arithmetic and there is now only
+        one.  It pins the isolation so any future second arithmetic stays
+        owned by its session.
+        """
+        image = synthetic_image(64, 64, seed=23)
+        assert image.channels == 3
+        session_a = Session(backend="ecnn", cache=ResultCache())
+        first = session_a.execute("denoise", image).output.data
+
+        others = [
+            Session(backend="frame_based", cache=ResultCache()),
+            Session(backend="ecnn", cache=ResultCache(), verify=False),
+        ]
+        for other in others:
+            other.execute("denoise", image, cached=False)
+        ServingEngine(backend="ecnn", cache=ResultCache()).execute_frame(
+            "denoise", image, cached=False
+        )
+        with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
+            cluster.execute_frame("denoise", image, cached=False)
+
+        fresh = session_a.execute("denoise", image, cached=False).output.data
+        hits = session_a.frame_cache.stats.hits
+        lookup = session_a.execute("denoise", image).output.data
+        assert session_a.frame_cache.stats.hits == hits + 1
+        assert fresh.tobytes() == first.tobytes()
+        assert lookup.tobytes() == first.tobytes()
+        network = session_a.compile("denoise").network
+        assert np.allclose(first, frame_based_inference(network, image).data)
 
 
 # ---------------------------------------------------------------- deprecation

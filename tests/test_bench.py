@@ -58,7 +58,6 @@ class TestSuiteShape:
             "execute_frame_parallel@ecnn",
             "video_stream@ecnn",
             "hotpath_memoization@ecnn",
-            "kernel_sweep@ecnn",
         )
 
     def test_issue_coverage_floor(self):

@@ -568,64 +568,6 @@ class TestRepoLint:
         )
         assert lint.lint_source(free, "src/repro/gateway/demo.py").ok
 
-    def test_incomplete_kernel_set_is_ecnn207(self, lint):
-        source = (
-            "from repro.kernels import register_kernel\n"
-            "@register_kernel\n"
-            "class HalfKernels:\n"
-            "    name = 'half'\n"
-            "    def conv2d(self, data, weights, bias): ...\n"
-        )
-        report = lint.lint_source(source, "src/repro/kernels/demo.py")
-        assert [d.rule_id for d in report.diagnostics] == ["ECNN207"]
-        assert "tolerance" in report.diagnostics[0].message
-
-    def test_complete_kernel_set_passes_ecnn207(self, lint):
-        source = (
-            "from repro.kernels import register_kernel\n"
-            "@register_kernel\n"
-            "class FullKernels:\n"
-            "    name = 'full'\n"
-            "    description = 'complete'\n"
-            "    tolerance = 0.0\n"
-            "    def available(self): ...\n"
-            "    def warmup(self): ...\n"
-            "    def conv2d(self, data, weights, bias): ...\n"
-            "    def quantize_to_codes(self, values, step, lo, hi): ...\n"
-            "    def fraction_search(self, values, fracs, lo, hi, norm): ...\n"
-        )
-        assert lint.lint_source(source, "src/repro/kernels/demo.py").ok
-
-    def test_unregistered_conv_class_in_kernels_is_ecnn207(self, lint):
-        source = (
-            "class ShadowKernels:\n"
-            "    def conv2d(self, data, weights, bias): ...\n"
-        )
-        report = lint.lint_source(source, "src/repro/kernels/demo.py")
-        assert [d.rule_id for d in report.diagnostics] == ["ECNN207"]
-        assert "register_kernel" in report.diagnostics[0].message
-        # The same class outside the kernels package is not a kernel set.
-        assert lint.lint_source(source, "src/repro/nn/demo.py").ok
-
-    def test_module_level_numba_import_in_kernels_is_ecnn207(self, lint):
-        source = "import numba\n"
-        report = lint.lint_source(source, "src/repro/kernels/demo.py")
-        assert [d.rule_id for d in report.diagnostics] == ["ECNN207"]
-        assert report.diagnostics[0].location == "src/repro/kernels/demo.py:1"
-        # try/except at module level still imports at import time.
-        guarded = (
-            "try:\n"
-            "    from numba import njit\n"
-            "except ImportError:\n"
-            "    njit = None\n"
-        )
-        assert not lint.lint_source(guarded, "src/repro/kernels/demo.py").ok
-        # A lazy in-function import is exactly the gating the rule wants,
-        # and module-level numba imports outside the kernels scope are free.
-        lazy = "def _compile():\n    from numba import njit\n    return njit\n"
-        assert lint.lint_source(lazy, "src/repro/kernels/demo.py").ok
-        assert lint.lint_source(source, "src/repro/nn/demo.py").ok
-
     def test_repository_is_lint_clean(self, lint):
         reports = lint.lint_paths(
             [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")], root=REPO_ROOT

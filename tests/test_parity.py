@@ -26,17 +26,11 @@ from repro.analysis.workloads import synthetic_image
 from repro.api import Session
 from repro.core.blockflow import block_based_inference, frame_based_inference
 from repro.core.pipeline import BlockInferencePipeline
-from repro.kernels import (
-    active_kernel_set,
-    available_kernel_sets,
-    kernel_set,
-    use_kernel_set,
-)
 from repro.models.baselines import build_plain_network
 from repro.models.ernet import build_dnernet, build_sr2ernet
 from repro.nn.ops import MaxPool2x2, PixelShuffle, PixelUnshuffle
 from repro.nn.tensor import FeatureMap
-from repro.quant.quantize import optimal_fraction_bits, quantize_network
+from repro.quant.quantize import quantize_network
 from repro.runtime import ResultCache, ServingCluster, ServingEngine
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -390,124 +384,6 @@ class TestRandomizedVideoStreams:
         assert error <= float(np.abs(reference_cur - reference_prev).max())
         stats = stream.stats
         assert 0.0 < stats.max_reused_residual <= threshold
-
-
-def _sweep_kernel_sets(compute):
-    """``compute()`` once per available kernel set; name -> ndarray output."""
-    outputs = {}
-    for name in available_kernel_sets():
-        with use_kernel_set(name):
-            outputs[name] = np.asarray(compute())
-    return outputs
-
-
-def _assert_kernel_tolerance(outputs, context):
-    """Each set's output vs the numpy oracle, within its documented tolerance.
-
-    ``tolerance == 0.0`` demands bit identity (the oracle against itself,
-    and any future exact set); non-zero tolerances (numba's MAC
-    accumulation-order rounding) are absolute bounds.
-    """
-    reference = outputs["numpy"]
-    for name, data in outputs.items():
-        tolerance = kernel_set(name).tolerance
-        assert data.shape == reference.shape, (
-            f"kernel set {name} changed the output shape "
-            f"({data.shape} != {reference.shape}) [{context}]"
-        )
-        if tolerance == 0.0:
-            assert np.array_equal(data, reference), (
-                f"kernel set {name} must be bit-identical to the numpy "
-                f"oracle [{context}]"
-            )
-        else:
-            diff = float(np.max(np.abs(data - reference))) if data.size else 0.0
-            assert diff <= tolerance, (
-                f"kernel set {name} diverged from the numpy oracle by "
-                f"{diff:g} > documented tolerance {tolerance:g} [{context}]"
-            )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-class TestKernelSetParity:
-    """Every available kernel set agrees with the numpy reference oracle.
-
-    The sweep re-runs representative paths of every tier — layer kernels,
-    the block flow, quantized Q-format passes, and the session / cluster / video-stream serving
-    stack — once per registered-and-available kernel set (numpy always;
-    numba on the CI leg that installs it), holding each set's pixels to
-    its documented tolerance against the numpy oracle.  On a numba-less
-    machine the sweep degenerates to the oracle against itself, which
-    keeps the harness itself under test.
-    """
-
-    def test_layer_kernels_across_sets(self, seed, draw_layer_stack):
-        rng = np.random.default_rng(8000 + seed)
-        channels = int(rng.integers(2, 6))
-        network = draw_layer_stack(rng, channels)
-        fm = FeatureMap(data=rng.normal(size=(channels, 14, 15)))
-        outputs = _sweep_kernel_sets(lambda: network.forward(fm).data)
-        _assert_kernel_tolerance(outputs, f"seed={seed} forward")
-
-    def test_block_flow_and_qformat_across_sets(self, seed):
-        rng = np.random.default_rng(8100 + seed)
-        network = build_plain_network(
-            int(rng.integers(2, 4)), int(rng.integers(4, 9)), seed=seed
-        )
-        image = synthetic_image(
-            int(rng.integers(24, 40)), int(rng.integers(24, 40)), seed=seed
-        )
-        flow = _sweep_kernel_sets(
-            lambda: block_based_inference(network, image, output_block=12)[0].data
-        )
-        _assert_kernel_tolerance(flow, f"seed={seed} block flow")
-        # The Q-format passes are integer-exact in every set: quantize codes
-        # are bit-identical and the fraction search picks the same format
-        # (ties included — every set breaks toward the larger frac).
-        values = rng.normal(scale=float(rng.uniform(0.01, 30.0)), size=257)
-        codes = _sweep_kernel_sets(
-            lambda: optimal_fraction_bits(values).quantize_to_codes(values)
-        )
-        reference = codes["numpy"]
-        for name, data in codes.items():
-            assert np.array_equal(data, reference), (
-                f"kernel set {name} changed quantize/fraction-search results "
-                f"(seed={seed})"
-            )
-
-    def test_serving_tiers_across_sets(self, seed):
-        rng = np.random.default_rng(8200 + seed)
-        height = int(rng.integers(24, 41))
-        width = int(rng.integers(24, 41))
-        image = synthetic_image(height, width, seed=seed)
-        moved = FeatureMap(data=np.roll(image.data, 2, axis=2))
-
-        def serve_all_tiers():
-            # Pin the session to the set under sweep: a default "auto"
-            # construction would re-run auto-selection and override the
-            # use_kernel_set scope.
-            session = Session(
-                backend="ecnn",
-                cache=ResultCache(),
-                kernels=active_kernel_set().name,
-            )
-            outputs = [session.execute("denoise", image, cached=False)]
-            with ServingCluster(
-                workers=2, backend="ecnn", mode="inline", kernels=session.kernels
-            ) as sharded:
-                outputs.append(
-                    sharded.execute_frame("denoise", image, cached=False)
-                )
-            session.execute_stream(f"kp-{seed}", "denoise", image)
-            outputs.append(
-                session.execute_stream(f"kp-{seed}", "denoise", moved)
-            )
-            return np.stack([result.output.data for result in outputs])
-
-        tiers = _sweep_kernel_sets(serve_all_tiers)
-        _assert_kernel_tolerance(
-            tiers, f"seed={seed} session/cluster/video tiers {height}x{width}"
-        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -15,7 +15,7 @@ from repro.quant import (
     quantize_network,
     simulate_fine_tuning,
 )
-from repro.quant.quantize import apply_plan
+from repro.quant.quantize import _optimal_fraction_bits_scalar, apply_plan
 
 
 class TestQFormat:
@@ -143,6 +143,42 @@ class TestPrecisionSearch:
             optimal_fraction_bits(np.ones(3), search_range=[])
         with pytest.raises(ValueError):
             optimal_fraction_bits(np.ones(3), norm="l3")
+
+
+class TestFractionSearchTies:
+    """Satellite regression: scalar and vectorized Eq. (4) searches agree on
+    every tie shape (all-zero, all-inf and l2-overflow inputs), breaking ties
+    toward the larger frac instead of crashing."""
+
+    TIE_FRAC = max(range(-4, 16))  # default search range's largest candidate
+
+    def _both(self, values, norm):
+        with np.errstate(over="ignore", invalid="ignore"):
+            scalar = _optimal_fraction_bits_scalar(values, norm=norm)
+            vectorized = optimal_fraction_bits(values, norm=norm)
+        return scalar, vectorized
+
+    @pytest.mark.parametrize("norm", ("l1", "l2"))
+    def test_all_zero_values_tie_toward_largest_frac(self, norm):
+        scalar, vectorized = self._both(np.zeros(7), norm)
+        assert scalar == vectorized == QFormat(frac=self.TIE_FRAC, bits=8, signed=True)
+
+    @pytest.mark.parametrize("norm", ("l1", "l2"))
+    def test_infinite_sample_ties_at_infinite_error(self, norm):
+        scalar, vectorized = self._both(np.array([np.inf, 1.0]), norm)
+        assert scalar == vectorized == QFormat(frac=self.TIE_FRAC, bits=8, signed=True)
+
+    def test_l2_overflow_for_every_candidate_ties(self):
+        scalar, vectorized = self._both(np.array([1e300]), "l2")
+        assert scalar == vectorized == QFormat(frac=self.TIE_FRAC, bits=8, signed=True)
+
+    def test_ordinary_values_still_agree(self):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            values = rng.normal(scale=rng.uniform(0.01, 20.0), size=129)
+            for norm in ("l1", "l2"):
+                scalar, vectorized = self._both(values, norm)
+                assert scalar == vectorized
 
 
 class TestNetworkQuantization:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""AST-based repository-invariant linter (rules ECNN201-ECNN207).
+"""AST-based repository-invariant linter (rules ECNN201-ECNN206).
 
 Drives the :mod:`repro.check.diagnostics` machinery over Python sources to
 enforce the project invariants that grew with the serving/soak tiers:
@@ -32,14 +32,6 @@ enforce the project invariants that grew with the serving/soak tiers:
   ``math.inf``); a callable or clock captured at class-definition time in
   a scheduling field breaks EDF ordering, pickling across cluster
   workers, and deterministic replay.
-* **ECNN207 kernel-set-protocol** — every ``@register_kernel`` class
-  defines (or inherits from a same-module base) the full ``KernelSet``
-  surface (``name``, ``description``, ``tolerance``, ``available``,
-  ``warmup``, ``conv2d``, ``quantize_to_codes``, ``fraction_search``); a
-  class in ``src/repro/kernels/`` implementing ``conv2d`` without
-  registering is flagged too (the registry is the only selection path).  Kernel modules must not import numba at module
-  import time — ``import numba`` outside a function body crashes every
-  numba-less environment the registry promises a clean fallback on.
 
 Usage::
 
@@ -73,15 +65,6 @@ _SEEDED_STDLIB_RANDOM = {"Random", "SystemRandom"}
 #: The AcceleratorBackend protocol surface ECNN202 requires.
 _BACKEND_ATTRS = ("name", "description")
 _BACKEND_METHODS = ("compile", "profile", "execute", "cost")
-#: The KernelSet protocol surface ECNN207 requires.
-_KERNEL_ATTRS = ("name", "description", "tolerance")
-_KERNEL_METHODS = (
-    "available",
-    "warmup",
-    "conv2d",
-    "quantize_to_codes",
-    "fraction_search",
-)
 
 
 def _decorator_name(node: ast.expr) -> str:
@@ -107,49 +90,6 @@ def _wallclock_scoped(relpath: str) -> bool:
 def _video_generator_scoped(relpath: str) -> bool:
     parts = Path(relpath).parts
     return _rng_scoped(relpath) or ("repro" in parts and "bench" in parts)
-
-
-def _kernels_scoped(relpath: str) -> bool:
-    parts = Path(relpath).parts
-    return "repro" in parts and "kernels" in parts
-
-
-def _module_level_numba_imports(tree: ast.Module) -> Iterable[ast.stmt]:
-    """Import statements naming numba that execute at module import time.
-
-    Recurses through module-level compound statements (If/Try/With — their
-    bodies still run at import) but not into function bodies, where a lazy
-    numba import is exactly the gating ECNN207 wants.  ``if TYPE_CHECKING:``
-    blocks never execute and are skipped.
-    """
-
-    def scan(statements: Sequence[ast.stmt]) -> Iterable[ast.stmt]:
-        for stmt in statements:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(stmt, ast.If):
-                test = stmt.test
-                guard = test.attr if isinstance(test, ast.Attribute) else getattr(test, "id", "")
-                if guard == "TYPE_CHECKING":
-                    yield from scan(stmt.orelse)
-                    continue
-            if isinstance(stmt, ast.Import):
-                if any(alias.name.split(".")[0] == "numba" for alias in stmt.names):
-                    yield stmt
-            elif isinstance(stmt, ast.ImportFrom):
-                if stmt.module is not None and stmt.module.split(".")[0] == "numba":
-                    yield stmt
-            for field in ("body", "orelse", "finalbody", "handlers"):
-                children = getattr(stmt, field, None)
-                if not children:
-                    continue
-                if field == "handlers":
-                    for handler in children:
-                        yield from scan(handler.body)
-                else:
-                    yield from scan(children)
-
-    return scan(tree.body)
 
 
 def _is_video_generator(name: str) -> bool:
@@ -387,48 +327,9 @@ def lint_source(source: str, relpath: str) -> CheckReport:
                     location=f"{relpath}:{call.lineno}",
                 )
 
-    if _kernels_scoped(relpath):
-        for stmt in _module_level_numba_imports(tree):
-            report.add(
-                "ECNN207",
-                "kernel module imports numba at module import time; gate the "
-                "import inside a function (warmup/compile path) so "
-                "numba-less environments fall back to the numpy set cleanly",
-                location=f"{relpath}:{stmt.lineno}",
-            )
-
     for cls in index.classes.values():
         decorators = [_decorator_name(d) for d in cls.decorator_list]
         location = f"{relpath}:{cls.lineno}"
-        if "register_kernel" in decorators:
-            attrs, methods = _class_surface(cls, index.classes)
-            missing = [a for a in _KERNEL_ATTRS if a not in attrs]
-            missing += [
-                m for m in _KERNEL_METHODS if m not in methods and m not in attrs
-            ]
-            if missing:
-                report.add(
-                    "ECNN207",
-                    f"kernel-set class {cls.name} is missing protocol "
-                    f"member(s): {', '.join(missing)}",
-                    location=location,
-                )
-        elif _kernels_scoped(relpath):
-            bases = {
-                base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
-                for base in cls.bases
-            }
-            attrs, methods = _class_surface(cls, index.classes)
-            # The KernelSet Protocol definition itself declares the surface
-            # without registering — structural typing, not an implementation.
-            if "Protocol" not in bases and "conv2d" in methods:
-                report.add(
-                    "ECNN207",
-                    f"class {cls.name} implements the kernel conv surface but "
-                    "is not decorated with @register_kernel; the registry is "
-                    "the only kernel selection path",
-                    location=location,
-                )
         if "register_backend" in decorators:
             attrs, methods = _class_surface(cls, index.classes)
             missing = [a for a in _BACKEND_ATTRS if a not in attrs]
@@ -519,7 +420,7 @@ def lint_paths(paths: Sequence[str], *, root: Optional[Path] = None) -> List[Che
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro_lint",
-        description="Enforce repository invariants (rules ECNN201-ECNN207).",
+        description="Enforce repository invariants (rules ECNN201-ECNN206).",
     )
     parser.add_argument("paths", nargs="+", help="files or directories to lint")
     parser.add_argument(
