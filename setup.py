@@ -33,7 +33,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro-runtime=repro.runtime.cli:main",
-            "repro-bench=repro.bench.cli:main",
             "repro-soak=repro.soak.cli:main",
             "repro-check=repro.check.cli:main",
         ]

@@ -39,19 +39,12 @@ Subpackages
     :class:`~repro.api.results.CostReport` result types.  (The old
     direct-module entry points ``analyze_performance`` / ``analyze_area``
     survive only as ``DeprecationWarning`` shims pointing here.)
-``repro.bench``
-    The performance harness: a scenario suite over the serving hot paths,
-    ``BENCH_<n>.json`` reports and the ``repro-bench`` CLI.
 ``repro.soak``
     The soak & chaos tier: streaming (O(1)-memory) Poisson/bursty/diurnal
     trace generators, a chaos controller driving the cluster's
     fault-injection surface, exactly-once request accounting with
     post-chaos pixel parity, ``repro-soak/1`` capacity reports and the
     ``repro-soak`` CLI.
-``repro.hotpath``
-    Process-level memoization of deterministic hot paths (catalogue network
-    builds, FBISA compilations, block reports), A/B-toggleable for honest
-    baseline measurements.
 """
 
 __version__ = "1.3.0"

@@ -1,7 +1,7 @@
 """Workload generation, parameter sweeps and report formatting.
 
-These utilities back the paper-figure benchmark suite (``benchmarks/``) and
-the :mod:`repro.bench` performance harness: deterministic synthetic images
+These utilities back the paper-figure benchmark suite (``benchmarks/``):
+deterministic synthetic images
 with natural-image-like statistics (DESIGN.md substitution for the paper's
 datasets), sweep helpers for figures that plot a quantity against a range
 (serial, or fanned across processes via the runtime's

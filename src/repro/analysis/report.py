@@ -1,8 +1,8 @@
 """Plain-text table formatting shared by every reporting surface.
 
 The paper-figure benchmarks print the rows/series of the table or figure
-they regenerate, and the serving CLI and :mod:`repro.bench` harness print
-their reports through the same formatter, so all output stays consistent.
+they regenerate, and the serving runtime and soak harness print their
+reports through the same formatter, so all output stays consistent.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import hotpath
 from repro.api.backend import register_backend
 from repro.api.results import CompiledPlan, CostReport, PerfProfile
 from repro.baselines.diffy import DIFFY_VDSR
@@ -69,23 +68,24 @@ VISION_UTILIZATION = 0.85
 #: (matches :meth:`repro.runtime.workloads.RuntimeWorkload.evaluation_context`).
 STYLE_INPUT_BLOCK = 128
 
-#: Process-level memo of FBISA compilations of *shared* networks.  Lowering
-#: quantizes and Huffman-codes every parameter tensor, which dominates the
-#: cold compile path; the result is a pure function of (network weights,
-#: input block).  Entries live on the network object itself
-#: (:meth:`repro.hotpath.Memo.get_or_attr`), so only networks marked
-#: ``shared`` in their metadata — whose weights are frozen by contract, see
-#: :meth:`repro.runtime.workloads.RuntimeWorkload.shared_network` — are ever
-#: memoized; freshly built (mutable) networks always recompile.
-_FBISA_MEMO = hotpath.Memo("fbisa-compilations")
-
-
 def _compile_fbisa(network: Network, block: int):
-    """Compile ``network`` at ``block``, memoized for shared networks."""
-    build = lambda: compile_network(network, input_block=block)  # noqa: E731
-    if (getattr(network, "metadata", {}) or {}).get("shared"):
-        return _FBISA_MEMO.get_or_attr(network, block, build)
-    return build()
+    """Compile ``network`` at ``block``, memoized for shared networks.
+
+    Lowering quantizes and Huffman-codes every parameter tensor, which
+    dominates the cold compile path; the result is a pure function of
+    (network weights, input block).  Compilations are stored in the network
+    object's own ``__dict__`` keyed by block, so they die with it, and only
+    networks marked ``shared`` in their metadata — whose weights are frozen
+    by contract, see
+    :meth:`repro.runtime.workloads.RuntimeWorkload.shared_network` — are
+    ever memoized; freshly built (mutable) networks always recompile.
+    """
+    if not (getattr(network, "metadata", {}) or {}).get("shared"):
+        return compile_network(network, input_block=block)
+    compiled = network.__dict__.setdefault("_fbisa_compilations", {})
+    if block not in compiled:
+        compiled[block] = compile_network(network, input_block=block)
+    return compiled[block]
 
 
 def _network_scale(network: Network) -> float:

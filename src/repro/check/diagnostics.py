@@ -155,7 +155,7 @@ _rule(
 )
 _rule(
     "ECNN204", "wallclock-time", Severity.ERROR,
-    "time.time()/time_ns() in the bench/soak tiers makes runs depend on "
+    "time.time()/time_ns() in the soak tier makes runs depend on "
     "wall-clock; simulated clocks and perf_counter durations keep reports "
     "deterministic and comparable.",
 )

@@ -13,7 +13,7 @@ rung taken is recorded as a :class:`DegradeDecision`.  When nothing fits,
 :class:`AdmissionRejected` is raised with a ``retry_after_s`` hint instead
 of queueing the request unboundedly.
 
-The core is synchronous (the soak and bench harnesses drive millions of
+The core is synchronous (the soak harness and perfbench drive many
 admissions through :meth:`SLOGateway.admit` / :meth:`SLOGateway.drain_now`
 in a hot loop); :meth:`SLOGateway.submit` and :meth:`SLOGateway.drain` are
 the asyncio facade over the same core, serialized by an ``asyncio.Lock``
@@ -32,7 +32,6 @@ so amortized load time and batching effects fold into future estimates.
 from __future__ import annotations
 
 import asyncio
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 

@@ -17,7 +17,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro import hotpath
 from repro.core.blockflow import (
     BlockGrid,
     _run_blocks,
@@ -31,14 +30,6 @@ from repro.hw.ciu import ciu_cycles
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.hw.idu import idu_cycles
 from repro.nn.tensor import FeatureMap
-
-#: Process-level memo of per-program block reports.  The report is a pure
-#: function of (program, IDU decode rate) and compiled models are immutable
-#: once built, so entries live on the model object itself and die with it.
-#: Every profile, analytics query and recognition case-study evaluation of
-#: the same compiled model shares one report.
-_BLOCK_REPORT_MEMO = hotpath.Memo("block-reports")
-
 
 @dataclass(frozen=True)
 class BlockExecutionReport:
@@ -168,14 +159,18 @@ class EcnnProcessor:
         """Cycle accounting for one block of the loaded program (memoized).
 
         The accounting depends only on the program and the IDU decode rate
-        (CIU cycles are configuration-independent), so the report is cached
-        on the compiled model keyed by ``idu_cycles_per_leaf``.
+        (CIU cycles are configuration-independent), and compiled models are
+        immutable once built, so the report is stored in the compiled model's
+        own ``__dict__`` keyed by ``idu_cycles_per_leaf`` and dies with it.
+        Every profile, analytics query and recognition case-study evaluation
+        of the same compiled model shares one report.
         """
         model = self.model
-
-        def build() -> BlockExecutionReport:
+        reports = model.__dict__.setdefault("_block_reports", {})
+        key = self.config.idu_cycles_per_leaf
+        if key not in reports:
             instructions: List[Instruction] = list(model.program)
-            return BlockExecutionReport(
+            reports[key] = BlockExecutionReport(
                 ciu_cycles_per_instruction=tuple(
                     ciu_cycles(instruction, self.config) for instruction in instructions
                 ),
@@ -183,8 +178,7 @@ class EcnnProcessor:
                     idu_cycles(instruction, self.config) for instruction in instructions
                 ),
             )
-
-        return _BLOCK_REPORT_MEMO.get_or_attr(model, self.config.idu_cycles_per_leaf, build)
+        return reports[key]
 
     def execute_block(self, block: FeatureMap) -> FeatureMap:
         """Functionally execute one input block through the loaded program."""

@@ -52,7 +52,7 @@ Semantics (documented in ``docs/serving.md``):
 Outputs are bit-identical to a single-process
 :class:`~repro.runtime.engine.ServingEngine` on the same backend — every
 worker runs the very same deterministic execution paths — which the
-``cluster_scale`` bench scenario re-verifies on every run.
+cluster and parity test suites pin.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ effects, so the parity contract is always per-geometry.
 A positive threshold trades bounded pixel error for more reuse; the stream
 records the largest residual it ever accepted
 (:attr:`VideoStreamStats.max_reused_residual`) so the error stays a
-*measured* quantity, and the bench/parity suites measure the actual pixel
+*measured* quantity, and the video parity tests measure the actual pixel
 error against full re-inference.
 
 Streams are shard-local state: the cluster's sticky stream routing keeps a

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro import hotpath
 from repro.core.pipeline import BlockInferencePipeline
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.hw.performance import recommended_input_block
@@ -33,13 +32,13 @@ from repro.specs import SPECIFICATIONS, RealTimeSpec
 #: "frame", served as a single zero-padded block (Section 7.3).
 RECOGNITION_SPEC = RealTimeSpec("IMG224", 224, 224, 30.0)
 
-#: Process-level memo of catalogue network builds.  Building a network draws
-#: every weight tensor from the seeded initializers — the single most
-#: expensive step of a cold profile (~60% of the wall time) — yet the result
-#: is a pure function of the workload identity.  Analytic paths share one
-#: read-only instance per workload; mutating callers use
-#: :meth:`RuntimeWorkload.build_network`, which always builds fresh.
-_NETWORK_MEMO = hotpath.Memo("catalogue-networks")
+#: Process-level store of catalogue network builds, keyed by workload
+#: identity.  Building a network draws every weight tensor from the seeded
+#: initializers — the single most expensive step of a cold profile (~60% of
+#: the wall time) — yet the result is a pure function of that identity.
+#: Analytic paths share one read-only instance per workload; mutating callers
+#: use :meth:`RuntimeWorkload.build_network`, which always builds fresh.
+_SHARED_NETWORKS: Dict[tuple, Network] = {}
 
 
 @dataclass(frozen=True)
@@ -110,20 +109,20 @@ class RuntimeWorkload:
         """The process-wide shared instance of this workload's network.
 
         Bit-identical to :meth:`build_network` (construction is seeded and
-        deterministic) but memoized, so sessions, sweeps and benches stop
-        paying the weight-initialization cost per fresh cache.  The instance
-        is shared: treat it as read-only.  Backends may hang derived
+        deterministic) but memoized, so sessions, sweeps and serving tiers
+        stop paying the weight-initialization cost per fresh cache.  The
+        instance is shared: treat it as read-only.  Backends may hang derived
         artifacts (compiled programs, block reports) off it — the
         ``shared=True`` marker in the network metadata tells them the
         weights are frozen by contract, making that safe.
         """
-
-        def build() -> Network:
+        key = (self.name, self.kind, self.task, self.spec_name)
+        network = _SHARED_NETWORKS.get(key)
+        if network is None:
             network = self.build_network()
             network.metadata = dict(getattr(network, "metadata", {}) or {}, shared=True)
-            return network
-
-        return _NETWORK_MEMO.get_or_build((self.name, self.kind, self.task, self.spec_name), build)
+            _SHARED_NETWORKS[key] = network
+        return network
 
     def pipeline(self, *, input_block: Optional[int] = None) -> BlockInferencePipeline:
         """A pixel-level block-flow pipeline for this workload's network.

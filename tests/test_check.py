@@ -488,11 +488,11 @@ class TestRepoLint:
 
     def test_wallclock_in_bench_is_ecnn204(self, lint):
         source = "import time\nstamp = time.time()\n"
-        report = lint.lint_source(source, "src/repro/bench/demo.py")
+        report = lint.lint_source(source, "src/repro/soak/demo.py")
         assert [d.rule_id for d in report.diagnostics] == ["ECNN204"]
         assert lint.lint_source(source, "src/repro/api/demo.py").ok
         assert lint.lint_source(
-            "import time\nd = time.perf_counter()\n", "src/repro/bench/demo.py"
+            "import time\nd = time.perf_counter()\n", "src/repro/soak/demo.py"
         ).ok
 
     def test_unseeded_video_generator_is_ecnn205(self, lint):
@@ -518,11 +518,12 @@ class TestRepoLint:
         assert lint.lint_source(source, "tests/helpers.py").ok
 
     def test_video_generator_rule_is_scoped(self, lint):
-        # Outside tests/soak/bench the video-generator rule stays silent —
-        # runtime code may build sequences however it likes.
+        # Outside tests/soak the video-generator rule stays silent —
+        # runtime and api code may build sequences however they like.
         source = "def make_video_sequence(kind):\n    return []\n"
         assert lint.lint_source(source, "src/repro/runtime/demo.py").ok
-        report = lint.lint_source(source, "src/repro/bench/demo.py")
+        assert lint.lint_source(source, "src/repro/api/demo.py").ok
+        report = lint.lint_source(source, "src/repro/soak/demo.py")
         assert [d.rule_id for d in report.diagnostics] == ["ECNN205"]
 
     def test_non_numeric_deadline_field_is_ecnn206(self, lint):

@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sweeps import parallel_sweep, sweep
+from repro.api import Session, create_backend
 from repro.core.overheads import normalized_bandwidth_ratio
+from repro.fbisa.compiler import compile_network
 from repro.hw.performance import evaluate_performance
+from repro.hw.processor import EcnnProcessor
 from repro.models.ernet import PAPER_MODELS, build_ernet
 from repro.runtime import (
     ParallelSweep,
@@ -87,6 +90,49 @@ class TestResultCache:
         assert first is second
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
+
+
+# ------------------------------------------------------------ shared networks
+class TestSharedNetworkMemos:
+    """Catalogue networks, their compilations and block reports are built once
+    per process, and the memoized answers equal freshly built ones."""
+
+    def test_shared_network_is_memoized_and_marked(self):
+        entry = workload("denoise")
+        first = entry.shared_network()
+        assert entry.shared_network() is first
+        assert first.metadata.get("shared") is True
+
+    def test_build_network_stays_fresh_and_unmarked(self):
+        entry = workload("denoise")
+        built = entry.build_network()
+        assert built is not entry.shared_network()
+        assert built is not entry.build_network()
+        assert "shared" not in built.metadata
+
+    def test_memoized_compilation_and_block_report_match_fresh_ones(self):
+        entry = workload("denoise")
+        plan = Session(backend="ecnn", cache=ResultCache()).compile("denoise")
+        again = Session(backend="ecnn", cache=ResultCache()).compile("denoise")
+        assert again.payload is plan.payload  # memoized across fresh caches
+        fresh = compile_network(entry.build_network(), input_block=plan.input_block)
+        assert plan.payload.program == fresh.program
+
+        def block_report(model):
+            processor = EcnnProcessor()
+            processor.load(model)
+            return processor.block_report()
+
+        memoized = block_report(plan.payload)
+        assert block_report(plan.payload) is memoized
+        assert memoized == block_report(fresh)
+
+    def test_fresh_networks_are_never_memoized(self):
+        entry = workload("denoise")
+        backend = create_backend("ecnn")
+        first = backend.compile(entry.build_network(), entry.spec)
+        second = backend.compile(first.network, entry.spec)
+        assert second.payload is not first.payload
 
 
 # ------------------------------------------------------------------ scheduler

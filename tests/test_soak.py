@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.soak import (
-    ARRIVALS,
     CHAOS_KINDS,
     ChaosEvent,
     ChaosSpecError,

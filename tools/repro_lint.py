@@ -17,12 +17,11 @@ enforce the project invariants that grew with the serving/soak tiers:
   ``*Request`` cross the cluster process boundary and must be plain
   dataclasses without callable/lambda fields.
 * **ECNN204 wallclock-time** — no ``time.time()`` / ``time.time_ns()`` in
-  the deterministic bench/soak paths (``src/repro/bench/``,
-  ``src/repro/soak/``); simulated clocks and ``perf_counter`` durations
-  keep reports reproducible.
+  the deterministic soak path (``src/repro/soak/``); simulated clocks and
+  ``perf_counter`` durations keep reports reproducible.
 * **ECNN205 video-generator-seed** — video trace/sequence generators (any
   function whose name mentions both ``video`` and ``trace``/``sequence``
-  in the test/soak/bench tiers) must take an explicit ``seed`` parameter
+  in the test/soak tiers) must take an explicit ``seed`` parameter
   and must not construct unseeded RNGs (zero-argument ``default_rng()``
   or ``Random()``) in their bodies; the video parity suite and soak
   replays depend on frame-exact reproducibility.
@@ -84,12 +83,7 @@ def _rng_scoped(relpath: str) -> bool:
 
 def _wallclock_scoped(relpath: str) -> bool:
     parts = Path(relpath).parts
-    return "repro" in parts and ("bench" in parts or "soak" in parts)
-
-
-def _video_generator_scoped(relpath: str) -> bool:
-    parts = Path(relpath).parts
-    return _rng_scoped(relpath) or ("repro" in parts and "bench" in parts)
+    return "repro" in parts and "soak" in parts
 
 
 def _is_video_generator(name: str) -> bool:
@@ -294,12 +288,12 @@ def lint_source(source: str, relpath: str) -> CheckReport:
             report.add(
                 "ECNN204",
                 f"time.{func.attr}() reads the wall clock in a deterministic "
-                "bench/soak path; use the simulated clock or perf_counter "
+                "soak path; use the simulated clock or perf_counter "
                 "durations",
                 location=location,
             )
 
-    if _video_generator_scoped(relpath):
+    if _rng_scoped(relpath):
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
