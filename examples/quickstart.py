@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.workloads import add_gaussian_noise, synthetic_image
 from repro.api import Session, available_backends
-from repro.core import BlockInferencePipeline
+from repro.core import BlockInferencePipeline, overhead_report
 from repro.fbisa import compile_network
 from repro.hw import select_dram
 from repro.models import build_dnernet
@@ -44,9 +44,10 @@ def main() -> None:
     reference = pipeline.run_frame_based(noisy)
     exact = np.allclose(result.output.data, reference.data)
     print(f"block-based output == frame-based output: {exact}")
-    print(f"blocks: {result.num_blocks}, measured NBR: {result.measured_nbr:.2f}")
-    print(f"analytic NCR: {result.overheads.ncr:.2f}  "
-          f"(effective {result.overheads.effective_kop_per_pixel:.0f} KOP/pixel)")
+    overheads = overhead_report(network, pipeline.input_block)
+    print(f"blocks: {result.num_blocks}, measured NBR: {result.grids[0].measured_nbr():.2f}")
+    print(f"analytic NCR: {overheads.ncr:.2f}  "
+          f"(effective {overheads.effective_kop_per_pixel:.0f} KOP/pixel)")
     print(f"output PSNR vs clean reference: "
           f"{psnr(clean.data, result.output.data):.2f} dB "
           "(untrained weights — quality numbers come from the calibrated model)")

@@ -1,18 +1,15 @@
 """The accelerator-backend protocol and its registry.
 
-An accelerator model plugs into the session layer by implementing four
+An accelerator model plugs into the session layer by implementing three
 methods and registering itself:
 
 ``compile(network, spec) -> CompiledPlan``
-    Lower a network for one real-time operating point.
+    Lower a network for one real-time operating point.  The plan carries
+    the stage list of :func:`repro.core.partition.plan_stages`, which the
+    :class:`~repro.api.session.Session` executes — backends model cost and
+    nothing else, so pixels are bit-identical across backends.
 ``profile(plan, spec) -> PerfProfile``
     Per-frame latency, DRAM bandwidth, power and load cost of a plan.
-``execute(plan, frame) -> InferenceResult``
-    Functionally run one frame of pixels (every backend computes the same
-    network, so outputs are comparable bit-for-bit across backends).
-    Block-flow backends run the frame one truncated-pyramid block at a
-    time (:func:`repro.core.blockflow.block_based_inference`); several
-    frames are served by calling ``execute`` once per frame.
 ``cost() -> CostReport``
     Silicon cost of the backend configuration.
 
@@ -33,9 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Protocol, Tuple, Type, runtime_checkable
 
 from repro.api.results import CompiledPlan, CostReport, PerfProfile
-from repro.core.pipeline import InferenceResult
 from repro.nn.network import Network
-from repro.nn.tensor import FeatureMap
 from repro.specs import RealTimeSpec
 
 
@@ -54,10 +49,6 @@ class AcceleratorBackend(Protocol):
         """Per-frame serving figures of a compiled plan at ``spec``."""
         ...
 
-    def execute(self, plan: CompiledPlan, frame: FeatureMap) -> InferenceResult:
-        """Functionally run one frame of pixels through the plan."""
-        ...
-
     def cost(self) -> CostReport:
         """Silicon cost of this backend configuration."""
         ...
@@ -66,7 +57,7 @@ class AcceleratorBackend(Protocol):
 #: Registered backend classes, by :attr:`AcceleratorBackend.name`.
 BACKENDS: Dict[str, Type[Any]] = {}
 
-_REQUIRED_METHODS: Tuple[str, ...] = ("compile", "profile", "execute", "cost")
+_REQUIRED_METHODS: Tuple[str, ...] = ("compile", "profile", "cost")
 
 
 def register_backend(cls: Type[Any]) -> Type[Any]:

@@ -17,14 +17,16 @@ One class per comparison system of the paper's evaluation:
 * ``scale_sim`` — the SCALE-Sim-style TPU-like weight-stationary systolic
   array of the Section 7.2 cross-check.
 
-Every backend *functionally* computes the same network (execution goes
-through the NumPy substrate), so cross-backend outputs are bit-comparable;
-only the timing/power/cost models differ.  Published-figure backends make
+Backends model cost and nothing else: every plan carries the same stage
+list (:func:`repro.core.partition.plan_stages`) and the session executes it,
+so cross-backend outputs are bit-identical by construction; only the
+timing/power/cost models differ.  Published-figure backends make
 their provenance explicit via ``CostReport.source == "published"``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.api.backend import register_backend
@@ -34,8 +36,7 @@ from repro.baselines.eyeriss import EYERISS_VGG16
 from repro.baselines.frame_based import frame_based_report
 from repro.baselines.ideal import IDEAL_BM3D
 from repro.baselines.scale_sim import SystolicConfig, TPU_CONFIG, simulate_systolic
-from repro.core.partition import partition_into_submodels
-from repro.core.pipeline import BlockInferencePipeline, InferenceResult
+from repro.core.partition import plan_stages, submodel_plan
 from repro.fbisa.compiler import compile_network
 from repro.hw.area_power import (
     FULL_ACTIVITY_POWER_W,
@@ -45,11 +46,10 @@ from repro.hw.area_power import (
 )
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.hw.dram import DRAM_CONFIGS, dram_traffic, parameter_load_time_s, total_dram_power_mw
-from repro.hw.performance import evaluate_performance, recommended_input_block
+from repro.hw.performance import evaluate_performance
 from repro.hw.processor import EcnnProcessor
 from repro.models.complexity import kop_per_pixel, parameter_count
 from repro.nn.network import Network
-from repro.nn.tensor import FeatureMap
 from repro.specs import SPECIFICATIONS, RealTimeSpec
 
 #: The operating point the published computational-imaging figures refer to.
@@ -63,10 +63,6 @@ _HD30 = SPECIFICATIONS["HD30"]
 STYLE_OVERLAP = 1.35
 STYLE_IMAGE_BYTES_PER_PIXEL = 6.0
 VISION_UTILIZATION = 0.85
-#: Nominal input block of the two-sub-model style-transfer execution — the
-#: paper's split is defined at the 128 block regardless of configuration
-#: (matches :meth:`repro.runtime.workloads.RuntimeWorkload.evaluation_context`).
-STYLE_INPUT_BLOCK = 128
 
 def _compile_fbisa(network: Network, block: int):
     """Compile ``network`` at ``block``, memoized for shared networks.
@@ -120,22 +116,17 @@ def _case_study(network: Network) -> Optional[str]:
     return str(value) if value is not None else None
 
 
-class _WholeFrameExecutionMixin:
-    """Functional execution shared by the non-block-based backends.
-
-    Every backend computes the same network, so the mixin runs the frame
-    through the exact block-flow semantics at the network's nominal block —
-    the pixels produced are bit-identical to the eCNN backend's (and to the
-    plain network), which is what makes cross-backend functional comparisons
-    exact.  Frames smaller than the block execute as a single piece.
-    """
-
-    def execute(self, plan: CompiledPlan, frame: FeatureMap) -> InferenceResult:
-        block = max(
-            frame.height, frame.width, recommended_input_block(plan.network)
-        )
-        pipeline = BlockInferencePipeline(plan.network, input_block=block)
-        return pipeline.run(frame)
+def _plan(backend, network: Network, spec: RealTimeSpec, **fields) -> CompiledPlan:
+    """A plan of ``network`` at ``spec`` carrying the shared stage list."""
+    fields.setdefault("model_name", getattr(network, "name", "network"))
+    return CompiledPlan(
+        backend=backend.name,
+        spec_name=spec.name,
+        network=network,
+        spec=spec,
+        stages=plan_stages(network, spec, backend.config),
+        **fields,
+    )
 
 
 @register_backend
@@ -146,11 +137,11 @@ class EcnnBackend:
     IDU/CIU pipelined timing model, the Table 6 area/power calibration and
     the Fig. 21 DRAM model.  Profiles and costs reproduce the legacy
     ``PerformanceReport`` / ``AreaReport`` figures exactly, and the two
-    Section 7.3 case studies keep their special execution models (selected
+    Section 7.3 case studies keep their special profile models (selected
     by the network's ``case_study`` metadata): style transfer profiles as
-    the two-sub-model split, recognition as one zero-padded whole-image
-    block with tripled parameter memory.  This class is the single source of
-    truth — :meth:`repro.runtime.workloads.RuntimeWorkload.profile`
+    the two-sub-model split its plan's stages execute, recognition as one
+    zero-padded whole-image block with tripled parameter memory.  This
+    class is the single source of truth — :meth:`repro.runtime.workloads.RuntimeWorkload.profile`
     delegates here.
     """
 
@@ -176,24 +167,9 @@ class EcnnBackend:
         return self.config
 
     def compile(self, network: Network, spec: RealTimeSpec) -> CompiledPlan:
-        case = _case_study(network)
-        if case == "recognition":
-            # One zero-padded whole-image block per frame, no block pyramid.
-            block = spec.width
-        elif case == "style_transfer":
-            block = STYLE_INPUT_BLOCK
-        else:
-            block = recommended_input_block(network, self.config)
-        compiled = _compile_fbisa(network, block)
-        return CompiledPlan(
-            backend=self.name,
-            model_name=getattr(network, "name", "network"),
-            spec_name=spec.name,
-            network=network,
-            spec=spec,
-            input_block=block,
-            payload=compiled,
-        )
+        plan = _plan(self, network, spec)
+        # One FBISA program per plan, compiled at the first stage's block.
+        return replace(plan, payload=_compile_fbisa(network, plan.input_block))
 
     def profile(self, plan: CompiledPlan, spec: RealTimeSpec) -> PerfProfile:
         case = _case_study(plan.network)
@@ -235,13 +211,11 @@ class EcnnBackend:
         """Two-sub-model split execution (Section 7.3).
 
         The single-model pyramid's NCR explodes because of the two
-        downsamplers, so the combined NCR of the split against the compute
-        budget sets the rate.
+        downsamplers, so the combined NCR of the split the plan's stages
+        execute, against the compute budget, sets the rate.
         """
         network = plan.network
-        metadata = getattr(network, "metadata", {}) or {}
-        pieces = int(metadata.get("submodels", 2))
-        split = partition_into_submodels(network, pieces, plan.input_block)
+        split = submodel_plan(network, plan.stages)
         intrinsic_ops = _ops_per_frame(network, spec)
         tops_per_frame = intrinsic_ops * split.combined_ncr / 1e12
         fps = self.config.peak_tops * VISION_UTILIZATION / tops_per_frame
@@ -299,10 +273,6 @@ class EcnnBackend:
             program.total_weights + program.total_biases, streaming_gb_s
         )
 
-    def execute(self, plan: CompiledPlan, frame: FeatureMap) -> InferenceResult:
-        pipeline = BlockInferencePipeline(plan.network, input_block=plan.input_block)
-        return pipeline.run(frame)
-
     def cost(self) -> CostReport:
         report = area_report(self.config)
         return CostReport(
@@ -315,7 +285,7 @@ class EcnnBackend:
 
 
 @register_backend
-class FrameBasedBackend(_WholeFrameExecutionMixin):
+class FrameBasedBackend:
     """The conventional frame-based flow on the same compute budget.
 
     Same silicon compute as eCNN, but executed layer by layer over whole
@@ -339,13 +309,7 @@ class FrameBasedBackend(_WholeFrameExecutionMixin):
         return self.config
 
     def compile(self, network: Network, spec: RealTimeSpec) -> CompiledPlan:
-        return CompiledPlan(
-            backend=self.name,
-            model_name=getattr(network, "name", "network"),
-            spec_name=spec.name,
-            network=network,
-            spec=spec,
-        )
+        return _plan(self, network, spec)
 
     def profile(self, plan: CompiledPlan, spec: RealTimeSpec) -> PerfProfile:
         report = frame_based_report(plan.network, spec)
@@ -385,7 +349,7 @@ class FrameBasedBackend(_WholeFrameExecutionMixin):
 
 
 @register_backend
-class EyerissBackend(_WholeFrameExecutionMixin):
+class EyerissBackend:
     """Row-stationary accelerator at the published Eyeriss operating point.
 
     Scales the published VGG-16 figures (0.7 fps at ~30.8 GOP per image) by
@@ -404,6 +368,7 @@ class EyerissBackend(_WholeFrameExecutionMixin):
 
     def __init__(self, config: Optional[EcnnConfig] = None) -> None:
         self.figure = EYERISS_VGG16
+        self.config = config if config is not None else DEFAULT_CONFIG
 
     @property
     def cache_identity(self):
@@ -414,13 +379,7 @@ class EyerissBackend(_WholeFrameExecutionMixin):
         return self.figure.fps * self._VGG16_GOP * 1e9
 
     def compile(self, network: Network, spec: RealTimeSpec) -> CompiledPlan:
-        return CompiledPlan(
-            backend=self.name,
-            model_name=getattr(network, "name", "network"),
-            spec_name=spec.name,
-            network=network,
-            spec=spec,
-        )
+        return _plan(self, network, spec)
 
     def profile(self, plan: CompiledPlan, spec: RealTimeSpec) -> PerfProfile:
         ops = _ops_per_frame(plan.network, spec)
@@ -449,7 +408,7 @@ class EyerissBackend(_WholeFrameExecutionMixin):
 
 
 @register_backend
-class DiffyBackend(_WholeFrameExecutionMixin):
+class DiffyBackend:
     """Difference-sparsity accelerator at the published Diffy VDSR point.
 
     Diffy sustains Full HD 30 fps on VDSR (16 tiles); the backend keeps that
@@ -463,6 +422,7 @@ class DiffyBackend(_WholeFrameExecutionMixin):
 
     def __init__(self, config: Optional[EcnnConfig] = None) -> None:
         self.figure = DIFFY_VDSR
+        self.config = config if config is not None else DEFAULT_CONFIG
         self._delivered_ops_s: Optional[float] = None
 
     @property
@@ -479,13 +439,7 @@ class DiffyBackend(_WholeFrameExecutionMixin):
         return self._delivered_ops_s
 
     def compile(self, network: Network, spec: RealTimeSpec) -> CompiledPlan:
-        return CompiledPlan(
-            backend=self.name,
-            model_name=getattr(network, "name", "network"),
-            spec_name=spec.name,
-            network=network,
-            spec=spec,
-        )
+        return _plan(self, network, spec)
 
     def profile(self, plan: CompiledPlan, spec: RealTimeSpec) -> PerfProfile:
         rate = self._ops_rate()
@@ -518,7 +472,7 @@ class DiffyBackend(_WholeFrameExecutionMixin):
 
 
 @register_backend
-class IdealBackend(_WholeFrameExecutionMixin):
+class IdealBackend:
     """Fixed-function BM3D denoising engine at the published IDEAL point.
 
     IDEAL is pixel-rate-bound: it processes Full HD at 30 fps regardless of
@@ -532,19 +486,14 @@ class IdealBackend(_WholeFrameExecutionMixin):
 
     def __init__(self, config: Optional[EcnnConfig] = None) -> None:
         self.figure = IDEAL_BM3D
+        self.config = config if config is not None else DEFAULT_CONFIG
 
     @property
     def cache_identity(self):
         return self.figure
 
     def compile(self, network: Network, spec: RealTimeSpec) -> CompiledPlan:
-        return CompiledPlan(
-            backend=self.name,
-            model_name=getattr(network, "name", "network"),
-            spec_name=spec.name,
-            network=network,
-            spec=spec,
-        )
+        return _plan(self, network, spec)
 
     def profile(self, plan: CompiledPlan, spec: RealTimeSpec) -> PerfProfile:
         frame_latency_s = spec.pixels_per_frame / _HD30.pixel_rate
@@ -573,7 +522,7 @@ class IdealBackend(_WholeFrameExecutionMixin):
 
 
 @register_backend
-class ScaleSimBackend(_WholeFrameExecutionMixin):
+class ScaleSimBackend:
     """SCALE-Sim-style TPU-like weight-stationary systolic array.
 
     Runs the cycle/traffic simulation of :mod:`repro.baselines.scale_sim`
@@ -594,6 +543,7 @@ class ScaleSimBackend(_WholeFrameExecutionMixin):
         *,
         systolic: SystolicConfig = TPU_CONFIG,
     ) -> None:
+        self.config = config if config is not None else DEFAULT_CONFIG
         self.systolic = systolic
 
     @property
@@ -602,14 +552,7 @@ class ScaleSimBackend(_WholeFrameExecutionMixin):
 
     def compile(self, network: Network, spec: RealTimeSpec) -> CompiledPlan:
         report = simulate_systolic(network, spec, self.systolic)
-        return CompiledPlan(
-            backend=self.name,
-            model_name=report.model_name,
-            spec_name=spec.name,
-            network=network,
-            spec=spec,
-            payload=report,
-        )
+        return _plan(self, network, spec, model_name=report.model_name, payload=report)
 
     def profile(self, plan: CompiledPlan, spec: RealTimeSpec) -> PerfProfile:
         report = plan.payload

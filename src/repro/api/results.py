@@ -6,8 +6,8 @@ The pre-existing evaluation surface grew one result shape per module:
 published-figure dataclasses for each baseline.  The session layer unifies
 them behind two frozen dataclasses — :class:`PerfProfile` (what serving one
 frame costs) and :class:`CostReport` (what the silicon costs) — plus
-:class:`CompiledPlan`, the backend-opaque handle produced by
-``AcceleratorBackend.compile`` and consumed by ``profile``/``execute``.
+:class:`CompiledPlan`, the handle produced by ``AcceleratorBackend.compile``,
+charged by ``profile`` and executed by the session.
 
 The eCNN backend fills these bit-for-bit from the legacy reports (the parity
 tests pin this), so nothing is lost in translation; baseline backends fill
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
+from repro.core.blockflow import Stage
 from repro.nn.network import Network
 from repro.specs import RealTimeSpec
 
@@ -28,10 +29,12 @@ from repro.specs import RealTimeSpec
 class CompiledPlan:
     """A network lowered for one backend at one operating point.
 
-    ``payload`` is backend-specific (the eCNN backend stores its
-    :class:`~repro.fbisa.compiler.CompiledModel`, the SCALE-Sim backend its
-    simulation report; published-figure backends store nothing) and must only
-    be interpreted by the backend that produced the plan.
+    ``stages`` is what the session executes and the same for every backend
+    (:func:`repro.core.partition.plan_stages`), so pixels never depend on
+    the timing model.  ``payload`` is backend-specific (the eCNN backend
+    stores its :class:`~repro.fbisa.compiler.CompiledModel`, the SCALE-Sim
+    backend its simulation report; published-figure backends store nothing)
+    and must only be interpreted by the backend that produced the plan.
     """
 
     backend: str
@@ -39,10 +42,14 @@ class CompiledPlan:
     spec_name: str
     network: Network
     spec: RealTimeSpec
-    #: Input-resolution block size the plan was compiled for (0 when the
-    #: backend is not block-based).
-    input_block: int = 0
+    #: Consecutive layer ranges run by block flow, each at its input block.
+    stages: Tuple[Stage, ...] = ()
     payload: Any = None
+
+    @property
+    def input_block(self) -> int:
+        """Input block of the first stage (0 for a plan without stages)."""
+        return self.stages[0].input_block if self.stages else 0
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.backend import AcceleratorBackend, available_backends, create_backend
 from repro.api.results import CompiledPlan, CostReport, PerfProfile, PlanHandle
-from repro.core.pipeline import InferenceResult
+from repro.core.pipeline import InferenceResult, execute_stages
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.nn.network import Network
 from repro.nn.tensor import FeatureMap
@@ -293,8 +293,13 @@ class Session:
             raise ValueError("recognition serves single zero-padded blocks, not block flow")
         return entry
 
-    def _frame_key(self, entry: RuntimeWorkload, frame: FeatureMap) -> str:
-        """Content address of one frame's pixel result under this session."""
+    def _frame_key(
+        self, entry: RuntimeWorkload, plan: CompiledPlan, frame: FeatureMap
+    ) -> str:
+        """Content address of one frame's pixel result under this session.
+
+        Names the plan's stage list: the stages decide the pixels.
+        """
         import hashlib
 
         from repro.runtime.cache import ResultCache
@@ -306,6 +311,7 @@ class Session:
             self.backend_name,
             self._backend_identity(),
             entry.cache_key(self.config),
+            plan.stages,
             frame.shape,
             frame.data.dtype.str,
             frame.qformat,
@@ -319,10 +325,11 @@ class Session:
         *,
         cached: bool = True,
     ) -> InferenceResult:
-        """Run one frame of pixels through the backend's compiled plan.
+        """Run one frame of pixels through the compiled plan's stages.
 
-        Only block-flow workloads support pixel serving (recognition runs
-        single zero-padded blocks, as in the legacy engine path).
+        The session executes the plan (:func:`repro.core.pipeline.execute_stages`);
+        backends only model its cost.  Only block-flow workloads support
+        pixel serving (recognition runs single zero-padded blocks).
 
         With ``cached=True`` results are content-addressed in the session's
         bounded :attr:`frame_cache`, so serving the same frame twice is a
@@ -330,12 +337,13 @@ class Session:
         parity checks do).
         """
         entry = self._pixel_entry(workload_name)
-        compute = lambda: self.backend.execute(  # noqa: E731
-            self.compile(workload_name), frame
-        )
+        plan = self.compile(workload_name)
+        compute = lambda: execute_stages(plan.network, plan.stages, frame)  # noqa: E731
         if not cached:
             return compute()
-        return self.frame_cache.get_or_compute(self._frame_key(entry, frame), compute)
+        return self.frame_cache.get_or_compute(
+            self._frame_key(entry, plan, frame), compute
+        )
 
     def execute_many(
         self,
@@ -348,17 +356,18 @@ class Session:
 
         Frames already in the :attr:`frame_cache` are answered from it, and
         a frame repeated within the batch is computed once; every remaining
-        frame runs through the backend's ``execute`` and is cached for the
-        next request.  Each result equals :meth:`execute` on that frame.
+        frame runs through the plan's stages and is cached for the next
+        request.  Each result equals :meth:`execute` on that frame.
         """
         entry = self._pixel_entry(workload_name)
+        plan = self.compile(workload_name)
         results: List[Optional[InferenceResult]] = [None] * len(frames)
         misses: List[int] = []
         if cached:
             seen: Dict[str, List[int]] = {}
             keys: List[str] = []
             for index, frame in enumerate(frames):
-                key = self._frame_key(entry, frame)
+                key = self._frame_key(entry, plan, frame)
                 keys.append(key)
                 if key in self.frame_cache:
                     results[index] = self.frame_cache.get_or_compute(
@@ -373,18 +382,14 @@ class Session:
                     misses.append(index)
         else:
             misses = list(range(len(frames)))
-        if misses:
-            plan = self.compile(workload_name)
-            for index in misses:
-                result = self.backend.execute(plan, frames[index])
-                if cached:
-                    self.frame_cache.get_or_compute(
-                        keys[index], lambda value=result: value
-                    )
-                    for duplicate in seen[keys[index]]:
-                        results[duplicate] = result
-                else:
-                    results[index] = result
+        for index in misses:
+            result = execute_stages(plan.network, plan.stages, frames[index])
+            if cached:
+                self.frame_cache.get_or_compute(keys[index], lambda value=result: value)
+                for duplicate in seen[keys[index]]:
+                    results[duplicate] = result
+            else:
+                results[index] = result
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
 

@@ -433,19 +433,6 @@ def _plan_case_study(plan) -> Optional[str]:
     return str(value) if value is not None else None
 
 
-def _plan_input_block(plan, config: EcnnConfig) -> int:
-    """The block size a plan executes at (mirrors the ecnn backend's choice
-    for plans whose backend is not block-based and reports 0)."""
-    if plan.input_block:
-        return plan.input_block
-    case = _plan_case_study(plan)
-    if case == "recognition":
-        return plan.spec.width
-    from repro.hw.performance import recommended_input_block
-
-    return recommended_input_block(plan.network, config)
-
-
 def verify_plan(
     plan,
     *,
@@ -463,11 +450,14 @@ def verify_plan(
     base = config if config is not None else DEFAULT_CONFIG
     if _plan_case_study(plan) == "recognition":
         base = base.with_parameter_memory(3 * base.parameter_memory_kb)
-    block = _plan_input_block(plan, base)
     report = CheckReport(
         subject=f"{plan.backend}:{plan.model_name}@{plan.spec_name}"
     )
-    report.extend(verify_network(plan.network, input_block=block, config=base))
+    # Every backend's plan carries the same stages, so its first stage's
+    # block is the one executed (plan_stages in repro.core.partition).
+    report.extend(
+        verify_network(plan.network, input_block=plan.input_block, config=base)
+    )
     model = plan.payload
     if isinstance(model, CompiledModel):
         report.extend(verify_program(model.program, config=base))

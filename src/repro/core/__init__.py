@@ -12,11 +12,13 @@ back into the full-resolution image.
 The subpackage provides:
 
 * :mod:`repro.core.blockflow` — the executor: partition, per-block inference,
-  stitching, and an equivalence check against frame-based execution;
+  stitching, the staged runner for sub-model plans, and the frame-based
+  reference;
 * :mod:`repro.core.overheads` — the NBR / NCR analytical overhead model
   (Eqs. 2-3) plus its generalisation to arbitrary layer stacks;
-* :mod:`repro.core.partition` — sub-model partitioning (Fig. 12) and the
-  DRAM-traffic trade-off it introduces;
+* :mod:`repro.core.partition` — sub-model partitioning (Fig. 12), the
+  DRAM-traffic trade-off it introduces, and the one derivation of a plan's
+  stage list;
 * :mod:`repro.core.pipeline` — an end-to-end convenience API combining model,
   block geometry and hardware configuration.
 """
@@ -24,9 +26,11 @@ The subpackage provides:
 from repro.core.blockflow import (
     BlockGrid,
     BlockSpec,
+    Stage,
     block_based_inference,
     frame_based_inference,
     partition_image,
+    staged_inference,
     stitch_blocks,
 )
 from repro.core.overheads import (
@@ -39,8 +43,13 @@ from repro.core.overheads import (
     overhead_report,
     pyramid_volume,
 )
-from repro.core.partition import SubModelPlan, partition_into_submodels
-from repro.core.pipeline import BlockInferencePipeline, InferenceResult
+from repro.core.partition import (
+    SubModelPlan,
+    partition_into_submodels,
+    plan_stages,
+    submodel_plan,
+)
+from repro.core.pipeline import BlockInferencePipeline, InferenceResult, execute_stages
 
 __all__ = [
     "BlockGrid",
@@ -48,9 +57,11 @@ __all__ = [
     "BlockSpec",
     "InferenceResult",
     "OverheadReport",
+    "Stage",
     "SubModelPlan",
     "block_based_inference",
     "block_buffer_bytes",
+    "execute_stages",
     "frame_based_inference",
     "general_nbr",
     "general_ncr",
@@ -59,6 +70,9 @@ __all__ = [
     "overhead_report",
     "partition_image",
     "partition_into_submodels",
+    "plan_stages",
     "pyramid_volume",
+    "staged_inference",
     "stitch_blocks",
+    "submodel_plan",
 ]

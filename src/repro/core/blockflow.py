@@ -31,6 +31,15 @@ helper (:func:`_stitch`).  There is no batched twin: the served workloads'
 input windows are 64x64 or larger, where stacking same-shaped blocks into
 fused passes measured no faster (``fusion_speedup`` 1.0001 in
 ``BENCH_6.json``) and would only multiply live activation memory.
+
+Staged execution
+----------------
+A plan is a list of :class:`Stage` s — consecutive layer ranges, each run by
+block flow at its own input block.  A single-model plan is one stage over
+every layer; the paper's sub-model split (Section 7.3, Fig. 12) is several.
+:func:`staged_inference` runs any stage list with the same block runner:
+stage *k* cuts its windows from stage *k-1*'s stitched output, held in
+memory where the hardware round-trips it through DRAM.
 """
 
 from __future__ import annotations
@@ -42,8 +51,21 @@ import numpy as np
 
 from repro.nn.layers import Layer
 from repro.nn.network import Sequential
-from repro.nn.receptive_field import layer_geometry
+from repro.nn.receptive_field import layer_geometry, output_size_valid
 from repro.nn.tensor import FeatureMap
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One sub-model of an execution plan.
+
+    Layers ``[start, stop)`` of the network run by block flow at
+    ``input_block`` pixels of the stage's own input resolution.
+    """
+
+    start: int
+    stop: int
+    input_block: int
 
 
 @dataclass(frozen=True)
@@ -199,20 +221,38 @@ def partition_image(
     out_w = int(round(image_width * scale))
     if out_h <= 0 or out_w <= 0:
         raise ValueError("network scale collapses the image to zero size")
+    return _region_grid(
+        image_height, image_width, (0, out_h), (0, out_w), network.layers, output_block
+    )
 
+
+def _region_grid(
+    in_height: int,
+    in_width: int,
+    rows: Tuple[int, int],
+    cols: Tuple[int, int],
+    layers: Sequence[Layer],
+    output_block: int,
+) -> BlockGrid:
+    """Tile the output region ``rows`` x ``cols`` with ``output_block`` blocks.
+
+    Blocks start at the region's top-left corner and run row by row; the
+    region may begin at negative coordinates (an intermediate stage's output
+    extends into the next stage's margin).
+    """
     grid = BlockGrid(
-        image_height=image_height,
-        image_width=image_width,
-        output_height=out_h,
-        output_width=out_w,
+        image_height=in_height,
+        image_width=in_width,
+        output_height=rows[1] - rows[0],
+        output_width=cols[1] - cols[0],
         block_size=output_block,
     )
-    for row in range(0, out_h, output_block):
-        for col in range(0, out_w, output_block):
-            block_h = min(output_block, out_h - row)
-            block_w = min(output_block, out_w - col)
-            in_r0, in_r1 = input_interval_for_output(row, row + block_h, network.layers)
-            in_c0, in_c1 = input_interval_for_output(col, col + block_w, network.layers)
+    for row in range(rows[0], rows[1], output_block):
+        for col in range(cols[0], cols[1], output_block):
+            block_h = min(output_block, rows[1] - row)
+            block_w = min(output_block, cols[1] - col)
+            in_r0, in_r1 = input_interval_for_output(row, row + block_h, layers)
+            in_c0, in_c1 = input_interval_for_output(col, col + block_w, layers)
             grid.blocks.append(
                 BlockSpec(
                     out_row=row,
@@ -249,13 +289,16 @@ def frame_based_inference(network: Sequential, image: FeatureMap) -> FeatureMap:
 
 
 def _block_window(
-    padded: np.ndarray, block: BlockSpec, margin: int
+    padded: np.ndarray, block: BlockSpec, origin: Tuple[int, int]
 ) -> np.ndarray:
-    """The (view of the) padded-image window one block consumes."""
-    r0 = block.in_row + margin
-    c0 = block.in_col + margin
+    """The (view of the) source window one block consumes.
+
+    ``origin`` is the input coordinate of ``padded[:, 0, 0]``.
+    """
+    r0 = block.in_row - origin[0]
+    c0 = block.in_col - origin[1]
     window = padded[:, r0 : r0 + block.in_height, c0 : c0 + block.in_width]
-    if window.shape[1] != block.in_height or window.shape[2] != block.in_width:
+    if r0 < 0 or c0 < 0 or window.shape[1:] != (block.in_height, block.in_width):
         raise ValueError(
             "input window exceeds the padded image; "
             "the network margin accounting is inconsistent"
@@ -269,16 +312,20 @@ def _run_blocks(
     blocks: Iterable[BlockSpec],
     layers: Sequence[Layer],
     qformat: Optional[str] = None,
+    origin: Optional[Tuple[int, int]] = None,
 ) -> Iterator[Tuple[BlockSpec, FeatureMap]]:
     """Window, forward, crop: yield each block with its owned output region.
 
     ``forward`` runs one block's input window (the network's ``forward``,
     or the hardware executor's ``execute_block``); ``padded`` is the frame
-    zero-padded by the total input margin of ``layers``.
+    zero-padded by the total input margin of ``layers`` unless ``origin``
+    names the input coordinate of its first sample.
     """
-    margin = total_input_margin(layers)
+    if origin is None:
+        margin = total_input_margin(layers)
+        origin = (-margin, -margin)
     for block in blocks:
-        window = _block_window(padded, block, margin)
+        window = _block_window(padded, block, origin)
         raw = forward(FeatureMap(data=window.copy(), qformat=qformat))
         yield block, _crop_to_block(raw, block, layers)
 
@@ -287,10 +334,12 @@ def _stitch(
     pieces: Iterable[Tuple[BlockSpec, FeatureMap]],
     output_height: int,
     output_width: int,
+    origin: Tuple[int, int] = (0, 0),
 ) -> Optional[np.ndarray]:
     """Write cropped block outputs into one frame (``None`` when empty).
 
-    The frame takes the channel count and dtype of the first block.
+    The frame takes the channel count and dtype of the first block; its
+    sample ``[:, 0, 0]`` is output coordinate ``origin``.
     """
     output: Optional[np.ndarray] = None
     for block, result in pieces:
@@ -298,11 +347,9 @@ def _stitch(
             output = np.zeros(
                 (result.channels, output_height, output_width), dtype=result.data.dtype
             )
-        output[
-            :,
-            block.out_row : block.out_row + block.out_height,
-            block.out_col : block.out_col + block.out_width,
-        ] = result.data
+        row = block.out_row - origin[0]
+        col = block.out_col - origin[1]
+        output[:, row : row + block.out_height, col : col + block.out_width] = result.data
     return output
 
 
@@ -323,6 +370,74 @@ def block_based_inference(
     output = _stitch(blocks, grid.output_height, grid.output_width)
     assert output is not None
     return FeatureMap(data=output), grid
+
+
+def staged_inference(
+    network: Sequential, stages: Sequence[Stage], image: FeatureMap
+) -> Tuple[FeatureMap, Tuple[BlockGrid, ...]]:
+    """Run a plan's stage list by block flow and stitch the result.
+
+    Every stage's output region is derived backwards from the frame's
+    output: the last stage produces the frame, each earlier stage the
+    window its successor reads (margin included).  Stage 0 cuts its block
+    windows from the zero-padded frame; stage *k* cuts them from stage
+    *k-1*'s stitched output, offset by that intermediate's origin.  The
+    intermediate's border is computed from the zero padding, exactly as the
+    frame-based flow computes it, so the result equals
+    :func:`frame_based_inference` to float tolerance.
+
+    A one-stage plan runs :func:`block_based_inference`'s arithmetic at the
+    stage's output block: the same padding, windows and block order.
+    Returns the output and one :class:`BlockGrid` per stage.
+    """
+    layers = list(network.layers)
+    bounds = [0] + [stage.stop for stage in stages]
+    if [stage.start for stage in stages] != bounds[:-1] or bounds[-1] != len(layers) \
+            or any(stage.start >= stage.stop for stage in stages):
+        raise ValueError(f"stages {list(stages)} do not tile the {len(layers)} network layers")
+    pieces = [layers[stage.start : stage.stop] for stage in stages]
+    scale = network_scale(layers)
+    out_h = int(round(image.height * scale))
+    out_w = int(round(image.width * scale))
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError("network scale collapses the image to zero size")
+
+    regions = [((0, out_h), (0, out_w))]
+    for piece in reversed(pieces[1:]):
+        rows, cols = regions[0]
+        regions.insert(
+            0,
+            (input_interval_for_output(*rows, piece), input_interval_for_output(*cols, piece)),
+        )
+    rows, cols = regions[0]
+    in_rows = input_interval_for_output(*rows, pieces[0])
+    in_cols = input_interval_for_output(*cols, pieces[0])
+    # Pad like pad_frame: the total margin on every side, widened at the
+    # bottom/right only when rounding through scale stages reads further.
+    source = np.pad(
+        image.data,
+        (
+            (0, 0),
+            (-in_rows[0], max(-in_rows[0], in_rows[1] - image.height)),
+            (-in_cols[0], max(-in_cols[0], in_cols[1] - image.width)),
+        ),
+    )
+    origin = (in_rows[0], in_cols[0])
+    in_height, in_width = image.height, image.width
+    qformat = image.qformat
+    grids: List[BlockGrid] = []
+    for stage, piece, (rows, cols) in zip(stages, pieces, regions):
+        forward = network.forward if len(piece) == len(layers) else Sequential(piece).forward
+        grid = _region_grid(
+            in_height, in_width, rows, cols, piece, output_size_valid(stage.input_block, piece)
+        )
+        blocks = _run_blocks(forward, source, grid.blocks, piece, qformat, origin)
+        source = _stitch(blocks, grid.output_height, grid.output_width, (rows[0], cols[0]))
+        origin = (rows[0], cols[0])
+        in_height, in_width = grid.output_height, grid.output_width
+        qformat = None
+        grids.append(grid)
+    return FeatureMap(data=source), tuple(grids)
 
 
 #: Residual metrics the delta path understands: mean / sum of absolute
@@ -370,10 +485,11 @@ def block_window_residuals(
             f"padded frames differ in shape: {prev_padded.shape} vs {cur_padded.shape}"
         )
     margin = total_input_margin(layers)
+    origin = (-margin, -margin)
     residuals = np.empty(grid.num_blocks, dtype=np.float64)
     for index, block in enumerate(grid.blocks):
-        prev = _block_window(prev_padded, block, margin)
-        cur = _block_window(cur_padded, block, margin)
+        prev = _block_window(prev_padded, block, origin)
+        cur = _block_window(cur_padded, block, origin)
         diff = np.abs(cur.astype(np.float64) - prev.astype(np.float64))
         residuals[index] = float(diff.sum()) if metric == "sad" else float(diff.mean())
     return residuals

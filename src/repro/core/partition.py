@@ -6,17 +6,27 @@ with depth).  The price is that the intermediate feature maps between
 sub-models must round-trip through DRAM, so the split trades computation
 overhead against DRAM bandwidth.  The style-transfer example in Section 7.3
 uses exactly this trick (two sub-models).
+
+:func:`plan_stages` is the one place a plan's stage list is derived: every
+backend's :class:`~repro.api.results.CompiledPlan` carries its result, the
+session executes it (:func:`repro.core.blockflow.staged_inference`) and the
+eCNN profile charges it (:func:`submodel_plan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
+from repro.core.blockflow import Stage
 from repro.core.overheads import general_ncr, intrinsic_macs_per_output_pixel
 from repro.nn.layers import Conv2d, Layer
 from repro.nn.network import Sequential
 from repro.nn.receptive_field import layer_geometry
+from repro.specs import RealTimeSpec
+
+if TYPE_CHECKING:
+    from repro.hw.config import EcnnConfig
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,14 @@ def partition_into_submodels(
     layers = list(network.layers)
     if num_submodels > len(layers):
         raise ValueError("cannot split into more sub-models than layers")
+    stages = _balanced_stages(layers, num_submodels, input_block)
+    return submodel_plan(network, stages, feature_bits=feature_bits)
 
+
+def _balanced_stages(
+    layers: Sequence[Layer], num_submodels: int, input_block: int
+) -> Tuple[Stage, ...]:
+    """Balanced consecutive sub-models of ``layers``, all at ``input_block``."""
     margins = [layer_geometry(layer).margin for layer in layers]
     total_margin = sum(margins)
     target = total_margin / num_submodels
@@ -88,21 +105,30 @@ def partition_into_submodels(
             boundaries.append(index + 1)
     while len(boundaries) < num_submodels:
         boundaries.append(min(boundaries[-1] + 1, len(layers) - 1))
+    stops = boundaries[1:] + [len(layers)]
+    return tuple(Stage(start, stop, input_block) for start, stop in zip(boundaries, stops))
 
-    pieces = []
-    for i, start in enumerate(boundaries):
-        stop = boundaries[i + 1] if i + 1 < len(boundaries) else len(layers)
-        pieces.append(layers[start:stop])
 
+def submodel_plan(
+    network: Sequential, stages: Sequence[Stage], *, feature_bits: int = 8
+) -> SubModelPlan:
+    """The overheads of executing ``network`` as ``stages`` (Fig. 12).
+
+    Each stage pays the NCR of its own truncated pyramid at its input block;
+    the combined NCR weights them by intrinsic MACs, and every boundary
+    between stages adds an intermediate feature-map round trip to DRAM.
+    """
+    layers = list(network.layers)
+    pieces = [layers[stage.start : stage.stop] for stage in stages]
     ncrs = []
     weights = []
-    for piece in pieces:
+    for stage, piece in zip(stages, pieces):
         has_conv = any(isinstance(layer, Conv2d) for layer in piece)
         if not has_conv:
             ncrs.append(1.0)
             weights.append(0.0)
             continue
-        ncrs.append(general_ncr(piece, input_block))
+        ncrs.append(general_ncr(piece, stage.input_block))
         weights.append(intrinsic_macs_per_output_pixel(piece))
 
     total_weight = sum(weights)
@@ -113,6 +139,7 @@ def partition_into_submodels(
 
     # Intermediate feature maps are written then read once each (factor 2),
     # expressed per final output pixel at the boundary's spatial resolution.
+    boundaries = tuple(stage.start for stage in stages)
     extra_bytes = 0.0
     scale_to_output = 1.0
     for layer in layers:
@@ -127,9 +154,31 @@ def partition_into_submodels(
 
     return SubModelPlan(
         model_name=getattr(network, "name", "network"),
-        input_block=input_block,
-        boundaries=tuple(boundaries),
+        input_block=stages[0].input_block,
+        boundaries=boundaries,
         ncr_per_submodel=tuple(round(n, 4) for n in ncrs),
         combined_ncr=combined,
         extra_dram_bytes_per_pixel=extra_bytes,
     )
+
+
+def plan_stages(
+    network: Sequential, spec: RealTimeSpec, config: "EcnnConfig"
+) -> Tuple[Stage, ...]:
+    """The stage list every backend's plan for ``network`` at ``spec`` executes.
+
+    A network whose metadata says ``submodels: n`` runs as the ``n``
+    balanced sub-models of :func:`partition_into_submodels`; every other
+    network runs as one stage.  Stages run at the block the eCNN block
+    buffers are sized for — except the recognition trunk, which never
+    shrinks and is served one zero-padded ``spec.width`` image per block
+    (Section 7.3).
+    """
+    from repro.hw.performance import recommended_input_block  # hw imports core
+
+    layers = list(network.layers)
+    metadata = getattr(network, "metadata", {}) or {}
+    if metadata.get("case_study") == "recognition":
+        return (Stage(0, len(layers), spec.width),)
+    block = recommended_input_block(network, config)
+    return _balanced_stages(layers, int(metadata.get("submodels", 1)), block)

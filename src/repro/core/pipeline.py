@@ -9,14 +9,17 @@ traffic statistics the evaluation section cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from repro.core.blockflow import (
     BlockGrid,
+    Stage,
     block_based_inference,
     frame_based_inference,
+    staged_inference,
 )
-from repro.core.overheads import OverheadReport, overhead_report
+from repro.core.overheads import general_ncr
+from repro.core.partition import submodel_plan
 from repro.nn.network import Sequential
 from repro.nn.receptive_field import required_input_size
 from repro.nn.tensor import FeatureMap
@@ -25,19 +28,28 @@ from repro.quant.quantize import QuantizationPlan
 
 @dataclass
 class InferenceResult:
-    """Output of a pipeline run plus the measured flow statistics."""
+    """Output of a block-flow run plus its partition and analytic NCR."""
 
     output: FeatureMap
-    grid: BlockGrid
-    overheads: OverheadReport
+    #: One block partition per executed stage.
+    grids: Tuple[BlockGrid, ...]
+    #: NCR the execution is charged: the single pyramid's, or the combined
+    #: NCR of a sub-model split (:func:`repro.core.partition.submodel_plan`).
+    ncr: float
 
     @property
     def num_blocks(self) -> int:
-        return self.grid.num_blocks
+        return sum(grid.num_blocks for grid in self.grids)
 
-    @property
-    def measured_nbr(self) -> float:
-        return self.grid.measured_nbr()
+
+def execute_stages(
+    network: Sequential, stages: Sequence[Stage], image: FeatureMap
+) -> InferenceResult:
+    """Run ``image`` through a plan's stage list (see :func:`staged_inference`)."""
+    output, grids = staged_inference(network, stages, image)
+    return InferenceResult(
+        output=output, grids=grids, ncr=submodel_plan(network, stages).combined_ncr
+    )
 
 
 class BlockInferencePipeline:
@@ -91,8 +103,8 @@ class BlockInferencePipeline:
     def run(self, image: FeatureMap) -> InferenceResult:
         """Execute the block-based flow on ``image``."""
         output, grid = block_based_inference(self.network, image, self.output_block)
-        report = overhead_report(self.network, self.input_block)
-        return InferenceResult(output=output, grid=grid, overheads=report)
+        ncr = general_ncr(self.network.layers, self.input_block)
+        return InferenceResult(output=output, grids=(grid,), ncr=ncr)
 
     def run_frame_based(self, image: FeatureMap) -> FeatureMap:
         """Reference frame-based execution (for equivalence checks)."""

@@ -107,7 +107,9 @@ def build_style_transfer_network(*, blocks: int = 5, seed: int = 0) -> Network:
         in_channels=3,
         out_channels=3,
         upscale=1,
-        metadata={"case_study": "style_transfer", "submodels": 2},
+        # The paper defines the split at the 128 input block, whatever the
+        # block buffers of the configuration (Section 7.3).
+        metadata={"case_study": "style_transfer", "submodels": 2, "input_block": 128},
     )
 
 

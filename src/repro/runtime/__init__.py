@@ -68,6 +68,7 @@ from repro.runtime.sweep import ParallelSweep
 from repro.runtime.trace import TRACES, TraceEvent, TrafficTrace, trace
 from repro.runtime.video import (
     RESIDUAL_HISTOGRAM_EDGES,
+    StagedPlanStreamError,
     StreamFrameResult,
     VideoStream,
     VideoStreamStats,
@@ -105,6 +106,7 @@ __all__ = [
     "ServingEngine",
     "ServingReport",
     "ShardStats",
+    "StagedPlanStreamError",
     "StreamFrameResult",
     "StreamStats",
     "TRACES",

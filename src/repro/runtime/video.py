@@ -27,6 +27,12 @@ records the largest residual it ever accepted
 *measured* quantity, and the video parity tests measure the actual pixel
 error against full re-inference.
 
+Only single-stage plans stream: a block's output is a pure function of its
+input window only when one block-flow pass maps frame to output.  A
+sub-model split (style transfer) routes every pixel through an intermediate
+feature map, so :class:`VideoStream` refuses it with
+:class:`StagedPlanStreamError` before any stream state exists.
+
 Streams are shard-local state: the cluster's sticky stream routing keeps a
 stream id on one shard, so its previous frame and block cache live next to
 the inference that feeds them.  :meth:`VideoStream.invalidate` drops both
@@ -58,7 +64,22 @@ from repro.nn.receptive_field import output_size_valid
 from repro.nn.tensor import FeatureMap
 
 if TYPE_CHECKING:  # repro.api.session imports this module lazily
+    from repro.api.results import CompiledPlan
     from repro.api.session import Session
+
+
+class StagedPlanStreamError(ValueError):
+    """A video stream was asked to serve a multi-stage (sub-model split) plan."""
+
+
+def _stream_block(plan: "CompiledPlan") -> int:
+    """Input block of a plan's single stage; multi-stage plans do not stream."""
+    if len(plan.stages) != 1:
+        raise StagedPlanStreamError(
+            f"{plan.model_name} runs as {len(plan.stages)} stages; video delta "
+            "reuse needs a single-stage plan"
+        )
+    return plan.stages[0].input_block
 
 
 #: Residual histogram bucket edges.  Bucket 0 counts exact matches
@@ -200,6 +221,7 @@ class VideoStream:
             raise ValueError("max_cached_blocks must be positive (or None)")
         if output_block is not None and output_block < 1:
             raise ValueError("output_block must be positive (or None for the plan's)")
+        _stream_block(session.compile(workload_name))
         self.session = session
         self.stream_id = str(stream_id)
         self.workload = workload_name
@@ -238,10 +260,11 @@ class VideoStream:
     def _geometry(self):
         """(network, output block) of this stream's compiled plan."""
         plan = self.session.compile(self.workload)
+        block = _stream_block(plan)
         output_block = (
             self._output_block
             if self._output_block is not None
-            else output_size_valid(plan.input_block, plan.network.layers)
+            else output_size_valid(block, plan.network.layers)
         )
         return plan.network, output_block
 

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.pipeline import BlockInferencePipeline
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
-from repro.hw.performance import recommended_input_block
 from repro.models.ernet import PAPER_MODELS, build_ernet
 from repro.models.vision import build_recognition_network, build_style_transfer_network
 from repro.nn.network import Network
@@ -123,33 +121,6 @@ class RuntimeWorkload:
             network.metadata = dict(getattr(network, "metadata", {}) or {}, shared=True)
             _SHARED_NETWORKS[key] = network
         return network
-
-    def pipeline(self, *, input_block: Optional[int] = None) -> BlockInferencePipeline:
-        """A pixel-level block-flow pipeline for this workload's network.
-
-        Recognition runs whole images as single zero-padded blocks, not the
-        truncated pyramid, so it has no block pipeline.
-        """
-        if self.kind == "recognition":
-            raise ValueError("recognition serves single zero-padded blocks, not block flow")
-        network = self.build_network()
-        block = input_block or recommended_input_block(network)
-        return BlockInferencePipeline(network, input_block=block)
-
-    def evaluation_context(self, network: Network, config: EcnnConfig) -> tuple:
-        """Hardware config and input block this workload is evaluated under.
-
-        Single source of truth shared by the profile paths and the engine's
-        deep analytics: recognition triples the parameter memory and runs
-        whole images as one block, style transfer compiles at the nominal
-        128 block, and ERNets use the block their buffers are sized for.
-        """
-        if self.kind == "recognition":
-            scaled = config.with_parameter_memory(3 * config.parameter_memory_kb)
-            return scaled, self.spec.width
-        if self.kind == "style_transfer":
-            return config, 128
-        return config, recommended_input_block(network, config)
 
     def cache_key(self, config: EcnnConfig) -> str:
         """Content address of this workload's profile under ``config``."""

@@ -22,6 +22,7 @@ import pytest
 
 from repro.api import Session, available_backends
 from repro.api.results import CompiledPlan
+from repro.core.blockflow import Stage
 from repro.check import (
     CheckReport,
     PlanVerificationError,
@@ -262,7 +263,7 @@ class TestIntervalAnalysis:
             spec_name="HD30",
             network=network,
             spec=SPECIFICATIONS["HD30"],
-            input_block=block,
+            stages=(Stage(0, len(network.layers), block),),
             payload=model,
         )
 
@@ -366,7 +367,7 @@ class _BrokenPlanBackend:
             spec_name=spec.name,
             network=bad,
             spec=spec,
-            input_block=32,
+            stages=(Stage(0, len(bad.layers), 32),),
         )
 
     def profile(self, plan, spec):

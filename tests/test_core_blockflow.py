@@ -10,17 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.workloads import synthetic_image
 from repro.core.blockflow import (
+    Stage,
     block_based_inference,
     frame_based_inference,
     input_interval_for_output,
     network_scale,
     partition_image,
+    staged_inference,
     stitch_blocks,
     total_input_margin,
 )
+from repro.core.pipeline import execute_stages
 from repro.models.baselines import build_plain_network
-from repro.nn.layers import Conv2d
-from repro.nn.ops import PixelShuffle
+from repro.nn.layers import Conv2d, ReLU
+from repro.nn.network import Sequential
+from repro.nn.ops import PixelShuffle, StridedPool2x2
+from repro.nn.receptive_field import output_size_valid
 from repro.nn.tensor import FeatureMap
 
 
@@ -137,3 +142,108 @@ class TestStitching:
         bad = FeatureMap(np.zeros((3, 1, 1)))
         with pytest.raises(ValueError):
             stitch_blocks([(grid.blocks[0], bad)], 32, 32)
+
+
+# ------------------------------------------------------------ staged execution
+def _plain_stack(rng):
+    """A seeded stack of valid 3x3 convolutions with ReLUs between them."""
+    width = int(rng.integers(3, 7))
+    layers = [Conv2d(3, width, 3, seed=int(rng.integers(1e6)))]
+    for _ in range(int(rng.integers(4, 7))):
+        layers += [ReLU(), Conv2d(width, width, 3, seed=int(rng.integers(1e6)))]
+    layers += [ReLU(), Conv2d(width, 3, 3, seed=int(rng.integers(1e6)))]
+    return Sequential(layers, name="plain")
+
+
+def _down_up_stack(rng):
+    """A seeded stack that downsamples twice and pixel-shuffles back up."""
+    seed = lambda: int(rng.integers(1e6))  # noqa: E731
+    layers = [
+        Conv2d(3, 8, 3, seed=seed()), ReLU(), StridedPool2x2(),
+        Conv2d(8, 8, 3, seed=seed()), ReLU(), StridedPool2x2(),
+        Conv2d(8, 8, 3, seed=seed()), ReLU(),
+        Conv2d(8, 32, 3, seed=seed()), PixelShuffle(2), ReLU(),
+        Conv2d(8, 32, 3, seed=seed()), PixelShuffle(2), ReLU(),
+        Conv2d(8, 3, 3, seed=seed()),
+    ]
+    return Sequential(layers, name="down-up")
+
+
+def _random_stages(rng, network, count):
+    """``count`` consecutive stages at random split points and input blocks."""
+    layers = network.layers
+    splits = sorted(rng.choice(np.arange(1, len(layers)), size=count - 1, replace=False))
+    bounds = [0, *[int(split) for split in splits], len(layers)]
+    stages = []
+    for start, stop in zip(bounds, bounds[1:]):
+        blocks = [block for block in range(14, 61, 2) if _valid_block(block, layers[start:stop])]
+        stages.append(Stage(start, stop, int(rng.choice(blocks))))
+    return tuple(stages)
+
+
+def _valid_block(block, layers):
+    try:
+        return output_size_valid(block, layers) > 0
+    except ValueError:
+        return False
+
+
+def _frame_size(rng, network):
+    """A random frame side the frame-based reference can pool (two 2x2
+    pools need the padded side minus two to be a multiple of four)."""
+    side = int(rng.integers(34, 62))
+    if any(isinstance(layer, StridedPool2x2) for layer in network.layers):
+        side += (2 - 2 * total_input_margin(network.layers) - side) % 4
+    return side
+
+
+STACKS = {"plain": _plain_stack, "down_up": _down_up_stack}
+
+
+class TestStagedInference:
+    @pytest.mark.parametrize("count", (1, 2, 3))
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_matches_frame_flow(self, stack, count, seed):
+        rng = np.random.default_rng([stack == "plain", count, seed])
+        network = STACKS[stack](rng)
+        stages = _random_stages(rng, network, count)
+        height, width = _frame_size(rng, network), _frame_size(rng, network)
+        image = synthetic_image(height, width, seed=seed)
+        output, grids = staged_inference(network, stages, image)
+        reference = frame_based_inference(network, image)
+        assert output.shape == reference.shape
+        assert np.allclose(output.data, reference.data), (stages, height, width)
+        assert len(grids) == count
+        again, _ = staged_inference(network, stages, image)
+        assert np.array_equal(again.data, output.data)
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_one_stage_is_block_based_inference_bit_for_bit(self, stack):
+        rng = np.random.default_rng(11)
+        network = STACKS[stack](rng)
+        (stage,) = _random_stages(rng, network, 1)
+        image = synthetic_image(_frame_size(rng, network), _frame_size(rng, network), seed=3)
+        output, (grid,) = staged_inference(network, (stage,), image)
+        expected, expected_grid = block_based_inference(
+            network, image, output_size_valid(stage.input_block, network.layers)
+        )
+        assert np.array_equal(output.data, expected.data)
+        assert grid.blocks == expected_grid.blocks
+
+    def test_num_blocks_sums_every_stage(self):
+        rng = np.random.default_rng(5)
+        network = _down_up_stack(rng)
+        stages = (Stage(0, 6, 26), Stage(6, len(network.layers), 20))
+        size = _frame_size(rng, network)
+        result = execute_stages(network, stages, synthetic_image(size, size + 8, seed=1))
+        counts = [grid.num_blocks for grid in result.grids]
+        assert len(counts) == 2 and min(counts) > 1
+        assert result.num_blocks == sum(counts)
+
+    def test_stages_must_tile_the_layers(self, tiny_plain_network):
+        image = synthetic_image(24, 24, seed=1)
+        count = len(tiny_plain_network.layers)
+        for stages in ((), (Stage(0, count - 1, 16),), (Stage(0, 1, 16), Stage(2, count, 16))):
+            with pytest.raises(ValueError, match="do not tile"):
+                staged_inference(tiny_plain_network, stages, image)

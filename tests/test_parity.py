@@ -17,6 +17,7 @@ drawn configurations are stable across runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -24,11 +25,14 @@ import pytest
 
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
-from repro.core.blockflow import block_based_inference, frame_based_inference
+from repro.api.backends import VISION_UTILIZATION
+from repro.core.blockflow import Stage, block_based_inference, frame_based_inference
+from repro.core.partition import partition_into_submodels
 from repro.core.pipeline import BlockInferencePipeline
 from repro.models.baselines import build_plain_network
 from repro.models.ernet import build_dnernet, build_sr2ernet
 from repro.nn.ops import MaxPool2x2, PixelShuffle, PixelUnshuffle
+from repro.nn.receptive_field import output_size_valid
 from repro.nn.tensor import FeatureMap
 from repro.quant.quantize import quantize_network
 from repro.runtime import ResultCache, ServingCluster, ServingEngine
@@ -43,6 +47,10 @@ PIXEL_WORKLOADS = {
     "super_resolution": (24, 49),
     "style_transfer": (52, 73),
 }
+
+#: The workloads whose plans are single-stage and therefore stream; style
+#: transfer's two-sub-model plan is refused by the video tier.
+STREAM_WORKLOADS = ("denoise", "super_resolution")
 
 
 # ------------------------------------------------------------------- fixtures
@@ -317,10 +325,10 @@ def _video_sequence(kind, *, height, width, frames, seed):
 class TestRandomizedVideoStreams:
     """Delta-reuse serving is bit-identical to full re-inference.
 
-    For every seed, workload and motion model, each frame served through
-    the video-stream tier (session and sharded cluster, exact-reuse mode at
-    the default block geometry) must equal full re-inference of that same
-    frame — reuse is an optimization, never an approximation.
+    For every seed, streaming workload and motion model, each frame served
+    through the video-stream tier (session and sharded cluster, exact-reuse
+    mode at the default block geometry) must equal full re-inference of
+    that same frame — reuse is an optimization, never an approximation.
     """
 
     @pytest.mark.parametrize("kind", VIDEO_KINDS)
@@ -328,9 +336,8 @@ class TestRandomizedVideoStreams:
         self, seed, kind, cluster, assert_parity
     ):
         rng = np.random.default_rng(6000 + seed)
-        workload = str(rng.choice(sorted(PIXEL_WORKLOADS)))
+        workload = str(rng.choice(STREAM_WORKLOADS))
         low, high = PIXEL_WORKLOADS[workload]
-        # Snap to multiples of 4 for style transfer's two downsamplers.
         height = int(rng.integers(low, high)) // 4 * 4
         width = int(rng.integers(low, high)) // 4 * 4
         frames = _video_sequence(
@@ -407,3 +414,65 @@ class TestRandomizedServingStack:
             },
             context=f"seed={seed} workload={workload} {height}x{width}",
         )
+
+
+class TestStagedServing:
+    """The session executes each plan's stage list."""
+
+    @pytest.mark.parametrize("workload, size", [
+        ("denoise", (45, 37)), ("denoise", (300, 260)), ("super_resolution", (40, 33)),
+    ])
+    def test_single_stage_pixels_are_block_based_inference(self, workload, size):
+        # Pins the one-stage runner to the pre-staging arithmetic: the block
+        # flow at the plan's block, bit for bit.
+        session = Session(backend="ecnn", cache=ResultCache())
+        plan = session.compile(workload)
+        image = synthetic_image(*size, seed=17)
+        result = session.execute(workload, image, cached=False)
+        output_block = output_size_valid(plan.input_block, plan.network.layers)
+        expected, grid = block_based_inference(plan.network, image, output_block)
+        assert len(plan.stages) == 1
+        assert np.array_equal(result.output.data, expected.data)
+        assert result.num_blocks == grid.num_blocks
+
+    def test_style_transfer_runs_the_split_on_every_backend(self):
+        image = synthetic_image(52, 68, seed=21)
+        outputs = {}
+        for backend in PIXEL_BACKENDS:
+            session = Session(backend=backend, cache=ResultCache())
+            plan = session.compile("style_transfer")
+            assert plan.stages == (Stage(0, 11, 128), Stage(11, 20, 128))
+            first = session.execute("style_transfer", image, cached=False)
+            again = session.execute("style_transfer", image, cached=False)
+            assert np.array_equal(first.output.data, again.output.data), backend
+            assert len(first.grids) == 2
+            outputs[backend] = first.output.data
+        assert np.array_equal(outputs["ecnn"], outputs["frame_based"])
+        reference = frame_based_inference(plan.network, image)
+        assert np.allclose(outputs["ecnn"], reference.data)
+
+    def test_style_transfer_ncr_is_what_the_profile_charges(self):
+        session = Session(backend="ecnn", cache=ResultCache())
+        plan = session.compile("style_transfer")
+        result = session.execute("style_transfer", synthetic_image(48, 48, seed=2))
+        split = partition_into_submodels(plan.network, 2, 128)
+        assert result.ncr == split.combined_ncr
+        # The profile's rate is the compute budget over intrinsic ops times NCR.
+        profile = session.profile("style_transfer")
+        charged = profile.peak_tops * VISION_UTILIZATION / profile.achieved_tops
+        assert charged == pytest.approx(result.ncr, rel=1e-12)
+
+    def test_frame_cache_key_names_the_stages(self, monkeypatch):
+        session = Session(backend="ecnn", cache=ResultCache())
+        image = synthetic_image(40, 40, seed=8)
+        single = session.execute("denoise", image)
+        plan = session.compile("denoise")
+        split = (
+            Stage(0, 1, plan.input_block),
+            Stage(1, len(plan.network.layers), plan.input_block),
+        )
+        monkeypatch.setattr(session, "compile", lambda name: replace(plan, stages=split))
+        staged = session.execute("denoise", image)
+        assert len(single.grids) == 1 and len(staged.grids) == 2
+        assert session.frame_cache_stats.misses == 2
+        assert session.execute("denoise", image) is staged

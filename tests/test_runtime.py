@@ -300,10 +300,11 @@ class TestServingEngine:
         engine = ServingEngine(num_instances=1, cache=ResultCache())
         for name in ("denoise", "super_resolution"):
             analytics = engine.analyze(name)
-            entry = workload(name)
-            network = entry.build_network()
-            config, block = entry.evaluation_context(network, engine.config)
-            compiled = compile_network(network, input_block=block)
+            plan = engine.session.compile(name)
+            config = engine.session.backend.evaluation_config(plan.network)
+            compiled = compile_network(
+                workload(name).build_network(), input_block=plan.input_block
+            )
             processor = EcnnProcessor(config)
             processor.load(compiled)
             assert analytics.cycles_per_block == processor.block_report().pipelined_cycles

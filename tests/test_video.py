@@ -24,6 +24,7 @@ from repro.api import Session
 from repro.core.blockflow import block_based_inference, partition_image
 from repro.nn.tensor import FeatureMap
 from repro.runtime import RESIDUAL_HISTOGRAM_EDGES, ResultCache, VideoStream
+from repro.runtime.video import StagedPlanStreamError
 
 #: 48x48 denoise frames at output_block 16: a 3x3 grid, margin 6.
 SIZE = 48
@@ -180,6 +181,30 @@ class TestCacheBound:
             VideoStream(
                 session, stream_id="cam", workload_name="denoise", max_cached_blocks=0
             )
+
+
+class TestPlanStages:
+    def test_frame_based_stream_matches_fresh_execution(self):
+        # Streams read the plan's single stage, which every backend's plan
+        # carries, so a non-ecnn stream serves the same pixels as execute.
+        session = Session(backend="frame_based", cache=ResultCache())
+        for seed in (0, 0, 1):
+            served = session.execute_stream("cam", "denoise", _frame(seed))
+            fresh = session.execute("denoise", _frame(seed), cached=False)
+            assert np.array_equal(served.output.data, fresh.output.data)
+        assert served.blocks_reused == 0 and session.video_stream_stats[0].blocks_reused > 0
+
+    def test_multi_stage_plan_is_refused_before_any_stream_state(self, session):
+        assert len(session.compile("style_transfer").stages) == 2
+        assert issubclass(StagedPlanStreamError, ValueError)
+        frame = synthetic_image(52, 52, seed=1)
+        with pytest.raises(StagedPlanStreamError, match="2 stages"):
+            session.execute_stream("cam", "style_transfer", frame)
+        with pytest.raises(StagedPlanStreamError):
+            session.video_stream("cam", "style_transfer")
+        assert session.video_stream_stats == ()
+        # The served camera workloads stay single-stage and keep streaming.
+        assert session.execute_stream("cam", "denoise", _frame(0)).blocks_total > 0
 
 
 class TestStatsReconciliation:

@@ -2,7 +2,7 @@
 """Auto-generate the backend reference table in docs/backends.md.
 
 The table between the ``BACKEND-TABLE:BEGIN``/``END`` markers is generated
-from the live registry (class, description, cost provenance and the
+from the live registry (class, execution stages, cost provenance and the
 denoise-workload key figures), so the docs can never drift from the code.
 CI runs ``--check``, which fails when the committed table is stale.
 
@@ -27,12 +27,11 @@ _DEFAULT_DOC = Path(__file__).resolve().parent.parent / "docs" / "backends.md"
 def generate_table() -> str:
     """The markdown backend reference table, from the live registry."""
     from repro.api import Session, available_backends, backend_class
-    from repro.api.backends import _WholeFrameExecutionMixin
     from repro.runtime.cache import ResultCache
 
     cache = ResultCache()
     lines = [
-        "| Backend | Class | Pixel execution | Cost (source) | Denoise @ UHD30 |",
+        "| Backend | Class | Stages (denoise / style transfer) | Cost (source) | Denoise @ UHD30 |",
         "|---|---|---|---|---|",
     ]
     for name in available_backends():
@@ -40,10 +39,9 @@ def generate_table() -> str:
         session = Session(backend=name, cache=cache)
         cost = session.cost()
         profile = session.profile("denoise")
-        execution = (
-            "whole-frame (mixin)"
-            if issubclass(cls, _WholeFrameExecutionMixin)
-            else "block-based flow"
+        execution = " / ".join(
+            str(len(session.compile(workload).stages))
+            for workload in ("denoise", "style_transfer")
         )
         # Published sources that report no die area carry area_mm2 == 0.0.
         area = (

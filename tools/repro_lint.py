@@ -11,8 +11,7 @@ enforce the project invariants that grew with the serving/soak tiers:
   reproducibility across test orderings and soak re-runs.
 * **ECNN202 backend-protocol** — every ``@register_backend`` class defines
   (or inherits from a same-module base) the full ``AcceleratorBackend``
-  surface: ``name``, ``description``, ``compile``, ``profile``, ``execute``,
-  ``cost``.
+  surface: ``name``, ``description``, ``compile``, ``profile``, ``cost``.
 * **ECNN203 boundary-picklable** — classes named ``*Handle`` or
   ``*Request`` cross the cluster process boundary and must be plain
   dataclasses without callable/lambda fields.
@@ -63,7 +62,7 @@ _SEEDED_NP_RANDOM = {"default_rng", "Generator", "SeedSequence", "PCG64", "Philo
 _SEEDED_STDLIB_RANDOM = {"Random", "SystemRandom"}
 #: The AcceleratorBackend protocol surface ECNN202 requires.
 _BACKEND_ATTRS = ("name", "description")
-_BACKEND_METHODS = ("compile", "profile", "execute", "cost")
+_BACKEND_METHODS = ("compile", "profile", "cost")
 
 
 def _decorator_name(node: ast.expr) -> str:
