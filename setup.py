@@ -19,7 +19,7 @@ setup(
     description=(
         "Reproduction of eCNN (MICRO 2019): block-based CNN accelerator "
         "models with a multi-stream serving runtime, a sharded "
-        "multi-worker serving cluster, a soak & chaos harness and a "
+        "multi-worker serving cluster, a worker-kill soak harness and a "
         "static plan verifier"
     ),
     long_description=_README.read_text(encoding="utf-8") if _README.exists() else "",

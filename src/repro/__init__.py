@@ -40,11 +40,10 @@ Subpackages
     direct-module entry points ``analyze_performance`` / ``analyze_area``
     survive only as ``DeprecationWarning`` shims pointing here.)
 ``repro.soak``
-    The soak & chaos tier: streaming (O(1)-memory) Poisson/bursty/diurnal
-    trace generators, a chaos controller driving the cluster's
-    fault-injection surface, exactly-once request accounting with
-    post-chaos pixel parity, ``repro-soak/1`` capacity reports and the
-    ``repro-soak`` CLI.
+    The soak tier: one streaming (O(1)-memory) compound-Poisson trace
+    generator (``poisson`` or ``bursty`` arrivals), mid-run worker kills,
+    exactly-once request accounting with post-kill pixel parity, a JSON
+    ``SoakReport`` and the ``repro-soak`` CLI.
 """
 
 __version__ = "1.3.0"

@@ -474,10 +474,11 @@ class Session:
     def evict_pixel_caches(self) -> int:
         """Drop every pixel-carrying cache this session owns; returns entries dropped.
 
-        The single invalidation path behind the ``evict-frame-cache`` chaos
-        event: the whole-frame :attr:`frame_cache` and every video stream's
-        block cache (plus its predecessor frame) go together, so a delta
-        stream can never serve a block that outlived an eviction.
+        The single invalidation path behind the cluster's
+        ``evict_frame_caches`` primitive: the whole-frame :attr:`frame_cache`
+        and every video stream's block cache (plus its predecessor frame) go
+        together, so a delta stream can never serve a block that outlived an
+        eviction.
         """
         dropped = len(self.frame_cache)
         self.frame_cache.clear()

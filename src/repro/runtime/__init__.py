@@ -25,9 +25,8 @@ Modules
   workloads across a pool of worker processes (one pinned session + engine
   per worker) with bounded per-shard queues, failure recovery, aggregated
   :class:`~repro.runtime.cluster.ClusterStats`, and the fault-injection
-  surface (``kill_worker`` / ``saturate_shard`` / ``flip_mode`` /
-  ``evict_frame_caches`` plus the ``fault_hook`` callback) that the
-  :mod:`repro.soak` chaos tier drives;
+  primitives ``kill_worker`` (which the :mod:`repro.soak` tier fires
+  mid-run) and ``evict_frame_caches``, plus the ``fault_hook`` callback;
 * :mod:`repro.runtime.video` — video-stream serving:
   :class:`~repro.runtime.video.VideoStream` diffs ordered frames at
   execution-block granularity (SAD/MAE residual per input window) and

@@ -32,22 +32,17 @@ Semantics (documented in ``docs/serving.md``):
   parent's warm memos; ``spawn`` otherwise).  Sandboxes that forbid
   spawning processes fall back to in-process shards transparently
   (``mode == "inline"``), mirroring :class:`~repro.runtime.sweep.ParallelSweep`.
-* **Fault injection** — the chaos surface the soak harness
-  (:mod:`repro.soak`) drives.  :meth:`ServingCluster.kill_worker` kills a
-  live worker (the OS process in process mode — death is *discovered* at
-  the next dispatch, exactly like a real crash — or an immediate
-  mark-dead inline), :meth:`ServingCluster.saturate_shard` clamps one
-  shard's admission bound so the next submit raises
-  :class:`ClusterBackpressure` (:meth:`ServingCluster.restore_shards`
-  lifts the clamp), :meth:`ServingCluster.flip_mode` tears every live
-  shard down and rebuilds it in the opposite worker mode without losing a
-  queued request, and :meth:`ServingCluster.evict_frame_caches` drops the
-  workers' pixel caches — whole-frame cache *and* video-stream delta
-  state, through the one shared invalidation path
-  (:meth:`repro.api.Session.evict_pixel_caches`).  A pluggable ``fault_hook`` callable is
-  invoked at documented points inside :meth:`ServingCluster.run`
-  (``"run:start"``, ``"run:round"``) so tests and chaos controllers can
-  inject failures deterministically *while requests are in flight*.
+* **Fault injection** — :meth:`ServingCluster.kill_worker` kills a live
+  worker (the OS process in process mode — death is *discovered* at the
+  next dispatch, exactly like a real crash — or an immediate mark-dead
+  inline); the soak harness (:mod:`repro.soak`) fires it on a
+  ``kill-worker@F`` schedule.  :meth:`ServingCluster.evict_frame_caches`
+  drops the workers' pixel caches — whole-frame cache *and* video-stream
+  delta state, through the one shared invalidation path
+  (:meth:`repro.api.Session.evict_pixel_caches`).  A pluggable
+  ``fault_hook`` callable is invoked at documented points inside
+  :meth:`ServingCluster.run` (``"run:start"``, ``"run:round"``) so tests
+  can inject failures deterministically *while requests are in flight*.
 
 Outputs are bit-identical to a single-process
 :class:`~repro.runtime.engine.ServingEngine` on the same backend — every
@@ -631,8 +626,6 @@ class ServingCluster:
         self._workload_shard: Dict[str, int] = {}
         self._served_requests: Dict[int, int] = {}
         self._served_frames: Dict[int, int] = {}
-        self._saturated: Set[int] = set()
-        self._start_timeout_s = start_timeout_s
         warm = tuple(warm_plans)
         for plan in warm:
             if plan.backend != self.backend_name:
@@ -640,7 +633,6 @@ class ServingCluster:
                     f"warm plan {plan.workload!r} targets backend "
                     f"{plan.backend!r}, cluster runs {self.backend_name!r}"
                 )
-        self._warm = warm
         self.mode = "inline"
         self._shards: List[Any] = []
         if mode in ("auto", "process"):
@@ -779,7 +771,7 @@ class ServingCluster:
             self.fault_hook(self, point)
 
     def live_shard_indices(self) -> Tuple[int, ...]:
-        """Indices of the shards still alive (chaos controllers pick victims)."""
+        """Indices of the shards still alive."""
         return tuple(shard.index for shard in self._shards if shard.alive)
 
     def kill_worker(self, shard_index: Optional[int] = None) -> int:
@@ -814,129 +806,6 @@ class ServingCluster:
         else:
             self._mark_dead(victim)
         return victim.index
-
-    def saturate_shard(self, shard_index: Optional[int] = None) -> int:
-        """Chaos primitive: clamp one live shard's admission bound to its
-        current depth (at least 1), so its next :meth:`submit` raises
-        :class:`ClusterBackpressure`.  Returns the saturated shard's index;
-        :meth:`restore_shards` lifts every clamp.
-        """
-        self._check_open()
-        live = self._live_shards()
-        if shard_index is None:
-            victim = live[0]
-        else:
-            matches = [shard for shard in live if shard.index == shard_index]
-            if not matches:
-                raise ValueError(f"shard {shard_index} is not alive")
-            victim = matches[0]
-        victim.queue.set_bound(max(1, len(victim.queue)))
-        self._saturated.add(victim.index)
-        return victim.index
-
-    def restore_shards(self) -> Tuple[int, ...]:
-        """Lift every :meth:`saturate_shard` clamp; returns restored indices."""
-        self._check_open()
-        restored = []
-        for shard in self._shards:
-            if shard.index in self._saturated and shard.alive:
-                shard.queue.set_bound(self.max_pending)
-                restored.append(shard.index)
-        self._saturated.clear()
-        return tuple(restored)
-
-    def flip_mode(self) -> str:
-        """Chaos primitive: rebuild every live shard in the opposite worker
-        mode (``process`` ↔ ``inline``) without losing a queued request.
-
-        Queued requests are held aside, the live shards are torn down and
-        rebuilt under the target mode at the *same indices* (routing tables
-        stay valid), and the held requests are resubmitted to their sticky
-        owners.  If the target mode cannot start (sandboxes that forbid
-        processes), the cluster stays in its current mode — the flip is a
-        no-op, not a failure.  Returns the mode the cluster ends up in.
-        """
-        self._check_open()
-        live = self._live_shards()
-        target = "inline" if self.mode == "process" else "process"
-        held: List[Tuple[str, str, int, float, float, int]] = []
-        for shard in live:
-            held.extend(
-                (r.stream_id, r.workload, r.frames, r.arrival_s, r.deadline_s, r.priority)
-                for r in shard.queue.drain()
-            )
-        replacements: Dict[int, Any] = {}
-        try:
-            if target == "process":
-                import multiprocessing
-
-                methods = multiprocessing.get_all_start_methods()
-                context = multiprocessing.get_context(
-                    "fork" if "fork" in methods else "spawn"
-                )
-                for shard in live:
-                    replacements[shard.index] = _ProcessShard(
-                        shard.index,
-                        context,
-                        self._handle,
-                        self.instances_per_worker,
-                        self.max_batch_frames,
-                        self._warm,
-                        self.max_pending,
-                        self.policy,
-                    )
-                for replacement in replacements.values():
-                    replacement.wait_ready(self._start_timeout_s)
-            else:
-                for shard in live:
-                    replacements[shard.index] = _InlineShard(
-                        shard.index,
-                        self._handle,
-                        self.instances_per_worker,
-                        self.max_batch_frames,
-                        self._warm,
-                        self.max_pending,
-                        self.policy,
-                    )
-        except (_ShardFailure, OSError, ValueError, ImportError):
-            for replacement in replacements.values():
-                replacement.close()
-            replacements = {}
-            target = self.mode  # flip unavailable: stay put
-        if replacements:
-            for shard in live:
-                shard.close()
-            self._shards = [
-                replacements.get(shard.index, shard) for shard in self._shards
-            ]
-            self.mode = target
-            self._saturated.clear()  # fresh queues carry the default bound
-        for stream_id, workload_name, frames, arrival_s, deadline_s, priority in held:
-            # Sticky owners survived the flip (same indices are alive) and
-            # rebuilt queues carry the default bound; if the flip was a
-            # no-op a saturated clamp may still be in force — widen it
-            # rather than lose a request that was already admitted.
-            shard = self._route_stream(stream_id)
-            try:
-                shard.queue.submit(
-                    stream_id,
-                    workload_name,
-                    frames=frames,
-                    arrival_s=arrival_s,
-                    deadline_s=deadline_s,
-                    priority=priority,
-                )
-            except QueueFull:
-                shard.queue.set_bound(len(shard.queue) + 1)
-                shard.queue.submit(
-                    stream_id,
-                    workload_name,
-                    frames=frames,
-                    arrival_s=arrival_s,
-                    deadline_s=deadline_s,
-                    priority=priority,
-                )
-        return self.mode
 
     def evict_frame_caches(self) -> int:
         """Chaos primitive: drop every live worker's pixel caches.

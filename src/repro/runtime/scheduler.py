@@ -118,18 +118,6 @@ class RequestQueue:
     def __len__(self) -> int:
         return len(self._pending)
 
-    def set_bound(self, max_pending: Optional[int]) -> None:
-        """Re-bound the queue in place (``None`` lifts the bound).
-
-        Already-admitted requests are never evicted: a bound below the
-        current depth only refuses *new* admissions until the queue drains
-        under it.  The cluster's ``saturate_shard`` chaos primitive uses
-        this to force backpressure on a live shard.
-        """
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be positive (or None for unbounded)")
-        self.max_pending = max_pending
-
     def submit(
         self,
         stream_id: str,

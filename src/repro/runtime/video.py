@@ -37,10 +37,10 @@ Streams are shard-local state: the cluster's sticky stream routing keeps a
 stream id on one shard, so its previous frame and block cache live next to
 the inference that feeds them.  :meth:`VideoStream.invalidate` drops both
 the block cache and the predecessor frame — it is wired into
-``Session.evict_pixel_caches`` so the ``evict-frame-cache`` chaos event
-clears the whole-frame cache and every delta cache through one path (a
-stream that survives an eviction recomputes its next frame in full instead
-of trusting possibly-stale blocks).
+``Session.evict_pixel_caches`` so the cluster's ``evict_frame_caches``
+primitive clears the whole-frame cache and every delta cache through one
+path (a stream that survives an eviction recomputes its next frame in full
+instead of trusting possibly-stale blocks).
 """
 
 from __future__ import annotations

@@ -1,83 +1,45 @@
-"""Soak & chaos tier: prove the serving cluster survives scale.
+"""Soak tier: prove the serving cluster survives scale and worker death.
 
-The paper's processor sustains real-time video on one workload; the
-ROADMAP's north star is serving heavy traffic from millions of users.
-This package is the evidence layer between the two: it replays
-distribution-realistic traffic at scales where the trace cannot be
-materialized, injects faults mid-run through the cluster's fault-injection
-surface, and proves — per run, not per assertion — that no request is lost
-or double-served and that surviving shards' pixels stay bit-identical to
-the single-process engine.
+Replays a seeded streaming trace at scales where it cannot be
+materialized, kills workers mid-run (``kill-worker@50%``), and proves per
+run that no request is lost or double-served and that surviving shards'
+pixels stay bit-identical to the single-process engine.
 
 Modules
 -------
-* :mod:`repro.soak.tracegen` — streaming (lazy, seeded, O(1)-memory)
-  Poisson / bursty / diurnal trace generators over a configurable user
-  population;
-* :mod:`repro.soak.chaos` — the chaos taxonomy (``kill-worker``,
-  ``saturate-shard``, ``flip-mode``, ``evict-frame-cache``), spec parsing
-  (``kill-worker@50%``) and the :class:`~repro.soak.chaos.ChaosController`
-  that fires a schedule as admissions progress;
+* :mod:`repro.soak.tracegen` — one lazy, seeded, O(1)-memory
+  compound-Poisson trace generator over a configurable user population;
 * :mod:`repro.soak.harness` — :func:`~repro.soak.harness.run_soak`:
-  windowed replay with exactly-once ledger accounting, post-chaos parity
-  probes, and the :class:`~repro.soak.harness.SoakReport` capacity
-  artifact (JSON schema ``repro-soak/1``);
+  windowed replay with exactly-once ledger accounting, backpressure
+  retries, the kill schedule, post-kill parity probes and the
+  :class:`~repro.soak.harness.SoakReport`;
 * :mod:`repro.soak.cli` — ``repro-soak`` / ``python -m repro.soak``.
 
-See ``docs/serving.md`` ("Soak & chaos") for the hook API, the event
-taxonomy and the report schema.
+See ``docs/serving.md`` ("Soak & chaos").
 """
 
-from repro.soak.chaos import (
-    CHAOS_KINDS,
-    AppliedChaos,
-    ChaosController,
+from repro.soak.harness import (
     ChaosEvent,
     ChaosSpecError,
-    random_schedule,
-)
-from repro.soak.harness import (
-    SCHEMA,
     SoakConfig,
     SoakError,
     SoakIntegrityError,
     SoakParityError,
     SoakReport,
-    SoakSchemaError,
     run_soak,
-    validate_report,
 )
-from repro.soak.tracegen import (
-    ARRIVALS,
-    DEFAULT_WORKLOAD_MIX,
-    arrival_trace,
-    bursty_trace,
-    diurnal_trace,
-    poisson_trace,
-    video_stream_trace,
-)
+from repro.soak.tracegen import ARRIVALS, DEFAULT_WORKLOAD_MIX, arrival_trace
 
 __all__ = [
     "ARRIVALS",
-    "AppliedChaos",
-    "CHAOS_KINDS",
-    "ChaosController",
     "ChaosEvent",
     "ChaosSpecError",
     "DEFAULT_WORKLOAD_MIX",
-    "SCHEMA",
     "SoakConfig",
     "SoakError",
     "SoakIntegrityError",
     "SoakParityError",
     "SoakReport",
-    "SoakSchemaError",
     "arrival_trace",
-    "bursty_trace",
-    "diurnal_trace",
-    "poisson_trace",
-    "random_schedule",
     "run_soak",
-    "validate_report",
-    "video_stream_trace",
 ]

@@ -1,4 +1,4 @@
-"""``repro-soak``: the soak & chaos harness from the command line.
+"""``repro-soak``: the soak harness from the command line.
 
 Examples
 --------
@@ -12,7 +12,7 @@ The acceptance-scale run::
     repro-soak --requests 100000 --workers 2 --chaos kill-worker@50%
 
 Exit status is 0 on a clean run and 1 on any soak failure (lost or
-duplicated requests, post-chaos parity divergence, bad chaos spec).
+duplicated requests, post-kill parity divergence, bad chaos spec).
 """
 
 from __future__ import annotations
@@ -20,16 +20,21 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from repro.soak.chaos import ChaosEvent, ChaosSpecError
-from repro.soak.harness import SoakConfig, SoakError, run_soak
+from repro.soak.harness import (
+    ChaosEvent,
+    ChaosSpecError,
+    SoakConfig,
+    SoakError,
+    run_soak,
+)
 from repro.soak.tracegen import ARRIVALS
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-soak",
-        description="Replay streaming traffic through the serving cluster, "
-        "inject chaos, verify exactly-once + pixel parity, report capacity.",
+        description="Replay seeded traffic through the serving cluster, kill "
+        "workers mid-run, verify exactly-once serving and pixel parity.",
     )
     parser.add_argument("--requests", type=int, default=10_000, help="requests to replay")
     parser.add_argument("--workers", type=int, default=2, help="cluster worker count")
@@ -37,18 +42,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--arrival",
         choices=sorted(ARRIVALS),
         default="poisson",
-        help="arrival process (default poisson)",
+        help="arrival process (default poisson; bursty releases bursts of "
+        f"{ARRIVALS['bursty']})",
     )
-    parser.add_argument("--rate", type=float, default=200.0, help="mean requests per second")
     parser.add_argument("--users", type=int, default=1_000, help="user-population size")
-    parser.add_argument("--seed", type=int, default=0, help="trace + chaos seed")
+    parser.add_argument("--seed", type=int, default=0, help="trace + probe seed")
     parser.add_argument("--window", type=int, default=2_048, help="admissions per drain window")
     parser.add_argument(
         "--chaos",
         action="append",
         default=[],
-        metavar="KIND@FRACTION",
-        help="chaos event spec, repeatable (e.g. kill-worker@50%%)",
+        metavar="kill-worker@FRACTION",
+        help="kill a worker at this fraction of the trace, repeatable "
+        "(e.g. kill-worker@50%%)",
     )
     parser.add_argument(
         "--cluster-mode",
@@ -56,18 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="worker mode (default auto: processes with inline fallback)",
     )
-    parser.add_argument("--backend", default="ecnn", help="accelerator backend (default ecnn)")
     parser.add_argument(
         "--gateway",
         action="store_true",
         help="serve through the SLO gateway: EDF scheduling, per-class "
         "deadlines, admission control with graceful degradation",
-    )
-    parser.add_argument(
-        "--submit-retries",
-        type=int,
-        default=4,
-        help="bounded-backoff retries per backpressured submit (default 4)",
     )
     parser.add_argument("--output", default=None, help="write the SoakReport JSON here")
     return parser
@@ -84,15 +83,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         requests=args.requests,
         workers=args.workers,
         arrival=args.arrival,
-        rate_rps=args.rate,
         users=args.users,
         seed=args.seed,
         window=args.window,
-        backend=args.backend,
         cluster_mode=args.cluster_mode,
         chaos=schedule,
         gateway=args.gateway,
-        submit_retries=args.submit_retries,
     )
     try:
         report = run_soak(config)

@@ -1,42 +1,30 @@
-"""Streaming trace generators: millions of requests, O(1) memory.
+"""The soak trace generator: millions of requests, O(1) memory.
 
 The built-in traces in :mod:`repro.runtime.trace` are small hand-written
-lists; soak testing needs distribution-realistic traffic at a scale where
-materializing the trace is not an option.  Each generator here is a *lazy
-iterator* of :class:`~repro.runtime.trace.TraceEvent` — seeded, chunked
-(the RNG is drawn in blocks of a few thousand for speed, never in
-proportion to the total request count) and deterministic: the same
-``(kind, rate, users, seed)`` always yields the same event stream.
+lists; soak testing needs seeded traffic at a scale where materializing the
+trace is not an option.  :func:`arrival_trace` is a *lazy iterator* of
+:class:`~repro.runtime.trace.TraceEvent` — seeded, chunked (the RNG is drawn
+in blocks of a few thousand for speed, never in proportion to the total
+request count) and deterministic: the same arguments always yield the same
+event stream.
 
-Arrival processes
------------------
-* ``poisson`` — homogeneous Poisson arrivals at ``rate_rps`` (i.i.d.
-  exponential gaps), the memoryless baseline;
-* ``bursty`` — a compound Poisson process: burst *epochs* arrive at
-  ``rate_rps / burst_size`` and each epoch releases ``burst_size``
-  requests spread uniformly over ``burst_spread_s``, so the long-run rate
-  still equals ``rate_rps`` but arrivals clump (flash crowds, GOP
-  boundaries);
-* ``diurnal`` — an inhomogeneous Poisson process with intensity
-  ``rate_rps * (1 + depth * sin(2*pi*t / period_s))`` realized by
-  thinning, modelling the day/night swing of an edge deployment; the
-  time-averaged rate equals ``rate_rps`` exactly.
-* ``video_stream`` — a fixed pool of cameras emitting one frame per visit
-  round-robin, with seeded geometric scene lengths and a workload redraw
-  at each scene cut: the sticky-stream traffic the delta-reuse video tier
-  (:mod:`repro.runtime.video`) is built for.
+The arrival process is compound Poisson: burst *epochs* arrive at
+``rate_rps / burst_size``; each epoch releases its first request at the
+epoch and the other ``burst_size - 1`` spread uniformly over the next
+:data:`BURST_SPREAD_S`, so the long-run rate equals ``rate_rps`` while
+arrivals clump (flash crowds, GOP boundaries).  ``burst_size=1`` is the
+homogeneous Poisson process.  :data:`ARRIVALS` names the two burst sizes the
+soak CLI offers as ``--arrival``.
 
-Every generator draws the requesting user uniformly from a ``users``-sized
-population (stream ids ``u0000000`` …), the workload from a weighted mix
-of the serving catalogue, and the frame count uniformly from
-``frames_range``.  Event times are strictly increasing, so replay order is
-unambiguous.
+Every event draws the requesting user uniformly from a ``users``-sized
+population (stream ids ``u0000000`` …), the workload from a weighted mix of
+the serving catalogue, and the frame count uniformly from ``frames_range``.
+Event times are strictly increasing, so replay order is unambiguous.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -51,22 +39,41 @@ DEFAULT_WORKLOAD_MIX: Tuple[Tuple[str, float], ...] = (
     ("recognition", 0.10),
 )
 
+#: Mean offered load of a soak run, requests per second.
+RATE_RPS = 200.0
+
+#: Window over which a burst's trailing requests follow its epoch.
+BURST_SPREAD_S = 0.05
+
+#: Burst size per ``--arrival`` name of the soak CLI.
+ARRIVALS: Dict[str, int] = {"poisson": 1, "bursty": 16}
+
 #: Internal RNG block size: draws are vectorized in chunks this big, so
 #: generator memory is O(chunk), independent of how many events are taken.
 _CHUNK = 4096
 
 #: Minimum gap enforced between consecutive events (keeps times strictly
-#: increasing even when a burst lands several requests on one instant).
+#: increasing even when overlapping bursts interleave).
 _MIN_GAP_S = 1e-9
 
 
-def _make_payload_draw(
-    rng: np.random.Generator,
+def arrival_trace(
+    *,
     users: int,
-    workload_mix: Sequence[Tuple[str, float]],
-    frames_range: Tuple[int, int],
-) -> Callable[[], Tuple[str, str, int]]:
-    """A chunked sampler for the (stream, workload, frames) payload."""
+    seed: int,
+    burst_size: int = 1,
+    rate_rps: float = RATE_RPS,
+    workload_mix: Sequence[Tuple[str, float]] = DEFAULT_WORKLOAD_MIX,
+    frames_range: Tuple[int, int] = (1, 4),
+) -> Iterator[TraceEvent]:
+    """Compound Poisson arrivals at a long-run ``rate_rps`` requests per second.
+
+    Arguments are validated when the first event is drawn.
+    """
+    if rate_rps <= 0:
+        raise ValueError("rate_rps must be positive")
+    if burst_size < 1:
+        raise ValueError("burst_size must be positive")
     if users < 1:
         raise ValueError("users must be positive")
     low, high = frames_range
@@ -78,223 +85,33 @@ def _make_payload_draw(
         raise ValueError("workload_mix needs positive total weight")
     weights = weights / weights.sum()
     width = len(str(max(users - 1, 1)))
-    buffers: Dict[str, np.ndarray] = {}
-    cursor = [_CHUNK]  # force an initial fill
-
-    def draw() -> Tuple[str, str, int]:
-        if cursor[0] >= _CHUNK:
-            buffers["user"] = rng.integers(0, users, size=_CHUNK)
-            buffers["workload"] = rng.choice(len(names), size=_CHUNK, p=weights)
-            buffers["frames"] = rng.integers(low, high + 1, size=_CHUNK)
-            cursor[0] = 0
-        i = cursor[0]
-        cursor[0] += 1
-        return (
-            f"u{buffers['user'][i]:0{width}d}",
-            names[buffers["workload"][i]],
-            int(buffers["frames"][i]),
-        )
-
-    return draw
-
-
-def _emit(
-    times: Iterator[float],
-    draw: Callable[[], Tuple[str, str, int]],
-) -> Iterator[TraceEvent]:
-    """Turn an absolute-timestamp stream into strictly-increasing events.
-
-    Overlapping arrivals (bursts landing inside the next burst's window)
-    are nudged forward by :data:`_MIN_GAP_S`, preserving order without
-    shifting the long-run rate.
-    """
-    t = 0.0
-    for when in times:
-        t = max(when, t + _MIN_GAP_S)
-        stream_id, workload, frames = draw()
-        yield TraceEvent(time_s=t, stream_id=stream_id, workload=workload, frames=frames)
-
-
-def poisson_trace(
-    *,
-    rate_rps: float,
-    users: int,
-    seed: int,
-    workload_mix: Sequence[Tuple[str, float]] = DEFAULT_WORKLOAD_MIX,
-    frames_range: Tuple[int, int] = (1, 4),
-) -> Iterator[TraceEvent]:
-    """Homogeneous Poisson arrivals at ``rate_rps`` requests per second."""
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
     rng = np.random.default_rng(seed)
-    draw = _make_payload_draw(rng, users, workload_mix, frames_range)
-
-    def times() -> Iterator[float]:
-        t = 0.0
-        while True:
-            for gap in rng.exponential(1.0 / rate_rps, size=_CHUNK):
-                t += float(gap)
-                yield t
-
-    return _emit(times(), draw)
-
-
-def bursty_trace(
-    *,
-    rate_rps: float,
-    users: int,
-    seed: int,
-    burst_size: int = 16,
-    burst_spread_s: float = 0.05,
-    workload_mix: Sequence[Tuple[str, float]] = DEFAULT_WORKLOAD_MIX,
-    frames_range: Tuple[int, int] = (1, 4),
-) -> Iterator[TraceEvent]:
-    """Compound Poisson bursts; long-run rate still equals ``rate_rps``."""
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
-    if burst_size < 1:
-        raise ValueError("burst_size must be positive")
-    if burst_spread_s < 0:
-        raise ValueError("burst_spread_s cannot be negative")
-    rng = np.random.default_rng(seed)
-    draw = _make_payload_draw(rng, users, workload_mix, frames_range)
     epoch_rate = rate_rps / burst_size
-
-    def times() -> Iterator[float]:
-        epoch = 0.0
-        while True:
-            epoch_gaps = rng.exponential(1.0 / epoch_rate, size=_CHUNK)
-            offsets = rng.uniform(0.0, burst_spread_s, size=(_CHUNK, burst_size))
-            offsets.sort(axis=1)
-            for e in range(_CHUNK):
-                # Bursts anchor to their *epoch*, not to the previous
-                # burst's tail, so the epoch process alone sets the
-                # long-run rate even when bursts overlap.
-                epoch += float(epoch_gaps[e])
-                for j in range(burst_size):
-                    yield epoch + float(offsets[e, j])
-
-    return _emit(times(), draw)
-
-
-def diurnal_trace(
-    *,
-    rate_rps: float,
-    users: int,
-    seed: int,
-    period_s: float = 60.0,
-    depth: float = 0.8,
-    workload_mix: Sequence[Tuple[str, float]] = DEFAULT_WORKLOAD_MIX,
-    frames_range: Tuple[int, int] = (1, 4),
-) -> Iterator[TraceEvent]:
-    """Sinusoidally-modulated Poisson arrivals (thinning construction).
-
-    Intensity ``rate_rps * (1 + depth * sin(2*pi*t / period_s))``; since
-    the sine averages to zero over a period, the empirical rate converges
-    to ``rate_rps``.
-    """
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
-    if not 0.0 <= depth < 1.0:
-        raise ValueError("depth must be in [0, 1)")
-    if period_s <= 0:
-        raise ValueError("period_s must be positive")
-    rng = np.random.default_rng(seed)
-    draw = _make_payload_draw(rng, users, workload_mix, frames_range)
-    lam_max = rate_rps * (1.0 + depth)
-
-    def times() -> Iterator[float]:
-        t = 0.0
-        while True:
-            candidate_gaps = rng.exponential(1.0 / lam_max, size=_CHUNK)
-            accepts = rng.uniform(0.0, 1.0, size=_CHUNK)
-            for gap, accept in zip(candidate_gaps, accepts):
-                t += float(gap)
-                lam_t = rate_rps * (1.0 + depth * math.sin(2.0 * math.pi * t / period_s))
-                if accept * lam_max <= lam_t:
-                    yield t
-
-    return _emit(times(), draw)
-
-
-def video_stream_trace(
-    *,
-    rate_rps: float,
-    users: int,
-    seed: int,
-    cut_probability: float = 0.02,
-    workload_mix: Sequence[Tuple[str, float]] = DEFAULT_WORKLOAD_MIX,
-    max_active_streams: int = 64,
-) -> Iterator[TraceEvent]:
-    """Fixed-camera video feeds: sticky streams with seeded scene cuts.
-
-    Models the delta-reuse serving scenario: a bounded pool of cameras
-    (``min(users, max_active_streams)`` streams named ``cam000`` …) each
-    emits one frame per visit, round-robin at an aggregate ``rate_rps``.
-    Every camera plays *scenes* — runs of consecutive frames on one
-    workload whose lengths are geometric with parameter
-    ``cut_probability`` — and draws a fresh workload from ``workload_mix``
-    at each scene cut, mirroring how a real feed invalidates its block
-    cache on a cut.  State is one small record per camera, so memory is
-    O(pool), independent of how many events are taken.
-    """
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
-    if users < 1:
-        raise ValueError("users must be positive")
-    if max_active_streams < 1:
-        raise ValueError("max_active_streams must be positive")
-    if not 0.0 < cut_probability <= 1.0:
-        raise ValueError("cut_probability must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    names = [name for name, _ in workload_mix]
-    weights = np.array([weight for _, weight in workload_mix], dtype=float)
-    if len(names) == 0 or np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("workload_mix needs positive total weight")
-    weights = weights / weights.sum()
-    pool = min(users, max_active_streams)
-    gap = 1.0 / rate_rps
-
-    def events() -> Iterator[TraceEvent]:
-        # Per-camera scene state: frames left in the current scene and the
-        # scene's workload.  Scene lengths are geometric draws, refreshed
-        # lazily — O(pool) memory forever.
-        remaining = [0] * pool
-        scene_workload = [""] * pool
-        t = 0.0
-        camera = 0
-        while True:
-            if remaining[camera] <= 0:
-                remaining[camera] = int(rng.geometric(cut_probability))
-                scene_workload[camera] = names[int(rng.choice(len(names), p=weights))]
-            remaining[camera] -= 1
-            t += gap
-            yield TraceEvent(
-                time_s=t,
-                stream_id=f"cam{camera:03d}",
-                workload=scene_workload[camera],
-                frames=1,
-            )
-            camera = (camera + 1) % pool
-
-    return events()
-
-
-#: Arrival-process registry — the ``--arrival`` choices of the soak CLI.
-ARRIVALS: Dict[str, Callable[..., Iterator[TraceEvent]]] = {
-    "poisson": poisson_trace,
-    "bursty": bursty_trace,
-    "diurnal": diurnal_trace,
-    "video_stream": video_stream_trace,
-}
-
-
-def arrival_trace(kind: str, **kwargs: object) -> Iterator[TraceEvent]:
-    """Build a named streaming trace (see :data:`ARRIVALS`)."""
-    try:
-        factory = ARRIVALS[kind]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown arrival process {kind!r}; expected one of {sorted(ARRIVALS)}"
-        ) from exc
-    return factory(**kwargs)
+    epoch = 0.0
+    t = 0.0
+    payload = _CHUNK  # force an initial payload fill
+    while True:
+        epoch_gaps = rng.exponential(1.0 / epoch_rate, size=_CHUNK)
+        offsets = rng.uniform(0.0, BURST_SPREAD_S, size=(_CHUNK, burst_size - 1))
+        offsets.sort(axis=1)
+        for e in range(_CHUNK):
+            # Bursts anchor to their *epoch*, not to the previous burst's
+            # tail, so the epoch process alone sets the long-run rate even
+            # when bursts overlap; overlapping arrivals are nudged forward
+            # by _MIN_GAP_S, preserving order without shifting that rate.
+            epoch += float(epoch_gaps[e])
+            for j in range(burst_size):
+                when = epoch + (float(offsets[e, j - 1]) if j else 0.0)
+                t = max(when, t + _MIN_GAP_S)
+                if payload == _CHUNK:
+                    user = rng.integers(0, users, size=_CHUNK)
+                    workload = rng.choice(len(names), size=_CHUNK, p=weights)
+                    frames = rng.integers(low, high + 1, size=_CHUNK)
+                    payload = 0
+                yield TraceEvent(
+                    time_s=t,
+                    stream_id=f"u{user[payload]:0{width}d}",
+                    workload=names[workload[payload]],
+                    frames=int(frames[payload]),
+                )
+                payload += 1

@@ -95,25 +95,6 @@ class TestBoundedQueue:
         with pytest.raises(ValueError):
             RequestQueue(max_pending=0)
 
-    def test_set_bound_rebinds_in_place(self):
-        queue = RequestQueue(max_pending=2)
-        queue.submit("s", "w")
-        queue.submit("s", "w")
-        with pytest.raises(QueueFull):
-            queue.submit("s", "w")
-        queue.set_bound(3)
-        queue.submit("s", "w")
-        # Clamping below the current depth evicts nothing — it only
-        # refuses new admissions (the saturate_shard contract).
-        queue.set_bound(1)
-        assert len(queue) == 3
-        with pytest.raises(QueueFull):
-            queue.submit("s", "w")
-        queue.set_bound(None)
-        queue.submit("s", "w")
-        with pytest.raises(ValueError):
-            queue.set_bound(0)
-
 
 # ------------------------------------------------------------- inline cluster
 @pytest.fixture(scope="module")
@@ -361,7 +342,7 @@ class TestClusterProcesses:
 
 # -------------------------------------------------------------- chaos surface
 class TestFaultInjection:
-    """The cluster's fault-injection primitives (the repro.soak surface)."""
+    """The cluster's fault-injection primitives."""
 
     def test_kill_worker_refuses_the_last_live_shard(self):
         with ServingCluster(workers=1, backend="ecnn", mode="inline") as cluster:
@@ -378,19 +359,6 @@ class TestFaultInjection:
             cluster.submit("after-kill", "denoise", frames=2)
             report = cluster.run()
             assert report.total_frames == 2
-
-    def test_saturate_and_restore(self):
-        with ServingCluster(
-            workers=2, backend="ecnn", mode="inline", max_pending=8
-        ) as cluster:
-            owner = cluster.submit("sat0", "denoise")
-            saturated = cluster.saturate_shard(owner)
-            assert saturated == owner
-            with pytest.raises(ClusterBackpressure):
-                cluster.submit("sat0", "denoise")
-            assert cluster.restore_shards() == (owner,)
-            cluster.submit("sat0", "denoise")  # admission resumed
-            assert cluster.run().total_frames == 2
 
     def test_evict_frame_caches_drops_worker_pixel_caches(self):
         image = synthetic_image(24, 24, seed=3)
@@ -430,18 +398,6 @@ class TestFaultInjection:
             # And the recomputed frame is still bit-identical — eviction
             # costs work, never pixels.
             assert np.array_equal(after.output.data, reference)
-
-    def test_flip_mode_preserves_queued_requests(self):
-        with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
-            for index in range(4):
-                cluster.submit(f"flip{index}", "denoise", frames=2)
-            flipped = cluster.flip_mode()
-            # Sandboxes that forbid processes keep the flip a no-op; either
-            # way every queued request must survive the transition.
-            assert flipped in ("process", "inline")
-            assert flipped == cluster.mode
-            assert sum(cluster.queue_depths().values()) == 4
-            assert cluster.run().total_frames == 8
 
     def test_fault_hook_fires_at_documented_points(self):
         points = []

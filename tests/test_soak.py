@@ -1,16 +1,18 @@
-"""The soak & chaos tier: generators, schedules, exactly-once, determinism.
+"""The soak tier: trace generator, kill schedules, exactly-once, determinism.
 
 Property-style coverage of :mod:`repro.soak`:
 
-* trace-generator statistics — empirical arrival rates of the Poisson /
-  bursty / diurnal processes within tolerance at n=100k, strictly
-  increasing timestamps, O(1) memory (no materialized trace);
-* chaos specs and seeded random schedules;
-* soak properties under seeded random kill/saturate/flip/evict schedules —
-  no request lost or double-served (exactly-once ledger), requeue counters
-  reconcile with the kill victims' queue depths, and the whole report is
-  byte-deterministic for a fixed seed;
-* SoakReport JSON round-trip + schema validation, and the CLI.
+* trace-generator statistics — empirical arrival rates of the Poisson and
+  bursty configurations within tolerance at n=100k, strictly increasing
+  timestamps, O(1) memory (no materialized trace);
+* ``kill-worker@F`` spec parsing;
+* soak properties under seeded random kill schedules — no request lost or
+  double-served (exactly-once ledger), requeue counters reconcile with the
+  kill victims' queue depths, and the whole report is byte-deterministic
+  for a fixed seed;
+* backpressure: a window larger than the shard queues forces drain-and-
+  retry instead of shedding;
+* the SoakReport JSON document and the CLI.
 """
 
 from __future__ import annotations
@@ -18,62 +20,49 @@ from __future__ import annotations
 import itertools
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.soak import (
-    CHAOS_KINDS,
+    ARRIVALS,
     ChaosEvent,
     ChaosSpecError,
-    SCHEMA,
     SoakConfig,
     SoakReport,
-    bursty_trace,
-    diurnal_trace,
-    poisson_trace,
-    random_schedule,
+    arrival_trace,
     run_soak,
-    validate_report,
 )
 from repro.soak.cli import main as soak_main
-from repro.soak.harness import SoakSchemaError
 
 RATE = 500.0
 
 
-def _generators():
-    """Each arrival process with kwargs that make its mean rate measurable."""
-    return (
-        ("poisson", poisson_trace, {}),
-        ("bursty", bursty_trace, {}),
-        # A short period so n=100k spans many whole diurnal cycles (the
-        # sinusoid only averages out over complete periods).
-        ("diurnal", diurnal_trace, {"period_s": 5.0}),
-    )
-
-
-# ------------------------------------------------------------ trace generators
+# ------------------------------------------------------------- trace generator
 class TestTraceGenerators:
-    @pytest.mark.parametrize("name,factory,kwargs", _generators())
-    def test_empirical_rate_within_tolerance_at_100k(self, name, factory, kwargs):
+    @pytest.mark.parametrize("arrival", sorted(ARRIVALS))
+    def test_empirical_rate_within_tolerance_at_100k(self, arrival):
         count = 100_000
         last = -1.0
         for event in itertools.islice(
-            factory(rate_rps=RATE, users=1_000, seed=2, **kwargs), count
+            arrival_trace(
+                rate_rps=RATE, users=1_000, seed=2, burst_size=ARRIVALS[arrival]
+            ),
+            count,
         ):
-            assert event.time_s > last, f"{name}: timestamps must strictly increase"
+            assert event.time_s > last, f"{arrival}: timestamps must strictly increase"
             last = event.time_s
         empirical = count / last
         assert empirical == pytest.approx(RATE, rel=0.05), (
-            f"{name}: configured {RATE} rps, measured {empirical:.1f}"
+            f"{arrival}: configured {RATE} rps, measured {empirical:.1f}"
         )
 
     def test_streaming_memory_stays_o1(self):
         # 150k events consumed one at a time must not allocate anywhere
-        # near a materialized trace (~tens of MB); the generators draw in
+        # near a materialized trace (~tens of MB); the generator draws in
         # fixed 4096-element chunks.
-        generator = poisson_trace(rate_rps=RATE, users=10_000, seed=5)
+        generator = arrival_trace(rate_rps=RATE, users=10_000, seed=5)
         tracemalloc.start()
         for event in itertools.islice(generator, 150_000):
             pass
@@ -83,7 +72,7 @@ class TestTraceGenerators:
 
     def test_deterministic_and_seed_sensitive(self):
         take = lambda seed: list(
-            itertools.islice(poisson_trace(rate_rps=RATE, users=100, seed=seed), 2_000)
+            itertools.islice(arrival_trace(rate_rps=RATE, users=100, seed=seed), 2_000)
         )
         assert take(7) == take(7)
         assert take(7) != take(8)
@@ -92,10 +81,11 @@ class TestTraceGenerators:
         users = 17
         events = list(
             itertools.islice(
-                bursty_trace(
+                arrival_trace(
                     rate_rps=RATE,
                     users=users,
                     seed=3,
+                    burst_size=ARRIVALS["bursty"],
                     workload_mix=(("denoise", 0.5), ("recognition", 0.5)),
                     frames_range=(2, 3),
                 ),
@@ -108,58 +98,40 @@ class TestTraceGenerators:
         assert len(streams) <= users
         assert all(0 <= int(stream[1:]) < users for stream in streams)
 
-    def test_diurnal_intensity_actually_varies(self):
-        # Bucket arrivals by period phase: the peak half of the sine must
-        # see substantially more traffic than the trough half.
-        period = 4.0
-        counts = [0, 0]
-        for event in itertools.islice(
-            diurnal_trace(rate_rps=RATE, users=100, seed=9, period_s=period, depth=0.8),
-            50_000,
-        ):
-            counts[int((event.time_s % period) >= period / 2)] += 1
-        assert counts[0] > 1.5 * counts[1]
-
     def test_validation(self):
-        with pytest.raises(KeyError, match="unknown arrival"):
-            from repro.soak import arrival_trace
-
-            arrival_trace("bogus", rate_rps=1.0, users=1, seed=0)
+        with pytest.raises(ValueError, match="unknown arrival"):
+            SoakConfig(arrival="diurnal")
         with pytest.raises(ValueError):
-            next(poisson_trace(rate_rps=0.0, users=10, seed=0))
+            next(arrival_trace(rate_rps=0.0, users=10, seed=0))
         with pytest.raises(ValueError):
-            next(poisson_trace(rate_rps=1.0, users=0, seed=0))
+            next(arrival_trace(rate_rps=1.0, users=0, seed=0))
         with pytest.raises(ValueError):
-            next(poisson_trace(rate_rps=1.0, users=1, seed=0, frames_range=(3, 2)))
+            next(arrival_trace(rate_rps=1.0, users=1, seed=0, frames_range=(3, 2)))
         with pytest.raises(ValueError):
-            next(bursty_trace(rate_rps=1.0, users=1, seed=0, burst_size=0))
-        with pytest.raises(ValueError):
-            next(diurnal_trace(rate_rps=1.0, users=1, seed=0, depth=1.0))
+            next(arrival_trace(rate_rps=1.0, users=1, seed=0, burst_size=0))
 
 
 # ----------------------------------------------------------------- chaos specs
 class TestChaosSpecs:
     def test_parse_percent_and_fraction(self):
-        assert ChaosEvent.parse("kill-worker@50%") == ChaosEvent("kill-worker", 0.5)
-        assert ChaosEvent.parse("flip-mode@0.25") == ChaosEvent("flip-mode", 0.25)
-        assert ChaosEvent.parse("evict-frame-cache@100%").at_fraction == 1.0
-        assert ChaosEvent.parse("saturate-shard@30%").render() == "saturate-shard@30%"
+        assert ChaosEvent.parse("kill-worker@50%") == ChaosEvent(0.5)
+        assert ChaosEvent.parse("kill-worker@0.25") == ChaosEvent(0.25)
+        assert ChaosEvent.parse("kill-worker@100%").at_fraction == 1.0
+        assert ChaosEvent.parse("kill-worker@30%").render() == "kill-worker@30%"
 
     @pytest.mark.parametrize(
-        "spec", ["kill-worker", "kill-worker@x%", "reboot@50%", "kill-worker@150%"]
+        "spec",
+        [
+            "kill-worker",
+            "kill-worker@x%",
+            "reboot@50%",
+            "kill-worker@150%",
+            "flip-mode@50%",
+        ],
     )
     def test_bad_specs_raise(self, spec):
         with pytest.raises(ChaosSpecError):
             ChaosEvent.parse(spec)
-
-    def test_random_schedule_is_seeded_and_sorted(self):
-        first = random_schedule(4, events=5)
-        assert first == random_schedule(4, events=5)
-        assert first != random_schedule(5, events=5)
-        assert [event.at_fraction for event in first] == sorted(
-            event.at_fraction for event in first
-        )
-        assert all(event.kind in CHAOS_KINDS for event in first)
 
 
 # ------------------------------------------------------------- soak properties
@@ -177,19 +149,30 @@ def _inline_config(seed: int, chaos=(), **overrides) -> SoakConfig:
     return SoakConfig(**settings)
 
 
+def _backpressured_config() -> SoakConfig:
+    """A drain window (512) far larger than two shard queues (2 x 64)."""
+    return _inline_config(6, workers=2, max_pending=64, requests=800, window=512)
+
+
 class TestSoakProperties:
     @pytest.mark.parametrize("case_seed", range(4))
     def test_random_chaos_schedule_preserves_exactly_once(self, case_seed):
-        """Seeded random kill/saturate/flip/evict schedules: nothing lost,
-        nothing double-served, counters reconcile against admissions."""
-        schedule = random_schedule(case_seed, events=3)
-        report = run_soak(_inline_config(case_seed, chaos=schedule))
+        """Seeded random kill schedules: nothing lost, nothing double-served,
+        counters reconcile against admissions."""
+        rng = np.random.default_rng(case_seed)
+        fractions = rng.uniform(0.1, 0.9, size=int(rng.integers(1, 3)))
+        report = run_soak(
+            _inline_config(case_seed, chaos=[ChaosEvent(float(f)) for f in fractions])
+        )
         assert report.lost == 0
         assert report.duplicated == 0
         assert report.served == report.admitted
         assert report.admitted + report.shed == report.config["requests"]
-        assert report.live_workers_end >= 1
-        validate_report(report.to_json_dict())
+        assert [entry["applied"] for entry in report.chaos_applied] == [True] * len(
+            fractions
+        )
+        assert report.parity_checks == len(fractions)
+        assert report.live_workers_end == 3 - len(fractions)
 
     def test_kill_requeues_reconcile_with_victim_queue_depths(self):
         """Inline kill-only soak: the requeue counter equals the victims'
@@ -200,10 +183,7 @@ class TestSoakProperties:
             ChaosEvent.parse("kill-worker@70%"),
         )
         report = run_soak(_inline_config(21, chaos=schedule))
-        kills = [
-            entry for entry in report.chaos_applied
-            if entry["kind"] == "kill-worker" and entry["applied"]
-        ]
+        kills = [entry for entry in report.chaos_applied if entry["applied"]]
         assert len(kills) == 2
         displaced = sum(entry["displaced_hint"] for entry in kills)
         assert displaced <= report.requeued <= displaced + len(kills)
@@ -212,9 +192,8 @@ class TestSoakProperties:
         config = _inline_config(
             11,
             chaos=(
-                ChaosEvent.parse("saturate-shard@20%"),
                 ChaosEvent.parse("kill-worker@40%"),
-                ChaosEvent.parse("evict-frame-cache@60%"),
+                ChaosEvent.parse("kill-worker@60%"),
             ),
         )
         first = json.dumps(run_soak(config).deterministic_dict(), sort_keys=True)
@@ -234,36 +213,14 @@ class TestSoakProperties:
         assert report.live_workers_end == 1
 
     def test_saturation_forces_backpressure_then_recovers(self):
-        report = run_soak(
-            _inline_config(
-                6,
-                chaos=(ChaosEvent.parse("saturate-shard@40%"),),
-                workers=2,
-                max_pending=64,
-                requests=800,
-                window=512,
-            )
-        )
+        report = run_soak(_backpressured_config())
         assert report.backpressure_hits >= 1
+        assert report.retries >= 1
         assert report.shed == 0
         assert report.served == report.admitted == 800
 
-    def test_cache_curve_and_latency_are_populated(self):
-        report = run_soak(_inline_config(13, requests=600, window=128))
-        assert report.cache_curve, "curve must be sampled"
-        assert report.cache_curve[-1][0] == report.admitted
-        assert set(report.latency_s) == {"p50", "p95", "p99"}
-        assert (
-            0.0
-            < report.latency_s["p50"]
-            <= report.latency_s["p95"]
-            <= report.latency_s["p99"]
-        )
-        assert report.capacity_fps > 0.0
-        assert report.achieved_fps > 0.0
 
-
-# ------------------------------------------------------------- report + schema
+# ------------------------------------------------------------------- report
 class TestSoakReport:
     @pytest.fixture(scope="class")
     def report(self):
@@ -273,72 +230,48 @@ class TestSoakReport:
 
     def test_round_trips_through_json(self, report, tmp_path):
         path = report.save(tmp_path / "soak.json")
-        loaded = SoakReport.load(path)
-        assert loaded.deterministic_dict() == report.deterministic_dict()
-        assert loaded.schema == SCHEMA
+        loaded = SoakReport(**json.loads(path.read_text()))
+        assert loaded == report
 
     def test_render_mentions_the_headline_numbers(self, report):
         rendered = report.render()
         assert "exactly-once verified" in rendered
-        assert "kill-worker" in rendered
+        assert "kill-worker@50%" in rendered
         assert str(report.admitted) in rendered
 
-    def test_schema_rejects_bad_documents(self, report):
-        good = report.to_json_dict()
-        validate_report(good)
-        with pytest.raises(SoakSchemaError, match="schema mismatch"):
-            validate_report({**good, "schema": "repro-soak/99"})
-        missing = dict(good)
-        del missing["requeued"]
-        with pytest.raises(SoakSchemaError, match="missing field"):
-            validate_report(missing)
-        with pytest.raises(SoakSchemaError, match="type"):
-            validate_report({**good, "admitted": "many"})
-        with pytest.raises(SoakSchemaError, match="cache_curve"):
-            validate_report({**good, "cache_curve": [[1, 2]]})
-        with pytest.raises(SoakSchemaError, match="chaos_applied"):
-            validate_report({**good, "chaos_applied": [{"kind": "kill-worker"}]})
-        with pytest.raises(SoakSchemaError):
-            validate_report("not a dict")
+    def test_latency_percentiles_are_ordered(self, report):
+        assert set(report.latency_s) == {"p50", "p95", "p99"}
+        assert (
+            0.0
+            < report.latency_s["p50"]
+            <= report.latency_s["p95"]
+            <= report.latency_s["p99"]
+        )
 
 
-# -------------------------------------------------------------- submit backoff
+# -------------------------------------------------------------- submit retry
 class TestSubmitBackoff:
-    """The bounded-exponential-backoff retry path of the submit loop."""
+    """The drain-and-retry path of the submit loop."""
 
     @staticmethod
     def _helper():
-        from repro.soak.harness import _Accounting, _submit_with_backoff
+        from repro.soak.harness import _Accounting, _submit_with_retry
 
-        return _Accounting, _submit_with_backoff
-
-    @staticmethod
-    def _rng(seed: int = 0):
-        return np.random.default_rng(np.random.SeedSequence([seed, 0xB0FF]))
+        return _Accounting, _submit_with_retry
 
     def test_clean_submit_touches_no_counters(self):
-        _Accounting, backoff = self._helper()
+        _Accounting, retry = self._helper()
         accounting = _Accounting()
-        key = backoff(
-            lambda: ("s", "denoise", 1, 0.0),
-            lambda: None,
-            accounting,
-            SoakConfig(requests=1),
-            self._rng(),
-        )
+        key = retry(lambda: ("s", "denoise", 1, 0.0), lambda: None, accounting, 4)
         assert key == ("s", "denoise", 1, 0.0)
         assert accounting.retries == 0
         assert accounting.backpressure_hits == 0
-        assert accounting.backoff_wait_s == 0.0
 
-    def test_retries_then_succeeds_with_bounded_jittered_delay(self):
+    def test_retries_then_succeeds(self):
         from repro.runtime.cluster import ClusterBackpressure
 
-        _Accounting, backoff = self._helper()
+        _Accounting, retry = self._helper()
         accounting = _Accounting()
-        config = SoakConfig(
-            requests=1, submit_retries=4, backoff_base_s=0.01, backoff_cap_s=0.25
-        )
         attempts = []
         drains = []
 
@@ -348,60 +281,32 @@ class TestSubmitBackoff:
                 raise ClusterBackpressure("full")
             return ("s", "denoise", 1, 0.0)
 
-        key = backoff(submit_once, lambda: drains.append(True), accounting, config, self._rng())
+        key = retry(submit_once, lambda: drains.append(True), accounting, 4)
         assert key == ("s", "denoise", 1, 0.0)
         assert accounting.retries == 2
         assert accounting.backpressure_hits == 2
         assert len(drains) == 2, "every retry drains to free capacity first"
-        # Two delays: base*2^0 and base*2^1, each jittered into [0.5x, 1.5x).
-        low = 0.5 * (0.01 + 0.02)
-        high = 1.5 * (0.01 + 0.02)
-        assert low <= accounting.backoff_wait_s <= high
         assert accounting.shed == 0
 
     def test_exhausted_retries_shed_exactly_once(self):
         from repro.runtime.cluster import ClusterBackpressure
 
-        _Accounting, backoff = self._helper()
+        _Accounting, retry = self._helper()
         accounting = _Accounting()
-        config = SoakConfig(requests=1, submit_retries=3)
 
         def submit_once():
             raise ClusterBackpressure("full")
 
-        key = backoff(submit_once, lambda: None, accounting, config, self._rng())
+        key = retry(submit_once, lambda: None, accounting, 3)
         assert key is None
         assert accounting.shed == 1
         assert accounting.retries == 3
         assert accounting.backpressure_hits == 4
 
-    def test_delay_is_capped_and_seed_deterministic(self):
-        from repro.runtime.cluster import ClusterBackpressure
-
-        _Accounting, backoff = self._helper()
-        config = SoakConfig(
-            requests=1, submit_retries=6, backoff_base_s=0.1, backoff_cap_s=0.15
-        )
-
-        def run(seed):
-            accounting = _Accounting()
-
-            def submit_once():
-                raise ClusterBackpressure("full")
-
-            backoff(submit_once, lambda: None, accounting, config, self._rng(seed))
-            return accounting.backoff_wait_s
-
-        waits = run(1)
-        # Six computed delays, each capped at 0.15 then jittered below 1.5x.
-        assert waits <= 6 * 0.15 * 1.5
-        assert run(1) == waits, "same seed, same simulated wait"
-        assert run(2) != waits, "different seed, different jitter"
-
     def test_admission_rejection_is_not_retried(self):
         from repro.gateway import AdmissionRejected
 
-        _Accounting, backoff = self._helper()
+        _Accounting, retry = self._helper()
         accounting = _Accounting()
         attempts = []
 
@@ -412,26 +317,16 @@ class TestSubmitBackoff:
             )
 
         with pytest.raises(AdmissionRejected):
-            backoff(submit_once, lambda: None, accounting, SoakConfig(requests=1), self._rng())
+            retry(submit_once, lambda: None, accounting, 4)
         assert len(attempts) == 1, "rejection means slow down, not drain-and-retry"
         assert accounting.retries == 0
 
     def test_saturated_soak_retries_instead_of_shedding(self):
-        report = run_soak(
-            _inline_config(
-                6,
-                chaos=(ChaosEvent.parse("saturate-shard@40%"),),
-                workers=2,
-                max_pending=64,
-                requests=800,
-                window=512,
-            )
-        )
-        assert report.retries >= 1
-        assert report.retries <= report.backpressure_hits
+        report = run_soak(_backpressured_config())
+        assert report.backpressure_hits >= 1
+        assert 1 <= report.retries <= report.backpressure_hits
         assert report.shed == 0
         assert report.served == report.admitted == 800
-        assert report.backoff_wait_s > 0.0
 
     def test_config_validates_retry_knobs(self):
         with pytest.raises(ValueError):
@@ -456,11 +351,17 @@ class TestSoakCli:
         assert code == 0
         printed = capsys.readouterr().out
         assert "Soak outcome" in printed
-        validate_report(json.loads(output.read_text()))
+        written = json.loads(output.read_text())
+        assert set(written) == {f.name for f in fields(SoakReport)}
+        assert written["lost"] == written["duplicated"] == 0
+        assert written["parity_checks"] == 1
 
     def test_bad_chaos_spec_fails_fast(self, capsys):
         assert soak_main(["--chaos", "reboot@50%"]) == 1
         assert "reboot" in capsys.readouterr().out
+        # kill-worker is the only chaos kind; any other spec is rejected.
+        assert soak_main(["--chaos", "flip-mode@50%"]) == 1
+        assert "flip-mode" in capsys.readouterr().out
 
     def test_module_entry_point(self):
         import repro.soak.__main__  # noqa: F401  (import side: no execution)
