@@ -24,8 +24,22 @@ from repro.nn.initializers import he_laplace, seeded_rng
 from repro.nn.tensor import FeatureMap
 
 
-def _im2col(data: np.ndarray, kernel: int):
-    """Return ``(C*K*K, H_out*W_out)`` patches of a ``(C, H, W)`` map for valid convolution."""
+#: Patch bytes gathered per row tile: small enough to stay cache-near.
+_TILE_BYTES = 4 << 20
+#: Fewest output pixels per row tile, so each gemm stays wide enough for BLAS.
+_TILE_MIN_PIXELS = 4096
+
+
+def _conv2d_valid(data: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Valid-mode convolution of one ``(C, H, W)`` map -> ``(O, H_out, W_out)``.
+
+    A KxK convolution gathers its im2col patches a row tile at a time into
+    one bounded buffer and writes each tile's gemm and bias straight into its
+    row slab of the output.  The tile height depends on the input shape only,
+    so equal-shaped inputs always run the same gemm shapes and give the same
+    bytes.
+    """
+    out_channels, _, kernel, _ = weights.shape
     channels, height, width = data.shape
     out_h = height - kernel + 1
     out_w = width - kernel + 1
@@ -33,26 +47,29 @@ def _im2col(data: np.ndarray, kernel: int):
         raise ValueError(
             f"input {height}x{width} too small for valid {kernel}x{kernel} convolution"
         )
-    cols = np.empty((channels, kernel, kernel, out_h, out_w), dtype=data.dtype)
-    for dy in range(kernel):
-        for dx in range(kernel):
-            cols[:, dy, dx] = data[:, dy : dy + out_h, dx : dx + out_w]
-    return cols.reshape(channels * kernel * kernel, out_h * out_w), out_h, out_w
-
-
-def _conv2d_valid(data: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid-mode convolution of one ``(C, H, W)`` map -> ``(O, H_out, W_out)``."""
-    out_channels, in_channels, kernel, _ = weights.shape
-    if kernel == 1:
-        channels, height, width = data.shape
-        flat = data.reshape(channels, height * width)
-        out = weights.reshape(out_channels, in_channels) @ flat
-        out = out + bias[:, np.newaxis]
-        return out.reshape(out_channels, height, width)
-    cols, out_h, out_w = _im2col(data, kernel)
+    out = np.empty((out_channels, out_h, out_w), dtype=np.result_type(data, weights))
+    flat_out = out.reshape(out_channels, out_h * out_w)
     w2d = weights.reshape(out_channels, -1)
-    out = w2d @ cols + bias[:, np.newaxis]
-    return out.reshape(out_channels, out_h, out_w)
+    if kernel == 1:
+        np.matmul(w2d, data.reshape(channels, height * width), out=flat_out)
+        flat_out += bias[:, np.newaxis]
+        return out
+    depth = channels * kernel * kernel
+    rows = max(
+        _TILE_BYTES // (depth * out_w * data.itemsize), -(-_TILE_MIN_PIXELS // out_w)
+    )
+    rows = min(rows, out_h)
+    buffer = np.empty(depth * rows * out_w, dtype=data.dtype)
+    for top in range(0, out_h, rows):
+        n = min(rows, out_h - top)
+        cols = buffer[: depth * n * out_w].reshape(channels, kernel, kernel, n, out_w)
+        for dy in range(kernel):
+            for dx in range(kernel):
+                cols[:, dy, dx] = data[:, top + dy : top + dy + n, dx : dx + out_w]
+        slab = flat_out[:, top * out_w : (top + n) * out_w]
+        np.matmul(w2d, cols.reshape(depth, n * out_w), out=slab)
+        slab += bias[:, np.newaxis]
+    return out
 
 
 class Layer:

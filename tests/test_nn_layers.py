@@ -1,5 +1,7 @@
 """Unit tests for convolution, activation and residual layers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,17 +10,30 @@ from repro.nn.tensor import FeatureMap
 
 
 def _reference_conv3x3_valid(data, weights, bias):
-    """Naive direct convolution used to validate the im2col implementation."""
-    out_ch, in_ch, _, _ = weights.shape
+    """Direct tap-by-tap convolution used to validate the row-tiled im2col kernel."""
+    out_ch = weights.shape[0]
     _, h, w = data.shape
-    out = np.zeros((out_ch, h - 2, w - 2))
-    for oc in range(out_ch):
-        for y in range(h - 2):
-            for x in range(w - 2):
-                out[oc, y, x] = (
-                    np.sum(data[:, y : y + 3, x : x + 3] * weights[oc]) + bias[oc]
-                )
+    out = np.zeros((out_ch, h - 2, w - 2)) + bias[:, None, None]
+    for dy in range(3):
+        for dx in range(3):
+            window = data[:, dy : dy + h - 2, dx : dx + w - 2]
+            out += np.einsum("oc,chw->ohw", weights[:, :, dy, dx], window)
     return out
+
+
+def _gemm_widths(monkeypatch, conv, data):
+    """Run ``conv`` on ``data`` and return the N of every gemm it issued."""
+    widths = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        widths.append(b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", spy)
+        result = conv.forward(FeatureMap(data))
+    return result, widths
 
 
 def test_conv3x3_valid_matches_naive_reference(rng):
@@ -82,6 +97,63 @@ def test_conv_rejects_wrong_channel_count(rng):
         conv.forward(FeatureMap(rng.normal(size=(2, 8, 8))))
     with pytest.raises(ValueError):
         conv.output_shape(2, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "in_channels, out_channels, height, width, several_tiles",
+    [(4, 6, 20, 30, False), (32, 8, 150, 150, True)],
+    ids=["one-tile", "partial-last-tile"],
+)
+def test_conv3x3_row_tiles_match_reference(
+    rng, monkeypatch, in_channels, out_channels, height, width, several_tiles
+):
+    conv = Conv2d(in_channels, out_channels, 3, seed=5)
+    data = rng.normal(size=(in_channels, height, width))
+    result, widths = _gemm_widths(monkeypatch, conv, data)
+    assert sum(widths) == (height - 2) * (width - 2)
+    if several_tiles:
+        # Equal-width row tiles, then a narrower partial last tile.
+        assert len(widths) > 2
+        assert len(set(widths[:-1])) == 1 and widths[-1] < widths[0]
+    else:
+        assert len(widths) == 1
+    expected = _reference_conv3x3_valid(data, conv.weights, conv.bias)
+    assert np.allclose(result.data, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_conv_zero_padding_matches_reference(rng):
+    conv = Conv2d(8, 5, 3, padding="zero", seed=6)
+    data = rng.normal(size=(8, 100, 70))
+    result = conv.forward(FeatureMap(data))
+    padded = np.pad(data, ((0, 0), (1, 1), (1, 1)))
+    expected = _reference_conv3x3_valid(padded, conv.weights, conv.bias)
+    assert result.shape == (5, 100, 70)
+    assert np.allclose(result.data, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_conv_pixels_depend_on_input_only(rng, kernel):
+    conv = Conv2d(32, 8, kernel, seed=5)
+    a = rng.normal(size=(32, 150, 150))
+    b = rng.normal(size=(32, 40, 300))
+    first = conv.forward(FeatureMap(a)).data.tobytes()
+    assert conv.forward(FeatureMap(a)).data.tobytes() == first
+    conv.forward(FeatureMap(b))
+    assert conv.forward(FeatureMap(a)).data.tobytes() == first
+
+
+def test_conv3x3_peak_memory_is_bounded():
+    """Patches are gathered a row tile at a time, never for the whole map."""
+    conv = Conv2d(32, 32, 3, seed=1)
+    fm = FeatureMap(np.random.default_rng(0).normal(size=(32, 256, 256)))
+    out_bytes = 32 * 254 * 254 * 8
+    tracemalloc.start()
+    try:
+        conv.forward(fm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out_bytes + 16 * 2**20
 
 
 def test_conv_too_small_input_raises():
