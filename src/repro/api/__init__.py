@@ -36,7 +36,7 @@ from repro.api.backend import (
     unregister_backend,
 )
 from repro.api.results import CompiledPlan, CostReport, PerfProfile, PlanHandle
-from repro.api.session import FrameCacheStats, Session, SessionHandle
+from repro.api.session import Session, SessionHandle
 import repro.api.backends  # noqa: F401  (registers the built-in backends)
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "BACKENDS",
     "CompiledPlan",
     "CostReport",
-    "FrameCacheStats",
     "PerfProfile",
     "PlanHandle",
     "Session",

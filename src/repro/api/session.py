@@ -31,42 +31,9 @@ from repro.nn.tensor import FeatureMap
 
 if TYPE_CHECKING:  # runtime modules are imported lazily: repro.runtime.engine
     # imports this module, so a top-level import here would be circular.
-    from repro.runtime.cache import ResultCache
+    from repro.runtime.cache import CacheStats, ResultCache
     from repro.runtime.video import StreamFrameResult, VideoStream, VideoStreamStats
     from repro.runtime.workloads import RuntimeWorkload, WorkloadProfile
-
-
-@dataclass(frozen=True)
-class FrameCacheStats:
-    """Hit/miss/eviction counters of a session's bounded pixel-result cache.
-
-    Mirrors :class:`~repro.runtime.cache.CacheStats` (the analytic cache's
-    counters) and adds the residency bound, because unlike the analytic
-    cache the frame cache is always bounded — eviction pressure is part of
-    its steady-state story, so serving reports surface it.
-    """
-
-    hits: int
-    misses: int
-    entries: int
-    evictions: int
-    max_entries: Optional[int]
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def describe(self) -> str:
-        bound = "unbounded" if self.max_entries is None else f"bound {self.max_entries}"
-        return (
-            f"{self.hits} hits / {self.misses} misses "
-            f"({self.hit_rate:.0%} hit rate, {self.entries} entries, "
-            f"{self.evictions} evicted, {bound})"
-        )
 
 
 @dataclass(frozen=True)
@@ -175,7 +142,19 @@ class Session:
         parameters the registry constructor would not reproduce) should not
         be sharded through handles — the rebuilt backend is
         ``create_backend(name, config=config)``.
+
+        Raises :class:`ValueError` when the session's workload registry is
+        not the live catalogue: a rebuilt session serves
+        :data:`~repro.runtime.workloads.WORKLOADS`, so a custom registry
+        would silently answer with the catalogue's networks instead.
         """
+        from repro.runtime.workloads import WORKLOADS
+
+        if dict(self._workloads) != WORKLOADS:
+            raise ValueError(
+                "a session with a custom workload registry has no handle: "
+                "rebuilt sessions serve the live catalogue"
+            )
         return SessionHandle(
             backend=self.backend_name,
             config=self.config,
@@ -192,16 +171,9 @@ class Session:
         return PlanHandle(backend=self.backend_name, workload=workload_name)
 
     @property
-    def frame_cache_stats(self) -> FrameCacheStats:
-        """Counters of the bounded pixel-result cache (see :class:`FrameCacheStats`)."""
-        stats = self.frame_cache.stats
-        return FrameCacheStats(
-            hits=stats.hits,
-            misses=stats.misses,
-            entries=stats.entries,
-            evictions=stats.evictions,
-            max_entries=self.frame_cache.max_entries,
-        )
+    def frame_cache_stats(self) -> CacheStats:
+        """Counters of the bounded pixel-result cache, with its residency bound."""
+        return self.frame_cache.stats
 
     def catalogue(self) -> Dict[str, str]:
         """Name -> description of the workloads this session can evaluate."""

@@ -28,7 +28,8 @@ from repro.gateway.slo import (
     SLOClass,
     resolve_slo,
 )
-from repro.gateway.stats import GatewayStats, LatencyHistogram
+from repro.core.stats import LatencyHistogram
+from repro.gateway.stats import GatewayStats
 
 __all__ = [
     "AdmissionRejected",

@@ -35,6 +35,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
+from repro.core.stats import LatencyHistogram
 from repro.runtime.cluster import ClusterReport, ServingCluster
 from repro.runtime.engine import ServingEngine, ServingReport
 from repro.runtime.scheduler import ScheduleResult
@@ -44,7 +45,7 @@ from repro.gateway.slo import (
     SLOClass,
     resolve_slo,
 )
-from repro.gateway.stats import GatewayStats, LatencyHistogram
+from repro.gateway.stats import GatewayStats
 
 #: Shard index the gateway reports for its fallback engine's schedules.
 FALLBACK_SHARD = -1

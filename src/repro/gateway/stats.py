@@ -1,61 +1,13 @@
-"""Gateway counters and the O(1)-memory latency histogram.
+"""Gateway admission and serving counters.
 
-The histogram is log-binned (512 bins spanning 10 µs .. 10^5 s, the same
-resolution the soak harness uses): nearest-rank percentiles report a bin's
-upper edge, exact to ~4.6% relative error and fully deterministic, while
-memory stays constant no matter how many requests a run serves.
+The gateway's latency percentiles come from the shared
+:class:`repro.core.stats.LatencyHistogram`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
-
-import numpy as np
-
-#: Log-spaced bin edges shared by every latency histogram.
-LATENCY_EDGES = np.logspace(-5.0, 5.0, 513)
-
-
-class LatencyHistogram:
-    """Log-binned latency accumulator with nearest-rank percentiles."""
-
-    def __init__(self) -> None:
-        self._counts = np.zeros(len(LATENCY_EDGES) - 1, dtype=np.int64)
-
-    @property
-    def total(self) -> int:
-        return int(self._counts.sum())
-
-    def observe(self, latency_s: float) -> None:
-        bin_index = int(
-            np.clip(
-                np.searchsorted(LATENCY_EDGES, latency_s, side="right") - 1,
-                0,
-                len(LATENCY_EDGES) - 2,
-            )
-        )
-        self._counts[bin_index] += 1
-
-    def percentiles(
-        self, quantiles: Sequence[Tuple[str, float]] = (("p50", 0.5), ("p95", 0.95), ("p99", 0.99))
-    ) -> Dict[str, float]:
-        """Nearest-rank percentiles as ``{label: upper bin edge}``.
-
-        Returns ``{}`` when nothing was observed.
-        """
-        total = self.total
-        if not total:
-            return {}
-        cumulative = np.cumsum(self._counts)
-        out: Dict[str, float] = {}
-        for label, q in quantiles:
-            if not 0.0 < q <= 1.0:
-                raise ValueError(f"quantile {q} outside (0, 1]")
-            rank = max(1, int(np.ceil(q * total)))
-            bin_index = int(np.searchsorted(cumulative, rank))
-            out[label] = float(LATENCY_EDGES[bin_index + 1])
-        return out
+from typing import Dict
 
 
 @dataclass
@@ -96,4 +48,4 @@ class GatewayStats:
         )
 
 
-__all__ = ["GatewayStats", "LatencyHistogram", "LATENCY_EDGES"]
+__all__ = ["GatewayStats"]

@@ -22,8 +22,8 @@ Modules
   ``scale_sim``) can stand in for the eCNN processor;
 * :mod:`repro.runtime.cluster` — the scale-out tier:
   :class:`~repro.runtime.cluster.ServingCluster` shards streams and
-  workloads across a pool of worker processes (one pinned session + engine
-  per worker) with bounded per-shard queues, failure recovery, aggregated
+  workloads across a pool of worker processes (one pinned session per
+  worker) with bounded per-shard queues, one failover loop, aggregated
   :class:`~repro.runtime.cluster.ClusterStats`, and the fault-injection
   primitives ``kill_worker`` (which the :mod:`repro.soak` tier fires
   mid-run) and ``evict_frame_caches``, plus the ``fault_hook`` callback;

@@ -65,6 +65,8 @@ class CacheStats:
     misses: int
     entries: int
     evictions: int = 0
+    #: The cache's residency bound (``None`` for an unbounded cache).
+    max_entries: Optional[int] = None
 
     @property
     def lookups(self) -> int:
@@ -76,9 +78,10 @@ class CacheStats:
 
     def describe(self) -> str:
         evicted = f", {self.evictions} evicted" if self.evictions else ""
+        bound = "" if self.max_entries is None else f", bound {self.max_entries}"
         return (
             f"{self.hits} hits / {self.misses} misses "
-            f"({self.hit_rate:.0%} hit rate, {self.entries} entries{evicted})"
+            f"({self.hit_rate:.0%} hit rate, {self.entries} entries{evicted}{bound})"
         )
 
 
@@ -143,6 +146,7 @@ class ResultCache:
             misses=self._misses,
             entries=len(self._entries),
             evictions=self._evictions,
+            max_entries=self.max_entries,
         )
 
 

@@ -1,11 +1,13 @@
 """Sharded multi-worker serving: the scale-out tier above the engine.
 
 :class:`ServingCluster` spreads the serving catalogue across a pool of
-worker *processes*.  Each worker owns one pinned
-:class:`~repro.api.Session` — rebuilt inside the worker from a picklable
+worker *processes*.  Each worker is one pinned :class:`~repro.api.Session`
+— rebuilt inside the worker from a picklable
 :class:`~repro.api.SessionHandle`, with its own scoped analytic and frame
-caches and process-local hot-path memos — wrapped in a
-:class:`~repro.runtime.engine.ServingEngine` with ``instances_per_worker``
+caches and process-local hot-path memos.  Pixel, profile, stats and
+eviction commands are answered straight from that session; only ``run``
+goes through a :class:`~repro.runtime.engine.ServingEngine` over it, which
+schedules the shard's queued requests on ``instances_per_worker``
 simulated accelerator instances.  The cluster is to the engine what the
 engine is to one processor: the engine batches requests across instances,
 the cluster shards streams across engines.
@@ -22,10 +24,11 @@ Semantics (documented in ``docs/serving.md``):
   :class:`~repro.runtime.scheduler.RequestQueue`; when a shard's queue is
   at ``max_pending`` requests, :meth:`ServingCluster.submit` raises
   :class:`ClusterBackpressure` instead of buffering unboundedly.
-* **Failure recovery** — a worker that dies or stops answering is marked
-  dead; its queued requests and in-flight dispatches are requeued onto the
-  remaining live shards (the ``requeued`` counter in
-  :class:`ClusterStats` records how many), and routing re-assigns its
+* **Failure recovery** — every serving call goes through one scatter/gather
+  loop (``ServingCluster._scatter``): a worker that dies or stops answering
+  is marked dead, the items it held are re-routed through the remaining
+  live shards (the ``requeued`` counter in :class:`ClusterStats` counts
+  each displaced item once per call), and routing re-assigns its
   streams/workloads.  The cluster only fails when no shard is left.
 * **Fallback** — worker processes are started with the cheapest available
   start method (``fork`` where the platform allows, so workers inherit the
@@ -44,24 +47,23 @@ Semantics (documented in ``docs/serving.md``):
   :meth:`ServingCluster.run` (``"run:start"``, ``"run:round"``) so tests
   can inject failures deterministically *while requests are in flight*.
 
-Outputs are bit-identical to a single-process
-:class:`~repro.runtime.engine.ServingEngine` on the same backend — every
-worker runs the very same deterministic execution paths — which the
-cluster and parity test suites pin.
+Outputs are bit-identical to a single-process :class:`~repro.api.Session`
+on the same backend — every worker runs the very same deterministic
+execution paths — which the cluster and parity test suites pin.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import queue as queue_module
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.api.results import PlanHandle
-from repro.api.session import FrameCacheStats, Session, SessionHandle
+from repro.api.session import Session, SessionHandle
 from repro.core.pipeline import InferenceResult
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.nn.tensor import FeatureMap
@@ -109,18 +111,8 @@ def _reraise(kind: str, message: str) -> None:
 
 
 # --------------------------------------------------------------------- worker
-@dataclass(frozen=True)
-class _WorkerSnapshot:
-    """Cache counters reported by one worker's ``stats`` command."""
-
-    cache: CacheStats
-    frame_cache: FrameCacheStats
-    #: Delta-reuse counters of the worker's live video streams.
-    video_streams: Tuple[VideoStreamStats, ...] = ()
-
-
 class _WorkerState:
-    """Everything one worker owns: pinned session, engine, warm plans."""
+    """Everything one worker owns: pinned session, its ``run`` engine, warm plans."""
 
     def __init__(
         self,
@@ -149,7 +141,12 @@ class _WorkerState:
 
 
 def _execute_command(state: _WorkerState, command: str, payload: Any) -> Any:
-    """The one dispatch table shared by process workers and inline shards."""
+    """The one dispatch table shared by process workers and inline shards.
+
+    ``run`` drains through the worker's engine (queue + scheduler); every
+    other command is answered straight from the worker's session.
+    """
+    session = state.session
     if command == "run":
         for stream_id, workload_name, frames, arrival_s, deadline_s, priority in payload:
             state.engine.submit(
@@ -163,13 +160,13 @@ def _execute_command(state: _WorkerState, command: str, payload: Any) -> Any:
         return state.engine.run()
     if command == "execute_frame":
         workload_name, frame, cached = payload
-        return state.engine.execute_frame(workload_name, frame, cached=cached)
+        return session.execute(workload_name, frame, cached=cached)
     if command == "execute_frames":
         workload_name, frames, cached = payload
-        return state.engine.execute_frames(workload_name, frames, cached=cached)
+        return session.execute_many(workload_name, frames, cached=cached)
     if command == "execute_stream":
         stream_id, workload_name, frame, threshold, metric, output_block = payload
-        return state.engine.execute_stream(
+        return session.execute_stream(
             stream_id,
             workload_name,
             frame,
@@ -178,21 +175,15 @@ def _execute_command(state: _WorkerState, command: str, payload: Any) -> Any:
             output_block=output_block,
         )
     if command == "profile":
-        return state.session.serving_profile(payload)
+        return session.serving_profile(payload)
     if command == "stats":
-        return _WorkerSnapshot(
-            cache=state.session.cache.stats,
-            frame_cache=state.session.frame_cache_stats,
-            video_streams=state.session.video_stream_stats,
-        )
+        return session.cache.stats, session.frame_cache_stats, session.video_stream_stats
     if command == "evict_frame_cache":
         # One shared invalidation path: the whole-frame cache and every
         # video stream's block cache (plus its predecessor frame) drop
         # together, so a chaos eviction can never leave a stale delta
         # block servable (see Session.evict_pixel_caches).
-        return state.session.evict_pixel_caches()
-    if command == "ping":
-        return "pong"
+        return session.evict_pixel_caches()
     raise ValueError(f"unknown cluster command {command!r}")
 
 
@@ -386,7 +377,7 @@ class ShardStats:
     #: The worker session's analytic cache counters (``None`` for a dead shard).
     cache: Optional[CacheStats] = None
     #: The worker session's pixel frame-cache counters (``None`` for a dead shard).
-    frame_cache: Optional[FrameCacheStats] = None
+    frame_cache: Optional[CacheStats] = None
     #: Delta-reuse counters of the worker's video streams (empty for a dead
     #: shard or a worker that served no ``execute_stream`` traffic).
     video_streams: Tuple[VideoStreamStats, ...] = ()
@@ -616,16 +607,17 @@ class ServingCluster:
         self.fault_hook = fault_hook
         self.requeued = 0
         self._closed = False
-        self._deadline_misses: Dict[int, int] = {}
-        self._deadline_requests: Dict[int, int] = {}
+        #: Per-shard-index serving counters behind :class:`ShardStats`.
+        self._served_requests: Counter[int] = Counter()
+        self._served_frames: Counter[int] = Counter()
+        self._deadline_requests: Counter[int] = Counter()
+        self._deadline_misses: Counter[int] = Counter()
         self._stream_shard: Dict[str, int] = {}
         #: Live-stream count per shard index, maintained incrementally so
         #: balanced routing stays O(workers) per placement even with
         #: millions of streams (the soak harness's user populations).
         self._stream_counts: Dict[int, int] = {}
         self._workload_shard: Dict[str, int] = {}
-        self._served_requests: Dict[int, int] = {}
-        self._served_frames: Dict[int, int] = {}
         warm = tuple(warm_plans)
         for plan in warm:
             if plan.backend != self.backend_name:
@@ -765,6 +757,82 @@ class ServingCluster:
         shard.alive = False
         shard.close()
 
+    # -------------------------------------------------------------- dispatch
+    def _scatter(
+        self,
+        size: int,
+        route: Callable[[List[int]], Dict[int, List[int]]],
+        command: str,
+        payload: Callable[[List[int]], Any],
+        on_reply: Callable[[int, List[int], Any], None],
+        *,
+        displaced: Iterable[int] = (),
+    ) -> None:
+        """Answer items ``0 .. size-1`` through the live shards, failing over.
+
+        The one failover loop behind every serving call.  Each round,
+        ``route`` groups the unanswered item positions by shard index;
+        every group is sent (``payload(group)``) before any reply is
+        gathered (``on_reply(shard index, group, reply)``), so worker
+        processes serve their groups concurrently.  A shard that fails to
+        take or answer its group is marked dead and the group goes round
+        again through the smaller live set, until every item is answered or
+        no shard is left (routing raises :class:`ClusterError`).  Each item
+        counts in ``requeued`` at most once per call, however many shards
+        die under it; ``displaced`` items count before the first round.
+        """
+        counted = set(displaced)
+        self.requeued += len(counted)
+        pending = list(range(size))
+        while pending:
+            in_flight: List[Tuple[Any, List[int], int]] = []
+            failed: List[int] = []
+            for index, group in sorted(route(pending).items()):
+                shard = self._shards[index]
+                try:
+                    in_flight.append((shard, group, shard.send(command, payload(group))))
+                except _ShardFailure:
+                    self._mark_dead(shard)
+                    failed.extend(group)
+            for shard, group, request_id in in_flight:
+                try:
+                    reply = shard.receive(request_id, self.call_timeout_s)
+                except _ShardFailure:
+                    self._mark_dead(shard)
+                    failed.extend(group)
+                    continue
+                on_reply(shard.index, group, reply)
+            fresh = set(failed) - counted
+            self.requeued += len(fresh)
+            counted |= fresh
+            pending = failed
+
+    def _call(self, owner: Callable[[], Any], command: str, payload: Any, frames: int) -> Any:
+        """One item through :meth:`_scatter`, served by the shard ``owner`` picks."""
+        replies: List[Any] = []
+
+        def on_reply(index: int, group: List[int], reply: Any) -> None:
+            replies.append(reply)
+            self._served_frames[index] += frames
+
+        self._scatter(
+            1, lambda pending: {owner().index: pending}, command, lambda group: payload, on_reply
+        )
+        return replies[0]
+
+    def _broadcast(self, command: str) -> Dict[int, Any]:
+        """Ask every live shard once, no retry; a shard that fails is marked dead."""
+        replies: Dict[int, Any] = {}
+        for shard in self._shards:
+            if shard.alive:
+                try:
+                    replies[shard.index] = shard.receive(
+                        shard.send(command, None), self.call_timeout_s
+                    )
+                except _ShardFailure:
+                    self._mark_dead(shard)
+        return replies
+
     # ------------------------------------------------------- fault injection
     def _fire_hook(self, point: str) -> None:
         if self.fault_hook is not None:
@@ -819,15 +887,7 @@ class ServingCluster:
         that fails to answer is marked dead (the usual failure contract).
         """
         self._check_open()
-        dropped = 0
-        for shard in list(self._live_shards()):
-            try:
-                dropped += shard.receive(
-                    shard.send("evict_frame_cache", None), self.call_timeout_s
-                )
-            except _ShardFailure:
-                self._mark_dead(shard)
-        return dropped
+        return sum(self._broadcast("evict_frame_cache").values())
 
     # ------------------------------------------------------------- admission
     def submit(
@@ -899,94 +959,46 @@ class ServingCluster:
         """
         self._check_open()
         self._fire_hook("run:start")
-        # Every drained request carries a per-call token; ``counted`` keeps
-        # the ``requeued`` counter at once-per-request semantics even when
-        # several shards die underneath the same request (a rapid
-        # double-kill moves it twice but displaces it once).
-        tokens = itertools.count()
-        counted: Set[int] = set()
-        _Item = Tuple[str, str, int, float, float, int]
-        _Tagged = Tuple[int, _Item]
-
-        def displace(tagged: Sequence[_Tagged]) -> None:
-            for token, _ in tagged:
-                if token not in counted:
-                    counted.add(token)
-                    self.requeued += 1
-
-        pending: Dict[int, Tuple[_Tagged, ...]] = {}
-        orphaned: List[_Tagged] = []
+        items: List[Tuple[str, str, int, float, float, int]] = []
+        orphaned: List[Tuple[str, str, int, float, float, int]] = []
         for shard in self._shards:
-            if not len(shard.queue):
-                continue
-            drained = tuple(
-                (
-                    next(tokens),
-                    (r.stream_id, r.workload, r.frames, r.arrival_s,
-                     r.deadline_s, r.priority),
-                )
+            # Requests still queued on a shard an earlier dispatch found
+            # dead go last and count as displaced up front.
+            (items if shard.alive else orphaned).extend(
+                (r.stream_id, r.workload, r.frames, r.arrival_s, r.deadline_s, r.priority)
                 for r in shard.queue.drain()
             )
-            if shard.alive:
-                pending[shard.index] = drained
-            else:
-                # The shard died (marked by an earlier dispatch) with
-                # requests still queued: requeue them onto live shards.
-                displace(drained)
-                orphaned.extend(drained)
-        for token, item in orphaned:
-            shard = self._route_stream(item[0])
-            pending[shard.index] = pending.get(shard.index, ()) + ((token, item),)
+        displaced = range(len(items), len(items) + len(orphaned))
+        items.extend(orphaned)
         # A list, not a dict: after a failure the requeued requests run as a
         # *second* schedule on a surviving shard, so one shard index may
         # legitimately contribute more than one report.
         reports: List[Tuple[int, ServingReport]] = []
-        while pending:
+
+        def route(pending: List[int]) -> Dict[int, List[int]]:
+            groups: Dict[int, List[int]] = {}
+            for position in pending:
+                owner = self._route_stream(items[position][0])
+                groups.setdefault(owner.index, []).append(position)
+            # After routing, before sending: chaos sees this round's owners.
             self._fire_hook("run:round")
-            in_flight: List[Tuple[Any, int, Tuple[_Tagged, ...]]] = []
-            failed: List[_Tagged] = []
-            for index, tagged in sorted(pending.items()):
-                shard = self._shards[index]
-                payload = tuple(item for _, item in tagged)
-                try:
-                    in_flight.append((shard, shard.send("run", payload), tagged))
-                except _ShardFailure:
-                    self._mark_dead(shard)
-                    displace(tagged)
-                    failed.extend(tagged)
-            pending = {}
-            for shard, request_id, tagged in in_flight:
-                try:
-                    report = shard.receive(request_id, self.call_timeout_s)
-                except _ShardFailure:
-                    self._mark_dead(shard)
-                    displace(tagged)
-                    failed.extend(tagged)
-                    continue
-                reports.append((shard.index, report))
-                self._served_requests[shard.index] = (
-                    self._served_requests.get(shard.index, 0) + len(tagged)
-                )
-                self._served_frames[shard.index] = (
-                    self._served_frames.get(shard.index, 0)
-                    + sum(item[2] for _, item in tagged)
-                )
-                self._deadline_misses[shard.index] = (
-                    self._deadline_misses.get(shard.index, 0)
-                    + report.schedule.deadline_misses
-                )
-                self._deadline_requests[shard.index] = (
-                    self._deadline_requests.get(shard.index, 0)
-                    + report.schedule.deadline_requests
-                )
-            if failed:
-                # Re-route every failed request through the (now smaller)
-                # live set; stream stickiness re-assigns dead placements.
-                regrouped: Dict[int, List[_Tagged]] = {}
-                for token, item in failed:
-                    shard = self._route_stream(item[0])
-                    regrouped.setdefault(shard.index, []).append((token, item))
-                pending = {index: tuple(items) for index, items in regrouped.items()}
+            return groups
+
+        def on_reply(index: int, group: List[int], report: ServingReport) -> None:
+            reports.append((index, report))
+            self._served_requests[index] += len(group)
+            self._served_frames[index] += sum(items[position][2] for position in group)
+            self._deadline_misses[index] += report.schedule.deadline_misses
+            self._deadline_requests[index] += report.schedule.deadline_requests
+
+        self._scatter(
+            len(items),
+            route,
+            "run",
+            lambda group: tuple(items[position] for position in group),
+            on_reply,
+            displaced=displaced,
+        )
         return ClusterReport(
             backend=self.backend_name,
             mode=self.mode,
@@ -995,21 +1007,6 @@ class ServingCluster:
         )
 
     # ---------------------------------------------------------------- pixels
-    def _dispatch_with_recovery(self, route_key: str, command: str, payload: Any) -> Any:
-        """Send a pixel command to the owning shard, failing over on death."""
-        attempts = len(self._shards)
-        for attempt in range(attempts):
-            shard = self._route_workload(route_key)
-            try:
-                return shard.receive(shard.send(command, payload), self.call_timeout_s)
-            except _ShardFailure:
-                self._mark_dead(shard)
-                if attempt == 0:
-                    # One request displaced once, however many failovers it
-                    # takes to land (see ClusterStats.requeued).
-                    self.requeued += 1
-        raise ClusterError("no live shard left in the cluster")
-
     def execute_frame(
         self,
         workload_name: str,
@@ -1020,17 +1017,17 @@ class ServingCluster:
         """Run one frame on the shard owning this workload.
 
         Same contract (and bit-identical pixels) as
-        :meth:`~repro.runtime.engine.ServingEngine.execute_frame`; repeats
-        of a frame hit the owning worker's bounded frame cache.
+        :meth:`~repro.api.Session.execute`; repeats of a frame hit the
+        owning worker's bounded frame cache.
         """
         self._check_open()
         self.session.workload(workload_name)
-        result = self._dispatch_with_recovery(
-            workload_name, "execute_frame", (workload_name, image, cached)
+        return self._call(
+            lambda: self._route_workload(workload_name),
+            "execute_frame",
+            (workload_name, image, cached),
+            frames=1,
         )
-        shard_index = self._workload_shard[workload_name]
-        self._served_frames[shard_index] = self._served_frames.get(shard_index, 0) + 1
-        return result
 
     def execute_frames(
         self,
@@ -1051,57 +1048,37 @@ class ServingCluster:
         self._check_open()
         self.session.workload(workload_name)
         images = list(images)
-        if not images:
-            return []
-        results: List[Optional[InferenceResult]] = [None] * len(images)
-        remaining = list(range(len(images)))
-        displaced: Set[int] = set()  # frame indices already counted requeued
+        results: List[Any] = [None] * len(images)
 
-        def displace(indices: Sequence[int]) -> None:
-            for index in indices:
-                if index not in displaced:
-                    displaced.add(index)
-                    self.requeued += 1
-
-        while remaining:
+        def split(pending: List[int]) -> Dict[int, List[int]]:
+            # One contiguous chunk of the unanswered frames per live shard,
+            # the first ``remainder`` shards taking one extra; only lost
+            # chunks are ever retried.
+            pending = sorted(pending)
             live = self._live_shards()
-            # One contiguous chunk of the still-missing indices per live
-            # shard; only lost chunks are ever retried, so a surviving
-            # shard's finished work is neither recomputed nor re-counted.
-            chunks: List[Tuple[Any, List[int]]] = []
-            base, remainder = divmod(len(remaining), len(live))
+            base, remainder = divmod(len(pending), len(live))
+            groups: Dict[int, List[int]] = {}
             start = 0
             for position, shard in enumerate(live):
                 size = base + (1 if position < remainder else 0)
                 if size:
-                    chunks.append((shard, remaining[start : start + size]))
+                    groups[shard.index] = pending[start : start + size]
                     start += size
-            in_flight: List[Tuple[Any, int, List[int]]] = []
-            for shard, indices in chunks:
-                try:
-                    request_id = shard.send(
-                        "execute_frames",
-                        (workload_name, [images[i] for i in indices], cached),
-                    )
-                    in_flight.append((shard, request_id, indices))
-                except _ShardFailure:
-                    self._mark_dead(shard)
-                    displace(indices)
-            for shard, request_id, indices in in_flight:
-                try:
-                    chunk = shard.receive(request_id, self.call_timeout_s)
-                except _ShardFailure:
-                    self._mark_dead(shard)
-                    displace(indices)
-                    continue
-                for index, result in zip(indices, chunk):
-                    results[index] = result
-                self._served_frames[shard.index] = (
-                    self._served_frames.get(shard.index, 0) + len(indices)
-                )
-            remaining = [index for index in remaining if results[index] is None]
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
+            return groups
+
+        def on_reply(index: int, group: List[int], chunk: List[InferenceResult]) -> None:
+            for position, result in zip(group, chunk):
+                results[position] = result
+            self._served_frames[index] += len(group)
+
+        self._scatter(
+            len(images),
+            split,
+            "execute_frames",
+            lambda group: (workload_name, [images[position] for position in group], cached),
+            on_reply,
+        )
+        return results
 
     def execute_stream(
         self,
@@ -1124,42 +1101,30 @@ class ServingCluster:
         """
         self._check_open()
         self.session.workload(workload_name)
-        payload = (str(stream_id), workload_name, image, threshold, metric, output_block)
-        for attempt in range(len(self._shards)):
-            shard = self._route_stream(str(stream_id))
-            try:
-                result = shard.receive(
-                    shard.send("execute_stream", payload), self.call_timeout_s
-                )
-            except _ShardFailure:
-                self._mark_dead(shard)
-                if attempt == 0:
-                    self.requeued += 1
-                continue
-            self._served_frames[shard.index] = (
-                self._served_frames.get(shard.index, 0) + 1
-            )
-            return result
-        raise ClusterError("no live shard left in the cluster")
+        stream_id = str(stream_id)
+        return self._call(
+            lambda: self._route_stream(stream_id),
+            "execute_stream",
+            (stream_id, workload_name, image, threshold, metric, output_block),
+            frames=1,
+        )
 
     # ------------------------------------------------------------- analytics
     def profile(self, workload_name: str) -> WorkloadProfile:
         """The serving profile, answered by the shard owning the workload."""
         self._check_open()
         self.session.workload(workload_name)
-        return self._dispatch_with_recovery(workload_name, "profile", workload_name)
+        return self._call(
+            lambda: self._route_workload(workload_name), "profile", workload_name, frames=0
+        )
 
     def stats(self) -> ClusterStats:
         """Aggregated per-shard health, queue depth and cache counters."""
         self._check_open()
+        snapshots = self._broadcast("stats")
         shards: List[ShardStats] = []
         for shard in self._shards:
-            snapshot: Optional[_WorkerSnapshot] = None
-            if shard.alive:
-                try:
-                    snapshot = shard.receive(shard.send("stats", None), self.call_timeout_s)
-                except _ShardFailure:
-                    self._mark_dead(shard)
+            cache, frame_cache, video_streams = snapshots.get(shard.index, (None, None, ()))
             shards.append(
                 ShardStats(
                     shard=shard.index,
@@ -1172,13 +1137,13 @@ class ServingCluster:
                             if index == shard.index
                         )
                     ),
-                    served_requests=self._served_requests.get(shard.index, 0),
-                    served_frames=self._served_frames.get(shard.index, 0),
-                    deadline_requests=self._deadline_requests.get(shard.index, 0),
-                    deadline_misses=self._deadline_misses.get(shard.index, 0),
-                    cache=snapshot.cache if snapshot else None,
-                    frame_cache=snapshot.frame_cache if snapshot else None,
-                    video_streams=snapshot.video_streams if snapshot else (),
+                    served_requests=self._served_requests[shard.index],
+                    served_frames=self._served_frames[shard.index],
+                    deadline_requests=self._deadline_requests[shard.index],
+                    deadline_misses=self._deadline_misses[shard.index],
+                    cache=cache,
+                    frame_cache=frame_cache,
+                    video_streams=video_streams,
                 )
             )
         return ClusterStats(

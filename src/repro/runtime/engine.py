@@ -15,33 +15,27 @@ charges time from, and the deeper layer-timing / cost queries
 :class:`~repro.runtime.cache.ResultCache`, so a workload is compiled and
 characterized once no matter how many batches or reports ask.
 
-For pixel-level serving (functional results, not just timing),
-:meth:`ServingEngine.execute_frame` runs one frame through the backend's
-compiled plan (the block-based truncated-pyramid flow on eCNN, whole-frame
-execution on the frame-based baselines), one truncated-pyramid block at a
-time, and :meth:`ServingEngine.execute_frames` serves several frames of one
-workload.  Repeated frames are answered from the session's bounded
-content-addressed frame cache.
+Pixel-level serving (functional results, not just timing) belongs to the
+session itself — :meth:`repro.api.Session.execute`, ``execute_many`` and
+``execute_stream`` — reachable as ``engine.session``; the engine adds only
+what pixels do not need: admission, batching and placement over instances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.analysis.report import format_table
 from repro.api.results import CostReport
-from repro.api.session import FrameCacheStats, Session
-from repro.core.pipeline import InferenceResult
+from repro.api.session import Session
 from repro.hw.area_power import AreaReport, area_report
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.hw.processor import BlockExecutionReport, EcnnProcessor
-from repro.nn.tensor import FeatureMap
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.scheduler import RequestQueue, ScheduleResult, Scheduler
 from repro.runtime.trace import TrafficTrace
-from repro.runtime.video import StreamFrameResult, VideoStreamStats
 from repro.runtime.workloads import RuntimeWorkload, WorkloadProfile
 
 
@@ -84,12 +78,6 @@ class ServingReport:
     schedule: ScheduleResult
     cache: CacheStats
     backend: str = "ecnn"
-    #: Counters of the session's bounded pixel frame cache at report time
-    #: (``None`` only for reports built before PR 5's serving-stats work).
-    frame_cache: Optional[FrameCacheStats] = None
-    #: Per-stream delta-reuse counters of the session's live video streams
-    #: (empty unless the engine served ``execute_stream`` traffic).
-    video_streams: Tuple[VideoStreamStats, ...] = ()
 
     def render(self) -> str:
         """The CLI's throughput/latency report."""
@@ -136,10 +124,6 @@ class ServingReport:
                 f"\ndeadlines: {schedule.deadline_misses}/{schedule.deadline_requests} "
                 f"missed ({schedule.deadline_miss_rate:.1%})"
             )
-        if self.frame_cache is not None and self.frame_cache.lookups:
-            summary += f"\nframe cache: {self.frame_cache.describe()}"
-        for stream_stats in self.video_streams:
-            summary += f"\nvideo {stream_stats.describe()}"
         return "\n\n".join([streams, instances, summary])
 
 
@@ -194,16 +178,6 @@ class ServingEngine:
     def backend_name(self) -> str:
         return self.session.backend_name
 
-    @property
-    def frame_cache_stats(self) -> FrameCacheStats:
-        """Counters of the session's bounded pixel frame cache."""
-        return self.session.frame_cache_stats
-
-    @property
-    def video_stream_stats(self) -> Tuple[VideoStreamStats, ...]:
-        """Delta-reuse counters of the session's live video streams."""
-        return self.session.video_stream_stats
-
     # ------------------------------------------------------------------ admission
     def submit(
         self,
@@ -240,8 +214,6 @@ class ServingEngine:
             schedule=schedule,
             cache=self.cache.stats,
             backend=self.backend_name,
-            frame_cache=self.session.frame_cache_stats,
-            video_streams=self.session.video_stream_stats,
         )
 
     # ------------------------------------------------------------------ analytics
@@ -297,70 +269,3 @@ class ServingEngine:
             area=area_report(config),
             backend=self.backend_name,
         )
-
-    # ------------------------------------------------------------------ pixels
-    def execute_frame(
-        self,
-        workload_name: str,
-        image: FeatureMap,
-        *,
-        cached: bool = True,
-    ) -> InferenceResult:
-        """Run one frame of pixels through the backend's compiled plan.
-
-        The plan is compiled once (cache-resident) and reused; only
-        block-flow workloads (not recognition) support this path.
-        ``cached`` routes repeats of the same frame through the session's
-        bounded frame cache.
-        """
-        return self.session.execute(workload_name, image, cached=cached)
-
-    def execute_frames(
-        self,
-        workload_name: str,
-        images: Sequence[FeatureMap],
-        *,
-        cached: bool = True,
-    ) -> List[InferenceResult]:
-        """Serve a batch of frames of one workload.
-
-        Delegates to :meth:`repro.api.Session.execute_many`: cached frames
-        are lookups, a frame repeated within the batch is computed once,
-        and every result equals :meth:`execute_frame` on that frame.
-        """
-        return self.session.execute_many(workload_name, images, cached=cached)
-
-    def execute_stream(
-        self,
-        stream_id: str,
-        workload_name: str,
-        image: FeatureMap,
-        *,
-        threshold: float = 0.0,
-        metric: str = "mae",
-        output_block: Optional[int] = None,
-    ) -> StreamFrameResult:
-        """Serve the next ordered frame of a video stream by block deltas.
-
-        Delegates to :meth:`repro.api.Session.execute_stream`: only blocks
-        whose input-window residual against the stream's previous frame
-        exceeds ``threshold`` re-run inference; the rest stitch from the
-        stream's bounded block cache.  ``threshold=0.0`` is exact-reuse
-        mode — pixels are bit-identical to :meth:`execute_frame`.
-        """
-        return self.session.execute_stream(
-            stream_id,
-            workload_name,
-            image,
-            threshold=threshold,
-            metric=metric,
-            output_block=output_block,
-        )
-
-    def evict_pixel_caches(self) -> int:
-        """Drop the session's frame cache and video block caches together."""
-        return self.session.evict_pixel_caches()
-
-    def catalogue(self) -> Dict[str, str]:
-        """Name -> description of the servable workloads."""
-        return self.session.catalogue()

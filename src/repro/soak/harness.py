@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
-from repro.core.stats import percentiles_from_counts
+from repro.core.stats import LatencyHistogram
 from repro.gateway import AdmissionRejected, SLOGateway
 from repro.runtime.cache import ResultCache
 from repro.runtime.cluster import ClusterBackpressure, ServingCluster
@@ -59,12 +59,6 @@ BACKEND = "ecnn"
 #: Workload + square frame size of the post-kill parity probe.
 PARITY_WORKLOAD = "denoise"
 PARITY_SIZE = 24
-
-#: Log-spaced latency histogram: 512 bins spanning 10 µs .. 10^5 s.  The
-#: histogram (not a raw latency list) keeps percentile memory O(1); the
-#: nearest-rank percentile reports a bin's upper edge, which is exact to
-#: the bin resolution (~4.6% relative) and fully deterministic.
-_LATENCY_EDGES = np.logspace(-5.0, 5.0, 513)
 
 LedgerKey = Tuple[str, str, int, float]
 
@@ -272,9 +266,8 @@ class _Accounting:
     deadline_requests: int = 0
     deadline_misses: int = 0
     total_frames: int = 0
-    latency_counts: np.ndarray = field(
-        default_factory=lambda: np.zeros(len(_LATENCY_EDGES) - 1, dtype=np.int64)
-    )
+    #: Log-binned (not a raw latency list): percentile memory stays O(1).
+    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
 
     def admit(self, key: LedgerKey) -> None:
         self.admitted += 1
@@ -298,21 +291,6 @@ class _Accounting:
         duplicated = -sum(count for count in self.ledger.values() if count < 0)
         return lost, duplicated
 
-    def latency_percentiles(self) -> Dict[str, float]:
-        """p50/p95/p99 over the log-binned latency histogram.
-
-        Rank selection is the shared :mod:`repro.core.stats` nearest-rank
-        helper (the same implementation the scheduler uses on raw
-        latencies); each selected sample reports its bin's upper edge.
-        """
-        labelled = (("p50", 0.5), ("p95", 0.95), ("p99", 0.99))
-        percentiles = percentiles_from_counts(
-            self.latency_counts, _LATENCY_EDGES[1:], [q for _, q in labelled]
-        )
-        if not percentiles:
-            return {}
-        return {label: percentiles[q] for label, q in labelled}
-
 
 def _drain(
     cluster: ServingCluster,
@@ -335,14 +313,7 @@ def _drain(
                 (request.stream_id, request.workload, request.frames, request.arrival_s)
             )
             accounting.total_frames += request.frames
-            bin_index = int(
-                np.clip(
-                    np.searchsorted(_LATENCY_EDGES, record.latency_s, side="right") - 1,
-                    0,
-                    len(_LATENCY_EDGES) - 2,
-                )
-            )
-            accounting.latency_counts[bin_index] += 1
+            accounting.latency.observe(record.latency_s)
         accounting.deadline_requests += schedule.deadline_requests
         accounting.deadline_misses += schedule.deadline_misses
 
@@ -518,7 +489,7 @@ def run_soak(config: SoakConfig) -> SoakReport:
             duplicated=duplicated,
             requeued=stats.requeued,
             total_frames=accounting.total_frames,
-            latency_s=accounting.latency_percentiles(),
+            latency_s=accounting.latency.percentiles(),
             chaos_applied=chaos_applied,
             parity_checks=parity_checks,
             wall_s=time.monotonic() - started,

@@ -244,7 +244,7 @@ class TestPixelBackendMatrix:
     def _reference_bytes(cls) -> bytes:
         if "pixels" not in cls._REFERENCE:
             engine = ServingEngine(backend="ecnn", cache=ResultCache())
-            result = engine.execute_frame("denoise", cls._IMAGE, cached=False)
+            result = engine.session.execute("denoise", cls._IMAGE, cached=False)
             cls._REFERENCE["pixels"] = result.output.data.tobytes()
         return cls._REFERENCE["pixels"]
 
@@ -253,8 +253,8 @@ class TestPixelBackendMatrix:
         self, backend
     ):
         engine = ServingEngine(backend=backend, cache=ResultCache())
-        first = engine.execute_frame("denoise", self._IMAGE, cached=False)
-        second = engine.execute_frame("denoise", self._IMAGE, cached=False)
+        first = engine.session.execute("denoise", self._IMAGE, cached=False)
+        second = engine.session.execute("denoise", self._IMAGE, cached=False)
         # Smoke: a real denoised frame came back.
         assert first.output.data.shape == self._IMAGE.data.shape
         assert np.isfinite(first.output.data).all()
@@ -267,10 +267,10 @@ class TestPixelBackendMatrix:
     @pytest.mark.parametrize("backend", available_backends())
     def test_cached_serving_returns_the_same_bytes(self, backend):
         engine = ServingEngine(backend=backend, cache=ResultCache())
-        served = engine.execute_frame("denoise", self._IMAGE)
-        repeat = engine.execute_frame("denoise", self._IMAGE)
+        served = engine.session.execute("denoise", self._IMAGE)
+        repeat = engine.session.execute("denoise", self._IMAGE)
         assert repeat.output.data.tobytes() == served.output.data.tobytes()
-        assert engine.frame_cache_stats.hits >= 1
+        assert engine.session.frame_cache_stats.hits >= 1
 
 
 # ------------------------------------------------------- arithmetic isolation
@@ -298,7 +298,7 @@ class TestSessionArithmeticIsolation:
         ]
         for other in others:
             other.execute("denoise", image, cached=False)
-        ServingEngine(backend="ecnn", cache=ResultCache()).execute_frame(
+        ServingEngine(backend="ecnn", cache=ResultCache()).session.execute(
             "denoise", image, cached=False
         )
         with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:

@@ -74,9 +74,9 @@ class TestServingParity:
     def test_engine_execute_frames(self):
         engine = ServingEngine(backend="ecnn", cache=ResultCache())
         images = [synthetic_image(35, 27, seed=seed) for seed in (1, 2)]
-        batch = engine.execute_frames("denoise", images, cached=False)
+        batch = engine.session.execute_many("denoise", images, cached=False)
         for image, result in zip(images, batch):
-            single = engine.execute_frame("denoise", image, cached=False)
+            single = engine.session.execute("denoise", image, cached=False)
             assert np.array_equal(result.output.data, single.output.data)
 
     def test_recognition_still_has_no_pixel_path(self):

@@ -3,6 +3,7 @@ handles, aggregated stats and the worker-process protocol."""
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -20,7 +21,9 @@ from repro.runtime import (
     ServingEngine,
 )
 from repro.runtime.cli import main as cli_main
+from repro.runtime.cluster import _ShardFailure
 from repro.runtime.trace import trace
+from repro.runtime.workloads import WORKLOADS
 
 
 # -------------------------------------------------------------------- handles
@@ -68,16 +71,20 @@ class TestHandles:
             session.execute("denoise", synthetic_image(32, 32, seed=seed))
         assert session.frame_cache_stats.evictions >= 1
 
-    def test_engine_report_surfaces_frame_cache_stats(self):
-        engine = ServingEngine(num_instances=1, cache=ResultCache())
-        image = synthetic_image(32, 32, seed=5)
-        engine.execute_frame("denoise", image)
-        engine.execute_frame("denoise", image)
-        engine.submit("s0", "denoise", frames=1)
-        report = engine.run()
-        assert report.frame_cache == engine.frame_cache_stats
-        assert report.frame_cache.hits == 1
-        assert "frame cache:" in report.render()
+    def test_custom_workload_registry_has_no_handle(self):
+        # A handle names only the backend, so workers rebuilt from it serve
+        # the live catalogue: a custom registry must be refused, not
+        # silently answered with the catalogue's networks.
+        custom = dict(WORKLOADS)
+        custom["denoise"] = dataclasses.replace(WORKLOADS["denoise"], spec_name="HD60")
+        session = Session(cache=ResultCache(), workloads=custom)
+        with pytest.raises(ValueError, match="workload registry"):
+            session.handle()
+        with pytest.raises(ValueError, match="workload registry"):
+            ServingCluster(workers=1, backend=session, mode="inline")
+        # A registry equal to the live catalogue still shards.
+        same = Session(cache=ResultCache(), workloads=dict(WORKLOADS))
+        assert same.handle() == SessionHandle(backend="ecnn")
 
 
 # ----------------------------------------------------------- scheduler bounds
@@ -165,9 +172,9 @@ class TestClusterInline:
             assert report.makespan_s > 0
             assert "Per-shard serving report" in report.render()
             assert "aggregate" in report.render()
-            # Per-shard engine reports carry their own frame-cache counters.
-            for _, shard_report in report.shard_reports:
-                assert shard_report.frame_cache is not None
+            # Per-shard frame-cache counters come from the stats command.
+            for shard in cluster.stats().shards:
+                assert shard.frame_cache is not None
 
     def test_throughput_scales_with_workers(self):
         fps = []
@@ -238,6 +245,55 @@ class TestClusterInline:
             assert len(results) == len(images)
             assert cluster.stats().total_served_frames == len(images)
 
+    @pytest.mark.parametrize(
+        "call", ["execute_frame", "execute_frames", "execute_stream", "profile"]
+    )
+    def test_owner_failure_fails_over_to_the_live_shard(self, call, monkeypatch):
+        images = [synthetic_image(28, 28, seed=seed) for seed in range(3)]
+        reference = Session(backend="ecnn", cache=ResultCache())
+        with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
+            if call == "execute_frames":
+                owner = cluster._shards[0]  # takes the first contiguous chunk
+            elif call == "execute_stream":
+                owner = cluster._shards[cluster.route_stream("cam")]
+            else:
+                owner = cluster._route_workload("denoise")
+            refused = []
+
+            def refuse(command, payload):
+                refused.append(command)
+                raise _ShardFailure(f"shard {owner.index} refused {command}")
+
+            monkeypatch.setattr(owner, "send", refuse)
+            if call == "execute_frame":
+                answer = cluster.execute_frame("denoise", images[0], cached=False)
+                assert np.array_equal(
+                    answer.output.data,
+                    reference.execute("denoise", images[0], cached=False).output.data,
+                )
+                displaced, served = 1, 1
+            elif call == "execute_frames":
+                answers = cluster.execute_frames("denoise", images, cached=False)
+                for image, answer in zip(images, answers):
+                    assert np.array_equal(
+                        answer.output.data,
+                        reference.execute("denoise", image, cached=False).output.data,
+                    )
+                displaced, served = 2, len(images)  # shard 0's chunk of 3 frames
+            elif call == "execute_stream":
+                answer = cluster.execute_stream("cam", "denoise", images[0])
+                expected = reference.execute_stream("cam", "denoise", images[0])
+                assert np.array_equal(answer.output.data, expected.output.data)
+                displaced, served = 1, 1
+            else:
+                assert cluster.profile("denoise") == reference.serving_profile("denoise")
+                displaced, served = 1, 0
+            assert refused == [call]  # the owner was asked exactly once
+            assert cluster.live_shard_indices() == (1 - owner.index,)
+            stats = cluster.stats()
+            assert stats.requeued == displaced
+            assert stats.total_served_frames == served
+
     def test_unbounded_frame_cache_survives_the_handle_round_trip(self):
         session = Session(
             backend="ecnn", cache=ResultCache(), frame_cache_entries=None
@@ -266,7 +322,7 @@ class TestClusterProcesses:
         image = synthetic_image(40, 40, seed=11)
         assert_parity(
             {
-                "engine": engine.execute_frame("denoise", image, cached=False),
+                "engine": engine.session.execute("denoise", image, cached=False),
                 "cluster": process_cluster.execute_frame("denoise", image, cached=False),
             },
             context=f"mode={process_cluster.mode}",

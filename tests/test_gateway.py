@@ -92,6 +92,11 @@ class TestLatencyHistogram:
     def test_empty_histogram_reports_nothing(self):
         assert LatencyHistogram().percentiles() == {}
 
+    def test_empty_histogram_still_rejects_bad_quantiles(self):
+        # Validation does not depend on whether anything was observed.
+        with pytest.raises(ValueError, match="outside"):
+            LatencyHistogram().percentiles((("bad", 1.5),))
+
     def test_invalid_quantile_raises(self):
         histogram = LatencyHistogram()
         histogram.observe(0.01)

@@ -84,7 +84,7 @@ class TestAssertParityHelper:
 
     def test_unwraps_feature_maps_and_results(self, engine, assert_parity):
         image = synthetic_image(24, 24, seed=0)
-        result = engine.execute_frame("denoise", image, cached=False)
+        result = engine.session.execute("denoise", image, cached=False)
         assert_parity(
             {
                 "raw": result.output.data,
@@ -406,7 +406,7 @@ class TestRandomizedServingStack:
         assert_parity(
             {
                 "session": session.execute(workload, image, cached=False),
-                "engine": engine.execute_frame(workload, image, cached=False),
+                "engine": engine.session.execute(workload, image, cached=False),
                 "cluster": cluster.execute_frame(workload, image, cached=False),
                 "cluster_batch": cluster.execute_frames(
                     workload, [image], cached=False

@@ -106,25 +106,27 @@ class TestCallSitesShareTheHelper:
 
     def test_soak_accounting_routes_through_shared_helper(self):
         from repro.core import stats
+        from repro.gateway import gateway
         from repro.soak import harness
 
-        assert harness.percentiles_from_counts is stats.percentiles_from_counts
+        assert harness.LatencyHistogram is stats.LatencyHistogram
+        assert gateway.LatencyHistogram is stats.LatencyHistogram
         # Behavioural pin on the soak accounting itself: empty histogram,
         # one sample, duplicate-heavy histogram.
         accounting = harness._Accounting()
-        assert accounting.latency_percentiles() == {}
+        assert accounting.latency.percentiles() == {}
         one = harness._Accounting()
-        one.latency_counts[100] = 1
-        upper = float(harness._LATENCY_EDGES[101])
-        assert one.latency_percentiles() == {"p50": upper, "p95": upper, "p99": upper}
+        one.latency.counts[100] = 1
+        upper = float(stats.LATENCY_EDGES[101])
+        assert one.latency.percentiles() == {"p50": upper, "p95": upper, "p99": upper}
         # 95 duplicates low, 5 high: p50/p95 ranks (50, 95) stay in the low
         # bin, p99 rank 99 crosses into the high bin.
         heavy = harness._Accounting()
-        heavy.latency_counts[10] = 95
-        heavy.latency_counts[400] = 5
-        low = float(harness._LATENCY_EDGES[11])
-        high = float(harness._LATENCY_EDGES[401])
-        assert heavy.latency_percentiles() == {"p50": low, "p95": low, "p99": high}
+        heavy.latency.counts[10] = 95
+        heavy.latency.counts[400] = 5
+        low = float(stats.LATENCY_EDGES[11])
+        high = float(stats.LATENCY_EDGES[401])
+        assert heavy.latency.percentiles() == {"p50": low, "p95": low, "p99": high}
 
     def test_scheduler_empty_and_single_record_behaviour(self):
         from repro.runtime.scheduler import ScheduleResult
