@@ -29,6 +29,8 @@ from repro.check.diagnostics import (
 )
 from repro.check.verifier import (
     PlanVerificationError,
+    accumulator_dtype,
+    verify_accumulators,
     verify_network,
     verify_plan,
     verify_program,
@@ -41,7 +43,9 @@ __all__ = [
     "RULES",
     "Rule",
     "Severity",
+    "accumulator_dtype",
     "reports_to_json",
+    "verify_accumulators",
     "verify_network",
     "verify_plan",
     "verify_program",

@@ -120,6 +120,12 @@ _rule(
     "surfaced so range regressions are visible).",
 )
 _rule(
+    "ECNN132", "accumulator-inexact", Severity.ERROR,
+    "A fixed-point layer's proven partial-sum bound exceeds the integer "
+    "range its accumulator dtype represents exactly (2^24 for float32); "
+    "its output would depend on BLAS summation order.",
+)
+_rule(
     "ECNN140", "dead-instruction", Severity.WARNING,
     "An instruction's output is overwritten or never consumed; the cycles "
     "and parameter-memory it costs buy nothing.",

@@ -22,8 +22,15 @@ single pixel is served.  This module decides them:
 ``verify_plan(plan, ...)``
     Everything above for a backend's :class:`~repro.api.results.CompiledPlan`,
     plus the checks that need the compiled semantics: Q-format interval
-    analysis through each instruction's layer stack (ECNN130/131) and
-    unused parameter segments (ECNN141).
+    analysis through each instruction's layer stack (ECNN130/131), unused
+    parameter segments (ECNN141) and, for a fixed-point plan network,
+    accumulator exactness (ECNN132).
+
+``verify_accumulators(network)`` / ``accumulator_dtype(bound)``
+    The float32/float64 decision for a fixed-point layer: the narrowest
+    dtype that holds every integer up to the layer's proven accumulator
+    bound exactly.  The fixed-point builder asks ``accumulator_dtype``;
+    ECNN132 re-proves the choice from the layer's codes.
 
 Capacity model (ECNN120).  A block buffer stores one 32-channel group
 (:class:`repro.hw.blockbuffer.BlockBuffer`), so the per-operand bound is
@@ -53,11 +60,12 @@ from repro.nn.layers import (
     AddBias,
     ClippedReLU,
     Conv2d,
+    FixedConv2d,
     Layer,
     ReLU,
     Residual,
 )
-from repro.nn.network import Network, Sequential
+from repro.nn.network import Network, Sequential, iter_conv_layers
 from repro.nn.ops import (
     MaxPool2x2,
     PixelShuffle,
@@ -79,6 +87,23 @@ _STRUCTURAL_RULES = {
 #: Relative interval overshoot below which ECNN131 stays quiet — one LSB of
 #: rounding slack, so exact-fit formats don't produce noise findings.
 _CLIP_SLACK = 1e-9
+
+
+#: Largest integer magnitude below which a float dtype holds every integer
+#: exactly (its significand width), narrowest first.
+EXACT_INTEGERS = {np.dtype(np.float32): 1 << 24, np.dtype(np.float64): 1 << 53}
+
+
+def accumulator_dtype(bound: int) -> np.dtype:
+    """The narrowest float dtype whose sums are exact up to ``bound``.
+
+    A gemm whose every partial sum is an integer of magnitude at most
+    ``bound`` gives the same bits in any summation order in this dtype.
+    """
+    for dtype, limit in EXACT_INTEGERS.items():
+        if bound <= limit:
+            return dtype
+    raise ValueError(f"accumulator bound {bound} exceeds every exact float range")
 
 
 class PlanVerificationError(ValueError):
@@ -427,6 +452,30 @@ def _check_parameter_segments(report: CheckReport, model: CompiledModel) -> None
             )
 
 
+def verify_accumulators(network: Sequential) -> CheckReport:
+    """ECNN132: every fixed-point layer's accumulator is exact in its dtype.
+
+    Re-proves :func:`accumulator_dtype`'s decision from each
+    :class:`~repro.nn.layers.FixedConv2d`'s codes; float layers pass.
+    """
+    name = getattr(network, "name", type(network).__name__)
+    report = CheckReport(subject=f"network:{name}")
+    for layer in iter_conv_layers(network):
+        if not isinstance(layer, FixedConv2d):
+            continue
+        bound = layer.accumulator_bound
+        limit = EXACT_INTEGERS.get(layer.dtype, 0)
+        if bound > limit:
+            report.add(
+                "ECNN132",
+                f"partial sums reach {bound} ({bound / (1 << 24):.2f} x 2^24) but "
+                f"{layer.dtype.name} is exact only to {limit}; results would "
+                f"depend on summation order (needs {accumulator_dtype(bound).name})",
+                location=f"layer {layer.name}",
+            )
+    return report
+
+
 def _plan_case_study(plan) -> Optional[str]:
     metadata = getattr(plan.network, "metadata", {}) or {}
     value = metadata.get("case_study")
@@ -458,6 +507,7 @@ def verify_plan(
     report.extend(
         verify_network(plan.network, input_block=plan.input_block, config=base)
     )
+    report.extend(verify_accumulators(plan.network))
     model = plan.payload
     if isinstance(model, CompiledModel):
         report.extend(verify_program(model.program, config=base))

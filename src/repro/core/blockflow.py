@@ -311,7 +311,6 @@ def _run_blocks(
     padded: np.ndarray,
     blocks: Iterable[BlockSpec],
     layers: Sequence[Layer],
-    qformat: Optional[str] = None,
     origin: Optional[Tuple[int, int]] = None,
 ) -> Iterator[Tuple[BlockSpec, FeatureMap]]:
     """Window, forward, crop: yield each block with its owned output region.
@@ -326,7 +325,7 @@ def _run_blocks(
         origin = (-margin, -margin)
     for block in blocks:
         window = _block_window(padded, block, origin)
-        raw = forward(FeatureMap(data=window.copy(), qformat=qformat))
+        raw = forward(FeatureMap(data=window.copy()))
         yield block, _crop_to_block(raw, block, layers)
 
 
@@ -360,13 +359,13 @@ def block_based_inference(
 
     Returns the stitched output feature map and the block grid (for overhead
     accounting).  The stitched output equals :func:`frame_based_inference`
-    exactly.
+    exactly for an exact network (a fixed-point program, whose sums do not
+    depend on their order); a float network's block and frame gemms have
+    different shapes, so BLAS may round them differently.
     """
     grid = partition_image(image.height, image.width, network, output_block)
     padded = pad_frame(image, network.layers)
-    blocks = _run_blocks(
-        network.forward, padded, grid.blocks, network.layers, image.qformat
-    )
+    blocks = _run_blocks(network.forward, padded, grid.blocks, network.layers)
     output = _stitch(blocks, grid.output_height, grid.output_width)
     assert output is not None
     return FeatureMap(data=output), grid
@@ -384,7 +383,8 @@ def staged_inference(
     *k-1*'s stitched output, offset by that intermediate's origin.  The
     intermediate's border is computed from the zero padding, exactly as the
     frame-based flow computes it, so the result equals
-    :func:`frame_based_inference` to float tolerance.
+    :func:`frame_based_inference` exactly for an exact network, as in
+    :func:`block_based_inference`.
 
     A one-stage plan runs :func:`block_based_inference`'s arithmetic at the
     stage's output block: the same padding, windows and block order.
@@ -424,18 +424,16 @@ def staged_inference(
     )
     origin = (in_rows[0], in_cols[0])
     in_height, in_width = image.height, image.width
-    qformat = image.qformat
     grids: List[BlockGrid] = []
     for stage, piece, (rows, cols) in zip(stages, pieces, regions):
         forward = network.forward if len(piece) == len(layers) else Sequential(piece).forward
         grid = _region_grid(
             in_height, in_width, rows, cols, piece, output_size_valid(stage.input_block, piece)
         )
-        blocks = _run_blocks(forward, source, grid.blocks, piece, qformat, origin)
+        blocks = _run_blocks(forward, source, grid.blocks, piece, origin)
         source = _stitch(blocks, grid.output_height, grid.output_width, (rows[0], cols[0]))
         origin = (rows[0], cols[0])
         in_height, in_width = grid.output_height, grid.output_width
-        qformat = None
         grids.append(grid)
     return FeatureMap(data=source), tuple(grids)
 
@@ -500,7 +498,6 @@ def run_selected_blocks(
     padded: np.ndarray,
     grid: BlockGrid,
     indices: Sequence[int],
-    qformat: Optional[str] = None,
 ) -> List[FeatureMap]:
     """Run only the named blocks of a partition and return their outputs.
 
@@ -514,9 +511,7 @@ def run_selected_blocks(
     blocks = [grid.blocks[index] for index in indices]
     return [
         result
-        for _, result in _run_blocks(
-            network.forward, padded, blocks, network.layers, qformat
-        )
+        for _, result in _run_blocks(network.forward, padded, blocks, network.layers)
     ]
 
 

@@ -54,7 +54,7 @@ from repro.nn.network import Sequential
 from repro.nn.ops import MaxPool2x2, PixelShuffle, PixelUnshuffle, StridedPool2x2
 from repro.nn.tensor import FeatureMap
 from repro.quant.qformat import QFormat
-from repro.quant.quantize import QuantizationPlan
+from repro.quant.quantize import QuantizationPlan, conv_codes
 
 
 class CompilerError(ValueError):
@@ -140,10 +140,6 @@ def _leaf_modules(out_channels: int) -> int:
 
 def _input_groups(in_channels: int) -> int:
     return max(1, -(-in_channels // LEAF_CHANNELS))
-
-
-def _quantize_conv(conv: Conv2d, wfmt: QFormat, bfmt: QFormat) -> tuple[np.ndarray, np.ndarray]:
-    return wfmt.quantize_to_codes(conv.weights), bfmt.quantize_to_codes(conv.bias)
 
 
 class _Lowering:
@@ -238,7 +234,7 @@ class _Lowering:
             w1 = None
             biases = []
             for conv in conv_layers:
-                codes_w, codes_b = _quantize_conv(conv, wfmt, bfmt)
+                codes_w, codes_b = conv_codes(conv, wfmt, bfmt)
                 if conv.kernel == 3:
                     w3 = codes_w
                 else:

@@ -193,9 +193,7 @@ class EcnnProcessor:
         """
         grid = partition_image(image.height, image.width, network, output_block)
         padded = pad_frame(image, network.layers)
-        blocks = _run_blocks(
-            self.execute_block, padded, grid.blocks, network.layers, image.qformat
-        )
+        blocks = _run_blocks(self.execute_block, padded, grid.blocks, network.layers)
         output = _stitch(blocks, grid.output_height, grid.output_width)
         return ImageExecutionReport(
             output=FeatureMap(data=output) if output is not None else None,

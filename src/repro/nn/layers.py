@@ -16,7 +16,8 @@ layer exposes:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,14 +31,23 @@ _TILE_BYTES = 4 << 20
 _TILE_MIN_PIXELS = 4096
 
 
-def _conv2d_valid(data: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _conv2d_valid(
+    data: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray,
+    skip: Optional[np.ndarray] = None,
+    clip: Optional[Tuple[int, int]] = None,
+) -> np.ndarray:
     """Valid-mode convolution of one ``(C, H, W)`` map -> ``(O, H_out, W_out)``.
 
     A KxK convolution gathers its im2col patches a row tile at a time into
-    one bounded buffer and writes each tile's gemm and bias straight into its
-    row slab of the output.  The tile height depends on the input shape only,
-    so equal-shaped inputs always run the same gemm shapes and give the same
-    bytes.
+    one bounded buffer (a 1x1 reads its rows in place) and writes each
+    tile's gemm and bias straight into its row slab of the output.  The
+    tile height depends on the input shape only, so equal-shaped inputs
+    always run the same gemm shapes.  ``skip`` (shaped like the output) is
+    added to each slab, and ``clip`` rounds each slab half-to-even and
+    clips it to ``[lo, hi]`` in place while the slab is still cache-hot:
+    the fixed-point requantization.
     """
     out_channels, _, kernel, _ = weights.shape
     channels, height, width = data.shape
@@ -50,26 +60,60 @@ def _conv2d_valid(data: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np
     out = np.empty((out_channels, out_h, out_w), dtype=np.result_type(data, weights))
     flat_out = out.reshape(out_channels, out_h * out_w)
     w2d = weights.reshape(out_channels, -1)
-    if kernel == 1:
-        np.matmul(w2d, data.reshape(channels, height * width), out=flat_out)
-        flat_out += bias[:, np.newaxis]
-        return out
     depth = channels * kernel * kernel
     rows = max(
         _TILE_BYTES // (depth * out_w * data.itemsize), -(-_TILE_MIN_PIXELS // out_w)
     )
     rows = min(rows, out_h)
-    buffer = np.empty(depth * rows * out_w, dtype=data.dtype)
+    if kernel == 1:
+        flat_in = data.reshape(channels, height * width)
+    else:
+        buffer = np.empty(depth * rows * out_w, dtype=data.dtype)
+    add_bias = bool(bias.any())
     for top in range(0, out_h, rows):
         n = min(rows, out_h - top)
-        cols = buffer[: depth * n * out_w].reshape(channels, kernel, kernel, n, out_w)
-        for dy in range(kernel):
-            for dx in range(kernel):
-                cols[:, dy, dx] = data[:, top + dy : top + dy + n, dx : dx + out_w]
         slab = flat_out[:, top * out_w : (top + n) * out_w]
-        np.matmul(w2d, cols.reshape(depth, n * out_w), out=slab)
-        slab += bias[:, np.newaxis]
+        if kernel == 1:
+            np.matmul(w2d, flat_in[:, top * out_w : (top + n) * out_w], out=slab)
+        else:
+            cols = buffer[: depth * n * out_w].reshape(channels, kernel, kernel, n, out_w)
+            for dy in range(kernel):
+                for dx in range(kernel):
+                    cols[:, dy, dx] = data[:, top + dy : top + dy + n, dx : dx + out_w]
+            np.matmul(w2d, cols.reshape(depth, n * out_w), out=slab)
+        if add_bias:
+            slab += bias[:, np.newaxis]
+        if skip is not None:
+            out[:, top : top + n] += skip[:, top : top + n]
+        if clip is not None:
+            np.rint(slab, out=slab)
+            np.clip(slab, clip[0], clip[1], out=slab)
     return out
+
+
+def _center_crop(data: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The centred ``height`` x ``width`` window of a ``(C, H, W)`` map.
+
+    Aligns a residual skip with its valid-mode body output, which is
+    smaller by the body's margin on every side.
+    """
+    crop_h = data.shape[1] - height
+    crop_w = data.shape[2] - width
+    if crop_h < 0 or crop_w < 0 or crop_h % 2 or crop_w % 2:
+        raise ValueError(
+            f"residual body output {height}x{width} cannot be aligned "
+            f"with input {data.shape[1]}x{data.shape[2]}"
+        )
+    return data[:, crop_h // 2 : crop_h // 2 + height, crop_w // 2 : crop_w // 2 + width]
+
+
+def _check_conv(in_channels: int, out_channels: int, kernel: int, padding: str) -> None:
+    if kernel not in (1, 3):
+        raise ValueError(f"only 1x1 and 3x3 kernels are supported, got {kernel}")
+    if padding not in ("valid", "zero"):
+        raise ValueError(f"padding must be 'valid' or 'zero', got {padding!r}")
+    if in_channels <= 0 or out_channels <= 0:
+        raise ValueError("channel counts must be positive")
 
 
 class Layer:
@@ -127,12 +171,7 @@ class Conv2d(Layer):
         seed: Optional[int] = None,
         name: str = "",
     ) -> None:
-        if kernel not in (1, 3):
-            raise ValueError(f"only 1x1 and 3x3 kernels are supported, got {kernel}")
-        if padding not in ("valid", "zero"):
-            raise ValueError(f"padding must be 'valid' or 'zero', got {padding!r}")
-        if in_channels <= 0 or out_channels <= 0:
-            raise ValueError("channel counts must be positive")
+        _check_conv(in_channels, out_channels, kernel, padding)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -187,8 +226,153 @@ class Conv2d(Layer):
         if self.padding == "zero" and self.kernel > 1:
             pad = (self.kernel - 1) // 2
             data = np.pad(data, ((0, 0), (pad, pad), (pad, pad)))
-        out = _conv2d_valid(data, self.weights, self.bias)
-        return fm.with_data(out, qformat=None)
+        return fm.with_data(_conv2d_valid(data, self.weights, self.bias))
+
+
+class FixedConv2d(Conv2d):
+    """A convolution on 8-bit Q-format codes, exact in any summation order.
+
+    Codes at ``in_format`` meet the weight ``codes`` at ``weight_format``
+    (Section 4.3), so every partial sum is an integer count of
+    ``2**-(in_format.frac + weight_format.frac)``.  The layer folds the
+    power-of-two shift to ``out_format`` into its weights, bias and skip
+    scale, so each gemm slab comes out in output-code units; the kernel
+    then rounds it half-to-even and clips it to the 8-bit range in place.
+    ``accumulator_bound`` bounds every partial sum as an integer, and
+    ``dtype`` must represent that bound exactly (float32 up to ``2**24``,
+    float64 up to ``2**53``): then BLAS may sum in any order, on any thread
+    count and tile size, and give the same bits.
+
+    ``skip_format`` names the format of a residual skip this layer
+    accumulates (the hardware's srcS), ``quantize_input`` makes the layer
+    round raw pixels to ``in_format`` codes first (the network's first
+    convolution), and ``dequantize_output`` returns the values the codes
+    stand for instead of the codes (its last; exact in ``dtype``).
+    Formats are :class:`repro.quant.QFormat` s.
+    """
+
+    def __init__(
+        self,
+        codes: np.ndarray,
+        bias_codes: np.ndarray,
+        *,
+        weight_format,
+        bias_format,
+        in_format,
+        out_format,
+        skip_format=None,
+        quantize_input: bool = False,
+        dequantize_output: bool = False,
+        dtype=np.float64,
+        padding: str = "valid",
+        name: str = "",
+    ) -> None:
+        # No call to Conv2d.__init__: it would draw or copy float64 weights.
+        self.codes = np.asarray(codes, dtype=np.int8)
+        self.out_channels, self.in_channels, self.kernel, _ = self.codes.shape
+        _check_conv(self.in_channels, self.out_channels, self.kernel, padding)
+        self.padding = padding
+        self.name = name or f"conv{self.kernel}x{self.kernel}"
+        self.bias_codes = np.asarray(bias_codes, dtype=np.int64)
+        self.weight_format = weight_format
+        self.bias_format = bias_format
+        self.in_format = in_format
+        self.out_format = out_format
+        self.skip_format = skip_format
+        self.quantize_input = quantize_input
+        self.dequantize_output = dequantize_output
+        self.dtype = np.dtype(dtype)
+        # Partial sums are integers on the grid of the finest addend.
+        acc_frac = in_format.frac + weight_format.frac
+        self.grid_frac = max(acc_frac, skip_format.frac if skip_format is not None else acc_frac)
+        self.bias_units = np.rint(
+            self.bias_codes * 2.0 ** (self.grid_frac - bias_format.frac)
+        ).astype(np.int64)
+
+    # The folded parameters are built on first use: calibration makes
+    # several variants of a layer and runs only one of them.
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Weight codes times the shift to output-code units (exact: a power of two)."""
+        shift = self.out_format.frac - self.in_format.frac - self.weight_format.frac
+        weights = self.codes.astype(self.dtype)
+        weights *= 2.0**shift
+        return weights
+
+    @cached_property
+    def bias(self) -> np.ndarray:
+        """The bias on the accumulator grid, in output-code units."""
+        return self.bias_units.astype(self.dtype) * 2.0 ** (self.out_format.frac - self.grid_frac)
+
+    @property
+    def accumulator_bound(self) -> int:
+        """Largest partial-sum magnitude, in integer units of ``2**-grid_frac``.
+
+        Per output channel: sum |weight code| times the largest input code
+        magnitude, plus |bias| and the largest skip code, each on the grid.
+        """
+        def largest(fmt) -> int:
+            return max(-fmt.min_code, fmt.max_code)
+
+        spread = 1 << (self.grid_frac - self.in_format.frac - self.weight_format.frac)
+        codes = np.abs(self.codes, dtype=np.int32).reshape(self.out_channels, -1)
+        per_channel = codes.sum(axis=1, dtype=np.int64)
+        sums = per_channel * largest(self.in_format) * spread + np.abs(self.bias_units)
+        bound = int(sums.max())
+        if self.skip_format is not None:
+            bound += largest(self.skip_format) << (self.grid_frac - self.skip_format.frac)
+        return bound
+
+    def replace(self, **changes) -> "FixedConv2d":
+        """A copy with some constructor arguments changed."""
+        params = {
+            name: getattr(self, name)
+            for name in (
+                "codes", "bias_codes", "weight_format", "bias_format", "in_format",
+                "out_format", "skip_format", "quantize_input", "dequantize_output",
+                "dtype", "padding", "name",
+            )
+        }
+        params.update(changes)
+        return FixedConv2d(**params)
+
+    def forward(self, fm: FeatureMap, skip: Optional[np.ndarray] = None) -> FeatureMap:
+        """Output codes at ``out_format``; ``skip`` holds codes at ``skip_format``."""
+        fmt = self.out_format
+        out = self._accumulate(fm, skip, (fmt.min_code, fmt.max_code))
+        if self.dequantize_output:
+            out *= fmt.step  # 8-bit codes times a power of two: exact
+        return fm.with_data(out)
+
+    def accumulate(self, fm: FeatureMap, skip: Optional[np.ndarray] = None) -> np.ndarray:
+        """The exact sums in output-code units, before rounding and clipping.
+
+        Calibration reads these to choose ``out_format``; ``forward``
+        returns them requantized.
+        """
+        return self._accumulate(fm, skip, None)
+
+    def _accumulate(
+        self, fm: FeatureMap, skip: Optional[np.ndarray], clip: Optional[Tuple[int, int]]
+    ) -> np.ndarray:
+        if fm.channels != self.in_channels:
+            raise ValueError(
+                f"layer {self.name} expects {self.in_channels} channels, got {fm.channels}"
+            )
+        if (skip is None) != (self.skip_format is None):
+            raise ValueError(f"layer {self.name}: skip given iff skip_format is set")
+        data = fm.data
+        if self.quantize_input:
+            fmt = self.in_format
+            data = np.clip(np.rint(data * 2.0**fmt.frac), fmt.min_code, fmt.max_code)
+        data = data.astype(self.dtype, copy=False)
+        if self.padding == "zero" and self.kernel > 1:
+            pad = (self.kernel - 1) // 2
+            data = np.pad(data, ((0, 0), (pad, pad), (pad, pad)))
+        if skip is not None:
+            scale = 2.0 ** (self.out_format.frac - self.skip_format.frac)
+            skip = np.multiply(skip, scale, dtype=self.dtype)
+        return _conv2d_valid(data, self.weights, self.bias, skip, clip)
 
 
 class ReLU(Layer):
@@ -296,16 +480,22 @@ class Residual(Layer):
             raise ValueError(
                 f"residual body changes channel count {fm.channels} -> {out.channels}"
             )
-        crop_h = fm.height - out.height
-        crop_w = fm.width - out.width
-        if crop_h < 0 or crop_w < 0 or crop_h % 2 or crop_w % 2:
-            raise ValueError(
-                f"residual body output {out.height}x{out.width} cannot be aligned "
-                f"with input {fm.height}x{fm.width}"
-            )
-        skip = fm.data[
-            :,
-            crop_h // 2 : fm.height - crop_h // 2,
-            crop_w // 2 : fm.width - crop_w // 2,
-        ]
-        return out.with_data(out.data + skip)
+        return out.with_data(out.data + _center_crop(fm.data, out.height, out.width))
+
+
+class FixedResidual(Residual):
+    """A residual whose skip enters its closing convolution's accumulator.
+
+    The fixed-point twin of :class:`Residual`: the eCNN datapath adds the
+    skip to the partial sums of the block's last instruction (srcS) before
+    that instruction requantizes, so the sum is rounded once.  The body
+    must end with a :class:`FixedConv2d` that has a ``skip_format``.
+    """
+
+    def forward(self, fm: FeatureMap) -> FeatureMap:
+        out = fm
+        for layer in self.body[:-1]:
+            out = layer.forward(out)
+        closing = self.body[-1]
+        _, height, width = closing.output_shape(out.channels, out.height, out.width)
+        return closing.forward(out, skip=_center_crop(fm.data, height, width))

@@ -1,9 +1,9 @@
 """Feature-map containers used throughout the reproduction.
 
-Feature maps are stored channel-first (``C, H, W``) as float64 or integer
-arrays.  The container also carries an optional fixed-point format so the
-quantized execution path can track per-layer Q-formats the way the eCNN
-hardware does (Section 4.3 of the paper).
+Feature maps are stored channel-first (``C, H, W``).  Float networks
+carry float64 values; a fixed-point program
+(:func:`repro.quant.fixed.fixed_point_network`) carries 8-bit Q-format
+codes held in float32 or float64 arrays, and its layers know their formats.
 
 The block flow runs one truncated-pyramid block at a time through this
 3-D container; the blocks are independent, so stitching their outputs
@@ -13,26 +13,21 @@ reproduces the frame flow without a batched ``(N, C, H, W)`` twin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """A channel-first (C, H, W) feature map with optional Q-format metadata.
+    """A channel-first (C, H, W) feature map.
 
     Parameters
     ----------
     data:
         Array of shape ``(channels, height, width)``.
-    qformat:
-        Optional name of the fixed-point format the values are expressed in
-        (e.g. ``"Q6"`` or ``"UQ8"``).  ``None`` means floating point.
     """
 
     data: np.ndarray
-    qformat: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.data.ndim != 3:
@@ -60,9 +55,9 @@ class FeatureMap:
     def num_values(self) -> int:
         return int(self.data.size)
 
-    def with_data(self, data: np.ndarray, qformat: Optional[str] = None) -> "FeatureMap":
-        """Return a new map with replaced data (and optionally Q-format)."""
-        return FeatureMap(data=data, qformat=qformat if qformat is not None else self.qformat)
+    def with_data(self, data: np.ndarray) -> "FeatureMap":
+        """Return a new map with replaced data."""
+        return FeatureMap(data=data)
 
     def crop(self, top: int, left: int, height: int, width: int) -> "FeatureMap":
         """Return a spatial crop of the feature map."""

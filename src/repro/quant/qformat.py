@@ -66,9 +66,9 @@ class QFormat:
 
     def quantize_to_codes(self, values: np.ndarray) -> np.ndarray:
         """Clip and round floating values to integer codes of this format."""
-        values = np.asarray(values, dtype=np.float64)
-        codes = np.rint(values / self.step)
-        return np.clip(codes, self.min_code, self.max_code).astype(np.int64)
+        codes = np.rint(np.asarray(values, dtype=np.float64) * 2.0**self.frac)
+        np.clip(codes, self.min_code, self.max_code, out=codes)
+        return codes.astype(np.int64)
 
     def codes_to_values(self, codes: np.ndarray) -> np.ndarray:
         """Convert integer codes back to their real values."""

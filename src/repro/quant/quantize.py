@@ -118,6 +118,17 @@ def optimal_fraction_bits(
     return QFormat(frac=int(best_frac), bits=bits, signed=signed)
 
 
+def conv_codes(
+    conv: Conv2d, weight_format: QFormat, bias_format: QFormat
+) -> tuple[np.ndarray, np.ndarray]:
+    """A convolution's 8-bit weight and bias codes at the given formats.
+
+    The one rounding rule for parameters: the FBISA compiler packs these
+    codes and the fixed-point program computes on them.
+    """
+    return weight_format.quantize_to_codes(conv.weights), bias_format.quantize_to_codes(conv.bias)
+
+
 @dataclass(frozen=True)
 class LayerQuantization:
     """Chosen Q-formats for one convolution layer."""

@@ -276,13 +276,13 @@ class VideoStream:
         at or below the threshold — and whose output is still resident in
         the block cache — are stitched from the cache; the rest re-run
         through the block flow.  The first frame, a frame
-        after a resolution/dtype/Q-format change, and the frame after an
+        after a resolution/dtype change, and the frame after an
         :meth:`invalidate` recompute in full.
         """
         network, output_block = self._geometry()
         grid = partition_image(frame.height, frame.width, network, output_block)
         padded = pad_frame(frame, network.layers)
-        key = (frame.shape, frame.data.dtype.str, frame.qformat)
+        key = (frame.shape, frame.data.dtype.str)
 
         residuals: Optional[np.ndarray] = None
         reused: list[int] = []
@@ -303,7 +303,7 @@ class VideoStream:
                 else:
                     recomputed.append(index)
 
-        fresh = run_selected_blocks(network, padded, grid, recomputed, frame.qformat)
+        fresh = run_selected_blocks(network, padded, grid, recomputed)
         pieces: list[tuple[BlockSpec, FeatureMap]] = []
         window_itemsize = frame.data.dtype.itemsize
         for index in reused:

@@ -208,9 +208,12 @@ class TestCrossBackend:
         cache = ResultCache()
         for name, size in (("denoise", 40), ("super_resolution", 40), ("style_transfer", 64)):
             image = synthetic_image(size, size, seed=5)
-            reference = Session(backend="ecnn", cache=cache).execute(name, image)
+            session = Session(backend="ecnn", cache=cache)
+            reference = session.execute(name, image)
             other = Session(backend="frame_based", cache=cache).execute(name, image)
             assert np.array_equal(reference.output.data, other.output.data), name
+            frame = frame_based_inference(session.compile(name).network, image)
+            assert np.array_equal(reference.output.data, frame.data), name
 
     def test_recognition_has_no_pixel_path(self):
         session = Session(backend="frame_based", cache=ResultCache())
@@ -311,7 +314,7 @@ class TestSessionArithmeticIsolation:
         assert fresh.tobytes() == first.tobytes()
         assert lookup.tobytes() == first.tobytes()
         network = session_a.compile("denoise").network
-        assert np.allclose(first, frame_based_inference(network, image).data)
+        assert np.array_equal(first, frame_based_inference(network, image).data)
 
 
 # ---------------------------------------------------------------- deprecation

@@ -22,14 +22,6 @@ def test_rejects_non_3d_data():
         FeatureMap(np.zeros((1, 3, 10, 20)))
 
 
-def test_with_data_preserves_qformat():
-    fm = FeatureMap(np.zeros((1, 4, 4)), qformat="Q6")
-    replaced = fm.with_data(np.ones((1, 4, 4)))
-    assert replaced.qformat == "Q6"
-    overridden = fm.with_data(np.ones((1, 4, 4)), qformat="UQ8")
-    assert overridden.qformat == "UQ8"
-
-
 def test_crop_extracts_expected_region():
     data = np.arange(2 * 6 * 8).reshape(2, 6, 8).astype(float)
     fm = FeatureMap(data)

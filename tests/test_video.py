@@ -54,7 +54,7 @@ def _mutated(frame: FeatureMap, blocks) -> FeatureMap:
     for row, col in blocks:
         y, x = _CENTERS[(row, col)]
         data[:, y, x] += 1.0
-    return FeatureMap(data=data, qformat=frame.qformat)
+    return FeatureMap(data=data)
 
 
 def _reference(session: Session, frame: FeatureMap) -> np.ndarray:
@@ -251,7 +251,6 @@ class TestStatsReconciliation:
         stream.submit(base)
         noisy = FeatureMap(
             data=base.data + np.random.default_rng(11).normal(scale=1e-5, size=base.data.shape),
-            qformat=base.qformat,
         )
         result = stream.submit(noisy)
         # Low-amplitude noise stays under the MAE threshold: all reuse.
