@@ -19,6 +19,7 @@ wiring.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -50,6 +51,14 @@ def _fixed_point_program(network: Network) -> Network:
     if "_fixed_point" not in memo:
         memo["_fixed_point"] = fixed_point_network(network)
     return memo["_fixed_point"]
+
+
+def frame_digest(frame: FeatureMap) -> str:
+    """The frame's content digest in its frame-cache key (the cluster routes by it).
+
+    Never stored on the mutable frame: a stale digest would name another value.
+    """
+    return hashlib.sha256(frame.data.tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -298,18 +307,16 @@ class Session:
         return entry
 
     def _frame_key(
-        self, entry: RuntimeWorkload, plan: CompiledPlan, frame: FeatureMap
+        self, entry: RuntimeWorkload, plan: CompiledPlan, frame: FeatureMap, digest: str = ""
     ) -> str:
         """Content address of one frame's pixel result under this session.
 
         Names the plan's stage list and arithmetic (its Q-formats and
-        accumulator dtypes): both decide the pixels.
+        accumulator dtypes): both decide the pixels.  ``digest`` is the
+        frame's :func:`frame_digest` if the caller has it already.
         """
-        import hashlib
-
         from repro.runtime.cache import ResultCache
 
-        digest = hashlib.sha256(frame.data.tobytes()).hexdigest()
         return ResultCache.key(
             "api",
             "frame",
@@ -320,7 +327,7 @@ class Session:
             plan.formats,
             frame.shape,
             frame.data.dtype.str,
-            digest,
+            digest or frame_digest(frame),
         )
 
     def execute(
@@ -356,6 +363,7 @@ class Session:
         frames: Sequence[FeatureMap],
         *,
         cached: bool = True,
+        digests: Optional[Sequence[str]] = None,
     ) -> List[InferenceResult]:
         """Run several frames of one workload.
 
@@ -363,6 +371,7 @@ class Session:
         a frame repeated within the batch is computed once; every remaining
         frame runs through the plan's stages and is cached for the next
         request.  Each result equals :meth:`execute` on that frame.
+        ``digests`` are the frames' :func:`frame_digest` values, if known.
         """
         entry = self._pixel_entry(workload_name)
         plan = self.compile(workload_name)
@@ -372,7 +381,7 @@ class Session:
             seen: Dict[str, List[int]] = {}
             keys: List[str] = []
             for index, frame in enumerate(frames):
-                key = self._frame_key(entry, plan, frame)
+                key = self._frame_key(entry, plan, frame, digests[index] if digests else "")
                 keys.append(key)
                 if key in self.frame_cache:
                     results[index] = self.frame_cache.get_or_compute(

@@ -14,12 +14,12 @@ the cluster shards streams across engines.
 
 Semantics (documented in ``docs/serving.md``):
 
-* **Routing** — streams (for analytic serving) and workloads (for pixel
-  serving) are assigned to shards by highest-random-weight hashing over
-  the live shards; stream assignment additionally balances the number of
-  streams per shard (ties break by hash rank).  Assignments are sticky, so
-  a stream's requests stay ordered on one shard and a workload's frame
-  cache stays hot on one worker, and they only move when a shard dies.
+* **Routing** — one route function ranks the live shards by
+  highest-random-weight hashing: a pixel frame by the content digest its
+  frame-cache key names (alone or in a burst, it lands on the worker that
+  caches it), a profile by workload name; only a dead shard's keys move.
+  Streams get a sticky placement that also balances streams per shard
+  (ties break by hash rank), so their requests stay ordered on one shard.
 * **Backpressure** — every shard fronts a bounded
   :class:`~repro.runtime.scheduler.RequestQueue`; when a shard's queue is
   at ``max_pending`` requests, :meth:`ServingCluster.submit` raises
@@ -29,7 +29,7 @@ Semantics (documented in ``docs/serving.md``):
   is marked dead, the items it held are re-routed through the remaining
   live shards (the ``requeued`` counter in :class:`ClusterStats` counts
   each displaced item once per call), and routing re-assigns its
-  streams/workloads.  The cluster only fails when no shard is left.
+  streams and frames.  The cluster only fails when no shard is left.
 * **Fallback** — worker processes are started with the cheapest available
   start method (``fork`` where the platform allows, so workers inherit the
   parent's warm memos; ``spawn`` otherwise).  Sandboxes that forbid
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.api.results import PlanHandle
-from repro.api.session import Session, SessionHandle
+from repro.api.session import Session, SessionHandle, frame_digest
 from repro.core.pipeline import InferenceResult
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.nn.tensor import FeatureMap
@@ -158,12 +158,9 @@ def _execute_command(state: _WorkerState, command: str, payload: Any) -> Any:
                 priority=priority,
             )
         return state.engine.run()
-    if command == "execute_frame":
-        workload_name, frame, cached = payload
-        return session.execute(workload_name, frame, cached=cached)
     if command == "execute_frames":
-        workload_name, frames, cached = payload
-        return session.execute_many(workload_name, frames, cached=cached)
+        workload_name, frames, digests, cached = payload
+        return session.execute_many(workload_name, frames, cached=cached, digests=digests)
     if command == "execute_stream":
         stream_id, workload_name, frame, threshold, metric, output_block = payload
         return session.execute_stream(
@@ -617,7 +614,6 @@ class ServingCluster:
         #: balanced routing stays O(workers) per placement even with
         #: millions of streams (the soak harness's user populations).
         self._stream_counts: Dict[int, int] = {}
-        self._workload_shard: Dict[str, int] = {}
         warm = tuple(warm_plans)
         for plan in warm:
             if plan.backend != self.backend_name:
@@ -743,15 +739,9 @@ class ServingCluster:
         self._stream_counts[chosen.index] = self._stream_counts.get(chosen.index, 0) + 1
         return chosen
 
-    def _route_workload(self, workload_name: str) -> Any:
-        """Sticky pure-HRW workload placement (frame-cache affinity)."""
-        index = self._workload_shard.get(workload_name)
-        if index is not None and self._shards[index].alive:
-            return self._shards[index]
-        live = self._live_shards()
-        chosen = max(live, key=lambda shard: self._hash_rank(workload_name, shard.index))
-        self._workload_shard[workload_name] = chosen.index
-        return chosen
+    def _route(self, key: str) -> Any:
+        """The live shard owning ``key``: plain HRW, so only a dead shard's keys move."""
+        return max(self._live_shards(), key=lambda shard: self._hash_rank(key, shard.index))
 
     def _mark_dead(self, shard: Any) -> None:
         shard.alive = False
@@ -1014,20 +1004,14 @@ class ServingCluster:
         *,
         cached: bool = True,
     ) -> InferenceResult:
-        """Run one frame on the shard owning this workload.
+        """Run one frame on the shard that owns its content digest.
 
         Same contract (and bit-identical pixels) as
         :meth:`~repro.api.Session.execute`; repeats of a frame hit the
-        owning worker's bounded frame cache.
+        owning worker's bounded frame cache, whether they came alone or in
+        an :meth:`execute_frames` burst.
         """
-        self._check_open()
-        self.session.workload(workload_name)
-        return self._call(
-            lambda: self._route_workload(workload_name),
-            "execute_frame",
-            (workload_name, image, cached),
-            frames=1,
-        )
+        return self._execute(workload_name, [image], cached)[0]
 
     def execute_frames(
         self,
@@ -1036,34 +1020,28 @@ class ServingCluster:
         *,
         cached: bool = True,
     ) -> List[InferenceResult]:
-        """Serve a batch of frames scattered across all live shards.
+        """Serve a burst of frames, each on the shard that owns its digest.
 
-        Unlike :meth:`execute_frame` (sticky placement, cache affinity) the
-        batch path optimizes throughput: frames are split into one
-        contiguous chunk per live shard and the chunks execute
-        concurrently, each through the worker's
-        :meth:`~repro.api.Session.execute_many`.  Results come back in
-        input order, bit-identical to per-frame execution.
+        The owners' groups execute concurrently, each through the worker's
+        :meth:`~repro.api.Session.execute_many` (a frame repeated in the
+        burst is computed once).  Results come back in input order,
+        bit-identical to per-frame execution.
         """
+        return self._execute(workload_name, list(images), cached)
+
+    def _execute(
+        self, workload_name: str, images: List[FeatureMap], cached: bool
+    ) -> List[InferenceResult]:
+        """The one pixel path: hash each frame once, route by it, scatter."""
         self._check_open()
         self.session.workload(workload_name)
-        images = list(images)
+        digests = [frame_digest(image) for image in images]
         results: List[Any] = [None] * len(images)
 
-        def split(pending: List[int]) -> Dict[int, List[int]]:
-            # One contiguous chunk of the unanswered frames per live shard,
-            # the first ``remainder`` shards taking one extra; only lost
-            # chunks are ever retried.
-            pending = sorted(pending)
-            live = self._live_shards()
-            base, remainder = divmod(len(pending), len(live))
+        def route(pending: List[int]) -> Dict[int, List[int]]:
             groups: Dict[int, List[int]] = {}
-            start = 0
-            for position, shard in enumerate(live):
-                size = base + (1 if position < remainder else 0)
-                if size:
-                    groups[shard.index] = pending[start : start + size]
-                    start += size
+            for position in pending:
+                groups.setdefault(self._route(digests[position]).index, []).append(position)
             return groups
 
         def on_reply(index: int, group: List[int], chunk: List[InferenceResult]) -> None:
@@ -1073,9 +1051,14 @@ class ServingCluster:
 
         self._scatter(
             len(images),
-            split,
+            route,
             "execute_frames",
-            lambda group: (workload_name, [images[position] for position in group], cached),
+            lambda group: (
+                workload_name,
+                [images[position] for position in group],
+                [digests[position] for position in group],
+                cached,
+            ),
             on_reply,
         )
         return results
@@ -1092,7 +1075,7 @@ class ServingCluster:
     ) -> StreamFrameResult:
         """Serve a video stream's next frame on the shard owning the stream.
 
-        Routing is the *sticky stream* placement (not the workload hash):
+        Routing is the *sticky stream* placement (not the content hash):
         ordered frames of one stream land on one worker, so the stream's
         predecessor frame and block cache stay shard-local.  If the owning
         shard dies the stream fails over to a live shard, whose fresh
@@ -1115,7 +1098,7 @@ class ServingCluster:
         self._check_open()
         self.session.workload(workload_name)
         return self._call(
-            lambda: self._route_workload(workload_name), "profile", workload_name, frames=0
+            lambda: self._route(workload_name), "profile", workload_name, frames=0
         )
 
     def stats(self) -> ClusterStats:

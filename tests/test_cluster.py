@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.workloads import synthetic_image
 from repro.api import PlanHandle, Session, SessionHandle
+from repro.api.session import frame_digest
 from repro.runtime import (
     ClusterBackpressure,
     ClusterError,
@@ -252,12 +253,13 @@ class TestClusterInline:
         images = [synthetic_image(28, 28, seed=seed) for seed in range(3)]
         reference = Session(backend="ecnn", cache=ResultCache())
         with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
-            if call == "execute_frames":
-                owner = cluster._shards[0]  # takes the first contiguous chunk
+            owners = [cluster._route(frame_digest(image)) for image in images]
+            if call in ("execute_frame", "execute_frames"):
+                owner = owners[0]
             elif call == "execute_stream":
                 owner = cluster._shards[cluster.route_stream("cam")]
             else:
-                owner = cluster._route_workload("denoise")
+                owner = cluster._route("denoise")
             refused = []
 
             def refuse(command, payload):
@@ -279,7 +281,7 @@ class TestClusterInline:
                         answer.output.data,
                         reference.execute("denoise", image, cached=False).output.data,
                     )
-                displaced, served = 2, len(images)  # shard 0's chunk of 3 frames
+                displaced, served = owners.count(owner), len(images)  # the frames it owned
             elif call == "execute_stream":
                 answer = cluster.execute_stream("cam", "denoise", images[0])
                 expected = reference.execute_stream("cam", "denoise", images[0])
@@ -288,7 +290,9 @@ class TestClusterInline:
             else:
                 assert cluster.profile("denoise") == reference.serving_profile("denoise")
                 displaced, served = 1, 0
-            assert refused == [call]  # the owner was asked exactly once
+            # The owner was asked exactly once; a single frame travels as a
+            # one-frame batch.
+            assert refused == ["execute_frames" if call == "execute_frame" else call]
             assert cluster.live_shard_indices() == (1 - owner.index,)
             stats = cluster.stats()
             assert stats.requeued == displaced
@@ -303,6 +307,74 @@ class TestClusterInline:
         rebuilt = handle.create()
         assert rebuilt.frame_cache.max_entries is None
         assert rebuilt.frame_cache_stats.max_entries is None
+
+
+class TestContentRouting:
+    """Every frame is served by the shard that caches it (its digest's owner)."""
+
+    @staticmethod
+    def expected(images):
+        reference = Session(backend="ecnn", cache=ResultCache())
+        return [reference.execute("denoise", image, cached=False).output.data for image in images]
+
+    def test_a_frame_served_in_a_burst_hits_the_cache_when_served_alone(self):
+        images = [synthetic_image(28, 28, seed=seed) for seed in range(4)]
+        with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
+            burst = cluster.execute_frames("denoise", images)
+            alone = [cluster.execute_frame("denoise", image) for image in images]
+            frame_caches = [shard.frame_cache for shard in cluster.stats().shards]
+        assert sum(cache.misses for cache in frame_caches) == len(images)
+        assert sum(cache.hits for cache in frame_caches) == len(images)
+        for expected, first, second in zip(self.expected(images), burst, alone):
+            assert np.array_equal(first.output.data, expected)
+            assert np.array_equal(second.output.data, expected)
+
+    def test_a_frame_repeated_in_a_burst_is_computed_once_across_the_cluster(
+        self, monkeypatch
+    ):
+        import repro.api.session as session_module
+
+        computed = []
+        execute_stages = session_module.execute_stages
+
+        def counting(network, stages, frame):
+            computed.append(frame_digest(frame))
+            return execute_stages(network, stages, frame)
+
+        images = [synthetic_image(28, 28, seed=seed) for seed in range(3)]
+        with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
+            monkeypatch.setattr(session_module, "execute_stages", counting)
+            results = cluster.execute_frames("denoise", images + images)
+            frame_caches = [shard.frame_cache for shard in cluster.stats().shards]
+        assert sorted(computed) == sorted(frame_digest(image) for image in images)
+        assert sum(cache.misses for cache in frame_caches) == len(images)
+        for expected, result in zip(self.expected(images) * 2, results):
+            assert np.array_equal(result.output.data, expected)
+
+    def test_killing_one_of_three_shards_moves_only_the_frames_it_owned(self):
+        images = [synthetic_image(28, 28, seed=seed) for seed in range(9)]
+        digests = [frame_digest(image) for image in images]
+        with ServingCluster(workers=3, backend="ecnn", mode="inline") as cluster:
+            before = [cluster._route(digest).index for digest in digests]
+            assert len(set(before)) == 3  # the frames spread over every shard
+            cluster.execute_frames("denoise", images)
+            victim = before[0]
+            owned = before.count(victim)
+            cluster.kill_worker(victim)
+            after = [cluster._route(digest).index for digest in digests]
+            results = cluster.execute_frames("denoise", images)
+            stats = cluster.stats()
+        for old, new in zip(before, after):
+            assert new != victim and (old == victim or new == old)
+        survivors = [shard.frame_cache for shard in stats.shards if shard.alive]
+        # Survivors answer the frames they kept from cache and compute only
+        # the victim's.
+        assert sum(cache.hits for cache in survivors) == len(images) - owned
+        assert sum(cache.misses for cache in survivors) == len(images)
+        assert stats.requeued == 0
+        for expected, result in zip(self.expected(images), results):
+            assert np.array_equal(result.output.data, expected)
+
 
 
 # ------------------------------------------------------------ process cluster
@@ -353,7 +425,7 @@ class TestClusterProcesses:
                 pytest.skip("sandbox forbids worker processes")
             image = synthetic_image(36, 36, seed=13)
             before = cluster.execute_frame("denoise", image, cached=False)
-            victim = cluster._workload_shard["denoise"]
+            victim = cluster._route(frame_digest(image)).index
             cluster._shards[victim]._process.terminate()
             cluster._shards[victim]._process.join()
             after = cluster.execute_frame("denoise", image, cached=False)

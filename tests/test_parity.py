@@ -27,6 +27,7 @@ import pytest
 
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
+from repro.api.session import frame_digest
 from repro.api.backends import VISION_UTILIZATION
 from repro.core.blockflow import Stage, block_based_inference, frame_based_inference
 from repro.core.partition import partition_into_submodels
@@ -281,7 +282,7 @@ class TestPostChaosParity:
                 workload, image, cached=False
             )
             for death in (1, 2):
-                owner = chaos_cluster._workload_shard[workload]
+                owner = chaos_cluster._route(frame_digest(image)).index
                 chaos_cluster.kill_worker(owner)
                 outputs[f"after_death_{death}"] = chaos_cluster.execute_frame(
                     workload, image, cached=False
