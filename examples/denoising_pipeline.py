@@ -1,10 +1,10 @@
 """End-to-end denoising pipeline on the eCNN processor model.
 
 Runs the DnERNet family (plain and 12-channel variants) through the full
-stack: quantization, FBISA compilation, execution on the
-:class:`~repro.hw.processor.EcnnProcessor` block by block over a real image,
-and the DRAM/power accounting of Figs. 20-21 — the low-DRAM story that
-motivates the whole design.
+stack: a session serving an image block by block through its 8-bit
+fixed-point program, the cycles of the compiled FBISA program on the
+:class:`~repro.hw.processor.EcnnProcessor`, and the DRAM/power accounting
+of Figs. 20-21 — the low-DRAM story that motivates the whole design.
 
 Run with::
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.analysis.workloads import add_gaussian_noise, synthetic_image
+from repro.api import Session
 from repro.core.blockflow import frame_based_inference
 from repro.baselines.frame_based import frame_based_feature_bandwidth
 from repro.fbisa import compile_network
@@ -31,25 +32,27 @@ from repro.hw import (
 from repro.hw.dram import DRAM_CONFIGS
 from repro.models import build_ernet
 from repro.models.ernet import PAPER_MODELS
+from repro.runtime import ResultCache
 from repro.specs import SPECIFICATIONS
 
 
 def run_on_processor() -> None:
-    """Execute one image block by block on the processor model."""
-    network = build_ernet(PAPER_MODELS["dn"]["UHD30"])
-    compiled = compile_network(network, input_block=64)
+    """Serve one image block by block and count its cycles on the processor model."""
+    session = Session(backend="ecnn", cache=ResultCache())
+    plan = session.compile("denoise")
     processor = EcnnProcessor()
-    processor.load(compiled)
+    processor.load(plan.payload)  # the FBISA program compiled at the plan's block
 
-    clean = synthetic_image(72, 88, seed=21)
+    clean = synthetic_image(192, 224, seed=21)
     noisy = add_gaussian_noise(clean, sigma=0.1, seed=22)
-    report = processor.run_image(noisy, network, output_block=24)
-    reference = frame_based_inference(network, noisy)
-    print("processor output equals frame-based reference:",
-          np.allclose(report.output.data, reference.data))
-    print(f"cycles per block: {report.cycles_per_block}, "
-          f"blocks: {report.grid.num_blocks}, "
-          f"IDU-bound stages: {report.block_report.idu_bound_stages}")
+    result = session.execute("denoise", noisy)
+    reference = frame_based_inference(plan.network, noisy)
+    print("block-flow output equals frame-based reference:",
+          np.array_equal(result.output.data, reference.data))
+    report = processor.block_report()
+    print(f"cycles per block: {report.pipelined_cycles}, "
+          f"blocks: {result.num_blocks}, "
+          f"IDU-bound stages: {report.idu_bound_stages}")
 
 
 def dram_story() -> None:

@@ -2,14 +2,15 @@
 
 This example walks the whole public API in one page:
 
-1. build a denoising ERNet (the UHD30 model of the paper),
-2. run it on a synthetic noisy image with the block-based truncated-pyramid
-   flow and check it matches frame-based execution exactly,
+1. open a ``repro.api.Session`` and look at its denoising ERNet (the UHD30
+   model of the paper),
+2. serve a synthetic noisy image through the session, which runs the
+   block-based truncated-pyramid flow on the plan's 8-bit fixed-point
+   program, and check it matches frame-based execution bit for bit,
 3. compile it to a six-line FBISA program,
-4. open a ``repro.api.Session`` and ask it for throughput, power, DRAM and
-   silicon cost (computed once, answered from the content-addressed cache
-   after), then compare the same workload across every registered
-   accelerator backend.
+4. ask the session for throughput, power, DRAM and silicon cost (computed
+   once, answered from the content-addressed cache after), then compare the
+   same workload across every registered accelerator backend.
 
 Run with::
 
@@ -22,29 +23,30 @@ import numpy as np
 
 from repro.analysis.workloads import add_gaussian_noise, synthetic_image
 from repro.api import Session, available_backends
-from repro.core import BlockInferencePipeline, overhead_report
+from repro.core import frame_based_inference, overhead_report
 from repro.fbisa import compile_network
 from repro.hw import select_dram
-from repro.models import build_dnernet
 from repro.quant import psnr
 from repro.runtime import ResultCache
 from repro.specs import SPECIFICATIONS
 
 
 def main() -> None:
-    # 1. The paper's UHD30 denoising model: DnERNet-B3R1N0.
-    network = build_dnernet(3, 1, 0, seed=42)
+    # 1. The paper's UHD30 denoising model, as the session's "denoise"
+    #    workload; its plan serves the model's fixed-point program.
+    session = Session(backend="ecnn", cache=ResultCache())
+    network = session.workload("denoise").shared_network()
+    plan = session.compile("denoise")
     print(network.describe())
 
     # 2. Block-based inference on a noisy synthetic image.
-    clean = synthetic_image(96, 96, seed=7)
+    clean = synthetic_image(192, 192, seed=7)
     noisy = add_gaussian_noise(clean, sigma=0.05, seed=8)
-    pipeline = BlockInferencePipeline(network, input_block=64)
-    result = pipeline.run(noisy)
-    reference = pipeline.run_frame_based(noisy)
-    exact = np.allclose(result.output.data, reference.data)
+    result = session.execute("denoise", noisy)
+    reference = frame_based_inference(plan.network, noisy)
+    exact = np.array_equal(result.output.data, reference.data)
     print(f"block-based output == frame-based output: {exact}")
-    overheads = overhead_report(network, pipeline.input_block)
+    overheads = overhead_report(network, plan.input_block)
     print(f"blocks: {result.num_blocks}, measured NBR: {result.grids[0].measured_nbr():.2f}")
     print(f"analytic NCR: {overheads.ncr:.2f}  "
           f"(effective {overheads.effective_kop_per_pixel:.0f} KOP/pixel)")
@@ -62,7 +64,6 @@ def main() -> None:
     #    every later query (here, the second profile call) from its
     #    content-addressed cache.
     spec = SPECIFICATIONS["UHD30"]
-    session = Session(backend="ecnn", cache=ResultCache())
     profile = session.profile("denoise")
     session.profile("denoise")  # repeated analytic query: a cache hit
     cost = session.cost()

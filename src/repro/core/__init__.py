@@ -12,26 +12,24 @@ back into the full-resolution image.
 The subpackage provides:
 
 * :mod:`repro.core.blockflow` — the executor: partition, per-block inference,
-  stitching, the staged runner for sub-model plans, and the frame-based
+  stitching, the one staged runner for every plan, and the frame-based
   reference;
 * :mod:`repro.core.overheads` — the NBR / NCR analytical overhead model
   (Eqs. 2-3) plus its generalisation to arbitrary layer stacks;
 * :mod:`repro.core.partition` — sub-model partitioning (Fig. 12), the
   DRAM-traffic trade-off it introduces, and the one derivation of a plan's
   stage list;
-* :mod:`repro.core.pipeline` — an end-to-end convenience API combining model,
-  block geometry and hardware configuration.
+* :mod:`repro.core.pipeline` — :func:`execute_stages`, the staged runner plus
+  the NCR a plan is charged, as the session serves it.
 """
 
 from repro.core.blockflow import (
     BlockGrid,
     BlockSpec,
     Stage,
-    block_based_inference,
     frame_based_inference,
     partition_image,
     staged_inference,
-    stitch_blocks,
 )
 from repro.core.overheads import (
     OverheadReport,
@@ -49,17 +47,15 @@ from repro.core.partition import (
     plan_stages,
     submodel_plan,
 )
-from repro.core.pipeline import BlockInferencePipeline, InferenceResult, execute_stages
+from repro.core.pipeline import InferenceResult, execute_stages
 
 __all__ = [
     "BlockGrid",
-    "BlockInferencePipeline",
     "BlockSpec",
     "InferenceResult",
     "OverheadReport",
     "Stage",
     "SubModelPlan",
-    "block_based_inference",
     "block_buffer_bytes",
     "execute_stages",
     "frame_based_inference",
@@ -73,6 +69,5 @@ __all__ = [
     "plan_stages",
     "pyramid_volume",
     "staged_inference",
-    "stitch_blocks",
     "submodel_plan",
 ]

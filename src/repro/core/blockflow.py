@@ -21,25 +21,26 @@ One block runner
 ----------------
 All blocks of a frame are independent — the property the eCNN hardware
 exploits with 81 parallel block pipelines.  Functionally that independence
-is all the reproduction needs: every pixel path (:func:`block_based_inference`,
-:func:`run_selected_blocks` behind the video delta path, and the hardware
-executor's ``Processor.run_image``) runs blocks one at a time through the
-same three steps — cut the window from the padded frame
-(:func:`_block_window`), run the network on it, crop the owned output region
-(:func:`_crop_to_block`) — and writes them into the frame with one stitch
-helper (:func:`_stitch`).  There is no batched twin: the served workloads'
-input windows are 64x64 or larger, where stacking same-shaped blocks into
-fused passes measured no faster (``fusion_speedup`` 1.0001 in
-``BENCH_6.json``) and would only multiply live activation memory.
+is all the reproduction needs.  There is one image runner,
+:func:`staged_inference`, and one selective counterpart,
+:func:`run_selected_blocks` behind the video delta path.  Both run blocks
+one at a time through the same three steps — cut the window from the
+padded frame (:func:`_block_window`), run the network on it, crop the owned
+output region (:func:`_crop_to_block`) — and the runner writes them into
+the frame with one stitch helper (:func:`_stitch`).  There is no batched
+twin: the served workloads' input windows are 64x64 or larger, where
+stacking same-shaped blocks into fused passes measured no faster
+(``fusion_speedup`` 1.0001 in ``BENCH_6.json``) and would only multiply
+live activation memory.
 
 Staged execution
 ----------------
 A plan is a list of :class:`Stage` s — consecutive layer ranges, each run by
 block flow at its own input block.  A single-model plan is one stage over
-every layer; the paper's sub-model split (Section 7.3, Fig. 12) is several.
-:func:`staged_inference` runs any stage list with the same block runner:
-stage *k* cuts its windows from stage *k-1*'s stitched output, held in
-memory where the hardware round-trips it through DRAM.
+every layer (the paper's block-based flow); the sub-model split (Section 7.3,
+Fig. 12) is several.  :func:`staged_inference` runs any stage list: stage *k*
+cuts its windows from stage *k-1*'s stitched output, held in memory where
+the hardware round-trips it through DRAM.
 """
 
 from __future__ import annotations
@@ -315,10 +316,10 @@ def _run_blocks(
 ) -> Iterator[Tuple[BlockSpec, FeatureMap]]:
     """Window, forward, crop: yield each block with its owned output region.
 
-    ``forward`` runs one block's input window (the network's ``forward``,
-    or the hardware executor's ``execute_block``); ``padded`` is the frame
-    zero-padded by the total input margin of ``layers`` unless ``origin``
-    names the input coordinate of its first sample.
+    ``forward`` runs one block's input window (a stage's ``forward``);
+    ``padded`` is the frame zero-padded by the total input margin of
+    ``layers`` unless ``origin`` names the input coordinate of its first
+    sample.
     """
     if origin is None:
         margin = total_input_margin(layers)
@@ -352,25 +353,6 @@ def _stitch(
     return output
 
 
-def block_based_inference(
-    network: Sequential, image: FeatureMap, output_block: int
-) -> Tuple[FeatureMap, BlockGrid]:
-    """Run the block-based truncated-pyramid flow and stitch the result.
-
-    Returns the stitched output feature map and the block grid (for overhead
-    accounting).  The stitched output equals :func:`frame_based_inference`
-    exactly for an exact network (a fixed-point program, whose sums do not
-    depend on their order); a float network's block and frame gemms have
-    different shapes, so BLAS may round them differently.
-    """
-    grid = partition_image(image.height, image.width, network, output_block)
-    padded = pad_frame(image, network.layers)
-    blocks = _run_blocks(network.forward, padded, grid.blocks, network.layers)
-    output = _stitch(blocks, grid.output_height, grid.output_width)
-    assert output is not None
-    return FeatureMap(data=output), grid
-
-
 def staged_inference(
     network: Sequential, stages: Sequence[Stage], image: FeatureMap
 ) -> Tuple[FeatureMap, Tuple[BlockGrid, ...]]:
@@ -383,11 +365,14 @@ def staged_inference(
     *k-1*'s stitched output, offset by that intermediate's origin.  The
     intermediate's border is computed from the zero padding, exactly as the
     frame-based flow computes it, so the result equals
-    :func:`frame_based_inference` exactly for an exact network, as in
-    :func:`block_based_inference`.
+    :func:`frame_based_inference` exactly for an exact network (a
+    fixed-point program, whose sums do not depend on their order); a float
+    network's block and frame gemms have different shapes, so BLAS may
+    round them differently.
 
-    A one-stage plan runs :func:`block_based_inference`'s arithmetic at the
-    stage's output block: the same padding, windows and block order.
+    A one-stage plan is the paper's block-based flow: its grid is
+    :func:`partition_image` at the stage's output block, and its windows
+    are those :func:`pad_frame` and :func:`run_selected_blocks` use.
     Returns the output and one :class:`BlockGrid` per stage.
     """
     layers = list(network.layers)
@@ -446,9 +431,9 @@ RESIDUAL_METRICS = ("mae", "sad")
 def pad_frame(image: FeatureMap, layers: Sequence[Layer]) -> np.ndarray:
     """Zero-pad a frame by the stack's total input margin.
 
-    This is the canonical padding every block's input window is drawn from
-    (:func:`block_based_inference` uses it too), exposed so the
-    video delta path can diff consecutive padded frames window-by-window.
+    This is the padding a one-stage :func:`staged_inference` draws every
+    block's input window from, exposed so the video delta path can diff
+    consecutive padded frames window-by-window.
     """
     margin = total_input_margin(layers)
     return np.pad(image.data, ((0, 0), (margin, margin), (margin, margin)))
@@ -501,8 +486,8 @@ def run_selected_blocks(
 ) -> List[FeatureMap]:
     """Run only the named blocks of a partition and return their outputs.
 
-    The selective counterpart of :func:`block_based_inference`: the caller
-    supplies the padded frame and the partition grid, names the block
+    The selective counterpart of a one-stage :func:`staged_inference`: the
+    caller supplies the padded frame and the partition grid, names the block
     indices to recompute, and gets each block's cropped output back in
     ``indices`` order.  Pixels are bit-identical to a full run — both use
     the same per-block runner — which is the invariant the video delta
@@ -540,20 +525,3 @@ def _crop_to_block(
             "the margin accounting is inconsistent"
         )
     return result.crop(top, left, block.out_height, block.out_width)
-
-
-def stitch_blocks(
-    blocks: Sequence[Tuple[BlockSpec, FeatureMap]],
-    output_height: int,
-    output_width: int,
-) -> FeatureMap:
-    """Stitch per-block outputs into a full image after checking their shapes."""
-    if not blocks:
-        raise ValueError("no blocks to stitch")
-    for spec, fm in blocks:
-        if fm.height != spec.out_height or fm.width != spec.out_width:
-            raise ValueError(
-                f"block output {fm.height}x{fm.width} does not match spec "
-                f"{spec.out_height}x{spec.out_width}"
-            )
-    return FeatureMap(data=_stitch(blocks, output_height, output_width))

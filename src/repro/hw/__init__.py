@@ -1,10 +1,11 @@
 """The eCNN processor model (Section 6 of the paper).
 
 This subpackage models the embedded eCNN processor at the level the paper's
-evaluation needs: functional execution of FBISA programs (bit-identical to
-the network they were compiled from), instruction-pipelined cycle counts for
+evaluation needs: instruction-pipelined cycle counts of FBISA programs for
 the IDU/CIU, the eight-bank block-buffer mapping, and analytical area, power
-and DRAM models calibrated to the layout results of Table 6.
+and DRAM models calibrated to the layout results of Table 6.  It computes no
+pixels: every pixel comes from :func:`repro.core.blockflow.staged_inference`
+behind ``Session.execute``.
 
 Modules
 -------
@@ -12,7 +13,7 @@ Modules
 * :mod:`repro.hw.idu` — information decode unit timing (parameter decoding);
 * :mod:`repro.hw.ciu` — CNN inference unit timing (LCONV3x3 / LCONV1x1);
 * :mod:`repro.hw.blockbuffer` — eight-bank block buffer mapping;
-* :mod:`repro.hw.processor` — the functional + cycle-accurate executor;
+* :mod:`repro.hw.processor` — the cycle-accurate executor;
 * :mod:`repro.hw.performance` — frame-level throughput / real-time analysis;
 * :mod:`repro.hw.area_power` — area and power model (Table 6, Fig. 20);
 * :mod:`repro.hw.dram` — DRAM bandwidth and power model (Fig. 21, Table 7).
@@ -22,7 +23,7 @@ from repro.hw.config import EcnnConfig, DEFAULT_CONFIG
 from repro.hw.idu import idu_cycles
 from repro.hw.ciu import ciu_cycles, engine_activity
 from repro.hw.blockbuffer import BlockBuffer, BankMapping
-from repro.hw.processor import EcnnProcessor, BlockExecutionReport, ImageExecutionReport
+from repro.hw.processor import EcnnProcessor, BlockExecutionReport
 from repro.hw.performance import PerformanceReport, evaluate_performance
 from repro.hw.area_power import AreaReport, PowerReport, area_report, power_report
 from repro.hw.dram import (
@@ -43,7 +44,6 @@ __all__ = [
     "DramConfig",
     "EcnnConfig",
     "EcnnProcessor",
-    "ImageExecutionReport",
     "PerformanceReport",
     "PowerReport",
     "area_report",

@@ -1,13 +1,12 @@
-"""The eCNN processor executor: functional output + pipelined cycle counts.
+"""The eCNN processor's cycle model: pipelined cycle counts per block.
 
-The processor runs FBISA programs produced by :func:`repro.fbisa.compiler.
-compile_network`.  Functionally, executing a block reproduces the network's
-output bit for bit (the compiler's semantics are the network's own layers).
-For timing, the executor applies the instruction-pipelining scheme of
-Fig. 13: while the CIU computes instruction *i*, the IDU decodes the
-parameters of instruction *i+1*, so each pipeline stage costs
-``max(CIU_i, IDU_{i+1})`` cycles, plus the initial decode of the first
-instruction.
+The processor loads FBISA programs produced by :func:`repro.fbisa.compiler.
+compile_network` and counts their cycles; it computes no pixels (the
+session serves them through :func:`repro.core.blockflow.staged_inference`).
+The executor applies the instruction-pipelining scheme of Fig. 13: while
+the CIU computes instruction *i*, the IDU decodes the parameters of
+instruction *i+1*, so each pipeline stage costs ``max(CIU_i, IDU_{i+1})``
+cycles, plus the initial decode of the first instruction.
 """
 
 from __future__ import annotations
@@ -17,19 +16,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.blockflow import (
-    BlockGrid,
-    _run_blocks,
-    _stitch,
-    pad_frame,
-    partition_image,
-)
 from repro.fbisa.compiler import CompiledModel
 from repro.fbisa.isa import Instruction
 from repro.hw.ciu import ciu_cycles
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.hw.idu import idu_cycles
-from repro.nn.tensor import FeatureMap
+
 
 @dataclass(frozen=True)
 class BlockExecutionReport:
@@ -94,34 +86,8 @@ class BlockExecutionReport:
         return int(np.count_nonzero(next_idu > ciu))
 
 
-@dataclass
-class ImageExecutionReport:
-    """Result of running a whole image through the processor."""
-
-    output: Optional[FeatureMap]
-    grid: BlockGrid
-    block_report: BlockExecutionReport
-    config: EcnnConfig
-
-    @property
-    def cycles_per_block(self) -> int:
-        return self.block_report.pipelined_cycles
-
-    @property
-    def total_cycles(self) -> int:
-        return self.cycles_per_block * self.grid.num_blocks
-
-    @property
-    def seconds(self) -> float:
-        return self.total_cycles / self.config.clock_hz
-
-    @property
-    def fps(self) -> float:
-        return 1.0 / self.seconds if self.seconds > 0 else float("inf")
-
-
 class EcnnProcessor:
-    """Execute compiled FBISA models functionally and count cycles."""
+    """Load compiled FBISA models and count their cycles."""
 
     def __init__(self, config: EcnnConfig = DEFAULT_CONFIG) -> None:
         self.config = config
@@ -179,25 +145,3 @@ class EcnnProcessor:
                 ),
             )
         return reports[key]
-
-    def execute_block(self, block: FeatureMap) -> FeatureMap:
-        """Functionally execute one input block through the loaded program."""
-        return self.model.execute_block(block)
-
-    def run_image(self, image: FeatureMap, network, output_block: int) -> ImageExecutionReport:
-        """Run a full image block by block, stitching the outputs.
-
-        ``network`` is the source network of the compiled model (used for the
-        block-partition geometry).  For large frames where only timing is
-        needed, use :func:`repro.hw.performance.evaluate_performance` instead.
-        """
-        grid = partition_image(image.height, image.width, network, output_block)
-        padded = pad_frame(image, network.layers)
-        blocks = _run_blocks(self.execute_block, padded, grid.blocks, network.layers)
-        output = _stitch(blocks, grid.output_height, grid.output_width)
-        return ImageExecutionReport(
-            output=FeatureMap(data=output) if output is not None else None,
-            grid=grid,
-            block_report=self.block_report(),
-            config=self.config,
-        )

@@ -231,18 +231,6 @@ def quantize_network(
     return plan
 
 
-def apply_plan(network: Sequential, plan: QuantizationPlan) -> None:
-    """Quantize the network's convolution weights/biases in place."""
-    convs = [layer for layer in iter_conv_layers(network) if isinstance(layer, Conv2d)]
-    if len(convs) != plan.num_layers:
-        raise ValueError(
-            f"plan has {plan.num_layers} layers but network has {len(convs)} convolutions"
-        )
-    for conv, lq in zip(convs, plan.layers):
-        conv.weights = lq.weight_format.quantize(conv.weights)
-        conv.bias = lq.bias_format.quantize(conv.bias)
-
-
 def _collect_activations(
     network: Sequential,
     fm: FeatureMap,

@@ -1023,8 +1023,9 @@ class ServingCluster:
         """Serve a burst of frames, each on the shard that owns its digest.
 
         The owners' groups execute concurrently, each through the worker's
-        :meth:`~repro.api.Session.execute_many` (a frame repeated in the
-        burst is computed once).  Results come back in input order,
+        :meth:`~repro.api.Session.execute_many`.  A frame repeated in the
+        burst is sent and computed once, and its result fills every
+        position it was asked at.  Results come back in input order,
         bit-identical to per-frame execution.
         """
         return self._execute(workload_name, list(images), cached)
@@ -1032,31 +1033,36 @@ class ServingCluster:
     def _execute(
         self, workload_name: str, images: List[FeatureMap], cached: bool
     ) -> List[InferenceResult]:
-        """The one pixel path: hash each frame once, route by it, scatter."""
+        """The one pixel path: hash each frame once, scatter each distinct
+        frame to the shard that owns its digest, fan the results out."""
         self._check_open()
         self.session.workload(workload_name)
-        digests = [frame_digest(image) for image in images]
+        positions: Dict[str, List[int]] = {}
+        for position, image in enumerate(images):
+            positions.setdefault(frame_digest(image), []).append(position)
+        digests, fanout = list(positions), list(positions.values())
         results: List[Any] = [None] * len(images)
 
         def route(pending: List[int]) -> Dict[int, List[int]]:
             groups: Dict[int, List[int]] = {}
-            for position in pending:
-                groups.setdefault(self._route(digests[position]).index, []).append(position)
+            for item in pending:
+                groups.setdefault(self._route(digests[item]).index, []).append(item)
             return groups
 
         def on_reply(index: int, group: List[int], chunk: List[InferenceResult]) -> None:
-            for position, result in zip(group, chunk):
-                results[position] = result
-            self._served_frames[index] += len(group)
+            for item, result in zip(group, chunk):
+                for position in fanout[item]:
+                    results[position] = result
+                self._served_frames[index] += len(fanout[item])
 
         self._scatter(
-            len(images),
+            len(digests),
             route,
             "execute_frames",
             lambda group: (
                 workload_name,
-                [images[position] for position in group],
-                [digests[position] for position in group],
+                [images[fanout[item][0]] for item in group],
+                [digests[item] for item in group],
                 cached,
             ),
             on_reply,

@@ -15,12 +15,11 @@ granularity:
 
 Because the residual covers the entire input window and a block's output is
 a pure function of that window, **threshold 0 is exact-reuse mode**: the
-delta-served frame is bit-identical to full re-inference *at the stream's
-block geometry*, by construction.  With the default geometry (the compiled
-plan's block size) that is exactly ``Session.execute``; a custom
-``output_block`` compares against the block flow at that same block size —
-different block geometries differ by float-epsilon accumulation-order
-effects, so the parity contract is always per-geometry.
+delta-served frame is bit-identical to full re-inference, by construction.
+The served program is fixed-point, whose sums are exact in any order, so
+the pixels do not depend on the block geometry: at the default geometry
+(the compiled plan's block size) or at a custom ``output_block``, the frame
+equals ``Session.execute`` bit for bit.
 A positive threshold trades bounded pixel error for more reuse; the stream
 records the largest residual it ever accepted
 (:attr:`VideoStreamStats.max_reused_residual`) so the error stays a
@@ -191,8 +190,9 @@ class VideoStream:
         Output-resolution block size of the delta grid; defaults to the
         compiled plan's geometry (making exact-reuse mode bit-identical to
         ``Session.execute``).  Smaller blocks localize change detection at
-        the price of more margin recomputation; exact-reuse outputs are
-        then bit-identical to the block flow at that same block size.
+        the price of more margin recomputation; exact-reuse outputs stay
+        bit-identical to ``Session.execute``, whose fixed-point arithmetic
+        is exact at any block size.
     """
 
     def __init__(

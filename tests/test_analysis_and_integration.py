@@ -10,14 +10,11 @@ from repro.analysis.workloads import (
     bicubic_like_downsample,
     synthetic_image,
 )
-from repro.core import BlockInferencePipeline
-from repro.core.blockflow import frame_based_inference
+from repro.core.blockflow import Stage, staged_inference
 from repro.fbisa import assemble, compile_network, disassemble, encode_program
 from repro.fbisa.encoding import decode_program
-from repro.hw import EcnnProcessor, evaluate_performance
+from repro.hw import evaluate_performance
 from repro.models import build_dnernet, build_sr2ernet
-from repro.quant import quantize_network
-from repro.quant.quantize import apply_plan
 from repro.specs import SPECIFICATIONS
 
 
@@ -75,19 +72,6 @@ class TestReporting:
 
 
 class TestEndToEnd:
-    def test_quantized_compiled_processor_pipeline(self):
-        """Quantize -> compile -> execute on the processor == quantized network."""
-        network = build_dnernet(2, 1, 0, seed=17)
-        image = synthetic_image(40, 32, seed=9)
-        plan = quantize_network(network, calibration_inputs=[image])
-        apply_plan(network, plan)
-        compiled = compile_network(network, input_block=64, plan=plan)
-        processor = EcnnProcessor()
-        processor.load(compiled)
-        report = processor.run_image(image, network, output_block=16)
-        reference = frame_based_inference(network, image)
-        assert np.allclose(report.output.data, reference.data)
-
     def test_binary_program_round_trip_preserves_timing(self):
         compiled = compile_network(build_dnernet(3, 1, 0), input_block=64)
         blob = encode_program(compiled.program)
@@ -106,15 +90,11 @@ class TestEndToEnd:
         parsed.validate()
 
     def test_pipeline_and_performance_agree_on_block_geometry(self):
+        # The block flow run at input block 128 produces the output block
+        # the performance model charges.
         network = build_dnernet(3, 1, 0)
-        pipeline = BlockInferencePipeline(network, input_block=128)
+        stage = Stage(0, len(network.layers), 128)
+        _, (grid,) = staged_inference(network, (stage,), synthetic_image(160, 160, seed=1))
         perf = evaluate_performance(network, SPECIFICATIONS["HD30"], input_block=128)
-        assert pipeline.output_block == perf.output_block
-        assert "BlockInferencePipeline" in pipeline.describe()
-
-    def test_pipeline_argument_validation(self):
-        network = build_dnernet(2, 1, 0)
-        with pytest.raises(ValueError):
-            BlockInferencePipeline(network)
-        with pytest.raises(ValueError):
-            BlockInferencePipeline(network, input_block=64, output_block=32)
+        assert grid.block_size == perf.output_block
+        assert grid.num_blocks > 1

@@ -351,6 +351,24 @@ class TestContentRouting:
         for expected, result in zip(self.expected(images) * 2, results):
             assert np.array_equal(result.output.data, expected)
 
+    def test_a_frame_repeated_in_a_burst_is_sent_to_its_shard_once(self):
+        a, b = (synthetic_image(28, 28, seed=seed) for seed in (0, 1))
+        sent = []
+        with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
+            for shard in cluster._shards:
+                def send(command, payload, _send=shard.send):
+                    if command == "execute_frames":
+                        sent.extend(frame_digest(frame) for frame in payload[1])
+                    return _send(command, payload)
+
+                shard.send = send
+            results = cluster.execute_frames("denoise", [a, b, a], cached=False)
+            served = cluster.stats().total_served_frames
+        assert sorted(sent) == sorted([frame_digest(a), frame_digest(b)])
+        assert served == 3
+        for expected, result in zip(self.expected([a, b, a]), results):
+            assert np.array_equal(result.output.data, expected)
+
     def test_killing_one_of_three_shards_moves_only_the_frames_it_owned(self):
         images = [synthetic_image(28, 28, seed=seed) for seed in range(9)]
         digests = [frame_digest(image) for image in images]

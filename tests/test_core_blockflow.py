@@ -11,22 +11,20 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.workloads import synthetic_image
 from repro.core.blockflow import (
     Stage,
-    block_based_inference,
     frame_based_inference,
     input_interval_for_output,
     network_scale,
     partition_image,
     staged_inference,
-    stitch_blocks,
     total_input_margin,
 )
 from repro.core.pipeline import execute_stages
 from repro.models.baselines import build_plain_network
 from repro.nn.layers import Conv2d, ReLU
-from repro.nn.network import Sequential
+from repro.nn.network import Network
 from repro.nn.ops import PixelShuffle, StridedPool2x2
-from repro.nn.receptive_field import output_size_valid
-from repro.nn.tensor import FeatureMap
+from repro.nn.receptive_field import output_size_valid, required_input_size
+from repro.quant.fixed import fixed_point_network
 
 
 class TestGeometry:
@@ -73,11 +71,25 @@ class TestGeometry:
         assert grid.measured_nbr() > 2.0
 
 
+def block_flow(network, image, output_block):
+    """One-stage :func:`staged_inference` at ``output_block`` output pixels.
+
+    The stage's input block is the one that produces exactly
+    ``output_block``, so its grid is :func:`partition_image`'s.
+    """
+    layers = network.layers
+    stage = Stage(0, len(layers), required_input_size(output_block, layers))
+    output, (grid,) = staged_inference(network, (stage,), image)
+    assert grid.block_size == output_block
+    assert grid.blocks == partition_image(image.height, image.width, network, output_block).blocks
+    return output, grid
+
+
 class TestEquivalence:
     def test_plain_network(self, tiny_plain_network):
         image = synthetic_image(40, 44, seed=1)
         reference = frame_based_inference(tiny_plain_network, image)
-        output, grid = block_based_inference(tiny_plain_network, image, output_block=12)
+        output, grid = block_flow(tiny_plain_network, image, output_block=12)
         assert output.shape == reference.shape
         assert np.allclose(output.data, reference.data)
         assert grid.num_blocks == 16
@@ -85,13 +97,13 @@ class TestEquivalence:
     def test_ernet_with_residuals(self, tiny_ernet):
         image = synthetic_image(36, 30, seed=2)
         reference = frame_based_inference(tiny_ernet, image)
-        output, _ = block_based_inference(tiny_ernet, image, output_block=10)
+        output, _ = block_flow(tiny_ernet, image, output_block=10)
         assert np.allclose(output.data, reference.data)
 
     def test_sr_network_with_upsampler(self, tiny_sr_network):
         image = synthetic_image(24, 28, seed=3)
         reference = frame_based_inference(tiny_sr_network, image)
-        output, grid = block_based_inference(tiny_sr_network, image, output_block=16)
+        output, grid = block_flow(tiny_sr_network, image, output_block=16)
         assert output.shape == (3, 48, 56)
         assert np.allclose(output.data, reference.data)
         assert grid.output_height == 48 and grid.output_width == 56
@@ -99,13 +111,13 @@ class TestEquivalence:
     def test_mixed_network(self, mixed_network):
         image = synthetic_image(30, 26, seed=4)
         reference = frame_based_inference(mixed_network, image)
-        output, _ = block_based_inference(mixed_network, image, output_block=14)
+        output, _ = block_flow(mixed_network, image, output_block=14)
         assert np.allclose(output.data, reference.data)
 
     def test_block_size_does_not_change_result(self, tiny_plain_network):
         image = synthetic_image(32, 32, seed=5)
-        first, _ = block_based_inference(tiny_plain_network, image, output_block=8)
-        second, _ = block_based_inference(tiny_plain_network, image, output_block=20)
+        first, _ = block_flow(tiny_plain_network, image, output_block=8)
+        second, _ = block_flow(tiny_plain_network, image, output_block=20)
         assert np.allclose(first.data, second.data)
 
     @settings(max_examples=10, deadline=None)
@@ -119,29 +131,8 @@ class TestEquivalence:
         network = build_plain_network(depth, 6, seed=depth)
         image = synthetic_image(height, width, seed=height * width)
         reference = frame_based_inference(network, image)
-        output, _ = block_based_inference(network, image, output_block=block)
+        output, _ = block_flow(network, image, output_block=block)
         assert np.allclose(output.data, reference.data)
-
-
-class TestStitching:
-    def test_stitch_blocks_rebuilds_image(self, tiny_plain_network):
-        image = synthetic_image(32, 32, seed=6)
-        output, grid = block_based_inference(tiny_plain_network, image, output_block=16)
-        pieces = []
-        for spec in grid.blocks:
-            crop = output.crop(spec.out_row, spec.out_col, spec.out_height, spec.out_width)
-            pieces.append((spec, crop))
-        rebuilt = stitch_blocks(pieces, grid.output_height, grid.output_width)
-        assert np.allclose(rebuilt.data, output.data)
-
-    def test_stitch_rejects_empty_and_mismatched(self, tiny_plain_network):
-        with pytest.raises(ValueError):
-            stitch_blocks([], 8, 8)
-        image = synthetic_image(32, 32, seed=7)
-        _, grid = block_based_inference(tiny_plain_network, image, output_block=16)
-        bad = FeatureMap(np.zeros((3, 1, 1)))
-        with pytest.raises(ValueError):
-            stitch_blocks([(grid.blocks[0], bad)], 32, 32)
 
 
 # ------------------------------------------------------------ staged execution
@@ -152,7 +143,7 @@ def _plain_stack(rng):
     for _ in range(int(rng.integers(4, 7))):
         layers += [ReLU(), Conv2d(width, width, 3, seed=int(rng.integers(1e6)))]
     layers += [ReLU(), Conv2d(width, 3, 3, seed=int(rng.integers(1e6)))]
-    return Sequential(layers, name="plain")
+    return Network(layers, "plain")
 
 
 def _down_up_stack(rng):
@@ -166,7 +157,7 @@ def _down_up_stack(rng):
         Conv2d(8, 32, 3, seed=seed()), PixelShuffle(2), ReLU(),
         Conv2d(8, 3, 3, seed=seed()),
     ]
-    return Sequential(layers, name="down-up")
+    return Network(layers, "down-up")
 
 
 def _random_stages(rng, network, count):
@@ -220,16 +211,18 @@ class TestStagedInference:
 
     @pytest.mark.parametrize("stack", sorted(STACKS))
     def test_one_stage_is_block_based_inference_bit_for_bit(self, stack):
+        # A one-stage plan is the paper's block-based flow: the partition at
+        # the stage's output block, and on a fixed-point program the frame
+        # flow's pixels bit for bit.
         rng = np.random.default_rng(11)
-        network = STACKS[stack](rng)
+        network = fixed_point_network(STACKS[stack](rng))
         (stage,) = _random_stages(rng, network, 1)
         image = synthetic_image(_frame_size(rng, network), _frame_size(rng, network), seed=3)
         output, (grid,) = staged_inference(network, (stage,), image)
-        expected, expected_grid = block_based_inference(
-            network, image, output_size_valid(stage.input_block, network.layers)
-        )
-        assert np.array_equal(output.data, expected.data)
-        assert grid.blocks == expected_grid.blocks
+        output_block = output_size_valid(stage.input_block, network.layers)
+        expected = partition_image(image.height, image.width, network, output_block)
+        assert grid.blocks == expected.blocks and grid.num_blocks > 1
+        assert np.array_equal(output.data, frame_based_inference(network, image).data)
 
     def test_num_blocks_sums_every_stage(self):
         rng = np.random.default_rng(5)

@@ -8,10 +8,10 @@ geometries and Q-formats, then drives the same pixels through every tier —
 the block flow against ``frame_based_inference`` (the paper's invariant:
 bit-exact for the served fixed-point programs, whose sums are exact in any
 order; to float tolerance for float networks, whose summation order
-differs by construction),
-quantized deployments, the session / engine / sharded-cluster serving
-stack and the video delta path — asserting exact equality between serving
-tiers with the shared :func:`conftest.assert_parity` helper.
+differs by construction), random networks' fixed-point programs, the
+session / engine / sharded-cluster serving stack and the video delta path —
+asserting exact equality between serving tiers with the shared
+:func:`conftest.assert_parity` helper.
 
 Randomization is *seeded*: a failure reproduces from its seed, and the
 drawn configurations are stable across runs.
@@ -29,17 +29,16 @@ from repro.analysis.workloads import synthetic_image
 from repro.api import Session
 from repro.api.session import frame_digest
 from repro.api.backends import VISION_UTILIZATION
-from repro.core.blockflow import Stage, block_based_inference, frame_based_inference
+from repro.core.blockflow import Stage, frame_based_inference, partition_image, staged_inference
 from repro.core.partition import partition_into_submodels
-from repro.core.pipeline import BlockInferencePipeline
 from repro.models.baselines import build_plain_network
 from repro.models.ernet import build_dnernet, build_sr2ernet
 from repro.nn.layers import FixedConv2d
 from repro.nn.network import iter_conv_layers
 from repro.nn.ops import MaxPool2x2, PixelShuffle, PixelUnshuffle
-from repro.nn.receptive_field import output_size_valid
+from repro.nn.receptive_field import output_size_valid, required_input_size
 from repro.nn.tensor import FeatureMap
-from repro.quant.quantize import quantize_network
+from repro.quant.fixed import fixed_point_formats, fixed_point_network
 from repro.runtime import ResultCache, ServingCluster, ServingEngine
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -168,6 +167,15 @@ CATALOGUE_SIZES = {
 PIXEL_BACKENDS = ("ecnn", "frame_based")
 
 
+def _block_flow(network, image, output_block):
+    """One-stage :func:`staged_inference` producing ``output_block`` pixels per block."""
+    layers = network.layers
+    stage = Stage(0, len(layers), required_input_size(output_block, layers))
+    output, (grid,) = staged_inference(network, (stage,), image)
+    assert grid.block_size == output_block
+    return output, grid
+
+
 def _random_plain_case(seed):
     """A seeded plain network, frame size and output block."""
     rng = np.random.default_rng(2000 + seed)
@@ -178,7 +186,7 @@ def _random_plain_case(seed):
     image_width = int(rng.integers(24, 44))
     output_block = int(rng.integers(8, 15))
     image = synthetic_image(height, image_width, seed=seed)
-    output, grid = block_based_inference(network, image, output_block=output_block)
+    output, grid = _block_flow(network, image, output_block)
     assert grid.num_blocks > 1
     return network, image, output
 
@@ -195,7 +203,7 @@ def _tiny_network_case(build, size):
     """A tiny network (upsampler or residual body) at output block 10."""
     network = build()
     image = synthetic_image(*size, seed=13)
-    output, _ = block_based_inference(network, image, output_block=10)
+    output, _ = _block_flow(network, image, 10)
     return network, image, output
 
 
@@ -236,22 +244,20 @@ class TestRandomizedBlockFlow:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_qformat_quantized_parity(self, seed):
+        # A random plain network's fixed-point program (Q-formats chosen by
+        # its own calibration): block flow equals frame flow bit for bit.
         rng = np.random.default_rng(3000 + seed)
-        network = build_plain_network(int(rng.integers(2, 4)), int(rng.integers(4, 9)), seed=seed)
-        bits = int(rng.choice([6, 7, 8]))
-        feature_bits = int(rng.choice([7, 8]))
-        plan = quantize_network(network, bits=bits, feature_bits=feature_bits)
-        # The drawn Q-formats really vary with the seed (regression guard
-        # for the randomization itself).
-        assert plan.layers[0].weight_format.bits == bits
-        pipeline = BlockInferencePipeline(
-            network, output_block=int(rng.integers(8, 13)), quantization=plan
+        network = fixed_point_network(
+            build_plain_network(int(rng.integers(2, 4)), int(rng.integers(4, 9)), seed=seed)
         )
+        formats = fixed_point_formats(network)
+        assert formats and all(isinstance(conv, FixedConv2d) for conv in iter_conv_layers(network))
         image = synthetic_image(int(rng.integers(24, 40)), int(rng.integers(24, 40)), seed=seed)
-        output = pipeline.run(image).output
-        reference = pipeline.run_frame_based(image)
-        assert output.shape == reference.shape, f"seed={seed} Q bits={bits}/{feature_bits}"
-        assert np.allclose(output.data, reference.data), f"seed={seed} Q bits={bits}/{feature_bits}"
+        output, grid = _block_flow(network, image, int(rng.integers(8, 13)))
+        reference = frame_based_inference(network, image)
+        assert grid.num_blocks > 1
+        assert output.shape == reference.shape, f"seed={seed} {formats}"
+        assert np.array_equal(output.data, reference.data), f"seed={seed} {formats}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -431,16 +437,17 @@ class TestStagedServing:
         ("denoise", (45, 37)), ("denoise", (300, 260)), ("super_resolution", (40, 33)),
     ])
     def test_single_stage_pixels_are_block_based_inference(self, workload, size):
-        # Pins the one-stage runner to the pre-staging arithmetic: the block
-        # flow at the plan's block, bit for bit.
+        # A one-stage plan is the paper's block-based flow: the partition at
+        # the plan's block, and the frame flow's pixels bit for bit.
         session = Session(backend="ecnn", cache=ResultCache())
         plan = session.compile(workload)
         image = synthetic_image(*size, seed=17)
         result = session.execute(workload, image, cached=False)
         output_block = output_size_valid(plan.input_block, plan.network.layers)
-        expected, grid = block_based_inference(plan.network, image, output_block)
+        grid = partition_image(image.height, image.width, plan.network, output_block)
         assert len(plan.stages) == 1
-        assert np.array_equal(result.output.data, expected.data)
+        assert np.array_equal(result.output.data, frame_based_inference(plan.network, image).data)
+        assert result.grids[0].blocks == grid.blocks
         assert result.num_blocks == grid.num_blocks
 
     def test_style_transfer_runs_the_split_on_every_backend(self):

@@ -15,7 +15,8 @@ from repro.quant import (
     quantize_network,
     simulate_fine_tuning,
 )
-from repro.quant.quantize import _optimal_fraction_bits_scalar, apply_plan
+from repro.quant.fixed import fixed_point_network
+from repro.quant.quantize import _optimal_fraction_bits_scalar
 
 
 class TestQFormat:
@@ -195,22 +196,11 @@ class TestNetworkQuantization:
         # generic default.
         assert len({lq.output_format.name for lq in plan.layers}) >= 1
 
-    def test_apply_plan_quantizes_weights_in_place(self):
-        net = build_dnernet(2, 1, 0, seed=11)
-        plan = quantize_network(net)
-        apply_plan(net, plan)
-        for conv, lq in zip(
-            list(iter_conv_layers(net)),
-            plan.layers,
-        ):
-            assert np.allclose(conv.weights, lq.weight_format.quantize(conv.weights))
-
     def test_quantized_network_output_close_to_float(self, small_image):
+        # The served 8-bit program of a float network stays close to it.
         net = build_dnernet(2, 1, 0, seed=13)
         reference = net.forward(small_image)
-        plan = quantize_network(net, calibration_inputs=[small_image])
-        apply_plan(net, plan)
-        quantized = net.forward(small_image)
+        quantized = fixed_point_network(net).forward(small_image)
         assert psnr(reference.data, quantized.data, peak=float(np.abs(reference.data).max())) > 25.0
 
     def test_network_without_convs_rejected(self):

@@ -8,10 +8,10 @@ single-pixel mutation at a block center therefore changes exactly one
 block's input window, and :class:`repro.runtime.video.VideoStream` must
 recompute exactly that block — no more, no fewer.
 
-The bit-identity reference for this custom geometry is
-``block_based_inference(network, frame, 16)`` (the parity
-contract is per-geometry; see the module docstring of
-:mod:`repro.runtime.video`).
+The bit-identity reference is ``session.execute("denoise", frame,
+cached=False)`` at the plan's own block size: the served fixed-point
+program is exact in any summation order, so the pixels do not depend on
+the block geometry (see the module docstring of :mod:`repro.runtime.video`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
-from repro.core.blockflow import block_based_inference, partition_image
+from repro.core.blockflow import partition_image
 from repro.nn.tensor import FeatureMap
 from repro.runtime import RESIDUAL_HISTOGRAM_EDGES, ResultCache, VideoStream
 from repro.runtime.video import StagedPlanStreamError
@@ -58,9 +58,7 @@ def _mutated(frame: FeatureMap, blocks) -> FeatureMap:
 
 
 def _reference(session: Session, frame: FeatureMap) -> np.ndarray:
-    network = session.compile("denoise").network
-    output, _ = block_based_inference(network, frame, output_block=BLOCK)
-    return output.data
+    return session.execute("denoise", frame, cached=False).output.data
 
 
 class TestChangeLocality:
@@ -93,7 +91,7 @@ class TestChangeLocality:
         assert result.blocks_recomputed == len(mutated_blocks)
         assert result.blocks_reused == GRID_BLOCKS - len(mutated_blocks)
         # Reuse never costs pixels: the stitched frame is bit-identical to
-        # full re-inference at the stream's geometry.
+        # full re-inference.
         assert np.array_equal(result.output.data, _reference(session, frame))
 
     def test_static_sequence_reuses_every_block(self, session, stream):
