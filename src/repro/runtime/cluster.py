@@ -392,7 +392,9 @@ class ClusterStats:
     #: die underneath it before it lands (a rapid double-kill moves a
     #: request twice but displaces it once) — so the counter reconciles
     #: against admissions: within one call, ``requeued`` can never exceed
-    #: the number of distinct requests dispatched.
+    #: the number of distinct requests dispatched.  A frame repeated within
+    #: one burst is dispatched once, so it counts once here while the
+    #: shard's ``served_frames`` counts every position it filled.
     requeued: int
 
     @property
@@ -1037,10 +1039,14 @@ class ServingCluster:
         frame to the shard that owns its digest, fan the results out."""
         self._check_open()
         self.session.workload(workload_name)
-        positions: Dict[str, List[int]] = {}
+        # One item per frame identity the frame cache keys on: equal bytes
+        # at another shape or dtype are another frame.
+        positions: Dict[Tuple[Any, str, str], List[int]] = {}
         for position, image in enumerate(images):
-            positions.setdefault(frame_digest(image), []).append(position)
-        digests, fanout = list(positions), list(positions.values())
+            identity = (image.shape, image.data.dtype.str, frame_digest(image))
+            positions.setdefault(identity, []).append(position)
+        digests = [identity[2] for identity in positions]
+        fanout = list(positions.values())
         results: List[Any] = [None] * len(images)
 
         def route(pending: List[int]) -> Dict[int, List[int]]:

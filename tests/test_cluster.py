@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.workloads import synthetic_image
 from repro.api import PlanHandle, Session, SessionHandle
 from repro.api.session import frame_digest
+from repro.nn.tensor import FeatureMap
 from repro.runtime import (
     ClusterBackpressure,
     ClusterError,
@@ -366,6 +367,35 @@ class TestContentRouting:
             served = cluster.stats().total_served_frames
         assert sorted(sent) == sorted([frame_digest(a), frame_digest(b)])
         assert served == 3
+        for expected, result in zip(self.expected([a, b, a]), results):
+            assert np.array_equal(result.output.data, expected)
+
+    def test_equal_bytes_at_another_shape_are_another_frame(self):
+        a = synthetic_image(24, 32, seed=0)
+        b = FeatureMap(a.data.reshape(3, 32, 24))
+        assert a.data.tobytes() == b.data.tobytes()
+        with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
+            results = cluster.execute_frames("denoise", [a, b])
+        for expected, result in zip(self.expected([a, b]), results):
+            assert np.array_equal(result.output.data, expected)
+
+    def test_a_repeated_frame_displaced_by_its_shards_failure_requeues_once(
+        self, monkeypatch
+    ):
+        a, b = (synthetic_image(28, 28, seed=seed) for seed in (0, 1))
+        with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
+            owner = cluster._route(frame_digest(a))
+            displaced = 1 + (cluster._route(frame_digest(b)) is owner)
+
+            def refuse(command, payload):
+                raise _ShardFailure(f"shard {owner.index} refused {command}")
+
+            monkeypatch.setattr(owner, "send", refuse)
+            results = cluster.execute_frames("denoise", [a, b, a], cached=False)
+            stats = cluster.stats()
+        # requeued counts distinct dispatched frames; served_frames positions.
+        assert stats.requeued == displaced
+        assert stats.total_served_frames == 3
         for expected, result in zip(self.expected([a, b, a]), results):
             assert np.array_equal(result.output.data, expected)
 
