@@ -421,10 +421,14 @@ class Session:
         """The live :class:`~repro.runtime.video.VideoStream` for a stream id.
 
         Created on first use; subsequent calls return the same stream with
-        the threshold/metric updated to the requested values (the reuse
-        decision is per frame, so reconfiguration never invalidates cached
-        blocks).  ``max_cached_blocks`` / ``output_block`` only apply at
-        creation — they shape long-lived per-stream state.
+        the threshold/metric updated to the requested values (see
+        :meth:`~repro.runtime.video.VideoStream.reconfigure`: a cached block
+        is reused only while the residuals it was reused at, plus the next
+        frame's, stay within the new threshold, so tightening it recomputes
+        blocks already reused beyond it, and a metric change drops blocks
+        reused at a nonzero residual).  ``max_cached_blocks`` /
+        ``output_block`` only apply at creation — they shape long-lived
+        per-stream state.
         """
         from repro.runtime.video import DEFAULT_MAX_CACHED_BLOCKS, VideoStream
 
@@ -464,9 +468,11 @@ class Session:
 
         Frames of one ``(stream_id, workload)`` pair are diffed against
         their predecessor at execution-block granularity; only changed
-        blocks re-run inference, the rest stitch from the stream's bounded
-        block cache.  ``threshold=0.0`` (the default) is exact-reuse mode —
-        the result is bit-identical to :meth:`execute` on the same frame.
+        blocks re-run inference (where the cached block is exact, only the
+        output pixels their changed input can reach), and the rest stitch
+        from the stream's bounded block cache.  ``threshold=0.0`` (the
+        default) is exact-reuse mode — the result is bit-identical to
+        :meth:`execute` on the same frame.
         See :class:`~repro.runtime.video.VideoStream`.
         """
         stream = self.video_stream(

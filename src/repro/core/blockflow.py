@@ -183,6 +183,32 @@ def output_interval_for_input(
     return lo, hi
 
 
+def output_reach(start: int, stop: int, layers: Sequence[Layer]) -> Tuple[int, int]:
+    """The output interval whose input windows read any of input ``[start, stop)``.
+
+    Where :func:`output_interval_for_input` keeps the outputs an interval
+    *fully* determines, this keeps every output it *touches*: walking the
+    stack forwards, a valid convolution widens the interval by its margin,
+    an upsampler multiplies coordinates and a pooling stage divides them
+    outwards.  Outside it, an output's window misses the interval, so a
+    change confined to the interval leaves those outputs as they were.
+    """
+    lo, hi = start, stop
+    for layer in layers:
+        geom = layer_geometry(layer)
+        lo -= geom.margin
+        hi += geom.margin
+        if geom.scale > 1.0:
+            factor = int(round(geom.scale))
+            lo *= factor
+            hi *= factor
+        elif geom.scale < 1.0:
+            factor = int(round(1.0 / geom.scale))
+            lo = lo // factor
+            hi = -((-hi) // factor)
+    return lo, hi
+
+
 def total_input_margin(layers: Sequence[Layer]) -> int:
     """Input-resolution border needed per side to produce output pixel 0."""
     lo, _hi = input_interval_for_output(0, 1, layers)
@@ -439,6 +465,12 @@ def pad_frame(image: FeatureMap, layers: Sequence[Layer]) -> np.ndarray:
     return np.pad(image.data, ((0, 0), (margin, margin), (margin, margin)))
 
 
+#: A block's changed input pixels: the bounding ``(rows, cols)`` intervals,
+#: in unpadded input coordinates, of every value that differs between two
+#: frames inside the block's window; ``None`` when the windows are equal.
+ChangedBox = Optional[Tuple[Tuple[int, int], Tuple[int, int]]]
+
+
 def block_window_residuals(
     prev_padded: np.ndarray,
     cur_padded: np.ndarray,
@@ -446,8 +478,8 @@ def block_window_residuals(
     layers: Sequence[Layer],
     *,
     metric: str = "mae",
-) -> np.ndarray:
-    """Per-block residual between two padded frames over each input window.
+) -> Tuple[np.ndarray, List[ChangedBox]]:
+    """Per-block residual and changed box between two padded frames.
 
     The residual of a block is computed over the *entire* input window the
     block consumes — margin included — so a zero residual proves the block's
@@ -458,6 +490,9 @@ def block_window_residuals(
     ``metric`` is ``"mae"`` (mean absolute difference per value) or
     ``"sad"`` (sum of absolute differences, the classic block-matching
     criterion); both are zero exactly when the windows are identical.
+    One comparison of the two frames gives every block's box and proves
+    the residual of a block whose window did not change to be 0, so only
+    changed windows are differenced.
     """
     if metric not in RESIDUAL_METRICS:
         raise ValueError(
@@ -469,31 +504,42 @@ def block_window_residuals(
         )
     margin = total_input_margin(layers)
     origin = (-margin, -margin)
-    residuals = np.empty(grid.num_blocks, dtype=np.float64)
+    changed = (cur_padded != prev_padded).any(axis=0, keepdims=True)
+    residuals = np.zeros(grid.num_blocks, dtype=np.float64)
+    boxes: List[ChangedBox] = []
     for index, block in enumerate(grid.blocks):
+        mask = _block_window(changed, block, origin)[0]
+        rows = np.flatnonzero(mask.any(axis=1))
+        if rows.size == 0:
+            boxes.append(None)
+            continue
+        cols = np.flatnonzero(mask.any(axis=0))
+        boxes.append((
+            (block.in_row + int(rows[0]), block.in_row + int(rows[-1]) + 1),
+            (block.in_col + int(cols[0]), block.in_col + int(cols[-1]) + 1),
+        ))
         prev = _block_window(prev_padded, block, origin)
         cur = _block_window(cur_padded, block, origin)
         diff = np.abs(cur.astype(np.float64) - prev.astype(np.float64))
         residuals[index] = float(diff.sum()) if metric == "sad" else float(diff.mean())
-    return residuals
+    return residuals, boxes
 
 
 def run_selected_blocks(
     network: Sequential,
     padded: np.ndarray,
-    grid: BlockGrid,
-    indices: Sequence[int],
+    blocks: Sequence[BlockSpec],
 ) -> List[FeatureMap]:
-    """Run only the named blocks of a partition and return their outputs.
+    """Run only the given blocks of a frame and return their outputs.
 
     The selective counterpart of a one-stage :func:`staged_inference`: the
-    caller supplies the padded frame and the partition grid, names the block
-    indices to recompute, and gets each block's cropped output back in
-    ``indices`` order.  Pixels are bit-identical to a full run — both use
-    the same per-block runner — which is the invariant the video delta
-    path's exact-reuse mode rests on.
+    caller supplies the padded frame and the blocks to recompute — blocks
+    of the partition grid, or smaller blocks of a finer partition inside
+    them — and gets each block's cropped output back in order.  Pixels are
+    bit-identical to a full run — both use the same per-block runner, and
+    the served arithmetic gives the same bits under any partition — which
+    is the invariant the video delta path's exact-reuse mode rests on.
     """
-    blocks = [grid.blocks[index] for index in indices]
     return [
         result
         for _, result in _run_blocks(network.forward, padded, blocks, network.layers)

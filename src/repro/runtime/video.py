@@ -8,20 +8,32 @@ granularity:
 
 * every submitted frame is diffed against its predecessor over each
   block's *input window* (margin included), using a SAD or MAE residual;
-* blocks whose residual exceeds the stream's threshold re-run through the
-  block flow's one block runner
-  (:func:`repro.core.blockflow.run_selected_blocks`);
-* unchanged blocks are stitched from a bounded per-stream LRU block cache.
+  the same comparison gives the bounding box of the window's changed
+  pixels;
+* a cached block is reused while its *drift* — the sum of the residuals
+  it was reused at since it was computed — plus this frame's residual
+  stays within the stream's threshold;
+* a block that must recompute, and whose cached output is exact for the
+  predecessor's window (drift 0), recomputes only the output rectangle its
+  changed pixels can reach (:func:`repro.core.blockflow.output_reach`,
+  clipped to the block) and patches it into a copy of the cached output;
+  any other block recomputes whole.  Both run through the block flow's
+  one selective runner (:func:`repro.core.blockflow.run_selected_blocks`);
+* reused blocks are stitched from a bounded per-stream LRU block cache.
 
 Because the residual covers the entire input window and a block's output is
 a pure function of that window, **threshold 0 is exact-reuse mode**: the
 delta-served frame is bit-identical to full re-inference, by construction.
-The served program is fixed-point, whose sums are exact in any order, so
-the pixels do not depend on the block geometry: at the default geometry
-(the compiled plan's block size) or at a custom ``output_block``, the frame
-equals ``Session.execute`` bit for bit.
-A positive threshold trades bounded pixel error for more reuse; the stream
-records the largest residual it ever accepted
+A sub-block is a block of a finer partition, and the served program is
+fixed-point, whose sums are exact in any order, so the pixels do not
+depend on the block geometry: whole blocks, patched sub-blocks or a custom
+``output_block`` all equal ``Session.execute`` bit for bit.
+A positive threshold trades bounded pixel error for more reuse.  MAE and
+SAD obey the triangle inequality, so the drift bounds the distance from
+the served block's own source window to the current one — a slow fade
+cannot creep past the threshold one small residual at a time, and
+tightening the threshold also recomputes blocks already reused beyond it.
+The stream records the largest drift it ever served
 (:attr:`VideoStreamStats.max_reused_residual`) so the error stays a
 *measured* quantity, and the video parity tests measure the actual pixel
 error against full re-inference.
@@ -46,19 +58,24 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.blockflow import (
     RESIDUAL_METRICS,
+    BlockGrid,
     BlockSpec,
+    ChangedBox,
+    _region_grid,
     _stitch,
     block_window_residuals,
+    output_reach,
     pad_frame,
     partition_image,
     run_selected_blocks,
 )
+from repro.nn.layers import Layer
 from repro.nn.receptive_field import output_size_valid
 from repro.nn.tensor import FeatureMap
 
@@ -79,6 +96,30 @@ def _stream_block(plan: "CompiledPlan") -> int:
             "reuse needs a single-stage plan"
         )
     return plan.stages[0].input_block
+
+
+def _reach_block(
+    block: BlockSpec, box: ChangedBox, grid: BlockGrid, layers: Sequence[Layer]
+) -> BlockSpec:
+    """The part of ``block`` its changed input pixels ``box`` can reach.
+
+    The output rectangle those pixels reach, clipped to the block's owned
+    output, as the one block of a finer partition; ``block`` itself when
+    the rectangle is the whole block.
+    """
+    (in_rows, in_cols) = box
+
+    def clip(interval: Tuple[int, int], start: int, size: int) -> Tuple[int, int]:
+        return max(interval[0], start), min(interval[1], start + size)
+
+    rows = clip(output_reach(*in_rows, layers), block.out_row, block.out_height)
+    cols = clip(output_reach(*in_cols, layers), block.out_col, block.out_width)
+    height, width = rows[1] - rows[0], cols[1] - cols[0]
+    if (height, width) == (block.out_height, block.out_width):
+        return block
+    return _region_grid(
+        grid.image_height, grid.image_width, rows, cols, layers, max(height, width)
+    ).blocks[0]
 
 
 #: Residual histogram bucket edges.  Bucket 0 counts exact matches
@@ -106,10 +147,13 @@ class VideoStreamStats:
     ``blocks_total`` always equals ``blocks_reused + blocks_recomputed``,
     and the residual histogram sums to the number of blocks that were
     actually diffed (first frames and resolution changes recompute without
-    residuals).  ``bytes_saved`` counts the input-window and output bytes
-    the reused blocks did not move; ``max_reused_residual`` is the largest
-    residual ever served from cache — 0.0 in exact-reuse mode, and the
-    measured input-side error bound in thresholded mode.
+    residuals).  A block patched by a sub-block counts as recomputed.
+    ``bytes_saved`` counts the input-window and output bytes the reused
+    blocks did not move; ``max_reused_residual`` is the largest drift (sum
+    of the residuals a block was reused at since it was computed) ever
+    served from cache — 0.0 in exact-reuse mode, and the measured
+    input-side error bound against the block's source window in
+    thresholded mode.
     """
 
     stream_id: str
@@ -175,10 +219,11 @@ class VideoStream:
         Identity of the stream.  Only block-flow workloads stream
         (recognition serves single zero-padded blocks).
     threshold:
-        Residual at or below which an unchanged block is served from the
-        cache.  ``0.0`` (the default) is exact-reuse mode: a block reuses
-        only when its input window is bit-identical to the predecessor's,
-        so the stitched frame equals full re-inference exactly.
+        Bound on a cached block's drift plus this frame's residual, at or
+        below which the block is served from the cache.  ``0.0`` (the
+        default) is exact-reuse mode: a block reuses only when its input
+        window is bit-identical to the one it was computed from, so the
+        stitched frame equals full re-inference exactly.
     metric:
         ``"mae"`` or ``"sad"`` (see
         :func:`repro.core.blockflow.block_window_residuals`).
@@ -231,7 +276,9 @@ class VideoStream:
         self._output_block = output_block
         self._prev_padded: Optional[np.ndarray] = None
         self._prev_key: Optional[Tuple] = None
-        self._cache: "OrderedDict[int, FeatureMap]" = OrderedDict()
+        #: Grid index -> (block output, drift): the sum of the residuals the
+        #: output was reused at since it was computed.
+        self._cache: "OrderedDict[int, Tuple[FeatureMap, float]]" = OrderedDict()
         self._frames = 0
         self._blocks_reused = 0
         self._blocks_recomputed = 0
@@ -244,9 +291,14 @@ class VideoStream:
     def reconfigure(self, *, threshold: float, metric: str) -> None:
         """Adopt a new threshold/metric for subsequent frames.
 
-        Cached blocks stay valid — the reuse decision is made per frame
-        against the *current* configuration, so tightening the threshold
-        simply recomputes more blocks from the next frame on.
+        Each cached block carries its drift — the sum of the residuals it
+        was reused at since it was computed — and the next frame reuses it
+        only if that drift plus the frame's residual is within the *new*
+        threshold.  Tightening the threshold therefore also recomputes
+        blocks already reused beyond it: at threshold 0 only blocks with no
+        drift are reused, exactly.  A drift is measured in its metric, so a
+        metric change drops every cached block that has drifted; blocks
+        with no drift stay valid under either metric.
         """
         if metric not in RESIDUAL_METRICS:
             raise ValueError(
@@ -254,6 +306,9 @@ class VideoStream:
             )
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
+        if metric != self.metric:
+            for index in [i for i, (_, drift) in self._cache.items() if drift > 0.0]:
+                del self._cache[index]
         self.threshold = float(threshold)
         self.metric = metric
 
@@ -272,56 +327,81 @@ class VideoStream:
     def submit(self, frame: FeatureMap) -> StreamFrameResult:
         """Serve the stream's next frame, reusing unchanged blocks.
 
-        Blocks whose input-window residual against the predecessor frame is
-        at or below the threshold — and whose output is still resident in
-        the block cache — are stitched from the cache; the rest re-run
-        through the block flow.  The first frame, a frame
+        A cached block is stitched from the cache while the residuals it
+        was reused at since it was computed, plus this frame's residual
+        against the predecessor, sum to at most the threshold.  A block
+        that must recompute and whose cached output is exact for the
+        predecessor's window (drift 0) re-runs only the output rectangle
+        its changed input pixels can reach, patched into a copy of the
+        cached output; the rest re-run whole.  The first frame, a frame
         after a resolution/dtype change, and the frame after an
         :meth:`invalidate` recompute in full.
         """
         network, output_block = self._geometry()
+        layers = network.layers
         grid = partition_image(frame.height, frame.width, network, output_block)
-        padded = pad_frame(frame, network.layers)
+        padded = pad_frame(frame, layers)
         key = (frame.shape, frame.data.dtype.str)
 
         residuals: Optional[np.ndarray] = None
         reused: list[int] = []
+        recomputed: list[int] = []
+        specs: list[BlockSpec] = []
+        # Per recomputed block, the cached output its sub-block patches.
+        bases: list[Optional[FeatureMap]] = []
         if self._prev_padded is None or key != self._prev_key:
             # Nothing trustworthy to diff against: full recompute, and the
             # cache is dropped because its indices describe the old grid.
             self._cache.clear()
             recomputed = list(range(grid.num_blocks))
+            specs = list(grid.blocks)
+            bases = [None] * grid.num_blocks
         else:
-            residuals = block_window_residuals(
-                self._prev_padded, padded, grid, network.layers, metric=self.metric
+            residuals, boxes = block_window_residuals(
+                self._prev_padded, padded, grid, layers, metric=self.metric
             )
-            recomputed = []
-            for index, residual in enumerate(residuals):
+            for index, (block, residual, box) in enumerate(zip(grid.blocks, residuals, boxes)):
                 self._histogram[_histogram_bucket(float(residual))] += 1
-                if residual <= self.threshold and index in self._cache:
+                cached = self._cache.get(index)
+                if cached is not None and cached[1] + residual <= self.threshold:
                     reused.append(index)
+                    continue
+                recomputed.append(index)
+                if cached is not None and cached[1] == 0.0:
+                    # Exact for the predecessor's window, which this one
+                    # differs from (or it would be reused): patch only what
+                    # the changed box reaches.
+                    spec = _reach_block(block, box, grid, layers)
                 else:
-                    recomputed.append(index)
+                    spec = block
+                specs.append(spec)
+                bases.append(cached[0] if spec is not block else None)
 
-        fresh = run_selected_blocks(network, padded, grid, recomputed)
+        fresh = run_selected_blocks(network, padded, specs)
         pieces: list[tuple[BlockSpec, FeatureMap]] = []
         window_itemsize = frame.data.dtype.itemsize
         for index in reused:
-            cached = self._cache[index]
+            output, drift = self._cache[index]
+            drift += float(residuals[index])
+            self._cache[index] = (output, drift)
             self._cache.move_to_end(index)
             block = grid.blocks[index]
-            pieces.append((block, cached))
+            pieces.append((block, output))
             self._bytes_saved += (
                 block.input_pixels * frame.channels * window_itemsize
-                + cached.data.nbytes
+                + output.data.nbytes
             )
-            if residuals is not None:
-                self._max_reused_residual = max(
-                    self._max_reused_residual, float(residuals[index])
-                )
-        for index, result in zip(recomputed, fresh):
-            pieces.append((grid.blocks[index], result))
-            self._cache[index] = result
+            self._max_reused_residual = max(self._max_reused_residual, drift)
+        for index, spec, base, result in zip(recomputed, specs, bases, fresh):
+            block = grid.blocks[index]
+            if base is not None:
+                patched = base.data.copy()
+                row = spec.out_row - block.out_row
+                col = spec.out_col - block.out_col
+                patched[:, row : row + spec.out_height, col : col + spec.out_width] = result.data
+                result = FeatureMap(data=patched)
+            pieces.append((block, result))
+            self._cache[index] = (result, 0.0)
             self._cache.move_to_end(index)
             if self.max_cached_blocks is not None:
                 while len(self._cache) > self.max_cached_blocks:

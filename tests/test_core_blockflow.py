@@ -14,6 +14,7 @@ from repro.core.blockflow import (
     frame_based_inference,
     input_interval_for_output,
     network_scale,
+    output_reach,
     partition_image,
     staged_inference,
     total_input_margin,
@@ -40,6 +41,26 @@ class TestGeometry:
         assert lo == -2
         assert hi >= 6
         assert total_input_margin(layers) == 2
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            [Conv2d(3, 8, 3), Conv2d(8, 3, 3)],
+            [Conv2d(3, 12, 3), PixelShuffle(2), Conv2d(3, 48, 3), PixelShuffle(4), Conv2d(3, 3, 3)],
+            [StridedPool2x2(), Conv2d(3, 8, 3), StridedPool2x2(), Conv2d(8, 3, 3)],
+        ],
+        ids=["plain", "upsampler", "pooling"],
+    )
+    def test_output_reach_is_every_output_an_interval_touches(self, layers):
+        # Brute force: output o is reached iff its input window meets the
+        # interval.  With pooling, windows are wider than 2 * margin + 1, so
+        # widening an interval by the margin alone would miss outputs.
+        windows = {o: input_interval_for_output(o, o + 1, layers) for o in range(-100, 150)}
+        for start in range(-5, 12):
+            for stop in range(start + 1, start + 6):
+                lo, hi = output_reach(start, stop, layers)
+                touched = [o for o, (a, b) in windows.items() if a < stop and start < b]
+                assert (lo, hi) == (touched[0], touched[-1] + 1)
 
     def test_network_scale(self):
         assert network_scale([Conv2d(3, 3, 3)]) == 1.0

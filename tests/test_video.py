@@ -21,9 +21,10 @@ import pytest
 
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
-from repro.core.blockflow import partition_image
+from repro.core.blockflow import pad_frame, partition_image, total_input_margin
 from repro.nn.tensor import FeatureMap
 from repro.runtime import RESIDUAL_HISTOGRAM_EDGES, ResultCache, VideoStream
+import repro.runtime.video as video
 from repro.runtime.video import StagedPlanStreamError
 
 #: 48x48 denoise frames at output_block 16: a 3x3 grid, margin 6.
@@ -278,6 +279,125 @@ class TestStatsReconciliation:
         # against the previous frame is 0 only for untouched blocks).
         result = stream.submit(_mutated(drifted, [(1, 1)]))
         assert result.recomputed_blocks == (4,)
+
+
+def _record_specs(monkeypatch) -> list:
+    """Record the blocks every ``run_selected_blocks`` call is given."""
+    calls: list = []
+    run = video.run_selected_blocks
+
+    def recording(network, padded, blocks):
+        calls.append(list(blocks))
+        return run(network, padded, blocks)
+
+    monkeypatch.setattr(video, "run_selected_blocks", recording)
+    return calls
+
+
+class TestDriftBoundedReuse:
+    """A block is reused only while the residuals it was reused at since it
+    was computed, plus this frame's, stay within the threshold — so the
+    served input error is bounded against the block's own source window."""
+
+    def test_tightening_to_zero_recomputes_a_block_reused_with_a_residual(self, session):
+        stream = session.video_stream("stale", "denoise", threshold=0.05)
+        base = synthetic_image(96, 96, seed=20)
+        data = base.data.copy()
+        data[:, 40:44, 40:44] += 0.5
+        changed = FeatureMap(data=data)
+        stream.submit(base)
+        assert stream.submit(changed).blocks_reused == 1
+        # The same frame again: its residual against the predecessor is 0,
+        # but the cached block still holds the output of ``base``.
+        session.video_stream("stale", "denoise", threshold=0.0)
+        result = stream.submit(changed)
+        assert result.recomputed_blocks == (0,)
+        assert np.array_equal(result.output.data, _reference(session, changed))
+
+    def test_a_slow_fade_cannot_drift_past_the_threshold(self, session):
+        threshold = 0.005
+        stream = session.video_stream("fade", "denoise", threshold=threshold)
+        layers = session.compile("denoise").network.layers
+        base = synthetic_image(96, 96, seed=21)
+        frames = [FeatureMap(data=base.data + 0.004 * step) for step in range(40)]
+        references: dict = {}
+        source = 0
+        for step, frame in enumerate(frames):
+            result = stream.submit(frame)
+            if result.blocks_recomputed:
+                source = step
+            if source not in references:
+                references[source] = _reference(session, frames[source])
+            # The served block is its source frame's exact output, and the
+            # source's window is within the threshold of this frame's.
+            assert np.array_equal(result.output.data, references[source])
+            drift = np.abs(pad_frame(frame, layers) - pad_frame(frames[source], layers)).mean()
+            assert drift <= threshold + 1e-12
+        stats = stream.stats
+        assert 0.0 < stats.max_reused_residual <= threshold
+        assert stats.blocks_recomputed > 1
+
+    def test_a_metric_change_drops_drifted_blocks_only(self, session):
+        stream = session.video_stream("units", "denoise", threshold=1.0, output_block=BLOCK)
+        base = _frame(22)
+        stream.submit(base)
+        drifted = _mutated(base, [(1, 1)])
+        assert stream.submit(drifted).blocks_reused == GRID_BLOCKS
+        stream.reconfigure(threshold=1.0, metric="sad")
+        result = stream.submit(drifted)
+        assert result.recomputed_blocks == (4,)
+        assert np.array_equal(result.output.data, _reference(session, drifted))
+
+
+class TestSubBlockReuse:
+    """A block whose cached output is exact for the predecessor recomputes
+    only the output rectangle its changed input pixels can reach."""
+
+    @pytest.mark.parametrize(
+        "workload, side, output_block",
+        [("denoise", 96, 40), ("super_resolution", 48, None)],
+        ids=["denoise-3x3-grid", "super-resolution"],
+    )
+    def test_random_rectangles_of_change_are_bit_exact(
+        self, session, monkeypatch, workload, side, output_block
+    ):
+        calls = _record_specs(monkeypatch)
+        stream = session.video_stream("rects", workload, output_block=output_block)
+        rng = np.random.default_rng(23)
+        data = synthetic_image(side, side, seed=23).data
+        stream.submit(FeatureMap(data=data))
+        for _ in range(6):
+            height, width = rng.integers(1, 9, size=2)
+            top, left = rng.integers(0, side - height + 1), rng.integers(0, side - width + 1)
+            data = data.copy()
+            data[:, top : top + height, left : left + width] = rng.random((3, height, width))
+            frame = FeatureMap(data=data)
+            served = stream.submit(frame).output.data
+            fresh = session.execute(workload, frame, cached=False).output.data
+            assert np.array_equal(served, fresh)
+        # Sub-blocks ran: some recompute was smaller than a grid block, and
+        # on super-resolution some started off the scale-4 lattice.
+        full = {(block.out_height, block.out_width) for block in calls[0]}
+        recomputed = [spec for call in calls[1:] for spec in call]
+        assert any((spec.out_height, spec.out_width) not in full for spec in recomputed)
+        if workload == "super_resolution":
+            assert any(spec.out_row % 4 or spec.out_col % 4 for spec in recomputed)
+
+    def test_one_changed_pixel_recomputes_a_window_a_few_margins_wide(
+        self, session, monkeypatch
+    ):
+        calls = _record_specs(monkeypatch)
+        stream = session.video_stream("pin", "denoise")
+        margin = total_input_margin(session.compile("denoise").network.layers)
+        base = synthetic_image(232, 232, seed=24)
+        stream.submit(base)
+        data = base.data.copy()
+        data[:, 58, 58] += 0.5
+        result = stream.submit(FeatureMap(data=data))
+        assert result.recomputed_blocks == (0,)
+        (spec,) = calls[-1]
+        assert spec.in_height <= 4 * margin + 3 and spec.in_width <= 4 * margin + 3
+        assert np.array_equal(result.output.data, _reference(session, FeatureMap(data=data)))
 
 
 class TestGridAssumptions:
