@@ -469,10 +469,11 @@ class Session:
         Frames of one ``(stream_id, workload)`` pair are diffed against
         their predecessor at execution-block granularity; only changed
         blocks re-run inference (where the cached block is exact, only the
-        output pixels their changed input can reach), and the rest stitch
-        from the stream's bounded block cache.  ``threshold=0.0`` (the
-        default) is exact-reuse mode — the result is bit-identical to
-        :meth:`execute` on the same frame.
+        output pixels their changed input can reach), and the rest are
+        served from the predecessor's output.  A camera pan is diffed
+        against the predecessor moved by the pan, so it re-runs about its
+        border band.  ``threshold=0.0`` (the default) is exact-reuse mode —
+        the result is bit-identical to :meth:`execute` on the same frame.
         See :class:`~repro.runtime.video.VideoStream`.
         """
         stream = self.video_stream(

@@ -458,30 +458,66 @@ def pad_frame(image: FeatureMap, layers: Sequence[Layer]) -> np.ndarray:
     """Zero-pad a frame by the stack's total input margin.
 
     This is the padding a one-stage :func:`staged_inference` draws every
-    block's input window from, exposed so the video delta path can diff
-    consecutive padded frames window-by-window.
+    block's input window from, and the layout :func:`run_selected_blocks`
+    and :func:`block_window_residuals` expect.
     """
     margin = total_input_margin(layers)
     return np.pad(image.data, ((0, 0), (margin, margin), (margin, margin)))
 
 
-#: A block's changed input pixels: the bounding ``(rows, cols)`` intervals,
-#: in unpadded input coordinates, of every value that differs between two
-#: frames inside the block's window; ``None`` when the windows are equal.
-ChangedBox = Optional[Tuple[Tuple[int, int], Tuple[int, int]]]
+def output_shift(shift: int, layers: Sequence[Layer]) -> Optional[int]:
+    """The output shift an input shift of ``shift`` pixels becomes.
+
+    Walking the stack forwards, an upsampler multiplies the shift and a
+    pooling stage divides it.  ``None`` when a pooling stage would divide a
+    shift that is not a multiple of its factor: the shifted frame then
+    samples every pooled position at another phase, so no output is a
+    shifted copy of another.
+    """
+    for layer in layers:
+        scale = layer_geometry(layer).scale
+        if scale > 1.0:
+            shift *= int(round(scale))
+        elif scale < 1.0:
+            factor = int(round(1.0 / scale))
+            if shift % factor:
+                return None
+            shift //= factor
+    return shift
+
+
+def _moved(padded: np.ndarray, shift: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``padded`` moved by ``shift`` and the mask of samples moved in from outside.
+
+    Sample ``p`` of the moved frame is ``padded[p - shift]``; samples whose
+    source lies outside ``padded`` are zero, and the returned ``(1, H, W)``
+    mask marks them.
+    """
+    (dy, dx), (height, width) = shift, padded.shape[1:]
+    rows = slice(max(dy, 0), height + min(dy, 0))
+    cols = slice(max(dx, 0), width + min(dx, 0))
+    moved = np.zeros_like(padded)
+    moved[:, rows, cols] = padded[
+        :, rows.start - dy : rows.stop - dy, cols.start - dx : cols.stop - dx
+    ]
+    outside = np.ones((1, height, width), dtype=bool)
+    outside[:, rows, cols] = False
+    return moved, outside
 
 
 def block_window_residuals(
     prev_padded: np.ndarray,
     cur_padded: np.ndarray,
     grid: BlockGrid,
-    layers: Sequence[Layer],
+    margin: int,
     *,
     metric: str = "mae",
-) -> Tuple[np.ndarray, List[ChangedBox]]:
-    """Per-block residual and changed box between two padded frames.
+    shift: Tuple[int, int] = (0, 0),
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-block residual and the changed-sample mask between two padded frames.
 
-    The residual of a block is computed over the *entire* input window the
+    Both frames are zero-padded by ``margin`` (:func:`pad_frame`).  The
+    residual of a block is computed over the *entire* input window the
     block consumes — margin included — so a zero residual proves the block's
     output is unchanged (a block's output is a pure function of its input
     window).  That is what makes threshold-0 reuse bit-exact by
@@ -490,9 +526,13 @@ def block_window_residuals(
     ``metric`` is ``"mae"`` (mean absolute difference per value) or
     ``"sad"`` (sum of absolute differences, the classic block-matching
     criterion); both are zero exactly when the windows are identical.
-    One comparison of the two frames gives every block's box and proves
-    the residual of a block whose window did not change to be 0, so only
-    changed windows are differenced.
+    ``shift`` ``(dy, dx)`` compares ``cur_padded`` with the predecessor's
+    content moved down and right by that many samples, for motion
+    compensation: samples moved in from outside the predecessor are zero
+    and always count as changed.  One ``!=`` comparison of the two frames
+    gives the ``(H, W)`` mask of changed samples (in padded coordinates,
+    for :func:`reach_blocks`) and proves the residual of a block whose
+    window did not change to be 0, so only changed windows are differenced.
     """
     if metric not in RESIDUAL_METRICS:
         raise ValueError(
@@ -502,27 +542,184 @@ def block_window_residuals(
         raise ValueError(
             f"padded frames differ in shape: {prev_padded.shape} vs {cur_padded.shape}"
         )
-    margin = total_input_margin(layers)
+    if shift == (0, 0):
+        changed = (cur_padded != prev_padded).any(axis=0, keepdims=True)
+    else:
+        prev_padded, changed = _moved(prev_padded, shift)
+        changed |= (cur_padded != prev_padded).any(axis=0, keepdims=True)
     origin = (-margin, -margin)
-    changed = (cur_padded != prev_padded).any(axis=0, keepdims=True)
     residuals = np.zeros(grid.num_blocks, dtype=np.float64)
-    boxes: List[ChangedBox] = []
     for index, block in enumerate(grid.blocks):
-        mask = _block_window(changed, block, origin)[0]
-        rows = np.flatnonzero(mask.any(axis=1))
-        if rows.size == 0:
-            boxes.append(None)
+        if not _block_window(changed, block, origin).any():
             continue
-        cols = np.flatnonzero(mask.any(axis=0))
-        boxes.append((
-            (block.in_row + int(rows[0]), block.in_row + int(rows[-1]) + 1),
-            (block.in_col + int(cols[0]), block.in_col + int(cols[-1]) + 1),
-        ))
         prev = _block_window(prev_padded, block, origin)
         cur = _block_window(cur_padded, block, origin)
-        diff = np.abs(cur.astype(np.float64) - prev.astype(np.float64))
+        diff = np.subtract(cur, prev, dtype=np.float64)
+        np.abs(diff, out=diff)
         residuals[index] = float(diff.sum()) if metric == "sad" else float(diff.mean())
-    return residuals, boxes
+    return residuals, changed[0]
+
+
+#: Output rectangles: ``(rows, cols)`` half-open intervals.
+_Rect = Tuple[Tuple[int, int], Tuple[int, int]]
+
+
+def _area(rect: _Rect) -> int:
+    (rows, cols) = rect
+    return (rows[1] - rows[0]) * (cols[1] - cols[0])
+
+
+def _reach(
+    changed: np.ndarray, region: _Rect, layers: Sequence[Layer], margin: int
+) -> Optional[_Rect]:
+    """The outputs of ``region`` a changed sample reaches, as one rectangle.
+
+    The bounding box of the changed samples in the region's input window,
+    carried forward through the layers (:func:`output_reach`) and clipped
+    to the region; ``None`` when the window holds no changed sample.
+    """
+    (rows, cols) = region
+    in_rows = input_interval_for_output(*rows, layers)
+    in_cols = input_interval_for_output(*cols, layers)
+    window = changed[
+        in_rows[0] + margin : in_rows[1] + margin, in_cols[0] + margin : in_cols[1] + margin
+    ]
+    hit_rows = np.flatnonzero(window.any(axis=1))
+    if hit_rows.size == 0:
+        return None
+    hit_cols = np.flatnonzero(window.any(axis=0))
+    lo_row, hi_row = output_reach(
+        in_rows[0] + int(hit_rows[0]), in_rows[0] + int(hit_rows[-1]) + 1, layers
+    )
+    lo_col, hi_col = output_reach(
+        in_cols[0] + int(hit_cols[0]), in_cols[0] + int(hit_cols[-1]) + 1, layers
+    )
+    reach = (
+        (max(lo_row, rows[0]), min(hi_row, rows[1])),
+        (max(lo_col, cols[0]), min(hi_col, cols[1])),
+    )
+    if reach[0][0] >= reach[0][1] or reach[1][0] >= reach[1][1]:
+        return None
+    return reach
+
+
+def _reached(
+    changed: np.ndarray, region: _Rect, layers: Sequence[Layer], margin: int
+) -> np.ndarray:
+    """Mask of the outputs of ``region`` whose input windows hold a changed sample.
+
+    Each output's window is summed from one summed-area table of the
+    changed samples under the region's window.
+    """
+    (rows, cols) = region
+    row_lo, row_hi = input_interval_for_output(np.arange(*rows), np.arange(*rows) + 1, layers)
+    col_lo, col_hi = input_interval_for_output(np.arange(*cols), np.arange(*cols) + 1, layers)
+    # Windows move monotonically with the output, so the first starts lowest.
+    top, left = int(row_lo[0]), int(col_lo[0])
+    window = changed[
+        top + margin : int(row_hi[-1]) + margin, left + margin : int(col_hi[-1]) + margin
+    ]
+    table = np.zeros((window.shape[0] + 1, window.shape[1] + 1), dtype=np.int32)
+    np.cumsum(np.cumsum(window, axis=0, dtype=np.int32), axis=1, out=table[1:, 1:])
+    row_lo, row_hi, col_lo, col_hi = row_lo - top, row_hi - top, col_lo - left, col_hi - left
+    sums = table[row_hi][:, col_hi] - table[row_lo][:, col_hi] - table[row_hi][:, col_lo]
+    return sums + table[row_lo][:, col_lo] > 0
+
+
+def _guillotine(
+    mask: np.ndarray, cost: Callable[[int, int], float]
+) -> List[Tuple[int, int, int, int]]:
+    """Rectangles ``(row0, row1, col0, col1)`` covering every set sample of ``mask``.
+
+    The bounding box, or the box cut in two and each part covered the same
+    way, whichever sums to the lower ``cost(height, width)``.  The cut runs
+    along the row or column line where the count of set samples per line
+    jumps most: the edge of a band, or of an object beside one.
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return []
+    cols = np.flatnonzero(mask.any(axis=0))
+    row0, row1, col0, col1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    box = mask[row0:row1, col0:col1]
+    whole = [(row0, row1, col0, col1)]
+    jumps = [np.abs(np.diff(np.count_nonzero(box, axis=1 - axis))) for axis in (0, 1)]
+    axis = int(max((0, 1), key=lambda a: jumps[a].max(initial=0)))
+    if jumps[axis].max(initial=0) == 0:
+        return whole
+    line = int(np.argmax(jumps[axis])) + 1
+    if axis == 0:
+        parts = [(box[:line], row0, col0), (box[line:], row0 + line, col0)]
+    else:
+        parts = [(box[:, :line], row0, col0), (box[:, line:], row0, col0 + line)]
+    rects = [
+        (top + r0, top + r1, left + c0, left + c1)
+        for part, top, left in parts
+        for r0, r1, c0, c1 in _guillotine(part, cost)
+    ]
+    split_cost = sum(cost(r1 - r0, c1 - c0) for r0, r1, c0, c1 in rects)
+    return rects if split_cost < cost(row1 - row0, col1 - col0) else whole
+
+
+def reach_blocks(
+    changed: np.ndarray,
+    block: BlockSpec,
+    grid: BlockGrid,
+    layers: Sequence[Layer],
+    margin: int,
+) -> List[BlockSpec]:
+    """Blocks of finer partitions covering every output of ``block`` a change reaches.
+
+    ``changed`` is the changed-sample mask of :func:`block_window_residuals`
+    for frames padded by ``margin``.  Outside the returned blocks no
+    output's input window holds a changed sample, so those outputs are
+    unchanged; ``[block]`` when the reach is the whole block, ``[]`` when
+    nothing in its window changed.  The reach is one rectangle: the
+    changed samples' bounding box carried forward through the layers
+    (:func:`output_reach`), clipped to the block.  Where that rectangle
+    covers more than half of the block — an L-shaped border band in a
+    corner block covers all of it — the exact mask of reached outputs is
+    cut into rectangles along its band edges instead (:func:`_guillotine`),
+    keeping each cut that lowers the input pixels the rectangles' windows
+    hold.
+    """
+    region = (
+        (block.out_row, block.out_row + block.out_height),
+        (block.out_col, block.out_col + block.out_width),
+    )
+    # Every output's window holds a sample of the frame itself, so when all
+    # of the window's frame samples changed (a cut) the whole block re-runs.
+    top, left = max(block.in_row, 0) + margin, max(block.in_col, 0) + margin
+    bottom = min(block.in_row + block.in_height, grid.image_height) + margin
+    right = min(block.in_col + block.in_width, grid.image_width) + margin
+    if changed[top:bottom, left:right].all():
+        return [block]
+    reach = _reach(changed, region, layers, margin)
+    if reach is None:
+        return []
+    rects = [reach]
+    if 2 * _area(reach) > _area(region):
+        scale = network_scale(layers)
+
+        def window_pixels(height: int, width: int) -> float:
+            return (height / scale + 2 * margin) * (width / scale + 2 * margin)
+
+        (rows, cols) = reach
+        rects = [
+            ((rows[0] + row0, rows[0] + row1), (cols[0] + col0, cols[0] + col1))
+            for row0, row1, col0, col1 in _guillotine(
+                _reached(changed, reach, layers, margin), window_pixels
+            )
+        ]
+    if rects == [region]:
+        return [block]
+    return [
+        _region_grid(
+            grid.image_height, grid.image_width, rows, cols, layers,
+            max(rows[1] - rows[0], cols[1] - cols[0]),
+        ).blocks[0]
+        for rows, cols in rects
+    ]
 
 
 def run_selected_blocks(

@@ -36,7 +36,13 @@ class LayerGeometry:
 
 
 def layer_geometry(layer: Layer) -> LayerGeometry:
-    """Return the spatial geometry contribution of one layer."""
+    """Return the spatial geometry contribution of one layer.
+
+    A :class:`LayerGeometry` stands for itself, so a stack's geometries,
+    computed once, can replace its layers in every geometry walk.
+    """
+    if isinstance(layer, LayerGeometry):
+        return layer
     if isinstance(layer, Conv2d):
         return LayerGeometry(margin=layer.margin, scale=1.0)
     if isinstance(layer, Residual):

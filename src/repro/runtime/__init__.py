@@ -29,10 +29,10 @@ Modules
   mid-run) and ``evict_frame_caches``, plus the ``fault_hook`` callback;
 * :mod:`repro.runtime.video` — video-stream serving:
   :class:`~repro.runtime.video.VideoStream` diffs ordered frames at
-  execution-block granularity (SAD/MAE residual per input window) and
-  re-runs inference only on changed blocks, stitching the rest from a
-  bounded per-stream block cache — bit-identical to full re-inference in
-  exact-reuse mode (threshold 0);
+  execution-block granularity (SAD/MAE residual per input window),
+  motion-compensates camera pans, and re-runs inference only where the
+  changed pixels reach, serving the rest from the predecessor's output —
+  bit-identical to full re-inference in exact-reuse mode (threshold 0);
 * :mod:`repro.runtime.sweep` — process-parallel design-space sweeps,
   bit-identical to :func:`repro.analysis.sweeps.sweep`;
 * :mod:`repro.runtime.cli` — ``python -m repro.runtime --trace demo

@@ -8,18 +8,23 @@ granularity:
 
 * every submitted frame is diffed against its predecessor over each
   block's *input window* (margin included), using a SAD or MAE residual;
-  the same comparison gives the bounding box of the window's changed
-  pixels;
+  the same comparison marks the changed pixels;
 * a cached block is reused while its *drift* — the sum of the residuals
   it was reused at since it was computed — plus this frame's residual
   stays within the stream's threshold;
 * a block that must recompute, and whose cached output is exact for the
-  predecessor's window (drift 0), recomputes only the output rectangle its
-  changed pixels can reach (:func:`repro.core.blockflow.output_reach`,
-  clipped to the block) and patches it into a copy of the cached output;
-  any other block recomputes whole.  Both run through the block flow's
-  one selective runner (:func:`repro.core.blockflow.run_selected_blocks`);
-* reused blocks are stitched from a bounded per-stream LRU block cache.
+  predecessor's window (drift 0), recomputes only the outputs its changed
+  pixels can reach (:func:`repro.core.blockflow.reach_blocks`: one
+  rectangle, or several where the changed pixels form an L) and patches
+  them into the predecessor's output; any other block recomputes whole.
+  Both run through the block flow's one selective runner
+  (:func:`repro.core.blockflow.run_selected_blocks`);
+* the stream keeps its predecessor's stitched output, and a reused block
+  is served from it; a bounded per-stream LRU cache holds each block's
+  drift and decides which blocks may be reused;
+* a camera pan is motion compensated: the frame is compared with the
+  predecessor *moved* by the pan, and only what that comparison finds
+  changed re-runs (below).
 
 Because the residual covers the entire input window and a block's output is
 a pure function of that window, **threshold 0 is exact-reuse mode**: the
@@ -38,6 +43,36 @@ The stream records the largest drift it ever served
 *measured* quantity, and the video parity tests measure the actual pixel
 error against full re-inference.
 
+Motion compensation
+-------------------
+The served program is fixed-point, so an output pixel is a pure function
+of the contents of its input window, not of where the window sits.  If
+the frame's padded input at ``p`` equals the predecessor's at ``p - s``
+for every sample of output ``o``'s window, output ``o`` equals the
+predecessor's output at ``o - s * scale`` exactly.  So a pan by ``s``
+input pixels (``s`` times the network's scale at the output) needs to
+re-run only the outputs whose windows hold a sample that differs from
+the moved predecessor.  Those are the exposed strip (samples moved in
+from outside the old frame always count as changed), a band one margin
+wide along the frame border whose windows see the zero padding move, and
+anything that moved on its own.
+
+Shift rule.  Every frame first scores shift 0: the share of pixels that
+differ from the predecessor on a row subsample (:data:`SHIFT_SAMPLE_STEP`).
+Only a score above :data:`SHIFT_WIDESPREAD` makes the stream try the shift
+its previous frame was served at, then every shift within
+:data:`SHIFT_SEARCH_RADIUS` pixels per axis; the best one is accepted if
+its score is at most :data:`SHIFT_WIDESPREAD`.
+
+Fallbacks.  The stream serves shift 0 as before when the search accepts
+no shift (a cut), when the predecessor holds a block served at nonzero
+drift (its output is not exact), when a pooling stage would divide the
+shift unevenly (:func:`repro.core.blockflow.output_shift`), and when the
+moved comparison would re-run at least as many output pixels as shift 0.
+The last rule keeps the 64x64 super-resolution camera, whose 21-px
+margin makes the border band the whole frame, on the shift-0 path.  A
+compensated frame leaves every block exact, at drift 0.
+
 Only single-stage plans stream: a block's output is a pure function of its
 input window only when one block-flow pass maps frame to output.  A
 sub-model split (style transfer) routes every pixel through an intermediate
@@ -46,8 +81,8 @@ feature map, so :class:`VideoStream` refuses it with
 
 Streams are shard-local state: the cluster's sticky stream routing keeps a
 stream id on one shard, so its previous frame and block cache live next to
-the inference that feeds them.  :meth:`VideoStream.invalidate` drops both
-the block cache and the predecessor frame — it is wired into
+the inference that feeds them.  :meth:`VideoStream.invalidate` drops the
+block cache and the predecessor frame and output — it is wired into
 ``Session.evict_pixel_caches`` so the cluster's ``evict_frame_caches``
 primitive clears the whole-frame cache and every delta cache through one
 path (a stream that survives an eviction recomputes its next frame in full
@@ -58,7 +93,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -66,17 +101,17 @@ from repro.core.blockflow import (
     RESIDUAL_METRICS,
     BlockGrid,
     BlockSpec,
-    ChangedBox,
-    _region_grid,
+    _moved,
     _stitch,
     block_window_residuals,
-    output_reach,
-    pad_frame,
+    output_shift,
     partition_image,
+    reach_blocks,
     run_selected_blocks,
+    total_input_margin,
 )
-from repro.nn.layers import Layer
-from repro.nn.receptive_field import output_size_valid
+from repro.nn.network import Sequential
+from repro.nn.receptive_field import layer_geometry, output_size_valid
 from repro.nn.tensor import FeatureMap
 
 if TYPE_CHECKING:  # repro.api.session imports this module lazily
@@ -98,28 +133,122 @@ def _stream_block(plan: "CompiledPlan") -> int:
     return plan.stages[0].input_block
 
 
-def _reach_block(
-    block: BlockSpec, box: ChangedBox, grid: BlockGrid, layers: Sequence[Layer]
-) -> BlockSpec:
-    """The part of ``block`` its changed input pixels ``box`` can reach.
+#: Motion search.  A shift ``(dy, dx)`` says the content moved down and
+#: right by that many input pixels.  A candidate is scored by the share of
+#: pixels that differ from the predecessor moved by it, over the two
+#: frames' overlap on every ``SHIFT_SAMPLE_STEP``-th row.  Measured on the
+#: seed-1 ``camera_streams`` denoise camera (348x348, 3-px pans per axis, a
+#: shared 2-vCPU host): the shift-0 score costs 0.03-0.05 ms and reads at
+#: most 0.002 on a delta frame and 1.0 on a pan or a cut; at a pan, the
+#: true shift reads 0.0016 (the moving object) and every other candidate
+#: above 0.99.  A search over the whole window costs 3-4.5 ms, about 1% of
+#: the cut that pays it; sampling every 8th row doubled that.
+SHIFT_SAMPLE_STEP = 16
+#: Score above which shift 0 counts as widespread change and the stream
+#: searches, and at or below which a searched shift is accepted: far from
+#: both the delta frames' and the mismatched shifts' scores above.
+SHIFT_WIDESPREAD = 0.25
+#: The search window: every shift up to this many input pixels per axis.
+SHIFT_SEARCH_RADIUS = 4
+_SHIFT_CANDIDATES: Tuple[Tuple[int, int], ...] = tuple(
+    sorted(
+        (
+            (dy, dx)
+            for dy in range(-SHIFT_SEARCH_RADIUS, SHIFT_SEARCH_RADIUS + 1)
+            for dx in range(-SHIFT_SEARCH_RADIUS, SHIFT_SEARCH_RADIUS + 1)
+            if (dy, dx) != (0, 0)
+        ),
+        key=lambda shift: (abs(shift[0]) + abs(shift[1]), shift),
+    )
+)
 
-    The output rectangle those pixels reach, clipped to the block's owned
-    output, as the one block of a finer partition; ``block`` itself when
-    the rectangle is the whole block.
+
+def _sampled_change(prev: np.ndarray, cur: np.ndarray, shift: Tuple[int, int]) -> float:
+    """Share of sampled pixels of ``cur`` that differ from ``prev`` moved by ``shift``."""
+    (dy, dx), (height, width) = shift, cur.shape[1:]
+    rows = slice(max(dy, 0), height + min(dy, 0), SHIFT_SAMPLE_STEP)
+    cols = slice(max(dx, 0), width + min(dx, 0))
+    moved = prev[
+        :,
+        rows.start - dy : rows.stop - dy : SHIFT_SAMPLE_STEP,
+        cols.start - dx : cols.stop - dx,
+    ]
+    changed = (cur[:, rows, cols] != moved).any(axis=0)
+    return float(changed.mean()) if changed.size else 1.0
+
+
+def _search_shift(
+    prev: np.ndarray, cur: np.ndarray, previous: Tuple[int, int]
+) -> Tuple[int, int]:
+    """The content shift from frame ``prev`` to frame ``cur``.
+
+    Shift 0 unless its score shows widespread change.  Then the shift the
+    previous frame was served at, if its score is low, else the lowest
+    scoring shift of the search window (the smaller shift on a tie), if
+    its score is low; otherwise shift 0 (a cut).
     """
-    (in_rows, in_cols) = box
+    if _sampled_change(prev, cur, (0, 0)) <= SHIFT_WIDESPREAD:
+        return (0, 0)
+    if previous != (0, 0) and _sampled_change(prev, cur, previous) <= SHIFT_WIDESPREAD:
+        return previous
+    best, best_score = (0, 0), SHIFT_WIDESPREAD
+    for shift in _SHIFT_CANDIDATES:
+        score = _sampled_change(prev, cur, shift)
+        if score < best_score:
+            best, best_score = shift, score
+    return best
 
-    def clip(interval: Tuple[int, int], start: int, size: int) -> Tuple[int, int]:
-        return max(interval[0], start), min(interval[1], start + size)
 
-    rows = clip(output_reach(*in_rows, layers), block.out_row, block.out_height)
-    cols = clip(output_reach(*in_cols, layers), block.out_col, block.out_width)
-    height, width = rows[1] - rows[0], cols[1] - cols[0]
-    if (height, width) == (block.out_height, block.out_width):
-        return block
-    return _region_grid(
-        grid.image_height, grid.image_width, rows, cols, layers, max(height, width)
-    ).blocks[0]
+class _FrameGeometry:
+    """What a stream's frame shape and compiled network fix.
+
+    The partition grid, the network's layer geometries and total input
+    margin, and two padded frame buffers the stream fills in turn; rebuilt
+    only when the frame's shape or dtype, or the plan's network, changes.
+    """
+
+    def __init__(self, network: Sequential, frame: FeatureMap, output_block: int) -> None:
+        self.network = network
+        self.frame_key = (frame.shape, frame.data.dtype.str)
+        self.grid = partition_image(frame.height, frame.width, network, output_block)
+        self.layers = tuple(layer_geometry(layer) for layer in network.layers)
+        self.margin = total_input_margin(self.layers)
+        margin = self.margin
+        shape = (frame.channels, frame.height + 2 * margin, frame.width + 2 * margin)
+        self._buffers = tuple(np.zeros(shape, dtype=frame.data.dtype) for _ in range(2))
+
+    def pad(self, frame: FeatureMap, busy: Optional[np.ndarray]) -> np.ndarray:
+        """``frame`` zero-padded as by ``pad_frame``, in the buffer that is not ``busy``."""
+        padded = self._buffers[1] if self._buffers[0] is busy else self._buffers[0]
+        margin = self.margin
+        padded[:, margin : margin + frame.height, margin : margin + frame.width] = frame.data
+        return padded
+
+    def interior(self, padded: np.ndarray) -> np.ndarray:
+        """The frame inside a padded buffer."""
+        margin = self.margin
+        return padded[:, margin : padded.shape[1] - margin, margin : padded.shape[2] - margin]
+
+
+class _FramePlan(NamedTuple):
+    """How one frame is served: which blocks reuse and what re-runs.
+
+    ``specs`` holds, per recomputed block, the blocks of finer partitions
+    that re-run inside it.  Shift ``(0, 0)`` patches the predecessor's
+    output; any other shift patches it moved by ``out_shift``.
+    """
+
+    shift: Tuple[int, int]
+    out_shift: Tuple[int, int]
+    residuals: Optional[np.ndarray]
+    reused: List[int]
+    recomputed: List[int]
+    specs: List[List[BlockSpec]]
+
+    @property
+    def pixels(self) -> int:
+        """Output pixels the plan recomputes."""
+        return sum(spec.output_pixels for specs in self.specs for spec in specs)
 
 
 #: Residual histogram bucket edges.  Bucket 0 counts exact matches
@@ -128,8 +257,7 @@ def _reach_block(
 #: final edge (scene cuts land there).
 RESIDUAL_HISTOGRAM_EDGES: Tuple[float, ...] = (0.0, 1e-6, 1e-4, 1e-2, 1.0)
 
-#: Default residency bound of the per-stream block cache (cached block
-#: outputs carry pixels, so the bound is deliberately modest).
+#: Default residency bound of the per-stream block cache.
 DEFAULT_MAX_CACHED_BLOCKS = 256
 
 
@@ -153,7 +281,10 @@ class VideoStreamStats:
     of the residuals a block was reused at since it was computed) ever
     served from cache — 0.0 in exact-reuse mode, and the measured
     input-side error bound against the block's source window in
-    thresholded mode.
+    thresholded mode.  ``motion_compensated_frames`` counts the frames
+    served from the predecessor's moved output (nonzero
+    :attr:`StreamFrameResult.shift`); in those, a block with no output to
+    re-run counts as reused.
     """
 
     stream_id: str
@@ -170,6 +301,7 @@ class VideoStreamStats:
     cache_entries: int
     cache_evictions: int
     max_cached_blocks: Optional[int]
+    motion_compensated_frames: int = 0
 
     @property
     def reuse_rate(self) -> float:
@@ -180,6 +312,7 @@ class VideoStreamStats:
             f"stream {self.stream_id}/{self.workload}: {self.frames} frames, "
             f"{self.blocks_reused}/{self.blocks_total} blocks reused "
             f"({self.reuse_rate:.0%}, {self.metric} threshold {self.threshold:g}), "
+            f"{self.motion_compensated_frames} motion-compensated frames, "
             f"{self.bytes_saved} bytes saved, "
             f"{self.cache_entries} cached blocks ({self.cache_evictions} evicted)"
         )
@@ -192,7 +325,11 @@ class StreamFrameResult:
     ``residuals`` is ``None`` when the frame was recomputed in full without
     diffing (the stream's first frame, a resolution/dtype change, or the
     frame after an invalidation); otherwise it carries one residual per
-    block of the partition grid.
+    block of the partition grid, against the predecessor moved by
+    ``shift``.  ``shift`` is the ``(dy, dx)`` input pixels the content
+    moved down and right since the predecessor, ``(0, 0)`` unless the
+    frame was motion compensated.  ``output`` is read-only: the stream
+    keeps it as the predecessor of its next frame.
     """
 
     output: FeatureMap
@@ -201,6 +338,7 @@ class StreamFrameResult:
     #: Grid indices of the blocks that re-ran inference this frame.
     recomputed_blocks: Tuple[int, ...]
     residuals: Optional[Tuple[float, ...]] = None
+    shift: Tuple[int, int] = (0, 0)
 
     @property
     def blocks_total(self) -> int:
@@ -228,9 +366,9 @@ class VideoStream:
         ``"mae"`` or ``"sad"`` (see
         :func:`repro.core.blockflow.block_window_residuals`).
     max_cached_blocks:
-        Residency bound of the per-stream block-output cache (LRU);
-        ``None`` for unbounded.  A block evicted under pressure simply
-        recomputes on its next frame — eviction never affects pixels.
+        Residency bound of the per-stream block cache (LRU); ``None`` for
+        unbounded.  A block evicted under pressure simply recomputes on
+        its next frame — eviction never affects pixels.
     output_block:
         Output-resolution block size of the delta grid; defaults to the
         compiled plan's geometry (making exact-reuse mode bit-identical to
@@ -274,11 +412,17 @@ class VideoStream:
         self.metric = metric
         self.max_cached_blocks = max_cached_blocks
         self._output_block = output_block
+        self._geometry: Optional[_FrameGeometry] = None
         self._prev_padded: Optional[np.ndarray] = None
-        self._prev_key: Optional[Tuple] = None
-        #: Grid index -> (block output, drift): the sum of the residuals the
-        #: output was reused at since it was computed.
-        self._cache: "OrderedDict[int, Tuple[FeatureMap, float]]" = OrderedDict()
+        #: The predecessor's stitched output, whether every block of it was
+        #: served at drift 0 (so it is exact), and the shift it was served at.
+        self._prev_output: Optional[np.ndarray] = None
+        self._prev_exact = False
+        self._prev_shift: Tuple[int, int] = (0, 0)
+        #: Grid index -> drift: the sum of the residuals the block's output
+        #: in the predecessor was reused at since it was computed.  The
+        #: pixels themselves are the predecessor's output.
+        self._cache: "OrderedDict[int, float]" = OrderedDict()
         self._frames = 0
         self._blocks_reused = 0
         self._blocks_recomputed = 0
@@ -286,6 +430,7 @@ class VideoStream:
         self._bytes_saved = 0
         self._max_reused_residual = 0.0
         self._evictions = 0
+        self._motion_compensated = 0
 
     # ------------------------------------------------------------ configuration
     def reconfigure(self, *, threshold: float, metric: str) -> None:
@@ -307,123 +452,194 @@ class VideoStream:
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
         if metric != self.metric:
-            for index in [i for i, (_, drift) in self._cache.items() if drift > 0.0]:
+            for index in [i for i, drift in self._cache.items() if drift > 0.0]:
                 del self._cache[index]
         self.threshold = float(threshold)
         self.metric = metric
 
-    def _geometry(self):
-        """(network, output block) of this stream's compiled plan."""
+    def _frame_geometry(self, frame: FeatureMap) -> _FrameGeometry:
+        """This frame's geometry; a new one forgets the predecessor."""
         plan = self.session.compile(self.workload)
-        block = _stream_block(plan)
-        output_block = (
-            self._output_block
-            if self._output_block is not None
-            else output_size_valid(block, plan.network.layers)
-        )
-        return plan.network, output_block
+        network = plan.network
+        geometry = self._geometry
+        if (
+            geometry is None
+            or geometry.network is not network
+            or geometry.frame_key != (frame.shape, frame.data.dtype.str)
+        ):
+            output_block = (
+                self._output_block
+                if self._output_block is not None
+                else output_size_valid(_stream_block(plan), network.layers)
+            )
+            geometry = self._geometry = _FrameGeometry(network, frame, output_block)
+            self._prev_padded = None
+        return geometry
 
     # ----------------------------------------------------------------- serving
     def submit(self, frame: FeatureMap) -> StreamFrameResult:
         """Serve the stream's next frame, reusing unchanged blocks.
 
-        A cached block is stitched from the cache while the residuals it
-        was reused at since it was computed, plus this frame's residual
-        against the predecessor, sum to at most the threshold.  A block
-        that must recompute and whose cached output is exact for the
-        predecessor's window (drift 0) re-runs only the output rectangle
-        its changed input pixels can reach, patched into a copy of the
-        cached output; the rest re-run whole.  The first frame, a frame
-        after a resolution/dtype change, and the frame after an
+        A cached block is served from the predecessor's output while the
+        residuals it was reused at since it was computed, plus this frame's
+        residual against the predecessor, sum to at most the threshold.  A
+        block that must recompute and whose cached output is exact for the
+        predecessor's window (drift 0) re-runs only the outputs its changed
+        input pixels can reach (:func:`repro.core.blockflow.reach_blocks`);
+        the rest re-run whole.
+
+        When the whole predecessor was served at drift 0 and shift 0 shows
+        widespread change, the stream searches for the shift the content
+        moved by (a camera pan), compares the frame with the predecessor
+        moved by it, and re-runs only the outputs the changed samples
+        reach — the newly exposed strip, the band along the frame border
+        whose windows see the zero padding move, and anything that moved
+        on its own — patched into the predecessor's output moved by the
+        output shift.  It serves that frame so only when it re-runs fewer
+        output pixels than shift 0 would.  The first frame, a frame after
+        a resolution/dtype or plan change, and the frame after an
         :meth:`invalidate` recompute in full.
         """
-        network, output_block = self._geometry()
-        layers = network.layers
-        grid = partition_image(frame.height, frame.width, network, output_block)
-        padded = pad_frame(frame, layers)
-        key = (frame.shape, frame.data.dtype.str)
-
-        residuals: Optional[np.ndarray] = None
-        reused: list[int] = []
-        recomputed: list[int] = []
-        specs: list[BlockSpec] = []
-        # Per recomputed block, the cached output its sub-block patches.
-        bases: list[Optional[FeatureMap]] = []
-        if self._prev_padded is None or key != self._prev_key:
+        geometry = self._frame_geometry(frame)
+        grid = geometry.grid
+        padded = geometry.pad(frame, self._prev_padded)
+        if self._prev_padded is None:
             # Nothing trustworthy to diff against: full recompute, and the
             # cache is dropped because its indices describe the old grid.
             self._cache.clear()
-            recomputed = list(range(grid.num_blocks))
-            specs = list(grid.blocks)
-            bases = [None] * grid.num_blocks
+            plan = _FramePlan(
+                (0, 0), (0, 0), None, [], list(range(grid.num_blocks)),
+                [[block] for block in grid.blocks],
+            )
         else:
-            residuals, boxes = block_window_residuals(
-                self._prev_padded, padded, grid, layers, metric=self.metric
+            plan = self._plan(geometry, padded, (0, 0))
+            shift = (
+                _search_shift(
+                    geometry.interior(self._prev_padded),
+                    geometry.interior(padded),
+                    self._prev_shift,
+                )
+                if self._prev_exact
+                else (0, 0)
             )
-            for index, (block, residual, box) in enumerate(zip(grid.blocks, residuals, boxes)):
-                self._histogram[_histogram_bucket(float(residual))] += 1
-                cached = self._cache.get(index)
-                if cached is not None and cached[1] + residual <= self.threshold:
-                    reused.append(index)
-                    continue
-                recomputed.append(index)
-                if cached is not None and cached[1] == 0.0:
-                    # Exact for the predecessor's window, which this one
-                    # differs from (or it would be reused): patch only what
-                    # the changed box reaches.
-                    spec = _reach_block(block, box, grid, layers)
-                else:
-                    spec = block
-                specs.append(spec)
-                bases.append(cached[0] if spec is not block else None)
+            if shift != (0, 0):
+                moved = self._plan(geometry, padded, shift)
+                if moved is not None and moved.pixels < plan.pixels:
+                    plan = moved
 
-        fresh = run_selected_blocks(network, padded, specs)
-        pieces: list[tuple[BlockSpec, FeatureMap]] = []
-        window_itemsize = frame.data.dtype.itemsize
-        for index in reused:
-            output, drift = self._cache[index]
-            drift += float(residuals[index])
-            self._cache[index] = (output, drift)
-            self._cache.move_to_end(index)
-            block = grid.blocks[index]
-            pieces.append((block, output))
-            self._bytes_saved += (
-                block.input_pixels * frame.channels * window_itemsize
-                + output.data.nbytes
+        specs = [spec for block_specs in plan.specs for spec in block_specs]
+        fresh = run_selected_blocks(geometry.network, padded, specs)
+        if plan.residuals is None:  # a full recompute: nothing to patch
+            output = _stitch(zip(specs, fresh), grid.output_height, grid.output_width)
+            assert output is not None
+        else:
+            assert self._prev_output is not None
+            output = (
+                self._prev_output.copy()
+                if plan.shift == (0, 0)
+                else _moved(self._prev_output, plan.out_shift)[0]
             )
-            self._max_reused_residual = max(self._max_reused_residual, drift)
-        for index, spec, base, result in zip(recomputed, specs, bases, fresh):
-            block = grid.blocks[index]
-            if base is not None:
-                patched = base.data.copy()
-                row = spec.out_row - block.out_row
-                col = spec.out_col - block.out_col
-                patched[:, row : row + spec.out_height, col : col + spec.out_width] = result.data
-                result = FeatureMap(data=patched)
-            pieces.append((block, result))
-            self._cache[index] = (result, 0.0)
-            self._cache.move_to_end(index)
-            if self.max_cached_blocks is not None:
-                while len(self._cache) > self.max_cached_blocks:
-                    self._cache.popitem(last=False)
-                    self._evictions += 1
-
+            for spec, result in zip(specs, fresh):
+                output[
+                    :,
+                    spec.out_row : spec.out_row + spec.out_height,
+                    spec.out_col : spec.out_col + spec.out_width,
+                ] = result.data
+        output.flags.writeable = False
+        self._account(plan, grid, frame, output)
         self._prev_padded = padded
-        self._prev_key = key
-        self._frames += 1
-        self._blocks_reused += len(reused)
-        self._blocks_recomputed += len(recomputed)
-        output = _stitch(pieces, grid.output_height, grid.output_width)
-        assert output is not None
+        self._prev_output = output
+        self._prev_shift = plan.shift
         return StreamFrameResult(
             output=FeatureMap(data=output),
-            blocks_reused=len(reused),
-            blocks_recomputed=len(recomputed),
-            recomputed_blocks=tuple(recomputed),
+            blocks_reused=len(plan.reused),
+            blocks_recomputed=len(plan.recomputed),
+            recomputed_blocks=tuple(plan.recomputed),
             residuals=(
-                tuple(float(r) for r in residuals) if residuals is not None else None
+                tuple(float(r) for r in plan.residuals)
+                if plan.residuals is not None
+                else None
             ),
+            shift=plan.shift,
         )
+
+    def _plan(
+        self, geometry: _FrameGeometry, padded: np.ndarray, shift: Tuple[int, int]
+    ) -> Optional[_FramePlan]:
+        """Serve against the predecessor moved by ``shift`` (``None``: cannot).
+
+        At shift 0 the drift rule decides which blocks reuse.  At any other
+        shift every block is exact, reused when none of its outputs sees a
+        changed sample.
+        """
+        out_rows, out_cols = (output_shift(s, geometry.layers) for s in shift)
+        if out_rows is None or out_cols is None:
+            return None
+        assert self._prev_padded is not None
+        grid, layers, margin = geometry.grid, geometry.layers, geometry.margin
+        residuals, changed = block_window_residuals(
+            self._prev_padded, padded, grid, margin, metric=self.metric, shift=shift
+        )
+        reused: List[int] = []
+        recomputed: List[int] = []
+        specs: List[List[BlockSpec]] = []
+        for index, (block, residual) in enumerate(zip(grid.blocks, residuals)):
+            if shift == (0, 0):
+                drift = self._cache.get(index)
+                if drift is not None and drift + residual <= self.threshold:
+                    reused.append(index)
+                    continue
+                # A block exact for the predecessor's window re-runs only
+                # what its changed samples reach.
+                block_specs = (
+                    reach_blocks(changed, block, grid, layers, margin)
+                    if drift == 0.0
+                    else [block]
+                )
+            else:
+                block_specs = reach_blocks(changed, block, grid, layers, margin)
+                if not block_specs:
+                    reused.append(index)
+                    continue
+            recomputed.append(index)
+            specs.append(block_specs)
+        return _FramePlan(shift, (out_rows, out_cols), residuals, reused, recomputed, specs)
+
+    def _account(
+        self, plan: _FramePlan, grid: BlockGrid, frame: FeatureMap, output: np.ndarray
+    ) -> None:
+        """Update the block drifts and the lifetime counters for a served frame."""
+        compensated = plan.shift != (0, 0)
+        exact = True
+        if plan.residuals is not None:
+            for residual in plan.residuals:
+                self._histogram[_histogram_bucket(float(residual))] += 1
+        for index in plan.reused:
+            drift = 0.0 if compensated else self._cache[index] + float(plan.residuals[index])
+            self._store(index, drift)
+            block = grid.blocks[index]
+            self._bytes_saved += (
+                block.input_pixels * frame.channels * frame.data.dtype.itemsize
+                + block.output_pixels * output.shape[0] * output.dtype.itemsize
+            )
+            self._max_reused_residual = max(self._max_reused_residual, drift)
+            exact = exact and drift == 0.0
+        for index in plan.recomputed:
+            self._store(index, 0.0)
+        self._prev_exact = exact
+        self._frames += 1
+        self._blocks_reused += len(plan.reused)
+        self._blocks_recomputed += len(plan.recomputed)
+        self._motion_compensated += compensated
+
+    def _store(self, index: int, drift: float) -> None:
+        """Mark a block most recently used at ``drift``; evict past the bound."""
+        self._cache[index] = drift
+        self._cache.move_to_end(index)
+        if self.max_cached_blocks is not None:
+            while len(self._cache) > self.max_cached_blocks:
+                self._cache.popitem(last=False)
+                self._evictions += 1
 
     # ------------------------------------------------------------- invalidation
     def invalidate(self) -> int:
@@ -436,7 +652,7 @@ class VideoStream:
         dropped = len(self._cache)
         self._cache.clear()
         self._prev_padded = None
-        self._prev_key = None
+        self._prev_output = None
         return dropped
 
     # ------------------------------------------------------------------- stats
@@ -457,4 +673,5 @@ class VideoStream:
             cache_entries=len(self._cache),
             cache_evictions=self._evictions,
             max_cached_blocks=self.max_cached_blocks,
+            motion_compensated_frames=self._motion_compensated,
         )

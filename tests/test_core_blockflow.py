@@ -15,14 +15,16 @@ from repro.core.blockflow import (
     input_interval_for_output,
     network_scale,
     output_reach,
+    output_shift,
     partition_image,
+    reach_blocks,
     staged_inference,
     total_input_margin,
 )
 from repro.core.pipeline import execute_stages
 from repro.models.baselines import build_plain_network
 from repro.nn.layers import Conv2d, ReLU
-from repro.nn.network import Network
+from repro.nn.network import Network, Sequential
 from repro.nn.ops import PixelShuffle, StridedPool2x2
 from repro.nn.receptive_field import output_size_valid, required_input_size
 from repro.quant.fixed import fixed_point_network
@@ -61,6 +63,64 @@ class TestGeometry:
                 lo, hi = output_reach(start, stop, layers)
                 touched = [o for o, (a, b) in windows.items() if a < stop and start < b]
                 assert (lo, hi) == (touched[0], touched[-1] + 1)
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            [Conv2d(3, 8, 3), Conv2d(8, 3, 3)],
+            [Conv2d(3, 12, 3), PixelShuffle(2), Conv2d(3, 48, 3), PixelShuffle(4), Conv2d(3, 3, 3)],
+            [StridedPool2x2(), Conv2d(3, 8, 3), StridedPool2x2(), Conv2d(8, 3, 3)],
+        ],
+        ids=["plain", "upsampler", "pooling"],
+    )
+    def test_reach_blocks_cover_every_output_a_change_touches(self, layers):
+        # Brute force: output o must be re-run iff its input window holds a
+        # changed sample.  The masks include a corner-to-corner L band, the
+        # shape a camera pan leaves along the frame border.
+        height, width = 32, 40
+        margin = total_input_margin(layers)
+        scale = network_scale(layers)
+        grid = partition_image(height, width, Sequential(layers), max(2, int(12 * scale)))
+        shape = (height + 2 * margin, width + 2 * margin)
+        rng = np.random.default_rng(31)
+        band = np.zeros(shape, dtype=bool)
+        band[: margin + 3], band[:, : margin + 2] = True, True
+        masks = [band, rng.random(shape) < 0.002, rng.random(shape) < 0.2]
+        for _ in range(4):
+            mask = np.zeros(shape, dtype=bool)
+            top, left = rng.integers(0, shape[0] - 4), rng.integers(0, shape[1] - 4)
+            mask[top : top + rng.integers(1, 5), left : left + rng.integers(1, 5)] = True
+            masks.append(mask)
+        row_windows = [input_interval_for_output(r, r + 1, layers) for r in range(grid.output_height)]
+        col_windows = [input_interval_for_output(c, c + 1, layers) for c in range(grid.output_width)]
+        for changed in masks:
+            by_rows = np.array([changed[a + margin : b + margin].any(axis=0) for a, b in row_windows])
+            touched = np.array(
+                [by_rows[:, a + margin : b + margin].any(axis=1) for a, b in col_windows]
+            ).T
+            covered = np.zeros_like(touched)
+            for block in grid.blocks:
+                for spec in reach_blocks(changed, block, grid, layers, margin):
+                    assert block.out_row <= spec.out_row
+                    assert spec.out_row + spec.out_height <= block.out_row + block.out_height
+                    assert block.out_col <= spec.out_col
+                    assert spec.out_col + spec.out_width <= block.out_col + block.out_width
+                    covered[
+                        spec.out_row : spec.out_row + spec.out_height,
+                        spec.out_col : spec.out_col + spec.out_width,
+                    ] = True
+            assert not (touched & ~covered).any()
+
+    def test_output_shift_follows_the_scale_stages(self):
+        conv = Conv2d(3, 3, 3)
+        assert output_shift(-3, [conv, conv]) == -3
+        assert output_shift(3, [conv, PixelShuffle(2), conv, PixelShuffle(4)]) == 24
+        pooled = [StridedPool2x2(), conv, StridedPool2x2()]
+        assert output_shift(8, pooled) == 2
+        # A shift off the pooling lattice samples every pooled position at
+        # another phase: no output is a moved copy of another.
+        assert output_shift(2, pooled) is None
+        assert output_shift(3, pooled) is None
 
     def test_network_scale(self):
         assert network_scale([Conv2d(3, 3, 3)]) == 1.0

@@ -415,3 +415,135 @@ class TestGridAssumptions:
                     and block.in_col <= x < block.in_col + block.in_width
                 )
                 assert inside == (index == 3 * row + col)
+
+
+def _camera(side: int, seed: int, cycles: int = 2) -> list:
+    """A seeded camera: ``cycles`` 12-frame cycles of a noise texture with a
+    6-px object moving every frame, a scene cut at phase 0 and a one-frame
+    pan of 3 px per axis (direction drawn per scene) at phase 6."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for index in range(12 * cycles):
+        phase = index % 12
+        if phase == 0:
+            canvas = rng.random((3, side + 16, side + 16))
+            view = np.array([8, 8])
+            pan = rng.choice([-3, 3], size=2)
+            patch = rng.random((3, 6, 6))
+        elif phase == 6:
+            view = view + pan
+        data = canvas[:, view[0] : view[0] + side, view[1] : view[1] + side].copy()
+        row, col = side // 3 + 2 * phase, side // 3 + phase
+        data[:, row : row + 6, col : col + 6] = patch
+        frames.append(FeatureMap(data=data))
+    return frames
+
+
+def _panned(canvas: np.ndarray, side: int, shift) -> list:
+    """The ``side`` view at the canvas centre, then the view whose content
+    moved down and right by ``shift``."""
+    centre = (canvas.shape[1] - side) // 2
+    return [
+        FeatureMap(data=canvas[:, top : top + side, left : left + side].copy())
+        for top, left in ((centre, centre), (centre - shift[0], centre - shift[1]))
+    ]
+
+
+def _border_band(side: int, shift, margin: int) -> int:
+    """Output pixels a pan by ``shift`` must re-run on a ``side``-px frame:
+    the exposed strip plus the band, ``margin`` wide on each side, whose
+    windows see the zero padding move.  ``0`` along an axis with no pan."""
+    rows, cols = (abs(s) + 2 * margin if s else 0 for s in shift)
+    return rows * side + cols * side - rows * cols
+
+
+class TestMotionCompensation:
+    """A camera pan is served from the predecessor's output moved by the
+    pan: only the border band, the exposed strip and what moved on its own
+    re-run, and every frame stays bit-identical to fresh execution."""
+
+    def test_every_frame_of_two_camera_cycles_is_exact(self, session):
+        # Cuts, pans and delta frames alike, at a 3x3 grid whose corner
+        # blocks hold L-shaped border bands.
+        frames = _camera(96, seed=40)
+        results = []
+        for index, frame in enumerate(frames):
+            result = session.execute_stream("camera", "denoise", frame, output_block=40)
+            fresh = session.execute("denoise", frame, cached=False).output.data
+            assert np.array_equal(result.output.data, fresh), index
+            results.append(result)
+        pans = [results[index].shift for index in (6, 18)]
+        assert all(shift != (0, 0) for shift in pans)
+        assert all(r.shift == (0, 0) for i, r in enumerate(results) if i % 12 != 6)
+        assert session.video_stream_stats[0].motion_compensated_frames == 2
+
+    @pytest.mark.parametrize(
+        "shift", [(3, 3), (3, -3), (-3, 3), (-3, -3), (0, 4)],
+        ids=["down-right", "down-left", "up-right", "up-left", "right"],
+    )
+    def test_a_pan_re_runs_about_its_border_band(self, session, monkeypatch, shift):
+        calls = _record_specs(monkeypatch)
+        margin = total_input_margin(session.compile("denoise").network.layers)
+        canvas = np.random.default_rng(41).random((3, 112, 112))
+        previous, panned = _panned(canvas, 96, shift)
+        stream = session.video_stream("pan", "denoise", output_block=40)
+        stream.submit(previous)
+        result = stream.submit(panned)
+        assert result.shift == shift
+        assert stream.stats.motion_compensated_frames == 1
+        recomputed = sum(spec.output_pixels for spec in calls[-1])
+        band = _border_band(96, shift, margin)
+        assert band <= recomputed <= 1.2 * band < 96 * 96
+        assert np.array_equal(result.output.data, _reference(session, panned))
+
+    def test_a_pan_exposing_black_pixels_re_runs_them(self, session):
+        # The exposed strip is black, like the zero padding it replaces, so
+        # only counting samples moved in from outside the old frame as
+        # changed makes its outputs re-run: they have no predecessor to copy.
+        canvas = np.random.default_rng(45).random((3, 112, 112))
+        canvas[:, :8] = 0.0
+        previous, panned = _panned(canvas, 96, (4, 0))
+        stream = session.video_stream("black", "denoise", output_block=40)
+        stream.submit(previous)
+        result = stream.submit(panned)
+        assert result.shift == (4, 0)
+        assert np.array_equal(result.output.data, _reference(session, panned))
+
+    def test_a_pan_with_a_moving_object_re_runs_the_object_too(self, session, monkeypatch):
+        calls = _record_specs(monkeypatch)
+        margin = total_input_margin(session.compile("denoise").network.layers)
+        canvas = np.random.default_rng(42).random((3, 112, 112))
+        previous, panned = _panned(canvas, 96, (-3, 3))
+        patch = np.random.default_rng(43).random((3, 8, 8))
+        previous.data[:, 40:48, 44:52] = patch
+        panned.data[:, 43:51, 41:49] = patch
+        stream = session.video_stream("pan-object", "denoise", output_block=40)
+        stream.submit(previous)
+        result = stream.submit(panned)
+        assert result.shift == (-3, 3)
+        recomputed = sum(spec.output_pixels for spec in calls[-1])
+        # The object's old and new places, each widened by the margin.
+        band = _border_band(96, (-3, 3), margin)
+        object_reach = (11 + 2 * margin) ** 2
+        assert band < recomputed <= 1.2 * band + object_reach
+        assert np.array_equal(result.output.data, _reference(session, panned))
+        # The next frame repeats the pan: the stream tries the previous
+        # shift first and compensates again.
+        again = stream.submit(_panned(canvas, 96, (-6, 6))[1])
+        assert again.shift == (-3, 3)
+        assert stream.stats.motion_compensated_frames == 2
+
+    def test_a_super_resolution_pan_keeps_the_shift_zero_path(self, session, monkeypatch):
+        # A 64-px frame with a 21-px margin: the border band is the whole
+        # output, so motion compensation would re-run no fewer pixels.
+        calls = _record_specs(monkeypatch)
+        canvas = np.random.default_rng(44).random((3, 80, 80))
+        previous, panned = _panned(canvas, 64, (3, -3))
+        stream = session.video_stream("sr-pan", "super_resolution")
+        stream.submit(previous)
+        result = stream.submit(panned)
+        assert result.shift == (0, 0)
+        assert stream.stats.motion_compensated_frames == 0
+        assert sum(spec.output_pixels for spec in calls[-1]) == 256 * 256
+        fresh = session.execute("super_resolution", panned, cached=False).output.data
+        assert np.array_equal(result.output.data, fresh)
