@@ -25,10 +25,14 @@ from repro.nn.initializers import he_laplace, seeded_rng
 from repro.nn.tensor import FeatureMap
 
 
-#: Patch bytes gathered per row tile: small enough to stay cache-near.
+#: Bytes a row tile may hold in gathered patches and folded gemm results:
+#: small enough to stay cache-near.
 _TILE_BYTES = 4 << 20
 #: Fewest output pixels per row tile, so each gemm stays wide enough for BLAS.
 _TILE_MIN_PIXELS = 4096
+#: Smallest input side on which folding kernel rows beats gathering
+#: patches (``tools/conv_paths.py`` measures the crossover).
+_ROWS_MIN_SIDE = 32
 
 
 def _conv2d_valid(
@@ -40,54 +44,178 @@ def _conv2d_valid(
 ) -> np.ndarray:
     """Valid-mode convolution of one ``(C, H, W)`` map -> ``(O, H_out, W_out)``.
 
-    A KxK convolution gathers its im2col patches a row tile at a time into
-    one bounded buffer (a 1x1 reads its rows in place) and writes each
-    tile's gemm and bias straight into its row slab of the output.  The
-    tile height depends on the input shape only, so equal-shaped inputs
-    always run the same gemm shapes.  ``skip`` (shaped like the output) is
-    added to each slab, and ``clip`` rounds each slab half-to-even and
-    clips it to ``[lo, hi]`` in place while the slab is still cache-hot:
-    the fixed-point requantization.
+    One BLAS gemm per row tile of the output, lowered one of three ways,
+    picked from the shapes alone:
+
+    * :func:`_conv_taps` folds every kernel tap into the gemm's M and runs
+      it on the input rows in place: every 1x1, and KxK with at most a
+      quarter as many outputs as inputs;
+    * :func:`_conv_rows` folds the kernel rows into M and gathers only the
+      K column shifts: KxK that does not widen the map, on inputs at least
+      ``_ROWS_MIN_SIDE`` on each side;
+    * :func:`_conv_gather` gathers whole im2col patches: the rest.
+
+    All three add up the same products, so integer codes come out
+    identical whichever runs.  The tile height depends on the input shape
+    only, so equal-shaped inputs always run the same gemm shapes.
+    ``skip`` (shaped like the output) is added to each slab, and ``clip``
+    rounds each slab half-to-even and clips it to ``[lo, hi]`` in place
+    while the slab is still cache-hot: the fixed-point requantization.
     """
+    return _lowering(data.shape, weights.shape)(data, weights, bias, skip, clip)
+
+
+def _lowering(data_shape: Tuple[int, ...], weights_shape: Tuple[int, ...]):
+    """The path :func:`_conv2d_valid` runs for these input and weight shapes."""
+    out_channels, channels, kernel, _ = weights_shape
+    if kernel == 1 or 4 * out_channels <= channels:
+        return _conv_taps
+    if out_channels <= channels and min(data_shape[1:]) >= _ROWS_MIN_SIDE:
+        return _conv_rows
+    return _conv_gather
+
+
+def _valid_output(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The uninitialised ``(O, H_out, W_out)`` output of a valid convolution."""
     out_channels, _, kernel, _ = weights.shape
-    channels, height, width = data.shape
+    _, height, width = data.shape
     out_h = height - kernel + 1
     out_w = width - kernel + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
             f"input {height}x{width} too small for valid {kernel}x{kernel} convolution"
         )
-    out = np.empty((out_channels, out_h, out_w), dtype=np.result_type(data, weights))
-    flat_out = out.reshape(out_channels, out_h * out_w)
-    w2d = weights.reshape(out_channels, -1)
-    depth = channels * kernel * kernel
-    rows = max(
-        _TILE_BYTES // (depth * out_w * data.itemsize), -(-_TILE_MIN_PIXELS // out_w)
-    )
-    rows = min(rows, out_h)
-    if kernel == 1:
-        flat_in = data.reshape(channels, height * width)
-    else:
-        buffer = np.empty(depth * rows * out_w, dtype=data.dtype)
+    return np.empty((out_channels, out_h, out_w), dtype=np.result_type(data, weights))
+
+
+def _tile_rows(out: np.ndarray, row_bytes: int) -> int:
+    """Output rows per tile: ``_TILE_BYTES`` of buffers, ``_TILE_MIN_PIXELS`` outputs."""
+    _, out_h, out_w = out.shape
+    rows = max(_TILE_BYTES // row_bytes, -(-_TILE_MIN_PIXELS // out_w))
+    return min(rows, out_h)
+
+
+def _row_tiles(out, rows, bias, skip, clip):
+    """Yield each row tile ``(top, n)`` of ``out``.
+
+    The caller writes the tile's sums into ``out[:, top : top + n]``; on
+    the next step the slab gets its bias and skip and is requantized in
+    place.
+    """
     add_bias = bool(bias.any())
-    for top in range(0, out_h, rows):
-        n = min(rows, out_h - top)
-        slab = flat_out[:, top * out_w : (top + n) * out_w]
-        if kernel == 1:
-            np.matmul(w2d, flat_in[:, top * out_w : (top + n) * out_w], out=slab)
-        else:
-            cols = buffer[: depth * n * out_w].reshape(channels, kernel, kernel, n, out_w)
-            for dy in range(kernel):
-                for dx in range(kernel):
-                    cols[:, dy, dx] = data[:, top + dy : top + dy + n, dx : dx + out_w]
-            np.matmul(w2d, cols.reshape(depth, n * out_w), out=slab)
+    for top in range(0, out.shape[1], rows):
+        n = min(rows, out.shape[1] - top)
+        yield top, n
+        slab = out[:, top : top + n]
         if add_bias:
-            slab += bias[:, np.newaxis]
+            slab += bias[:, np.newaxis, np.newaxis]
         if skip is not None:
-            out[:, top : top + n] += skip[:, top : top + n]
+            slab += skip[:, top : top + n]
         if clip is not None:
             np.rint(slab, out=slab)
             np.clip(slab, clip[0], clip[1], out=slab)
+
+
+def _sum_into(target: np.ndarray, parts) -> None:
+    """``target = sum(parts)`` for two or more equally shaped parts."""
+    np.add(parts[0], parts[1], out=target)
+    for part in parts[2:]:
+        target += part
+
+
+def _conv_gather(data, weights, bias, skip=None, clip=None):
+    """Im2col lowering: ``(O, C*K*K)`` weights times the tile's gathered patches.
+
+    The patches of a row tile are gathered into one buffer, allocated once
+    per call, and the gemm writes straight into the tile's output slab.
+    """
+    out = _valid_output(data, weights)
+    out_channels, channels, kernel, _ = weights.shape
+    _, out_h, out_w = out.shape
+    flat_out = out.reshape(out_channels, out_h * out_w)
+    depth = channels * kernel * kernel
+    w2d = weights.reshape(out_channels, depth)
+    rows = _tile_rows(out, depth * out_w * data.itemsize)
+    buffer = np.empty(depth * rows * out_w, dtype=data.dtype)
+    for top, n in _row_tiles(out, rows, bias, skip, clip):
+        cols = buffer[: depth * n * out_w].reshape(channels, kernel, kernel, n, out_w)
+        for dy in range(kernel):
+            for dx in range(kernel):
+                cols[:, dy, dx] = data[:, top + dy : top + dy + n, dx : dx + out_w]
+        slab = flat_out[:, top * out_w : (top + n) * out_w]
+        np.matmul(w2d, cols.reshape(depth, n * out_w), out=slab)
+    return out
+
+
+def _conv_rows(data, weights, bias, skip=None, clip=None):
+    """Row-folded lowering of a KxK convolution (K > 1).
+
+    ``(K*O, C*K)`` weights, one block of O rows per kernel row ``dy``,
+    times the K column shifts of the tile's ``n + K - 1`` input rows: a
+    K-th of the im2col bytes.  Output row ``r`` of the tile is the sum of
+    result row ``r + dy`` of each block ``dy``.
+    """
+    out = _valid_output(data, weights)
+    out_channels, channels, kernel, _ = weights.shape
+    _, out_h, out_w = out.shape
+    flat_out = out.reshape(out_channels, out_h * out_w)
+    folded = weights.transpose(2, 0, 1, 3).reshape(kernel * out_channels, channels * kernel)
+    rows = _tile_rows(out, (channels + out_channels) * kernel * out_w * out.itemsize)
+    most = (rows + kernel - 1) * out_w
+    # One allocation for patches and results: as two, the allocator gave
+    # the freed memory back to the OS after each call, and every call
+    # faulted it in again (about 3000 page faults per denoise@64 frame).
+    buffer = np.empty((channels + out_channels) * kernel * most, dtype=out.dtype)
+    patches, result = np.split(buffer, [channels * kernel * most])
+    for top, n in _row_tiles(out, rows, bias, skip, clip):
+        span = (n + kernel - 1) * out_w
+        cols = patches[: channels * kernel * span].reshape(channels, kernel, n + kernel - 1, out_w)
+        for dx in range(kernel):
+            cols[:, dx] = data[:, top : top + n + kernel - 1, dx : dx + out_w]
+        sums = result[: kernel * out_channels * span].reshape(kernel, out_channels, span)
+        np.matmul(folded, cols.reshape(channels * kernel, span), out=sums.reshape(-1, span))
+        size = n * out_w
+        _sum_into(
+            flat_out[:, top * out_w : top * out_w + size],
+            [sums[dy, :, dy * out_w : dy * out_w + size] for dy in range(kernel)],
+        )
+    return out
+
+
+def _conv_taps(data, weights, bias, skip=None, clip=None):
+    """Tap-folded lowering: ``(K*K*O, C)`` weights times the input rows in place.
+
+    Nothing is gathered: the gemm reads the tile's ``n + K - 1`` input
+    rows where they lie.  Output pixel ``(r, x)`` is the sum of result
+    pixel ``(r + dy, x + dx)`` of each tap's block of O rows.  A 1x1
+    convolution has one tap, so its gemm writes the output slab directly.
+    """
+    out = _valid_output(data, weights)
+    out_channels, channels, kernel, _ = weights.shape
+    _, height, width = data.shape
+    _, out_h, out_w = out.shape
+    flat_out = out.reshape(out_channels, out_h * out_w)
+    taps = kernel * kernel
+    folded = weights.transpose(2, 3, 0, 1).reshape(taps * out_channels, channels)
+    rows = _tile_rows(out, (channels + taps * out_channels) * width * out.itemsize)
+    if kernel > 1:
+        result = np.empty(taps * out_channels * (rows + kernel - 1) * width, dtype=out.dtype)
+    for top, n in _row_tiles(out, rows, bias, skip, clip):
+        window = data[:, top : top + n + kernel - 1].reshape(channels, -1)
+        if kernel == 1:
+            np.matmul(folded, window, out=flat_out[:, top * out_w : (top + n) * out_w])
+            continue
+        sums = result[: taps * out_channels * window.shape[1]]
+        np.matmul(folded, window, out=sums.reshape(taps * out_channels, -1))
+        sums = sums.reshape(kernel, kernel, out_channels, n + kernel - 1, width)
+        _sum_into(
+            out[:, top : top + n],
+            [
+                sums[dy, dx, :, dy : dy + n, dx : dx + out_w]
+                for dy in range(kernel)
+                for dx in range(kernel)
+            ],
+        )
     return out
 
 
@@ -241,7 +369,9 @@ class FixedConv2d(Conv2d):
     ``accumulator_bound`` bounds every partial sum as an integer, and
     ``dtype`` must represent that bound exactly (float32 up to ``2**24``,
     float64 up to ``2**53``): then BLAS may sum in any order, on any thread
-    count and tile size, and give the same bits.
+    count, tile size and lowering, and give the same bits.  (A fold's
+    partial sums are sums over a subset of the terms, so the bound holds
+    for them too.)
 
     ``skip_format`` names the format of a residual skip this layer
     accumulates (the hardware's srcS), ``quantize_input`` makes the layer

@@ -23,6 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
@@ -72,6 +73,32 @@ def _served_digests(threads: int) -> dict:
     return json.loads(result.stdout)
 
 
+LOWERINGS = {
+    "_conv_gather": nn_layers._conv_gather,
+    "_conv_rows": nn_layers._conv_rows,
+    "_conv_taps": nn_layers._conv_taps,
+}
+
+
+def _spy_later_tiles(monkeypatch) -> set:
+    """Names of the lowerings that issue a gemm for a row tile past the first.
+
+    The set fills as convolutions run under ``monkeypatch``: a spy on
+    ``np.matmul`` reads its caller's current tile ``top``.
+    """
+    tiled = set()
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name in LOWERINGS and caller.f_locals["top"] > 0:
+            tiled.add(caller.f_code.co_name)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return tiled
+
+
 class TestOrderIndependence:
     def test_bytes_do_not_depend_on_blas_threads(self):
         one, two = _served_digests(1), _served_digests(2)
@@ -87,9 +114,12 @@ class TestOrderIndependence:
         }
         monkeypatch.setattr(nn_layers, "_TILE_BYTES", 1 << 16)
         monkeypatch.setattr(nn_layers, "_TILE_MIN_PIXELS", 256)
+        tiled = _spy_later_tiles(monkeypatch)
         for w, image in images.items():
             small = session.execute(w, image, cached=False).output.data
             assert small.tobytes() == default[w].tobytes(), w
+        # Every lowering of the kernel ran, and on more than one row tile.
+        assert tiled == set(LOWERINGS)
 
 
     def test_bytes_do_not_depend_on_block_partition(self):
@@ -208,6 +238,67 @@ class TestInt64Reference:
         # In Q0 the unrounded sums are real values on a 2**-12 grid.
         sums = layer.replace(out_format=QFormat(0)).accumulate(FeatureMap(data=x))
         assert abs(sums[0, 0, 0]) * 2**12 > 1 << 24
+
+
+class TestLowerings:
+    """Each lowering of the conv kernel serves the int64 codes, whichever is picked."""
+
+    @pytest.mark.parametrize(
+        "in_channels, out_channels, dtype",
+        [
+            (3, 32, np.float32),
+            (32, 3, np.float32),
+            (32, 8, np.float32),
+            (32, 32, np.float32),
+            (32, 96, np.float32),
+            (128, 128, np.float32),
+            (32, 32, np.float64),
+        ],
+    )
+    def test_every_lowering_serves_the_int64_codes(
+        self, monkeypatch, in_channels, out_channels, dtype
+    ):
+        rng = np.random.default_rng(in_channels * 1000 + out_channels)
+        layer = FixedConv2d(
+            rng.integers(-128, 128, size=(out_channels, in_channels, 3, 3)),
+            rng.integers(-128, 128, size=out_channels),
+            weight_format=QFormat(7),
+            bias_format=QFormat(7),
+            in_format=QFormat(5),
+            out_format=QFormat(3),
+            skip_format=QFormat(4),
+            dtype=dtype,
+        )
+        if dtype == np.float32:
+            assert accumulator_dtype(layer.accumulator_bound) == np.float32
+        codes = rng.integers(-128, 128, size=(in_channels, 41, 36))
+        skip = rng.integers(-128, 128, size=(out_channels, 39, 34))
+        expected = _int_conv(layer, codes, skip)
+        fmt = layer.out_format
+        data = codes.astype(dtype)
+        scaled_skip = (skip * 2.0 ** (fmt.frac - layer.skip_format.frac)).astype(dtype)
+        # Small tiles: every lowering runs several row tiles, the last partial.
+        monkeypatch.setattr(nn_layers, "_TILE_BYTES", 1 << 14)
+        monkeypatch.setattr(nn_layers, "_TILE_MIN_PIXELS", 64)
+        picked = layer.forward(FeatureMap(data=data), skip=skip.astype(dtype)).data
+        assert np.array_equal(picked, expected)
+        for name, lowering in LOWERINGS.items():
+            widths = []
+            matmul = np.matmul
+
+            def spy(a, b, *args, **kwargs):
+                widths.append(b.shape[-1])
+                return matmul(a, b, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "matmul", spy)
+                out = lowering(
+                    data, layer.weights, layer.bias, scaled_skip, (fmt.min_code, fmt.max_code)
+                )
+            assert len(widths) > 2 and widths[-1] < widths[0], name
+            assert out.dtype == dtype
+            assert np.array_equal(out, expected), name
+            assert np.array_equal(out, picked), name
 
 
 class TestAccumulatorRule:

@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.nn import layers as nn_layers
 from repro.nn.layers import AddBias, ClippedReLU, Conv2d, ReLU, Residual
 from repro.nn.tensor import FeatureMap
 
 
 def _reference_conv3x3_valid(data, weights, bias):
-    """Direct tap-by-tap convolution used to validate the row-tiled im2col kernel."""
+    """Direct tap-by-tap convolution, the reference for every lowering of the kernel."""
     out_ch = weights.shape[0]
     _, h, w = data.shape
     out = np.zeros((out_ch, h - 2, w - 2)) + bias[:, None, None]
@@ -99,24 +100,45 @@ def test_conv_rejects_wrong_channel_count(rng):
         conv.output_shape(2, 8, 8)
 
 
+def _tile_geometry(lowering, kernel, width):
+    """``(extra_rows, columns)``: a tile's gemm N is (tile rows + extra_rows) * columns.
+
+    The folds read K - 1 input rows past the tile, the tap fold whole
+    input rows; the gather reads exactly the tile's output pixels.
+    """
+    extra_rows = 0 if lowering is nn_layers._conv_gather else kernel - 1
+    columns = width if lowering is nn_layers._conv_taps else width - kernel + 1
+    return extra_rows, columns
+
+
 @pytest.mark.parametrize(
-    "in_channels, out_channels, height, width, several_tiles",
-    [(4, 6, 20, 30, False), (32, 8, 150, 150, True)],
-    ids=["one-tile", "partial-last-tile"],
+    "in_channels, out_channels, height, width, lowering, several_tiles",
+    [
+        (4, 6, 20, 30, nn_layers._conv_gather, False),
+        (32, 8, 150, 150, nn_layers._conv_taps, True),
+        (32, 32, 150, 150, nn_layers._conv_rows, True),
+        (16, 32, 100, 100, nn_layers._conv_gather, True),
+    ],
+    ids=["one-tile", "partial-last-tile", "row-fold-partial-last-tile", "gather-partial-last-tile"],
 )
 def test_conv3x3_row_tiles_match_reference(
-    rng, monkeypatch, in_channels, out_channels, height, width, several_tiles
+    rng, monkeypatch, in_channels, out_channels, height, width, lowering, several_tiles
 ):
     conv = Conv2d(in_channels, out_channels, 3, seed=5)
     data = rng.normal(size=(in_channels, height, width))
+    assert nn_layers._lowering(data.shape, conv.weights.shape) is lowering
     result, widths = _gemm_widths(monkeypatch, conv, data)
-    assert sum(widths) == (height - 2) * (width - 2)
+    # One gemm per row tile, each over the input rows its path reads.
+    extra_rows, columns = _tile_geometry(lowering, 3, width)
+    assert all(n % columns == 0 for n in widths)
+    tiles = [n // columns - extra_rows for n in widths]
+    assert sum(tiles) == height - 2
     if several_tiles:
-        # Equal-width row tiles, then a narrower partial last tile.
-        assert len(widths) > 2
-        assert len(set(widths[:-1])) == 1 and widths[-1] < widths[0]
+        # Equal row tiles, then a narrower partial last tile.
+        assert len(tiles) > 2
+        assert len(set(tiles[:-1])) == 1 and tiles[-1] < tiles[0]
     else:
-        assert len(widths) == 1
+        assert len(tiles) == 1
     expected = _reference_conv3x3_valid(data, conv.weights, conv.bias)
     assert np.allclose(result.data, expected, rtol=1e-12, atol=1e-12)
 
@@ -143,17 +165,26 @@ def test_conv_pixels_depend_on_input_only(rng, kernel):
 
 
 def test_conv3x3_peak_memory_is_bounded():
-    """Patches are gathered a row tile at a time, never for the whole map."""
-    conv = Conv2d(32, 32, 3, seed=1)
-    fm = FeatureMap(np.random.default_rng(0).normal(size=(32, 256, 256)))
-    out_bytes = 32 * 254 * 254 * 8
-    tracemalloc.start()
-    try:
-        conv.forward(fm)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= out_bytes + 16 * 2**20
+    """Patches and folded results are held a row tile at a time, never for the whole map."""
+    rng = np.random.default_rng(0)
+    # A row fold holds K column shifts and K*O result rows per tile, a tap
+    # fold K*K*O result rows, and the gather K*K*C patch rows.
+    for in_channels, out_channels, lowering in (
+        (32, 32, nn_layers._conv_rows),
+        (128, 3, nn_layers._conv_taps),
+        (16, 32, nn_layers._conv_gather),
+    ):
+        conv = Conv2d(in_channels, out_channels, 3, seed=1)
+        fm = FeatureMap(rng.normal(size=(in_channels, 256, 256)))
+        assert nn_layers._lowering(fm.data.shape, conv.weights.shape) is lowering
+        out_bytes = out_channels * 254 * 254 * 8
+        tracemalloc.start()
+        try:
+            conv.forward(fm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out_bytes + 16 * 2**20, lowering.__name__
 
 
 def test_conv_too_small_input_raises():
