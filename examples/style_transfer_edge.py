@@ -32,12 +32,14 @@ def main() -> None:
     print(f"intrinsic complexity: {kop_per_pixel(network):.0f} KOP/pixel, "
           f"{parameter_count(network) / 1e6:.2f} M parameters")
 
-    # Compile and sanity-check functional equivalence on one block.
+    # Compile the fixed-point program and check it on one block, bit for bit.
     compiled = compile_network(network, input_block=128)
     image = synthetic_image(128, 128, seed=11)
-    same = np.allclose(compiled.execute_block(image).data, network.forward(image).data)
+    same = np.array_equal(
+        compiled.execute_block(image).data, compiled.network.forward(image).data
+    )
     print(f"compiled FBISA program ({compiled.program.num_lines} lines) "
-          f"matches the network: {same}")
+          f"matches the served fixed-point program: {same}")
 
     # Single-model vs two-sub-model execution.
     print("\nsub-model split trade-off (Full HD 30 fps):")

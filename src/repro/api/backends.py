@@ -67,10 +67,11 @@ VISION_UTILIZATION = 0.85
 def _compile_fbisa(network: Network, block: int):
     """Compile ``network`` at ``block``, memoized for shared networks.
 
-    Lowering quantizes and Huffman-codes every parameter tensor, which
-    dominates the cold compile path; the result is a pure function of
-    (network weights, input block).  Compilations are stored in the network
-    object's own ``__dict__`` keyed by block, so they die with it, and only
+    Lowering reads the formats and 8-bit codes of the fixed-point program
+    (a float network is first calibrated into one, see
+    :func:`~repro.fbisa.compiler.compile_network`); the result is a pure
+    function of (network weights, input block).  Compilations are stored in
+    the network object's own ``__dict__`` keyed by block, so they die with it, and only
     networks marked ``shared`` in their metadata — whose weights are frozen
     by contract, see
     :meth:`repro.runtime.workloads.RuntimeWorkload.shared_network` — are

@@ -31,10 +31,10 @@ class CompiledPlan:
 
     ``stages`` is what the session executes and the same for every backend
     (:func:`repro.core.partition.plan_stages`), so pixels never depend on
-    the timing model.  For block-flow workloads the session swaps
-    ``network`` for its fixed-point program
-    (:func:`repro.quant.fixed.fixed_point_network`), which mirrors the float
-    network layer for layer, so the analytic models read either alike.
+    the timing model.  The session compiles every workload's fixed-point
+    program (:func:`repro.quant.fixed.fixed_point_network`), which mirrors
+    the float network layer for layer, so the analytic models read either
+    alike.
     ``payload`` is backend-specific (the eCNN backend stores its :class:`~repro.fbisa.compiler.CompiledModel`, the SCALE-Sim
     backend its simulation report; published-figure backends store nothing)
     and must only be interpreted by the backend that produced the plan.

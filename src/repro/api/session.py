@@ -25,32 +25,18 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.backend import AcceleratorBackend, available_backends, create_backend
 from repro.api.results import CompiledPlan, CostReport, PerfProfile, PlanHandle
-from repro.check import PlanVerificationError, verify_accumulators, verify_plan
+from repro.check import PlanVerificationError, verify_plan
 from repro.core.pipeline import InferenceResult, execute_stages
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.nn.network import Network
 from repro.nn.tensor import FeatureMap
-from repro.quant.fixed import fixed_point_formats, fixed_point_network
+from repro.quant.fixed import fixed_point_formats
 
 if TYPE_CHECKING:  # runtime modules are imported lazily: repro.runtime.engine
     # imports this module, so a top-level import here would be circular.
     from repro.runtime.cache import CacheStats, ResultCache
     from repro.runtime.video import StreamFrameResult, VideoStream, VideoStreamStats
     from repro.runtime.workloads import RuntimeWorkload, WorkloadProfile
-
-
-def _fixed_point_program(network: Network) -> Network:
-    """The fixed-point program of a shared network, calibrated once per network.
-
-    Kept in the network object's own ``__dict__``, like its FBISA
-    compilations (``repro.api.backends._compile_fbisa``): calibration is a
-    pure function of the frozen weights, so every session of the process
-    serves the same program and pays for it once.
-    """
-    memo = network.__dict__
-    if "_fixed_point" not in memo:
-        memo["_fixed_point"] = fixed_point_network(network)
-    return memo["_fixed_point"]
 
 
 def frame_digest(frame: FeatureMap) -> str:
@@ -247,41 +233,33 @@ class Session:
     def compile(self, workload_name: str) -> CompiledPlan:
         """Backend-lowered plan for a workload (cached per content address).
 
-        The backend lowers the float network; for block-flow workloads the
-        plan then serves its fixed-point program
-        (:func:`repro.quant.fixed.fixed_point_network`): 8-bit Q-format
-        codes, exact in any summation order, so the pixels depend on no
-        BLAS thread count or tile size.  The float network stays at
-        ``workload(name).shared_network()`` as the PSNR reference.
+        The backend lowers the workload's fixed-point program
+        (:meth:`~repro.runtime.workloads.RuntimeWorkload.fixed_point_program`):
+        8-bit Q-format codes, exact in any summation order, so the pixels
+        depend on no BLAS thread count or tile size, and the eCNN backend's
+        FBISA program names the served formats and codes.  The float network
+        stays at ``workload(name).shared_network()`` as the PSNR reference.
 
         Freshly compiled plans are statically verified by default (see the
-        ``verify`` session flag): the backend's plan, then the fixed-point
-        program's accumulators (ECNN132).  Verification runs inside the
-        cached computation, so it is paid once per content address and a
-        plan with error-level diagnostics never enters the cache — the call
-        raises :class:`~repro.check.PlanVerificationError` carrying the
-        report.
+        ``verify`` session flag), accumulators (ECNN132) included.
+        Verification runs inside the cached computation, so it is paid once
+        per content address and a plan with error-level diagnostics never
+        enters the cache — the call raises
+        :class:`~repro.check.PlanVerificationError` carrying the report.
         """
         entry = self.workload(workload_name)
 
         def build() -> CompiledPlan:
-            network = entry.shared_network()
-            plan = self.backend.compile(network, entry.spec)
-            self._verified(verify_plan, plan, config=self.config)
-            if entry.kind != "recognition":
-                program = _fixed_point_program(network)
-                plan = replace(plan, network=program, formats=fixed_point_formats(program))
-                self._verified(verify_accumulators, program)
+            program = entry.fixed_point_program()
+            plan = self.backend.compile(program, entry.spec)
+            plan = replace(plan, formats=fixed_point_formats(program))
+            if self.verify:
+                report = verify_plan(plan, config=self.config)
+                if not report.ok:
+                    raise PlanVerificationError(report)
             return plan
 
         return self.cache.get_or_compute(self._key("plan", entry), build)
-
-    def _verified(self, check, *args, **kwargs) -> None:
-        """Run one static check when verifying; raise on any error."""
-        if self.verify:
-            report = check(*args, **kwargs)
-            if not report.ok:
-                raise PlanVerificationError(report)
 
     def profile(self, workload_name: str) -> PerfProfile:
         """Per-frame serving figures of a workload on this backend (cached)."""

@@ -56,23 +56,8 @@ from repro.fbisa.compiler import CompiledModel, InstructionSemantics
 from repro.fbisa.isa import InferenceType, Instruction, Opcode
 from repro.fbisa.program import Program
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
-from repro.nn.layers import (
-    AddBias,
-    ClippedReLU,
-    Conv2d,
-    FixedConv2d,
-    Layer,
-    ReLU,
-    Residual,
-)
+from repro.nn.layers import FixedConv2d, Layer, ReLU
 from repro.nn.network import Network, Sequential, iter_conv_layers
-from repro.nn.ops import (
-    MaxPool2x2,
-    PixelShuffle,
-    PixelUnshuffle,
-    StridedPool2x2,
-    ZeroPad,
-)
 from repro.quant.qformat import QFormat
 
 #: Structural-violation kinds of :mod:`repro.fbisa.program` -> rule ids.
@@ -115,52 +100,24 @@ class PlanVerificationError(ValueError):
 
 
 # ---------------------------------------------------------------- intervals
-def _interval_through_layer(
-    layer: Layer, lo: float, hi: float
-) -> Optional[Tuple[float, float]]:
-    """Propagate a value interval through one layer; ``None`` = unknown op."""
-    if isinstance(layer, Conv2d):
+def _interval_through_layer(layer: Layer, lo: float, hi: float) -> Tuple[float, float]:
+    """Propagate a real-valued interval through one fixed-point program layer."""
+    if isinstance(layer, FixedConv2d):
         # Per output channel j: out_j in [b_j + pos_j*lo + neg_j*hi,
-        # b_j + pos_j*hi + neg_j*lo] with pos/neg the signed weight masses.
-        flat = layer.weights.reshape(layer.out_channels, -1)
-        pos = np.clip(flat, 0.0, None).sum(axis=1)
-        neg = np.clip(flat, None, 0.0).sum(axis=1)
-        low = layer.bias + pos * lo + neg * hi
-        high = layer.bias + pos * hi + neg * lo
+        # b_j + pos_j*hi + neg_j*lo] with pos/neg the signed weight masses,
+        # read from the codes (the folded ``weights`` would be a copy).
+        flat = layer.codes.reshape(layer.out_channels, -1)
+        step = layer.weight_format.step
+        pos = np.clip(flat, 0, None).sum(axis=1, dtype=np.int64) * step
+        neg = np.clip(flat, None, 0).sum(axis=1, dtype=np.int64) * step
+        bias = layer.bias_codes * layer.bias_format.step
+        low = bias + pos * lo + neg * hi
+        high = bias + pos * hi + neg * lo
         return float(low.min()), float(high.max())
     if isinstance(layer, ReLU):
         return max(lo, 0.0), max(hi, 0.0)
-    if isinstance(layer, ClippedReLU):
-        return (
-            min(max(lo, 0.0), layer.max_value),
-            min(max(hi, 0.0), layer.max_value),
-        )
-    if isinstance(layer, AddBias):
-        return lo + float(layer.bias.min()), hi + float(layer.bias.max())
-    if isinstance(layer, ZeroPad):
-        # Padding introduces exact zeros into the value population.
-        return min(lo, 0.0), max(hi, 0.0)
-    if isinstance(layer, (PixelShuffle, PixelUnshuffle, StridedPool2x2, MaxPool2x2)):
-        return lo, hi  # pure rearrangement / selection
-    if isinstance(layer, Residual):
-        body = _interval_through_layers(layer.body, lo, hi)
-        if body is None:
-            return None
-        return body[0] + lo, body[1] + hi
-    if isinstance(layer, Sequential):
-        return _interval_through_layers(layer.layers, lo, hi)
-    return None
-
-
-def _interval_through_layers(
-    layers, lo: float, hi: float
-) -> Optional[Tuple[float, float]]:
-    interval: Optional[Tuple[float, float]] = (lo, hi)
-    for layer in layers:
-        if interval is None:
-            return None
-        interval = _interval_through_layer(layer, *interval)
-    return interval
+    # Pixel (un)shuffle and pooling rearrange or select codes.
+    return lo, hi
 
 
 def _parse_qformat(text: str) -> Optional[QFormat]:
@@ -385,30 +342,31 @@ def _check_intervals(
     program: Program,
     semantics: List[InstructionSemantics],
 ) -> None:
-    """ECNN130/131: Q-format interval analysis per instruction.
+    """ECNN130/131: Q-format interval analysis per instruction, in served formats.
 
     The input interval of every instruction is its source operand's full
     Q-format range — block buffers hold 8-bit codes of that format by
     construction, so the bound is sound without whole-program fixpointing.
+    Values are real; an inner convolution's output is clipped to its
+    ``out_format``, where the datapath requantizes, and a residual's skip
+    joins the closing convolution's sums before they meet ``dst``'s range.
     """
     for index, (instruction, sem) in enumerate(zip(program, semantics)):
         src_fmt = _parse_qformat(instruction.src.qformat)
         dst_fmt = _parse_qformat(instruction.dst.qformat)
-        if src_fmt is None or dst_fmt is None:
+        skip_fmt = _parse_qformat((instruction.src_s or instruction.src).qformat)
+        if None in (src_fmt, dst_fmt, skip_fmt):
             continue  # ECNN150 already reported
-        interval = _interval_through_layers(
-            sem.layers, src_fmt.min_value, src_fmt.max_value
-        )
-        if interval is None:
-            continue
-        lo, hi = interval
-        if sem.residual:
-            skip = instruction.src_s if instruction.src_s is not None else instruction.src
-            skip_fmt = _parse_qformat(skip.qformat)
-            if skip_fmt is None:
-                continue
-            lo += skip_fmt.min_value
-            hi += skip_fmt.max_value
+        closing = max(i for i, layer in enumerate(sem.layers) if isinstance(layer, FixedConv2d))
+        lo, hi = src_fmt.min_value, src_fmt.max_value
+        for position, layer in enumerate(sem.layers):
+            lo, hi = _interval_through_layer(layer, lo, hi)
+            if position == closing and sem.residual:
+                lo, hi = lo + skip_fmt.min_value, hi + skip_fmt.max_value
+            elif position < closing and isinstance(layer, FixedConv2d):
+                fmt = layer.out_format
+                lo = min(max(lo, fmt.min_value), fmt.max_value)
+                hi = min(max(hi, fmt.min_value), fmt.max_value)
         location = f"line {index} ({instruction.opcode.value})"
         if lo > dst_fmt.max_value or hi < dst_fmt.min_value:
             report.add(

@@ -121,4 +121,4 @@ def _parse_params(text: str, line_number: int) -> ParameterOperand:
             f"line {line_number}: bad restart address {parts[0]!r}"
         ) from exc
     qformat = parts[1] if len(parts) > 1 else "Q7"
-    return ParameterOperand(restart=restart, weight_qformat=qformat, bias_qformat=qformat)
+    return ParameterOperand(restart=restart, weight_qformat=qformat)

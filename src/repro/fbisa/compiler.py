@@ -1,12 +1,15 @@
 """ERNet-to-FBISA compiler.
 
-The compiler lowers a :class:`~repro.nn.network.Network` built from the
-FBISA-supported operator vocabulary into a :class:`~repro.fbisa.program.Program`:
+The compiler lowers the fixed-point program of a
+:class:`~repro.nn.network.Network` built from the FBISA-supported operator
+vocabulary (:func:`repro.quant.fixed.fixed_point_network`, the program the
+session serves) into a :class:`~repro.fbisa.program.Program`:
 
 * every 3x3 convolution becomes a ``CONV`` instruction (with as many
   leaf-modules / input groups as its channel counts require),
-* every ERModule becomes an ``ER`` instruction whose srcS operand realises
-  the module's residual connection,
+* every ER module — a residual whose body is a 3x3 convolution, a ReLU and a
+  1x1 convolution, recognized by that structure — becomes an ``ER``
+  instruction whose srcS operand realises the module's residual connection,
 * a convolution followed by a pixel shuffle becomes ``UPX2``; followed by a
   pooling stage it becomes ``DNX2``,
 * the global residual connection of the ERNet skeleton is realised by
@@ -15,16 +18,18 @@ FBISA-supported operator vocabulary into a :class:`~repro.fbisa.program.Program`
 * external input/output use the virtual buffers ``DI``/``DO``; intermediate
   features ping-pong between the remaining physical block buffers.
 
-Besides the program, the compiler returns executable *semantics* (the layer
-objects backing every instruction) so the hardware model can run a compiled
-program functionally and the tests can check program-vs-network equivalence,
-and the quantized :class:`~repro.fbisa.params.InstructionParameters` needed
-by the bitstream packer.
+Operand Q-formats and parameter codes are the fixed-point layers' own: an
+instruction's ``dst`` carries its closing convolution's output format, its
+``src`` the format of the buffer it reads, and its parameter segment packs
+the layers' 8-bit weight and bias codes.  Besides the program, the compiler
+returns executable *semantics* (the fixed-point layers backing every
+instruction), so a compiled program runs functionally and integer-exactly,
+and the packed :class:`~repro.fbisa.params.InstructionParameters`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -48,13 +53,11 @@ from repro.fbisa.program import (
     ProgramValidationError,
     instruction_violations,
 )
-from repro.models.ermodule import ERModule
-from repro.nn.layers import Conv2d, Layer, ReLU, ClippedReLU, Residual
-from repro.nn.network import Sequential
+from repro.nn.layers import Conv2d, FixedConv2d, Layer, ReLU, Residual, _center_crop
+from repro.nn.network import Sequential, iter_conv_layers
 from repro.nn.ops import MaxPool2x2, PixelShuffle, PixelUnshuffle, StridedPool2x2
 from repro.nn.tensor import FeatureMap
 from repro.quant.qformat import QFormat
-from repro.quant.quantize import QuantizationPlan, conv_codes
 
 
 class CompilerError(ValueError):
@@ -63,25 +66,24 @@ class CompilerError(ValueError):
 
 @dataclass
 class InstructionSemantics:
-    """The layer objects one instruction stands for (for functional execution)."""
+    """The fixed-point layers one instruction stands for (for functional execution)."""
 
     layers: List[Layer]
     residual: bool = False
 
     def execute(self, fm: FeatureMap, residual_input: Optional[FeatureMap] = None) -> FeatureMap:
-        out = fm
-        for layer in self.layers:
-            out = layer.forward(out)
+        """Run the layers; a residual's skip joins its closing convolution's sums (srcS)."""
+        closing = -1
         if self.residual:
-            source = residual_input if residual_input is not None else fm
-            crop_h = (source.height - out.height) // 2
-            crop_w = (source.width - out.width) // 2
-            skip = source.data[
-                :,
-                crop_h : source.height - crop_h,
-                crop_w : source.width - crop_w,
-            ]
-            out = out.with_data(out.data + skip)
+            closing = max(i for i, layer in enumerate(self.layers) if isinstance(layer, Conv2d))
+        out = fm
+        for index, layer in enumerate(self.layers):
+            if index == closing:
+                source = residual_input if residual_input is not None else fm
+                _, height, width = layer.output_shape(out.channels, out.height, out.width)
+                out = layer.forward(out, skip=_center_crop(source.data, height, width))
+            else:
+                out = layer.forward(out)
         return out
 
 
@@ -93,12 +95,15 @@ class CompiledModel:
     semantics: List[InstructionSemantics]
     parameters: List[Optional[InstructionParameters]]
     input_block: int
+    #: The fixed-point program the instructions lower.
+    network: Sequential
 
     def execute_block(self, block: FeatureMap) -> FeatureMap:
         """Execute the compiled program functionally on one input block.
 
         Buffer contents are tracked so srcS residual accumulation reads the
-        same data the hardware would.
+        same data the hardware would; the result equals
+        ``network.forward(block)`` exactly.
         """
         buffers: dict[BlockBufferId, FeatureMap] = {BlockBufferId.DI: block}
         output: Optional[FeatureMap] = None
@@ -142,23 +147,29 @@ def _input_groups(in_channels: int) -> int:
     return max(1, -(-in_channels // LEAF_CHANNELS))
 
 
-class _Lowering:
-    """Stateful lowering pass over a network's layer list."""
+def _is_er(layer: Layer) -> bool:
+    """An ER module, by structure: a residual over 3x3 conv, ReLU, 1x1 conv."""
+    if not isinstance(layer, Residual) or len(layer.body) != 3:
+        return False
+    conv3, relu, conv1 = layer.body
+    return (
+        isinstance(conv3, Conv2d)
+        and conv3.kernel == 3
+        and isinstance(relu, ReLU)
+        and isinstance(conv1, Conv2d)
+        and conv1.kernel == 1
+    )
 
-    def __init__(
-        self,
-        network: Sequential,
-        input_block: int,
-        plan: Optional[QuantizationPlan],
-    ) -> None:
-        self.network = network
-        self.plan = plan
+
+class _Lowering:
+    """Stateful lowering pass over a fixed-point program's layer list."""
+
+    def __init__(self, network: Sequential, input_block: int) -> None:
         self.program = Program(name=getattr(network, "name", "network"))
         self.semantics: List[InstructionSemantics] = []
         self.parameters: List[Optional[InstructionParameters]] = []
         self.block_size = float(input_block)
         self.restart = 0
-        self.conv_index = 0
         #: Layers (e.g. a leading pixel unshuffle) folded into the *next*
         #: emitted instruction's input preparation.
         self.pending_pre_layers: List[Layer] = []
@@ -166,6 +177,8 @@ class _Lowering:
         # can be pinned to hold a long-lived residual source.
         self.current: BlockBufferId = BlockBufferId.DI
         self.pinned: Optional[BlockBufferId] = None
+        #: Q-format of the current buffer's codes (None while it is DI).
+        self.format: Optional[QFormat] = None
         #: Physical buffers written so far, for eager per-emission validation.
         self._written: set[BlockBufferId] = set()
 
@@ -177,36 +190,21 @@ class _Lowering:
                 return candidate
         raise CompilerError("ran out of block buffers during lowering")
 
-    # -- q-format helpers ---------------------------------------------------
-    def _formats_for_conv(self) -> tuple[str, str, QFormat, QFormat]:
-        if self.plan is not None and self.conv_index < self.plan.num_layers:
-            lq = self.plan.layers[self.conv_index]
-            return (
-                lq.output_format.name,
-                lq.weight_format.name,
-                lq.weight_format,
-                lq.bias_format,
-            )
-        return "Q6", "Q7", QFormat(7), QFormat(7)
-
     # -- emission ------------------------------------------------------------
     def _emit(
         self,
         opcode: Opcode,
         semantics: InstructionSemantics,
+        conv_layers: Sequence[FixedConv2d],
         *,
-        out_channels: int,
-        in_channels: int,
-        dst: Optional[BlockBufferId] = None,
         src_s: Optional[BlockBufferId] = None,
         pooling: PoolingMode = PoolingMode.STRIDED,
         label: str = "",
-        conv_layers: Sequence[Conv2d] = (),
         margin: int = 0,
         scale: float = 1.0,
         inference: InferenceType = InferenceType.TRUNCATED,
     ) -> None:
-        out_qformat, weight_qformat, wfmt, bfmt = self._formats_for_conv()
+        conv3, closing = conv_layers[0], conv_layers[-1]
         self.block_size -= 2 * margin
         if self.block_size <= 0:
             raise CompilerError(
@@ -218,48 +216,35 @@ class _Lowering:
         tiles_x, tiles_y = _tiles(int(self.block_size), int(self.block_size))
         self.block_size *= scale
 
-        destination = dst if dst is not None else self._next_buffer()
+        destination = self._next_buffer()
         if self.pending_pre_layers:
             semantics.layers[:0] = self.pending_pre_layers
             self.pending_pre_layers = []
-        params = None
-        packed = None
-        if conv_layers:
-            params = ParameterOperand(
-                restart=self.restart,
-                weight_qformat=weight_qformat,
-                bias_qformat=weight_qformat,
-            )
-            w3 = None
-            w1 = None
-            biases = []
-            for conv in conv_layers:
-                codes_w, codes_b = conv_codes(conv, wfmt, bfmt)
-                if conv.kernel == 3:
-                    w3 = codes_w
-                else:
-                    w1 = codes_w.reshape(conv.out_channels, conv.in_channels)
-                biases.append(codes_b)
-                self.conv_index += 1
-            if w3 is None:
-                raise CompilerError("every FBISA instruction needs a 3x3 convolution")
-            packed = InstructionParameters(
-                weights3x3=w3,
-                weights1x1=w1,
-                biases=np.concatenate(biases) if biases else np.zeros(0, dtype=np.int64),
-            )
-            self.restart += packed.biases.size  # byte-aligned bias-stream offset
+        if conv3.kernel != 3:
+            raise CompilerError("every FBISA instruction needs a 3x3 convolution")
+        packed = InstructionParameters(
+            weights3x3=conv3.codes,
+            weights1x1=(
+                closing.codes.reshape(closing.out_channels, closing.in_channels)
+                if closing is not conv3
+                else None
+            ),
+            biases=np.concatenate([conv.bias_codes for conv in conv_layers]),
+        )
+        params = ParameterOperand(restart=self.restart, weight_qformat=conv3.weight_format.name)
+        self.restart += packed.biases.size  # byte-aligned bias-stream offset
 
+        src_format = (self.format or conv3.in_format).name
         instruction = Instruction(
             opcode=opcode,
             block_tiles_x=tiles_x,
             block_tiles_y=tiles_y,
-            leaf_modules=_leaf_modules(out_channels),
-            input_groups=_input_groups(in_channels),
+            leaf_modules=_leaf_modules(conv3.out_channels),
+            input_groups=_input_groups(conv3.in_channels),
             inference=inference,
-            src=FeatureOperand(self.current, qformat=out_qformat),
-            dst=FeatureOperand(destination, qformat=out_qformat),
-            src_s=FeatureOperand(src_s, qformat=out_qformat) if src_s is not None else None,
+            src=FeatureOperand(self.current, qformat=src_format),
+            dst=FeatureOperand(destination, qformat=closing.out_format.name),
+            src_s=FeatureOperand(src_s, qformat=src_format) if src_s is not None else None,
             params=params,
             pooling=pooling,
             label=label,
@@ -280,43 +265,39 @@ class _Lowering:
         if not destination.is_virtual:
             self._written.add(destination)
         self.current = destination
+        self.format = closing.out_format
 
     def finalize_to_do(self) -> None:
         """Route the last instruction's destination to DO."""
         if not self.program.instructions:
             raise CompilerError("empty program")
         last = self.program.instructions[-1]
-        self.program.instructions[-1] = Instruction(
-            opcode=last.opcode,
-            block_tiles_x=last.block_tiles_x,
-            block_tiles_y=last.block_tiles_y,
-            leaf_modules=last.leaf_modules,
-            input_groups=last.input_groups,
-            inference=last.inference,
-            src=last.src,
-            dst=FeatureOperand(BlockBufferId.DO, qformat=last.dst.qformat),
-            src_s=last.src_s,
-            dst_s=last.dst_s,
-            params=last.params,
-            pooling=last.pooling,
-            label=last.label,
+        self.program.instructions[-1] = replace(
+            last, dst=FeatureOperand(BlockBufferId.DO, qformat=last.dst.qformat)
         )
 
 
-def compile_network(
-    network: Sequential,
-    *,
-    input_block: int = 128,
-    plan: Optional[QuantizationPlan] = None,
-) -> CompiledModel:
-    """Lower ``network`` into an FBISA program.
+def compile_network(network: Sequential, *, input_block: int = 128) -> CompiledModel:
+    """Lower the fixed-point program of ``network`` into an FBISA program.
 
-    Supports the ERNet skeleton (head conv, global residual of ERModules and
-    a tail conv, pixel-shuffle upsamplers, output conv) as well as plain
+    A fixed-point program is lowered as is; a float network is first turned
+    into its program (:func:`repro.quant.fixed.fixed_point_network`), so
+    every FBISA program describes the arithmetic that is served.  Supports
+    the ERNet skeleton (head conv, global residual of ER modules and a tail
+    conv, pixel-shuffle upsamplers, output conv) as well as plain
     conv/pool/shuffle pipelines built from the same operator set.
     """
-    lowering = _Lowering(network, input_block, plan)
-    _lower_layer_list(lowering, list(network.layers), residual_source=None)
+    if not any(isinstance(conv, FixedConv2d) for conv in iter_conv_layers(network)):
+        # Imported here: the fixed-point builder imports the static checks,
+        # which import this module.
+        from repro.quant.fixed import fixed_point_network
+
+        try:
+            network = fixed_point_network(network)
+        except ValueError as exc:
+            raise CompilerError(str(exc)) from exc
+    lowering = _Lowering(network, input_block)
+    _lower_layer_list(lowering, list(network.layers))
     lowering.finalize_to_do()
     program = lowering.program
     program.validate()
@@ -325,20 +306,17 @@ def compile_network(
         semantics=lowering.semantics,
         parameters=lowering.parameters,
         input_block=input_block,
+        network=network,
     )
 
 
-def _lower_layer_list(
-    lowering: _Lowering,
-    layers: List[Layer],
-    residual_source: Optional[BlockBufferId],
-) -> None:
+def _lower_layer_list(lowering: _Lowering, layers: List[Layer]) -> None:
     index = 0
     while index < len(layers):
         layer = layers[index]
         following = layers[index + 1] if index + 1 < len(layers) else None
 
-        if isinstance(layer, (ReLU, ClippedReLU, PixelUnshuffle)):
+        if isinstance(layer, (ReLU, PixelUnshuffle)):
             # ReLU is part of the opcode post-processing; a leading pixel
             # unshuffle re-interprets the DI stream (DnERNet-12ch) and is
             # folded into the next instruction's input preparation.
@@ -348,8 +326,8 @@ def _lower_layer_list(
             index += 1
             continue
 
-        if isinstance(layer, ERModule):
-            conv3, conv1 = layer.body[0], layer.body[2]
+        if _is_er(layer):
+            conv3, _, conv1 = layer.body
             # An ER leaf-module is a 32-to-32-channel 3x3 plus the 1x1
             # reduction; the module's expansion ratio Rm therefore maps to Rm
             # leaf-modules in one instruction (which is why both the paper's
@@ -357,11 +335,9 @@ def _lower_layer_list(
             lowering._emit(
                 Opcode.ER,
                 InstructionSemantics(layers=list(layer.body), residual=True),
-                out_channels=conv3.out_channels,
-                in_channels=conv3.in_channels,
+                [conv3, conv1],
                 src_s=lowering.current,
                 label=layer.name,
-                conv_layers=[conv3, conv1],
                 margin=1,
             )
             index += 1
@@ -378,10 +354,10 @@ def _lower_layer_list(
                     "a residual block cannot take its skip directly from DI; "
                     "place a convolution before it"
                 )
-            entry = lowering.current
+            entry, entry_format = lowering.current, lowering.format
             previous_pin = lowering.pinned
             lowering.pinned = entry
-            _lower_layer_list(lowering, list(layer.body), residual_source=entry)
+            _lower_layer_list(lowering, list(layer.body))
             # Mark the last emitted instruction as accumulating the skip.
             last_index = len(lowering.program.instructions) - 1
             last = lowering.program.instructions[last_index]
@@ -390,20 +366,8 @@ def _lower_layer_list(
                     "the closing instruction of a residual block already uses srcS; "
                     "end residual bodies with a plain convolution"
                 )
-            lowering.program.instructions[last_index] = Instruction(
-                opcode=last.opcode,
-                block_tiles_x=last.block_tiles_x,
-                block_tiles_y=last.block_tiles_y,
-                leaf_modules=last.leaf_modules,
-                input_groups=last.input_groups,
-                inference=last.inference,
-                src=last.src,
-                dst=last.dst,
-                src_s=FeatureOperand(entry, qformat=last.dst.qformat),
-                dst_s=last.dst_s,
-                params=last.params,
-                pooling=last.pooling,
-                label=last.label,
+            lowering.program.instructions[last_index] = replace(
+                last, src_s=FeatureOperand(entry, qformat=entry_format.name)
             )
             lowering.semantics[last_index].residual = True
             lowering.pinned = previous_pin
@@ -413,7 +377,6 @@ def _lower_layer_list(
         if isinstance(layer, Conv2d):
             semantics_layers: List[Layer] = [layer]
             opcode = Opcode.CONV
-            margin = layer.margin
             scale = 1.0
             pooling = PoolingMode.STRIDED
             consumed = 1
@@ -434,17 +397,15 @@ def _lower_layer_list(
                 consumed = 2
             # Fold a trailing ReLU into the same instruction.
             after = layers[index + consumed] if index + consumed < len(layers) else None
-            if isinstance(after, (ReLU, ClippedReLU)):
+            if isinstance(after, ReLU):
                 semantics_layers.append(after)
                 consumed += 1
             lowering._emit(
                 opcode,
                 InstructionSemantics(layers=semantics_layers),
-                out_channels=layer.out_channels,
-                in_channels=layer.in_channels,
+                [layer],
                 label=layer.name,
-                conv_layers=[layer],
-                margin=margin,
+                margin=layer.margin,
                 scale=scale,
                 pooling=pooling,
                 inference=(
@@ -463,21 +424,8 @@ def _lower_layer_list(
             if last_index < 0:
                 raise CompilerError("pixel shuffle with no preceding instruction")
             lowering.semantics[last_index].layers.append(layer)
-            last = lowering.program.instructions[last_index]
-            lowering.program.instructions[last_index] = Instruction(
-                opcode=Opcode.UPX2,
-                block_tiles_x=last.block_tiles_x,
-                block_tiles_y=last.block_tiles_y,
-                leaf_modules=last.leaf_modules,
-                input_groups=last.input_groups,
-                inference=last.inference,
-                src=last.src,
-                dst=last.dst,
-                src_s=last.src_s,
-                dst_s=last.dst_s,
-                params=last.params,
-                pooling=last.pooling,
-                label=last.label,
+            lowering.program.instructions[last_index] = replace(
+                lowering.program.instructions[last_index], opcode=Opcode.UPX2
             )
             lowering.block_size *= layer.factor
             index += 1
@@ -493,7 +441,7 @@ def _lower_layer_list(
             continue
 
         if isinstance(layer, Sequential):
-            _lower_layer_list(lowering, list(layer.layers), residual_source)
+            _lower_layer_list(lowering, list(layer.layers))
             index += 1
             continue
 

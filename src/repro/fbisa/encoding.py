@@ -39,11 +39,13 @@ _NO_OPERAND = 7
 INSTRUCTION_BYTES = 12
 
 
-def _encode_qformat(qformat: str) -> int:
+def _encode_qformat(qformat: str, role: str) -> int:
     signed = 0 if qformat.upper().startswith("UQ") else 1
     frac = int(qformat.upper().lstrip("UQ") or 0)
     if not 0 <= frac <= 15:
-        raise ValueError(f"fractional position {frac} does not fit the 4-bit field")
+        raise ValueError(
+            f"{role} operand {qformat}: fractional position {frac} does not fit the 4-bit field"
+        )
     return (signed << 4) | frac
 
 
@@ -53,10 +55,10 @@ def _decode_qformat(code: int) -> str:
     return f"{'Q' if signed else 'UQ'}{frac}"
 
 
-def _encode_feature(operand: Optional[FeatureOperand]) -> int:
+def _encode_feature(role: str, operand: Optional[FeatureOperand]) -> int:
     if operand is None:
         return _NO_OPERAND << 5
-    return (_BUFFER_CODES[operand.buffer] << 5) | _encode_qformat(operand.qformat)
+    return (_BUFFER_CODES[operand.buffer] << 5) | _encode_qformat(operand.qformat, role)
 
 
 def _decode_feature(code: int) -> Optional[FeatureOperand]:
@@ -79,15 +81,15 @@ def encode_instruction(instruction: Instruction) -> bytes:
         | (instruction.block_tiles_y & 0x3FF)
     )
     word1 = (
-        (_encode_feature(instruction.src) << 24)
-        | (_encode_feature(instruction.dst) << 16)
-        | (_encode_feature(instruction.src_s) << 8)
-        | _encode_feature(instruction.dst_s)
+        (_encode_feature("src", instruction.src) << 24)
+        | (_encode_feature("dst", instruction.dst) << 16)
+        | (_encode_feature("srcS", instruction.src_s) << 8)
+        | _encode_feature("dstS", instruction.dst_s)
     )
     if instruction.params is not None:
         word2 = (
             (1 << 31)
-            | (_encode_qformat(instruction.params.weight_qformat) << 24)
+            | (_encode_qformat(instruction.params.weight_qformat, "par") << 24)
             | (instruction.params.restart & 0xFFFFFF)
         )
     else:
@@ -110,7 +112,6 @@ def decode_instruction(blob: bytes) -> Instruction:
         params = ParameterOperand(
             restart=word2 & 0xFFFFFF,
             weight_qformat=_decode_qformat((word2 >> 24) & 0x1F),
-            bias_qformat=_decode_qformat((word2 >> 24) & 0x1F),
         )
     return Instruction(
         opcode=opcode,
@@ -136,8 +137,18 @@ def instruction_size_bytes() -> int:
 
 
 def encode_program(program: Program) -> bytes:
-    """Encode a whole program (concatenated instructions)."""
-    return b"".join(encode_instruction(instruction) for instruction in program)
+    """Encode a whole program (concatenated instructions).
+
+    Raises :class:`ValueError` naming the instruction index and operand
+    when a field does not fit, e.g. a Q-format outside Q0-Q15.
+    """
+    blobs = []
+    for index, instruction in enumerate(program):
+        try:
+            blobs.append(encode_instruction(instruction))
+        except ValueError as exc:
+            raise ValueError(f"instruction {index} ({instruction.opcode.value}): {exc}") from exc
+    return b"".join(blobs)
 
 
 def decode_program(blob: bytes, name: str = "program") -> Program:

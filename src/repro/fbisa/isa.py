@@ -97,12 +97,12 @@ class ParameterOperand:
 
     ``restart`` is the byte-aligned address in the bias bitstream at which the
     decoders restart (Section 5.2); the 20 weight bitstreams restart at
-    ``8 x restart``.
+    ``8 x restart``.  ``weight_qformat`` names the 3x3 weights' format; the
+    bias codes are packed at their own formats.
     """
 
     restart: int
     weight_qformat: str = "Q7"
-    bias_qformat: str = "Q7"
 
     def __post_init__(self) -> None:
         if self.restart < 0:

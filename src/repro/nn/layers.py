@@ -435,6 +435,11 @@ class FixedConv2d(Conv2d):
         return self.bias_units.astype(self.dtype) * 2.0 ** (self.out_format.frac - self.grid_frac)
 
     @property
+    def num_parameters(self) -> int:
+        # Counted from the codes: ``weights`` would build the folded copy.
+        return int(self.codes.size + self.bias_codes.size)
+
+    @property
     def accumulator_bound(self) -> int:
         """Largest partial-sum magnitude, in integer units of ``2**-grid_frac``.
 

@@ -8,19 +8,16 @@ outputs.  This subpackage implements:
 * the Q-format itself (:class:`QFormat`, signed ``Qn`` and unsigned ``UQn``);
 * clip-and-round quantization and dequantization;
 * the L1-/L2-norm optimal fractional-precision search of Eq. (4);
-* a per-layer quantization plan builder for whole networks;
+* fixed-point programs of whole networks (:mod:`repro.quant.fixed`);
 * a bounded model of the fine-tuning recovery step (the paper recovers most
   of the quantization loss by retraining with clipped ReLUs).
 """
 
 from repro.quant.qformat import QFormat
 from repro.quant.quantize import (
-    LayerQuantization,
-    QuantizationPlan,
     dequantize,
     optimal_fraction_bits,
     quantize,
-    quantize_network,
     quantization_error,
 )
 from repro.quant.finetune import FineTuneResult, simulate_fine_tuning
@@ -28,9 +25,7 @@ from repro.quant.metrics import mse, psnr, psnr_from_mse
 
 __all__ = [
     "FineTuneResult",
-    "LayerQuantization",
     "QFormat",
-    "QuantizationPlan",
     "dequantize",
     "mse",
     "optimal_fraction_bits",
@@ -38,6 +33,5 @@ __all__ = [
     "psnr_from_mse",
     "quantization_error",
     "quantize",
-    "quantize_network",
     "simulate_fine_tuning",
 ]

@@ -84,7 +84,7 @@ class _Calibration:
         convs = list(iter_conv_layers(network))
         if not convs:
             raise ValueError("network contains no convolution to quantize")
-        self.last = convs[-1]
+        self.first, self.last = convs[0], convs[-1]
 
     def layer(
         self, layer: Layer, x: np.ndarray, fmt: Optional[QFormat]
@@ -160,7 +160,7 @@ class _Calibration:
         return probe.replace(out_format=out_format), codes_out, out_format
 
 
-def fixed_point_network(network: Network) -> Network:
+def fixed_point_network(network: Sequential) -> Network:
     """The fixed-point program of ``network`` (see the module docstring).
 
     Deterministic for a network: the calibration window is seeded and its
@@ -173,15 +173,17 @@ def fixed_point_network(network: Network) -> Network:
         scale *= layer_geometry(layer).scale
         coarsest = min(coarsest, scale)
     side = max(CALIBRATION_MIN_SIDE, round(CALIBRATION_COARSEST / coarsest))
-    window = np.random.default_rng(CALIBRATION_SEED).random((network.in_channels, side, side))
+    # A bare Sequential names no image channels: its first convolution's.
+    in_channels = getattr(network, "in_channels", calibration.first.in_channels)
+    window = np.random.default_rng(CALIBRATION_SEED).random((in_channels, side, side))
     layers, _, _ = calibration.layers(network.layers, window, None)
     return Network(
         layers,
         network.name,
-        in_channels=network.in_channels,
-        out_channels=network.out_channels,
-        upscale=network.upscale,
-        metadata=dict(network.metadata),
+        in_channels=in_channels,
+        out_channels=getattr(network, "out_channels", calibration.last.out_channels),
+        upscale=getattr(network, "upscale", 1),
+        metadata=dict(getattr(network, "metadata", {})),
     )
 
 

@@ -1,20 +1,18 @@
-"""Quantization plan construction (Eq. (4) of the paper).
+"""Clip-and-round quantization and the Eq. (4) precision search.
 
 The quantization stage picks, for every parameter/feature group, the
 fractional precision ``n`` minimising the L1 or L2 error between the
 floating-point values and their clipped-and-rounded fixed-point images.
+:mod:`repro.quant.fixed` applies the search to whole networks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Literal, Optional
+from typing import Iterable, Literal, Optional
 
 import numpy as np
 
 from repro.nn.layers import Conv2d
-from repro.nn.network import Sequential, iter_conv_layers
-from repro.nn.tensor import FeatureMap
 from repro.quant.qformat import QFormat
 
 Norm = Literal["l1", "l2"]
@@ -127,148 +125,3 @@ def conv_codes(
     codes and the fixed-point program computes on them.
     """
     return weight_format.quantize_to_codes(conv.weights), bias_format.quantize_to_codes(conv.bias)
-
-
-@dataclass(frozen=True)
-class LayerQuantization:
-    """Chosen Q-formats for one convolution layer."""
-
-    layer_name: str
-    weight_format: QFormat
-    bias_format: QFormat
-    output_format: QFormat
-    weight_error: float
-    bias_error: float
-
-
-@dataclass
-class QuantizationPlan:
-    """Per-layer Q-formats for a whole network plus summary statistics."""
-
-    model_name: str
-    norm: Norm
-    layers: List[LayerQuantization] = field(default_factory=list)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    def formats_by_layer(self) -> Dict[str, LayerQuantization]:
-        return {lq.layer_name: lq for lq in self.layers}
-
-    @property
-    def total_weight_error(self) -> float:
-        return sum(lq.weight_error for lq in self.layers)
-
-    def describe(self) -> str:
-        lines = [f"quantization plan for {self.model_name} ({self.norm}-norm)"]
-        for lq in self.layers:
-            lines.append(
-                f"  {lq.layer_name:24s} weights={lq.weight_format.name:5s} "
-                f"bias={lq.bias_format.name:5s} out={lq.output_format.name:5s}"
-            )
-        return "\n".join(lines)
-
-
-def quantize_network(
-    network: Sequential,
-    *,
-    calibration_inputs: Optional[Iterable[FeatureMap]] = None,
-    bits: int = 8,
-    norm: Norm = "l2",
-    feature_bits: int = 8,
-) -> QuantizationPlan:
-    """Build a per-layer quantization plan for ``network``.
-
-    Weight and bias formats are derived directly from the parameter values;
-    feature-output formats are derived from activations collected by running
-    the network on ``calibration_inputs`` (the paper inferences on the training
-    set for this purpose).  When no calibration inputs are given, a generic
-    activation range of [-2, 2) is assumed, which corresponds to Q6 at 8 bits.
-    """
-    convs = [layer for layer in iter_conv_layers(network) if isinstance(layer, Conv2d)]
-    if not convs:
-        raise ValueError("network contains no convolution layers to quantize")
-
-    activation_samples: Dict[int, List[np.ndarray]] = {i: [] for i in range(len(convs))}
-    if calibration_inputs is not None:
-        for fm in calibration_inputs:
-            _collect_activations(network, fm, convs, activation_samples)
-
-    name = getattr(network, "name", "network")
-    plan = QuantizationPlan(model_name=name, norm=norm)
-    seen: Dict[str, int] = {}
-    for index, conv in enumerate(convs):
-        layer_name = conv.name
-        if layer_name in seen:
-            seen[layer_name] += 1
-            layer_name = f"{layer_name}#{seen[conv.name]}"
-        else:
-            seen[layer_name] = 0
-
-        wfmt = optimal_fraction_bits(conv.weights, bits=bits, signed=True, norm=norm)
-        bias_values = conv.bias if np.any(conv.bias) else np.asarray([0.0, conv.weights.std()])
-        bfmt = optimal_fraction_bits(bias_values, bits=bits, signed=True, norm=norm)
-
-        samples = activation_samples[index]
-        if samples:
-            acts = np.concatenate([s.ravel() for s in samples])
-            signed_out = bool((acts < 0).any())
-            ofmt = optimal_fraction_bits(acts, bits=feature_bits, signed=signed_out, norm=norm)
-        else:
-            ofmt = QFormat(frac=feature_bits - 2, bits=feature_bits, signed=True)
-
-        plan.layers.append(
-            LayerQuantization(
-                layer_name=layer_name,
-                weight_format=wfmt,
-                bias_format=bfmt,
-                output_format=ofmt,
-                weight_error=quantization_error(conv.weights, wfmt, norm=norm),
-                bias_error=quantization_error(conv.bias, bfmt, norm=norm),
-            )
-        )
-    return plan
-
-
-def _collect_activations(
-    network: Sequential,
-    fm: FeatureMap,
-    convs: List[Conv2d],
-    samples: Dict[int, List[np.ndarray]],
-) -> None:
-    """Run ``network`` on ``fm`` collecting each conv layer's output values."""
-    conv_index = 0
-
-    def run(layer, x: FeatureMap) -> FeatureMap:
-        nonlocal conv_index
-        from repro.nn.layers import Residual
-        from repro.nn.network import Sequential as Seq
-
-        if isinstance(layer, Conv2d):
-            out = layer.forward(x)
-            samples[conv_index].append(out.data)
-            conv_index += 1
-            return out
-        if isinstance(layer, Residual):
-            out = x
-            for inner in layer.body:
-                out = run(inner, out)
-            crop_h = (x.height - out.height) // 2
-            crop_w = (x.width - out.width) // 2
-            skip = x.data[
-                :,
-                crop_h : x.height - crop_h,
-                crop_w : x.width - crop_w,
-            ]
-            return out.with_data(out.data + skip)
-        if isinstance(layer, Seq):
-            out = x
-            for inner in layer.layers:
-                out = run(inner, out)
-            return out
-        return layer.forward(x)
-
-    out = fm
-    for layer in network.layers:
-        out = run(layer, out)

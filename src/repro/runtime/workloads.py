@@ -23,6 +23,7 @@ from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.models.ernet import PAPER_MODELS, build_ernet
 from repro.models.vision import build_recognition_network, build_style_transfer_network
 from repro.nn.network import Network
+from repro.quant.fixed import fixed_point_network
 from repro.runtime.cache import DEFAULT_CACHE, ResultCache
 from repro.specs import SPECIFICATIONS, RealTimeSpec
 
@@ -122,6 +123,19 @@ class RuntimeWorkload:
             _SHARED_NETWORKS[key] = network
         return network
 
+    def fixed_point_program(self) -> Network:
+        """The served program: the shared network's fixed-point program.
+
+        Calibrated once per process (:func:`repro.quant.fixed.fixed_point_network`
+        is a pure function of the frozen weights) and kept in the shared
+        network's own ``__dict__``, like its FBISA compilations.  It carries
+        the ``shared`` marker too, so backends may memoize on it.
+        """
+        network = self.shared_network()
+        if "_fixed_point" not in network.__dict__:
+            network.__dict__["_fixed_point"] = fixed_point_network(network)
+        return network.__dict__["_fixed_point"]
+
     def cache_key(self, config: EcnnConfig) -> str:
         """Content address of this workload's profile under ``config``."""
         model_identity = (
@@ -148,8 +162,8 @@ class RuntimeWorkload:
         from repro.api.backends import EcnnBackend  # lazy: engine imports repro.api
 
         backend = EcnnBackend(config)
-        network = self.shared_network()
-        perf = backend.profile(backend.compile(network, self.spec), self.spec)
+        program = self.fixed_point_program()
+        perf = backend.profile(backend.compile(program, self.spec), self.spec)
         return WorkloadProfile(
             workload=self.name,
             model_name=perf.model_name,

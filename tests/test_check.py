@@ -50,6 +50,8 @@ from repro.fbisa.program import (
 from repro.nn.layers import Conv2d, ReLU
 from repro.nn.network import Sequential
 from repro.nn.tensor import FeatureMap
+from repro.quant.fixed import fixed_point_network
+from repro.quant.qformat import QFormat
 from repro.runtime.cache import ResultCache
 from repro.specs import SPECIFICATIONS
 
@@ -268,9 +270,16 @@ class TestIntervalAnalysis:
         )
 
     def test_guaranteed_overflow_bias_is_ecnn130(self):
-        conv = Conv2d(3, 32, 3, seed=1)
-        conv.bias[:] = 1000.0  # lifts the whole interval far above Q6's 1.98
-        network = Sequential([conv, ReLU()], name="hotbias")
+        # Calibration picks an output format that holds its own sums, so a
+        # saturating layer is built by hand: a bias of 127 codes at Q-4
+        # (2032) lifts the whole interval far above the calibrated range.
+        calibrated = fixed_point_network(Sequential([Conv2d(3, 32, 3, seed=1), ReLU()]))
+        conv = calibrated.layers[0]
+        hot = conv.replace(
+            bias_codes=np.full(32, 127), bias_format=QFormat(-4), dtype=np.float64
+        )
+        assert 2000 > hot.out_format.max_value
+        network = Sequential([hot, ReLU()], name="hotbias")
         report = verify_plan(self._plan(network))
         assert "ECNN130" in _rule_ids(report)
         assert not report.ok

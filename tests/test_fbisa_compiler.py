@@ -1,16 +1,21 @@
 """Tests for the ERNet -> FBISA compiler and compiled-program execution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.analysis.workloads import synthetic_image
+from repro.api import Session
 from repro.fbisa.compiler import CompilerError, compile_network
+from repro.fbisa.encoding import decode_program, encode_program
 from repro.fbisa.isa import BlockBufferId, Opcode
 from repro.models.ernet import build_dnernet, build_dnernet_12ch, build_sr4ernet
 from repro.models.vision import build_recognition_network, build_style_transfer_network
-from repro.nn.layers import Conv2d
-from repro.nn.network import Sequential
-from repro.quant.quantize import quantize_network
+from repro.nn.layers import Conv2d, FixedConv2d
+from repro.nn.network import Sequential, iter_conv_layers
+from repro.nn.tensor import FeatureMap
+from repro.runtime.cache import ResultCache
 
 
 class TestProgramStructure:
@@ -85,6 +90,8 @@ class TestProgramStructure:
 
 
 class TestCompiledExecution:
+    """A compiled program computes exactly what its fixed-point program serves."""
+
     @pytest.mark.parametrize(
         "builder,block",
         [
@@ -95,35 +102,99 @@ class TestCompiledExecution:
         ],
     )
     def test_compiled_program_matches_network(self, builder, block):
-        network = builder()
-        compiled = compile_network(network, input_block=max(block, 64))
+        compiled = compile_network(builder(), input_block=max(block, 64))
         image = synthetic_image(block, block, seed=block)
-        reference = network.forward(image)
         result = compiled.execute_block(image)
-        assert np.allclose(result.data, reference.data)
+        assert np.array_equal(result.data, compiled.network.forward(image).data)
 
     def test_style_transfer_equivalence(self):
-        network = build_style_transfer_network(blocks=2)
-        compiled = compile_network(network, input_block=128)
+        compiled = compile_network(build_style_transfer_network(blocks=2), input_block=128)
         image = synthetic_image(64, 64, seed=1)
-        assert np.allclose(
-            compiled.execute_block(image).data, network.forward(image).data
+        assert np.array_equal(
+            compiled.execute_block(image).data, compiled.network.forward(image).data
         )
 
     def test_recognition_equivalence(self):
-        network = build_recognition_network()
-        compiled = compile_network(network, input_block=224)
+        compiled = compile_network(build_recognition_network(), input_block=224)
         image = synthetic_image(32, 32, seed=2)
-        assert np.allclose(
-            compiled.execute_block(image).data, network.forward(image).data
+        assert np.array_equal(
+            compiled.execute_block(image).data, compiled.network.forward(image).data
         )
 
-    def test_quantization_plan_formats_reach_program(self):
-        network = build_dnernet(2, 1, 0)
-        plan = quantize_network(network)
-        compiled = compile_network(network, input_block=64, plan=plan)
-        formats = {i.params.weight_qformat for i in compiled.program if i.params}
-        assert formats  # per-layer formats were attached
-        # At least one format comes from the plan rather than the default Q7.
-        plan_formats = {lq.weight_format.name for lq in plan.layers}
-        assert formats <= plan_formats | {"Q7"}
+    def test_a_fixed_point_program_is_lowered_as_is(self):
+        compiled = compile_network(build_dnernet(2, 1, 0), input_block=64)
+        again = compile_network(compiled.network, input_block=64)
+        assert again.network is compiled.network
+        assert again.program == compiled.program
+
+
+CATALOGUE = ("denoise", "super_resolution", "style_transfer", "recognition")
+
+
+@pytest.fixture(scope="module")
+def served_plans():
+    session = Session(backend="ecnn", cache=ResultCache())
+    return {name: session.compile(name) for name in CATALOGUE}
+
+
+def _convs(semantics):
+    return [layer for layer in semantics.layers if isinstance(layer, FixedConv2d)]
+
+
+@pytest.mark.parametrize("workload", CATALOGUE)
+class TestServedProgram:
+    """Every catalogue plan's FBISA program is the program its pixels come from."""
+
+    def test_instructions_run_the_served_layers(self, served_plans, workload):
+        plan = served_plans[workload]
+        lowered = [conv for sem in plan.payload.semantics for conv in _convs(sem)]
+        served = list(iter_conv_layers(plan.network))
+        assert len(lowered) == len(served)
+        assert all(a is b for a, b in zip(lowered, served))
+
+    def test_operand_formats_are_the_served_formats(self, served_plans, workload):
+        plan = served_plans[workload]
+        for instruction, sem in zip(plan.payload.program, plan.payload.semantics):
+            convs = _convs(sem)
+            first, closing = convs[0], convs[-1]
+            assert instruction.src.qformat == first.in_format.name
+            assert instruction.dst.qformat == closing.out_format.name
+            assert instruction.params.weight_qformat == first.weight_format.name
+            if instruction.src_s is not None:
+                assert instruction.src_s.qformat == closing.skip_format.name
+            else:
+                assert closing.skip_format is None
+
+    def test_packed_codes_are_the_served_codes(self, served_plans, workload):
+        plan = served_plans[workload]
+        for packed, sem in zip(plan.payload.parameters, plan.payload.semantics):
+            convs = _convs(sem)
+            assert np.array_equal(packed.weights3x3, convs[0].codes)
+            if len(convs) == 2:
+                assert np.array_equal(packed.weights1x1.ravel(), convs[1].codes.ravel())
+            else:
+                assert packed.weights1x1 is None
+            assert np.array_equal(
+                packed.biases, np.concatenate([conv.bias_codes for conv in convs])
+            )
+
+    def test_execute_block_equals_the_served_pixels(self, served_plans, workload):
+        plan = served_plans[workload]
+        side = 32 if workload == "recognition" else plan.input_block
+        rng = np.random.default_rng(7)
+        block = FeatureMap(data=rng.random((plan.network.in_channels, side, side)))
+        assert np.array_equal(
+            plan.payload.execute_block(block).data, plan.network.forward(block).data
+        )
+
+    def test_binary_encoding_holds_only_q0_to_q15(self, served_plans, workload):
+        program = served_plans[workload].payload.program
+        if workload in ("denoise", "style_transfer"):
+            decoded = decode_program(encode_program(program), name=program.name)
+            for original, back in zip(program, decoded):
+                assert back == replace(original, label="")
+        else:
+            # Super-resolution reaches Q-10 and recognition Q-7; the 4-bit
+            # fraction field holds 0-15.
+            with pytest.raises(ValueError, match=r"instruction \d+ \(\w+\): \w+ operand"):
+                encode_program(program)

@@ -206,7 +206,7 @@ class TestBinaryEncoding:
             lm=2,
             ig=3,
             src_s=BlockBufferId.BB0,
-            params=ParameterOperand(restart=1234, weight_qformat="Q5", bias_qformat="Q5"),
+            params=ParameterOperand(restart=1234, weight_qformat="Q5"),
             pooling=PoolingMode.MAX,
             inference=InferenceType.ZERO_PADDED,
         )

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.models.ernet import build_dnernet
-from repro.nn.network import Sequential, iter_conv_layers
+from repro.nn.network import Sequential
 from repro.quant import (
     QFormat,
     mse,
     optimal_fraction_bits,
     psnr,
     quantization_error,
-    quantize_network,
     simulate_fine_tuning,
 )
 from repro.quant.fixed import fixed_point_network
@@ -183,19 +182,6 @@ class TestFractionSearchTies:
 
 
 class TestNetworkQuantization:
-    def test_plan_covers_all_convs(self, tiny_ernet):
-        plan = quantize_network(tiny_ernet)
-        convs = sum(1 for _ in iter_conv_layers(tiny_ernet))
-        assert plan.num_layers == convs
-        assert plan.model_name == tiny_ernet.name
-
-    def test_plan_with_calibration_inputs(self, tiny_ernet, small_image):
-        plan = quantize_network(tiny_ernet, calibration_inputs=[small_image])
-        assert plan.num_layers > 0
-        # With real activations collected, output formats should not all be the
-        # generic default.
-        assert len({lq.output_format.name for lq in plan.layers}) >= 1
-
     def test_quantized_network_output_close_to_float(self, small_image):
         # The served 8-bit program of a float network stays close to it.
         net = build_dnernet(2, 1, 0, seed=13)
@@ -207,33 +193,28 @@ class TestNetworkQuantization:
         from repro.nn.layers import ReLU
 
         with pytest.raises(ValueError):
-            quantize_network(Sequential([ReLU()]))
-
-    def test_describe_lists_layers(self, tiny_ernet):
-        plan = quantize_network(tiny_ernet)
-        text = plan.describe()
-        assert "quantization plan" in text
-        assert plan.layers[0].layer_name in text
+            fixed_point_network(Sequential([ReLU()]))
 
 
 class TestFineTuning:
-    def test_finetune_recovers_most_loss(self, tiny_ernet):
-        plan = quantize_network(tiny_ernet)
-        result = simulate_fine_tuning(plan)
+    @pytest.fixture
+    def served(self, tiny_ernet):
+        return tiny_ernet, fixed_point_network(tiny_ernet)
+
+    def test_finetune_recovers_most_loss(self, served):
+        result = simulate_fine_tuning(*served)
         assert result.final_loss_db <= result.initial_loss_db
         assert 0.0 < result.final_loss_db <= 0.3
         assert result.recovered_db >= 0.0
 
-    def test_lower_bits_increase_initial_loss(self, tiny_ernet):
-        plan = quantize_network(tiny_ernet)
-        loss8 = simulate_fine_tuning(plan, bits=8).initial_loss_db
-        loss6 = simulate_fine_tuning(plan, bits=6).initial_loss_db
+    def test_lower_bits_increase_initial_loss(self, served):
+        loss8 = simulate_fine_tuning(*served, bits=8).initial_loss_db
+        loss6 = simulate_fine_tuning(*served, bits=6).initial_loss_db
         assert loss6 > loss8
 
-    def test_deterministic_for_fixed_seed(self, tiny_ernet):
-        plan = quantize_network(tiny_ernet)
-        a = simulate_fine_tuning(plan, seed=4)
-        b = simulate_fine_tuning(plan, seed=4)
+    def test_deterministic_for_fixed_seed(self, served):
+        a = simulate_fine_tuning(*served, seed=4)
+        b = simulate_fine_tuning(*served, seed=4)
         assert a == b
 
 
