@@ -18,9 +18,10 @@ def _power_sweep():
         for spec_name in ("UHD30", "HD60", "HD30"):
             spec = SPECIFICATIONS[spec_name]
             network = build_ernet(PAPER_MODELS[task][spec_name])
-            perf = evaluate_performance(network, spec)
-            compiled = compile_network(
-                network, input_block=recommended_input_block(network)
+            block = recommended_input_block(network)
+            compiled = compile_network(network, input_block=block)
+            perf = evaluate_performance(
+                network, spec, input_block=block, compiled=compiled
             )
             power = power_report(
                 network.name,

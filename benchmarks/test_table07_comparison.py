@@ -19,8 +19,8 @@ def _compare():
     for task, label in (("dn", "DnERNet"), ("sr4", "SR4ERNet")):
         spec = SPECIFICATIONS["HD30"]
         network = build_ernet(PAPER_MODELS[task]["HD30"])
-        perf = evaluate_performance(network, spec)
         compiled = compile_network(network, input_block=128)
+        perf = evaluate_performance(network, spec, input_block=128, compiled=compiled)
         power = power_report(
             network.name, compiled.program, utilization=perf.realtime_utilization(spec.fps)
         )

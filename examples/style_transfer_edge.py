@@ -59,10 +59,10 @@ def main() -> None:
               f"sustains ~{fps:5.1f} fps, DRAM ~{dram_gb_s:4.2f} GB/s")
 
     # The session layer charges exactly the two-sub-model execution per
-    # frame; its cached serving profile should agree with the split row above.
+    # frame; its cached profile should agree with the split row above.
     session = Session(backend="ecnn", cache=ResultCache())
-    profile = session.serving_profile("style_transfer")
-    print(f"\nruntime serving profile: {profile.fps_capacity:.1f} fps capacity, "
+    profile = session.profile("style_transfer")
+    print(f"\nruntime serving profile: {profile.fps:.1f} fps capacity, "
           f"{profile.frame_latency_s * 1e3:.1f} ms/frame, "
           f"{profile.dram_gb_s:.2f} GB/s, {profile.power_w:.2f} W "
           f"(cache: {session.cache.stats.describe()})")

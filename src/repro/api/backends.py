@@ -58,8 +58,7 @@ _HD30 = SPECIFICATIONS["HD30"]
 #: Block-overlap factor and split-point traffic of the two-sub-model style
 #: transfer execution, and the CIU utilization charged to the vision case
 #: studies (Section 7.3).  These live here because the ecnn backend is the
-#: single source of truth for the kind-specific profile models —
-#: :class:`repro.runtime.workloads.RuntimeWorkload` delegates to it.
+#: single source of truth for the kind-specific profile models.
 STYLE_OVERLAP = 1.35
 STYLE_IMAGE_BYTES_PER_PIXEL = 6.0
 VISION_UTILIZATION = 0.85
@@ -142,8 +141,7 @@ class EcnnBackend:
     by the network's ``case_study`` metadata): style transfer profiles as
     the two-sub-model split its plan's stages execute, recognition as one
     zero-padded whole-image block with tripled parameter memory.  This
-    class is the single source of truth — :meth:`repro.runtime.workloads.RuntimeWorkload.profile`
-    delegates here.
+    class is the single source of truth for those models.
     """
 
     name = "ecnn"

@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # runtime modules are imported lazily: repro.runtime.engine
     # imports this module, so a top-level import here would be circular.
     from repro.runtime.cache import CacheStats, ResultCache
     from repro.runtime.video import StreamFrameResult, VideoStream, VideoStreamStats
-    from repro.runtime.workloads import RuntimeWorkload, WorkloadProfile
+    from repro.runtime.workloads import RuntimeWorkload
 
 
 def frame_digest(frame: FeatureMap) -> str:
@@ -139,6 +139,11 @@ class Session:
         #: first :meth:`execute_stream` and invalidated together with the
         #: frame cache by :meth:`evict_pixel_caches`.
         self._video_streams: Dict[Tuple[str, str], "VideoStream"] = {}
+        #: Analytic cache keys by (kind, workload).  A key is a function of
+        #: the workload and the session's backend and config, fixed for its
+        #: life; fingerprinting them costs about 0.1 ms, and the scheduler
+        #: looks a profile up once per batch.
+        self._keys: Dict[Tuple[str, RuntimeWorkload], str] = {}
 
     # ------------------------------------------------------------- registries
     @property
@@ -222,13 +227,16 @@ class Session:
     def _key(self, kind: str, entry: RuntimeWorkload) -> str:
         from repro.runtime.cache import ResultCache
 
-        return ResultCache.key(
-            "api",
-            kind,
-            self.backend_name,
-            self._backend_identity(),
-            entry.cache_key(self.config),
-        )
+        key = self._keys.get((kind, entry))
+        if key is None:
+            key = self._keys[(kind, entry)] = ResultCache.key(
+                "api",
+                kind,
+                self.backend_name,
+                self._backend_identity(),
+                entry.cache_key(self.config),
+            )
+        return key
 
     def compile(self, workload_name: str) -> CompiledPlan:
         """Backend-lowered plan for a workload (cached per content address).
@@ -262,12 +270,20 @@ class Session:
         return self.cache.get_or_compute(self._key("plan", entry), build)
 
     def profile(self, workload_name: str) -> PerfProfile:
-        """Per-frame serving figures of a workload on this backend (cached)."""
+        """Per-frame serving figures of a workload on this backend (cached).
+
+        The one profile path: the scheduler, the gateway's cost models, the
+        cluster workers and the analytics all charge these figures.
+        """
         entry = self.workload(workload_name)
         return self.cache.get_or_compute(
             self._key("profile", entry),
             lambda: self.backend.profile(self.compile(workload_name), entry.spec),
         )
+
+    def serving_profile(self, workload_name: str) -> PerfProfile:
+        """Alias of :meth:`profile`; perfbench's ``GatewayReplay.setup`` calls it."""
+        return self.profile(workload_name)
 
     def cost(self) -> CostReport:
         """Silicon cost of this session's backend configuration (cached)."""
@@ -393,7 +409,6 @@ class Session:
         *,
         threshold: float = 0.0,
         metric: str = "mae",
-        max_cached_blocks: Optional[int] = None,
         output_block: Optional[int] = None,
     ) -> "VideoStream":
         """The live :class:`~repro.runtime.video.VideoStream` for a stream id.
@@ -404,11 +419,10 @@ class Session:
         is reused only while the residuals it was reused at, plus the next
         frame's, stay within the new threshold, so tightening it recomputes
         blocks already reused beyond it, and a metric change drops blocks
-        reused at a nonzero residual).  ``max_cached_blocks`` /
-        ``output_block`` only apply at creation — they shape long-lived
-        per-stream state.
+        reused at a nonzero residual).  ``output_block`` only applies at
+        creation — it shapes long-lived per-stream state.
         """
-        from repro.runtime.video import DEFAULT_MAX_CACHED_BLOCKS, VideoStream
+        from repro.runtime.video import VideoStream
 
         self._pixel_entry(workload_name)
         key = (str(stream_id), workload_name)
@@ -420,11 +434,6 @@ class Session:
                 workload_name=workload_name,
                 threshold=threshold,
                 metric=metric,
-                max_cached_blocks=(
-                    max_cached_blocks
-                    if max_cached_blocks is not None
-                    else DEFAULT_MAX_CACHED_BLOCKS
-                ),
                 output_block=output_block,
             )
             self._video_streams[key] = stream
@@ -484,42 +493,6 @@ class Session:
         for stream in self._video_streams.values():
             dropped += stream.invalidate()
         return dropped
-
-    # --------------------------------------------------------------- serving
-    def serving_profile(self, workload_name: str) -> WorkloadProfile:
-        """The scheduler-facing :class:`WorkloadProfile` on this backend.
-
-        The eCNN backend delegates to the workload's own calibrated profile
-        path (bit-identical to the pre-session serving numbers, including the
-        kind-specific style-transfer/recognition models); other backends
-        derive the profile from their :class:`PerfProfile`.  The ecnn branch
-        is kept deliberately even though deriving from :meth:`profile` would
-        give the same numbers: ``RuntimeWorkload.profile`` is a public entry
-        point with its own ``workload-profile`` cache namespace, and routing
-        the engine through it preserves the serving cache statistics the
-        runtime's regression tests and CLI reports pin.
-        """
-        entry = self.workload(workload_name)
-        if self.backend_name == "ecnn":
-            return entry.profile(config=self.config, cache=self.cache)
-        return self.cache.get_or_compute(
-            self._key("serving-profile", entry),
-            lambda: self._derive_serving_profile(workload_name),
-        )
-
-    def _derive_serving_profile(self, workload_name: str) -> WorkloadProfile:
-        from repro.runtime.workloads import WorkloadProfile
-
-        profile = self.profile(workload_name)
-        return WorkloadProfile(
-            workload=workload_name,
-            model_name=profile.model_name,
-            spec_name=profile.spec_name,
-            frame_latency_s=profile.frame_latency_s,
-            dram_gb_s=profile.dram_gb_s,
-            power_w=profile.power_w,
-            load_time_s=profile.load_time_s,
-        )
 
     # ------------------------------------------------------------ comparison
     def compare(

@@ -22,11 +22,12 @@ responsive while a schedule runs.
 
 Cost-model calibration
 ----------------------
-Costs seed from each workload's serving profile (the per-frame latency and
-parameter-load time the scheduler itself charges) and are re-calibrated
-after every drain from the observed schedules: each batch's busy seconds
-over its frames feeds an EWMA of the workload's effective per-frame cost,
-so amortized load time and batching effects fold into future estimates.
+Costs seed from each workload's :meth:`repro.api.Session.profile` (the
+per-frame latency and parameter-load time the scheduler itself charges) and
+are re-calibrated after every drain from the observed schedules: each
+batch's busy seconds over its frames feeds an EWMA of the workload's
+effective per-frame cost, so amortized load time and batching effects fold
+into future estimates.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ class DegradeDecision:
 
 
 class CostModel:
-    """Per-workload service-cost estimates, seeded from serving profiles
-    and re-calibrated from observed schedules (EWMA)."""
+    """Per-workload service-cost estimates, seeded from the session's
+    profiles and re-calibrated from observed schedules (EWMA)."""
 
     def __init__(
         self,
@@ -226,7 +227,7 @@ class SLOGateway:
         self._fallback_backend = fallback_backend
         self._fallback: Optional[ServingEngine] = None
         self._is_cluster = isinstance(target, ServingCluster)
-        self.cost_model = CostModel(target.session.serving_profile)
+        self.cost_model = CostModel(target.session.profile)
         self._fallback_cost: Optional[CostModel] = None
         self.stats = GatewayStats()
         self.latency = LatencyHistogram()
@@ -262,7 +263,7 @@ class SLOGateway:
                 cache=ResultCache(),
                 policy="edf",
             )
-            self._fallback_cost = CostModel(self._fallback.session.serving_profile)
+            self._fallback_cost = CostModel(self._fallback.session.profile)
         return self._fallback
 
     def _estimate(

@@ -165,24 +165,6 @@ def power_report(
     )
 
 
-def analyze_area(config: EcnnConfig = DEFAULT_CONFIG) -> AreaReport:
-    """Deprecated pre-``repro.api`` entry point; use a :class:`repro.api.Session`.
-
-    Kept so downstream scripts keep working; forwards to :func:`area_report`
-    (whose totals the session layer's :class:`~repro.api.results.CostReport`
-    reproduces bit-for-bit on the ``ecnn`` backend).
-    """
-    import warnings
-
-    warnings.warn(
-        "analyze_area() is deprecated; use repro.api.Session(backend='ecnn').cost() "
-        "or area_report()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return area_report(config)
-
-
 def average_power(reports: Iterable[PowerReport]) -> float:
     """Average total power across workloads (the paper's 6.94 W figure)."""
     reports = list(reports)

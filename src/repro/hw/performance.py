@@ -137,22 +137,3 @@ def evaluate_performance(
         peak_tops=config.peak_tops,
         macs_per_block=model.program.total_macs,
     )
-
-
-def analyze_performance(network, spec, **kwargs) -> PerformanceReport:
-    """Deprecated pre-``repro.api`` entry point; use a :class:`repro.api.Session`.
-
-    Kept so downstream scripts written against the direct-module surface keep
-    working; forwards to :func:`evaluate_performance` (whose figures the
-    session layer's :class:`~repro.api.results.PerfProfile` reproduces
-    bit-for-bit on the ``ecnn`` backend).
-    """
-    import warnings
-
-    warnings.warn(
-        "analyze_performance() is deprecated; use repro.api.Session(backend='ecnn')"
-        ".profile(...) or evaluate_performance()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return evaluate_performance(network, spec, **kwargs)

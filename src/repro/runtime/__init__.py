@@ -9,8 +9,8 @@ Modules
 * :mod:`repro.runtime.cache` — content-addressed result cache for analytic
   queries (keyed on network spec + hardware config + input geometry);
 * :mod:`repro.runtime.workloads` — the serving catalogue: denoise, 4x
-  super-resolution, style transfer and recognition, each with a cached
-  per-frame profile;
+  super-resolution, style transfer and recognition (what each costs per
+  frame is :meth:`repro.api.Session.profile`, the one profile path);
 * :mod:`repro.runtime.scheduler` — request queue, deterministic batching and
   placement across simulated eCNN instances with per-stream FPS accounting;
 * :mod:`repro.runtime.trace` — replayable traffic traces (``demo``,
@@ -75,7 +75,6 @@ from repro.runtime.video import (
 from repro.runtime.workloads import (
     WORKLOADS,
     RuntimeWorkload,
-    WorkloadProfile,
     register_workload,
     workload,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "VideoStreamStats",
     "WORKLOADS",
     "WorkloadAnalytics",
-    "WorkloadProfile",
     "fingerprint",
     "form_batches",
     "register_workload",

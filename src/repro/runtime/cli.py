@@ -108,7 +108,7 @@ def _analytics_section(engine: ServingEngine, workload_names: Sequence[str]) -> 
                 name,
                 analytics.model_name,
                 profile.spec_name,
-                round(profile.fps_capacity, 1),
+                round(profile.fps, 1),
                 round(profile.frame_latency_s * 1e3, 2),
                 round(profile.dram_gb_s, 2),
                 round(profile.power_w, 2),

@@ -62,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.api.results import PlanHandle
+from repro.api.results import PerfProfile, PlanHandle
 from repro.api.session import Session, SessionHandle, frame_digest
 from repro.core.pipeline import InferenceResult
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
@@ -72,7 +72,6 @@ from repro.runtime.engine import ServingEngine, ServingReport
 from repro.runtime.scheduler import QueueFull, RequestQueue, policy_key
 from repro.runtime.trace import TrafficTrace
 from repro.runtime.video import StreamFrameResult, VideoStreamStats
-from repro.runtime.workloads import WorkloadProfile
 
 
 class ClusterError(RuntimeError):
@@ -129,13 +128,13 @@ class _WorkerState:
             backend=self.session,
             policy=policy,
         )
-        # Warm the per-worker hot path: serving profiles for the whole
-        # catalogue (what the scheduler charges) and compiled plans for the
-        # named pixel workloads, so the first dispatched request pays no
-        # cold-build latency.  Under the fork start method the process
-        # memos arrive pre-warmed from the parent and this is nearly free.
+        # Warm the per-worker hot path: profiles for the whole catalogue
+        # (what the scheduler charges; each compiles and verifies its plan)
+        # and the named pixel workloads' plans, so the first dispatched
+        # request pays no cold-build latency.  Under the fork start method
+        # the process memos arrive pre-warmed from the parent.
         for name in self.session.catalogue():
-            self.session.serving_profile(name)
+            self.session.profile(name)
         for plan in warm_plans:
             plan.resolve(self.session)
 
@@ -172,7 +171,7 @@ def _execute_command(state: _WorkerState, command: str, payload: Any) -> Any:
             output_block=output_block,
         )
     if command == "profile":
-        return session.serving_profile(payload)
+        return session.profile(payload)
     if command == "stats":
         return session.cache.stats, session.frame_cache_stats, session.video_stream_stats
     if command == "evict_frame_cache":
@@ -1105,8 +1104,8 @@ class ServingCluster:
         )
 
     # ------------------------------------------------------------- analytics
-    def profile(self, workload_name: str) -> WorkloadProfile:
-        """The serving profile, answered by the shard owning the workload."""
+    def profile(self, workload_name: str) -> PerfProfile:
+        """The workload's :meth:`Session.profile`, answered by the shard owning it."""
         self._check_open()
         self.session.workload(workload_name)
         return self._call(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.analysis.report import format_table
-from repro.api.results import CostReport
+from repro.api.results import CostReport, PerfProfile
 from repro.api.session import Session
 from repro.hw.area_power import AreaReport, area_report
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
@@ -36,7 +36,7 @@ from repro.hw.processor import BlockExecutionReport, EcnnProcessor
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.scheduler import RequestQueue, ScheduleResult, Scheduler
 from repro.runtime.trace import TrafficTrace
-from repro.runtime.workloads import RuntimeWorkload, WorkloadProfile
+from repro.runtime.workloads import RuntimeWorkload
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class WorkloadAnalytics:
 
     workload: str
     model_name: str
-    profile: WorkloadProfile
+    profile: PerfProfile
     #: Per-instruction (label, CIU cycles, IDU cycles) — the layer timing.
     #: Empty for backends without an FBISA program (everything but eCNN).
     layer_timing: Tuple[Tuple[str, int, int], ...]
@@ -168,7 +168,7 @@ class ServingEngine:
         self.policy = policy
         self.queue = RequestQueue(policy=policy)
         self.scheduler = Scheduler(
-            self.profile,
+            self.session.profile,
             num_instances=num_instances,
             max_batch_frames=max_batch_frames,
             policy=policy,
@@ -217,10 +217,6 @@ class ServingEngine:
         )
 
     # ------------------------------------------------------------------ analytics
-    def profile(self, workload_name: str) -> WorkloadProfile:
-        """Cached serving profile of a catalogue workload on this backend."""
-        return self.session.serving_profile(workload_name)
-
     def analyze(self, workload_name: str) -> WorkloadAnalytics:
         """Cached deep analytics: layer timing (eCNN), serving profile, cost."""
         entry = self.session.workload(workload_name)
@@ -230,7 +226,7 @@ class ServingEngine:
         return self.cache.get_or_compute(key, lambda: self._compute_analytics(entry))
 
     def _compute_analytics(self, entry: RuntimeWorkload) -> WorkloadAnalytics:
-        profile = self.session.serving_profile(entry.name)
+        profile = self.session.profile(entry.name)
         cost = self.session.cost()
         if self.backend_name != "ecnn":
             return WorkloadAnalytics(

@@ -6,7 +6,7 @@ The scheduler groups compatible requests into batches — one model load then
 many frames, amortizing the parameter-decode step of Fig. 12 — and places
 batches onto the earliest-free of ``num_instances`` simulated eCNN
 processors.  Time is analytic: a frame occupies an instance for the
-workload's :attr:`~repro.runtime.workloads.WorkloadProfile.frame_latency_s`
+workload's :attr:`~repro.api.results.PerfProfile.frame_latency_s`
 and switching workloads charges the profile's parameter-load time.
 
 Everything is deterministic: requests order by the queue's scheduling
@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stats import percentiles_from_sorted
-from repro.runtime.workloads import WorkloadProfile
 
-#: Source of per-workload profiles: a mapping or a ``name -> profile`` callable.
-ProfileSource = Union[Mapping[str, WorkloadProfile], Callable[[str], WorkloadProfile]]
+if TYPE_CHECKING:
+    from repro.api.results import PerfProfile
 
 #: Drain/batch orderings understood by :class:`RequestQueue` and
 #: :class:`Scheduler`.  ``fifo`` is the historical (arrival, seq) order and
@@ -371,8 +370,8 @@ class Scheduler:
     Parameters
     ----------
     profiles:
-        Per-workload serving profiles — a mapping or a callable; the serving
-        engine passes its cached catalogue lookup here.
+        ``name -> profile`` callable giving each workload's serving figures;
+        the serving engine passes its session's cached ``profile``.
     num_instances:
         Simulated processors serving in parallel.
     max_batch_frames:
@@ -385,7 +384,7 @@ class Scheduler:
 
     def __init__(
         self,
-        profiles: ProfileSource,
+        profiles: Callable[[str], "PerfProfile"],
         *,
         num_instances: int = 1,
         max_batch_frames: int = 8,
@@ -394,9 +393,7 @@ class Scheduler:
         if num_instances < 1:
             raise ValueError("need at least one instance")
         policy_key(policy)  # validate eagerly
-        self._profile_for: Callable[[str], WorkloadProfile] = (
-            profiles.__getitem__ if isinstance(profiles, Mapping) else profiles
-        )
+        self._profile_for = profiles
         self.num_instances = num_instances
         self.max_batch_frames = max_batch_frames
         self.policy = policy

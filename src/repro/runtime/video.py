@@ -20,8 +20,8 @@ granularity:
   Both run through the block flow's one selective runner
   (:func:`repro.core.blockflow.run_selected_blocks`);
 * the stream keeps its predecessor's stitched output, and a reused block
-  is served from it; a bounded per-stream LRU cache holds each block's
-  drift and decides which blocks may be reused;
+  is served from it; one array holds every block's drift (``inf`` for a
+  block that may not be reused) and decides which blocks may be reused;
 * a camera pan is motion compensated: the frame is compared with the
   predecessor *moved* by the pan, and only what that comparison finds
   changed re-runs (below).
@@ -82,7 +82,7 @@ feature map, so :class:`VideoStream` refuses it with
 Streams are shard-local state: the cluster's sticky stream routing keeps a
 stream id on one shard, so its previous frame and block cache live next to
 the inference that feeds them.  :meth:`VideoStream.invalidate` drops the
-block cache and the predecessor frame and output — it is wired into
+block drifts and the predecessor frame and output — it is wired into
 ``Session.evict_pixel_caches`` so the cluster's ``evict_frame_caches``
 primitive clears the whole-frame cache and every delta cache through one
 path (a stream that survives an eviction recomputes its next frame in full
@@ -91,7 +91,6 @@ instead of trusting possibly-stale blocks).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
@@ -257,9 +256,6 @@ class _FramePlan(NamedTuple):
 #: final edge (scene cuts land there).
 RESIDUAL_HISTOGRAM_EDGES: Tuple[float, ...] = (0.0, 1e-6, 1e-4, 1e-2, 1.0)
 
-#: Default residency bound of the per-stream block cache.
-DEFAULT_MAX_CACHED_BLOCKS = 256
-
 
 def _histogram_bucket(residual: float) -> int:
     for index, edge in enumerate(RESIDUAL_HISTOGRAM_EDGES):
@@ -298,10 +294,13 @@ class VideoStreamStats:
     residual_histogram: Tuple[int, ...]
     bytes_saved: int
     max_reused_residual: float
-    cache_entries: int
-    cache_evictions: int
-    max_cached_blocks: Optional[int]
     motion_compensated_frames: int = 0
+
+    @property
+    def cache_evictions(self) -> int:
+        """Always 0: a stream holds a drift for every block, so nothing is
+        evicted.  perfbench's ``video.evictions`` metric reads it."""
+        return 0
 
     @property
     def reuse_rate(self) -> float:
@@ -313,8 +312,7 @@ class VideoStreamStats:
             f"{self.blocks_reused}/{self.blocks_total} blocks reused "
             f"({self.reuse_rate:.0%}, {self.metric} threshold {self.threshold:g}), "
             f"{self.motion_compensated_frames} motion-compensated frames, "
-            f"{self.bytes_saved} bytes saved, "
-            f"{self.cache_entries} cached blocks ({self.cache_evictions} evicted)"
+            f"{self.bytes_saved} bytes saved"
         )
 
 
@@ -365,10 +363,6 @@ class VideoStream:
     metric:
         ``"mae"`` or ``"sad"`` (see
         :func:`repro.core.blockflow.block_window_residuals`).
-    max_cached_blocks:
-        Residency bound of the per-stream block cache (LRU); ``None`` for
-        unbounded.  A block evicted under pressure simply recomputes on
-        its next frame — eviction never affects pixels.
     output_block:
         Output-resolution block size of the delta grid; defaults to the
         compiled plan's geometry (making exact-reuse mode bit-identical to
@@ -386,7 +380,6 @@ class VideoStream:
         workload_name: str,
         threshold: float = 0.0,
         metric: str = "mae",
-        max_cached_blocks: Optional[int] = DEFAULT_MAX_CACHED_BLOCKS,
         output_block: Optional[int] = None,
     ) -> None:
         entry = session.workload(workload_name)
@@ -400,8 +393,6 @@ class VideoStream:
             )
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
-        if max_cached_blocks is not None and max_cached_blocks < 1:
-            raise ValueError("max_cached_blocks must be positive (or None)")
         if output_block is not None and output_block < 1:
             raise ValueError("output_block must be positive (or None for the plan's)")
         _stream_block(session.compile(workload_name))
@@ -410,7 +401,6 @@ class VideoStream:
         self.workload = workload_name
         self.threshold = float(threshold)
         self.metric = metric
-        self.max_cached_blocks = max_cached_blocks
         self._output_block = output_block
         self._geometry: Optional[_FrameGeometry] = None
         self._prev_padded: Optional[np.ndarray] = None
@@ -419,17 +409,17 @@ class VideoStream:
         self._prev_output: Optional[np.ndarray] = None
         self._prev_exact = False
         self._prev_shift: Tuple[int, int] = (0, 0)
-        #: Grid index -> drift: the sum of the residuals the block's output
-        #: in the predecessor was reused at since it was computed.  The
-        #: pixels themselves are the predecessor's output.
-        self._cache: "OrderedDict[int, float]" = OrderedDict()
+        #: Per grid block, the sum of the residuals the block's output in
+        #: the predecessor was reused at since it was computed; ``inf``
+        #: where it may not be reused.  The pixels themselves are the
+        #: predecessor's output.  ``None`` while there is no predecessor.
+        self._drift: Optional[np.ndarray] = None
         self._frames = 0
         self._blocks_reused = 0
         self._blocks_recomputed = 0
         self._histogram = [0] * (len(RESIDUAL_HISTOGRAM_EDGES) + 1)
         self._bytes_saved = 0
         self._max_reused_residual = 0.0
-        self._evictions = 0
         self._motion_compensated = 0
 
     # ------------------------------------------------------------ configuration
@@ -442,8 +432,8 @@ class VideoStream:
         threshold.  Tightening the threshold therefore also recomputes
         blocks already reused beyond it: at threshold 0 only blocks with no
         drift are reused, exactly.  A drift is measured in its metric, so a
-        metric change drops every cached block that has drifted; blocks
-        with no drift stay valid under either metric.
+        metric change makes every block that has drifted not reusable;
+        blocks with no drift stay valid under either metric.
         """
         if metric not in RESIDUAL_METRICS:
             raise ValueError(
@@ -451,9 +441,8 @@ class VideoStream:
             )
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
-        if metric != self.metric:
-            for index in [i for i, drift in self._cache.items() if drift > 0.0]:
-                del self._cache[index]
+        if metric != self.metric and self._drift is not None:
+            self._drift[self._drift > 0.0] = np.inf
         self.threshold = float(threshold)
         self.metric = metric
 
@@ -505,8 +494,8 @@ class VideoStream:
         padded = geometry.pad(frame, self._prev_padded)
         if self._prev_padded is None:
             # Nothing trustworthy to diff against: full recompute, and the
-            # cache is dropped because its indices describe the old grid.
-            self._cache.clear()
+            # drifts restart because they may describe an old grid.
+            self._drift = np.full(grid.num_blocks, np.inf)
             plan = _FramePlan(
                 (0, 0), (0, 0), None, [], list(range(grid.num_blocks)),
                 [[block] for block in grid.blocks],
@@ -585,8 +574,8 @@ class VideoStream:
         specs: List[List[BlockSpec]] = []
         for index, (block, residual) in enumerate(zip(grid.blocks, residuals)):
             if shift == (0, 0):
-                drift = self._cache.get(index)
-                if drift is not None and drift + residual <= self.threshold:
+                drift = self._drift[index]
+                if drift + residual <= self.threshold:
                     reused.append(index)
                     continue
                 # A block exact for the predecessor's window re-runs only
@@ -610,13 +599,14 @@ class VideoStream:
     ) -> None:
         """Update the block drifts and the lifetime counters for a served frame."""
         compensated = plan.shift != (0, 0)
+        drifts = self._drift
         exact = True
         if plan.residuals is not None:
             for residual in plan.residuals:
                 self._histogram[_histogram_bucket(float(residual))] += 1
         for index in plan.reused:
-            drift = 0.0 if compensated else self._cache[index] + float(plan.residuals[index])
-            self._store(index, drift)
+            drift = 0.0 if compensated else float(drifts[index] + plan.residuals[index])
+            drifts[index] = drift
             block = grid.blocks[index]
             self._bytes_saved += (
                 block.input_pixels * frame.channels * frame.data.dtype.itemsize
@@ -624,33 +614,23 @@ class VideoStream:
             )
             self._max_reused_residual = max(self._max_reused_residual, drift)
             exact = exact and drift == 0.0
-        for index in plan.recomputed:
-            self._store(index, 0.0)
+        drifts[plan.recomputed] = 0.0
         self._prev_exact = exact
         self._frames += 1
         self._blocks_reused += len(plan.reused)
         self._blocks_recomputed += len(plan.recomputed)
         self._motion_compensated += compensated
 
-    def _store(self, index: int, drift: float) -> None:
-        """Mark a block most recently used at ``drift``; evict past the bound."""
-        self._cache[index] = drift
-        self._cache.move_to_end(index)
-        if self.max_cached_blocks is not None:
-            while len(self._cache) > self.max_cached_blocks:
-                self._cache.popitem(last=False)
-                self._evictions += 1
-
     # ------------------------------------------------------------- invalidation
     def invalidate(self) -> int:
-        """Drop the block cache *and* the predecessor frame; returns entries dropped.
+        """Drop the block drifts *and* the predecessor frame; returns blocks dropped.
 
         After an invalidation the next frame recomputes in full — the
         stream never diffs against a frame it no longer holds, so a chaos
         eviction can never leave a stale block servable.
         """
-        dropped = len(self._cache)
-        self._cache.clear()
+        dropped = 0 if self._drift is None else int(np.isfinite(self._drift).sum())
+        self._drift = None
         self._prev_padded = None
         self._prev_output = None
         return dropped
@@ -670,8 +650,5 @@ class VideoStream:
             residual_histogram=tuple(self._histogram),
             bytes_saved=self._bytes_saved,
             max_reused_residual=self._max_reused_residual,
-            cache_entries=len(self._cache),
-            cache_evictions=self._evictions,
-            max_cached_blocks=self.max_cached_blocks,
             motion_compensated_frames=self._motion_compensated,
         )

@@ -3,15 +3,11 @@
 The paper's evaluation covers computational imaging (denoising and
 super-resolution, Section 7.2) and two vision case studies (style transfer
 and object recognition, Section 7.3).  The runtime serves all four as named
-workloads; each knows how to build its network, derive its real-time
-specification and produce a :class:`WorkloadProfile` — the per-frame latency,
-bandwidth and power figures the scheduler charges per request.  The numbers
-come from the ``ecnn`` backend of :mod:`repro.api.backends` (the single
-source of truth for the eCNN timing/power/DRAM models, including the
-kind-specific style-transfer and recognition paths), so profiles are
-analytic — 4K frames cost nothing to account for — and they are cached
-content-addressed in a :class:`~repro.runtime.cache.ResultCache` because
-every batch of the same workload asks the same question.
+workloads; each knows how to build its network, its served fixed-point
+program and its real-time specification.  What a workload costs to serve is
+asked of a :class:`repro.api.Session` (:meth:`~repro.api.Session.profile`),
+whose backend models it; :meth:`RuntimeWorkload.cache_key` is the workload's
+identity inside every session cache key.
 """
 
 from __future__ import annotations
@@ -19,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
+from repro.hw.config import EcnnConfig
 from repro.models.ernet import PAPER_MODELS, build_ernet
 from repro.models.vision import build_recognition_network, build_style_transfer_network
 from repro.nn.network import Network
 from repro.quant.fixed import fixed_point_network
-from repro.runtime.cache import DEFAULT_CACHE, ResultCache
+from repro.runtime.cache import ResultCache
 from repro.specs import SPECIFICATIONS, RealTimeSpec
 
 #: Operating point of the recognition case study: one 224x224 image per
@@ -41,35 +37,13 @@ _SHARED_NETWORKS: Dict[tuple, Network] = {}
 
 
 @dataclass(frozen=True)
-class WorkloadProfile:
-    """Per-frame serving figures of one workload on one eCNN instance."""
-
-    workload: str
-    model_name: str
-    spec_name: str
-    #: Time one output frame occupies the instance, seconds.
-    frame_latency_s: float
-    #: DRAM bandwidth while streaming this workload, GB/s.
-    dram_gb_s: float
-    #: Processor power while streaming this workload, watts.
-    power_w: float
-    #: Time to (re)load the model's parameter bitstreams, charged when an
-    #: instance switches workloads (Fig. 12's one-time decode step).
-    load_time_s: float
-
-    @property
-    def fps_capacity(self) -> float:
-        """Frames per second one dedicated instance sustains."""
-        return 1.0 / self.frame_latency_s
-
-
-@dataclass(frozen=True)
 class RuntimeWorkload:
-    """A named serving scenario: model builder + operating point + profiler.
+    """A named serving scenario: model builder + operating point.
 
-    ``kind`` selects the evaluation path: ``"ernet"`` uses the frame-level
-    performance model directly, ``"style_transfer"`` uses the two-sub-model
-    split execution and ``"recognition"`` the single-block zero-padded path.
+    ``kind`` names the network family and its evaluation path: ``"ernet"``
+    (the frame-level performance model), ``"style_transfer"`` (the
+    two-sub-model split execution) or ``"recognition"`` (the single-block
+    zero-padded path).
     """
 
     name: str
@@ -137,42 +111,17 @@ class RuntimeWorkload:
         return network.__dict__["_fixed_point"]
 
     def cache_key(self, config: EcnnConfig) -> str:
-        """Content address of this workload's profile under ``config``."""
+        """Content address of this workload under ``config``.
+
+        The workload's identity inside every session cache key (plans,
+        profiles, frames).
+        """
         model_identity = (
             PAPER_MODELS[self.task][self.spec_name]
             if self.kind == "ernet"
             else (self.kind, "seed", 0)
         )
-        return ResultCache.key("workload-profile", self.name, self.kind, model_identity, config, self.spec)
-
-    def profile(
-        self,
-        *,
-        config: EcnnConfig = DEFAULT_CONFIG,
-        cache: Optional[ResultCache] = None,
-    ) -> WorkloadProfile:
-        """The (cached) serving profile of this workload."""
-        cache = cache if cache is not None else DEFAULT_CACHE
-        return cache.get_or_compute(self.cache_key(config), lambda: self._compute_profile(config))
-
-    def _compute_profile(self, config: EcnnConfig) -> WorkloadProfile:
-        # The ecnn backend owns the timing/power/DRAM models (including the
-        # kind-specific style-transfer/recognition paths, selected by the
-        # network's case_study metadata); this is just the serving-side view.
-        from repro.api.backends import EcnnBackend  # lazy: engine imports repro.api
-
-        backend = EcnnBackend(config)
-        program = self.fixed_point_program()
-        perf = backend.profile(backend.compile(program, self.spec), self.spec)
-        return WorkloadProfile(
-            workload=self.name,
-            model_name=perf.model_name,
-            spec_name=perf.spec_name,
-            frame_latency_s=perf.frame_latency_s,
-            dram_gb_s=perf.dram_gb_s,
-            power_w=perf.power_w,
-            load_time_s=perf.load_time_s,
-        )
+        return ResultCache.key("workload", self.name, self.kind, model_identity, config, self.spec)
 
 
 #: The serving catalogue: the four deployment scenarios of Sections 7.2-7.3.

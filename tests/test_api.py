@@ -1,5 +1,5 @@
-"""The repro.api session layer: registry, parity with the direct modules,
-cross-backend sweeps and the deprecation shims."""
+"""The repro.api session layer: registry, parity with the direct modules
+and cross-backend sweeps."""
 
 from __future__ import annotations
 
@@ -20,12 +20,12 @@ from repro.api import (
     unregister_backend,
 )
 from repro.core.blockflow import frame_based_inference
-from repro.hw.area_power import analyze_area, area_report, power_report
+from repro.hw.area_power import area_report, power_report
 from repro.hw.config import DEFAULT_CONFIG
 from repro.hw.dram import dram_traffic
-from repro.hw.performance import analyze_performance, evaluate_performance
+from repro.hw.performance import evaluate_performance
 from repro.models.ernet import PAPER_MODELS, build_ernet
-from repro.runtime import ResultCache, ServingCluster, ServingEngine, workload
+from repro.runtime import ResultCache, ServingCluster, ServingEngine
 from repro.runtime.cli import main as cli_main
 from repro.specs import SPECIFICATIONS
 
@@ -133,14 +133,6 @@ class TestEcnnParity:
         assert cost.share("lconv3x3") == area.share("lconv3x3")
         assert cost.source == "modelled"
 
-    def test_serving_profile_matches_direct_workload_profile(self):
-        cache = ResultCache()
-        session = Session(backend="ecnn", cache=cache)
-        for name in ("denoise", "super_resolution", "style_transfer", "recognition"):
-            direct = workload(name).profile(cache=ResultCache())
-            via_session = session.serving_profile(name)
-            assert via_session == direct
-
     def test_profiles_match_recorded_seed_figures(self):
         # Golden pre-refactor figures (recorded from the legacy
         # RuntimeWorkload profile paths before they delegated to the
@@ -157,26 +149,6 @@ class TestEcnnParity:
             "style_transfer": 26.6,
             "recognition": 2101.5,
         }
-
-    def test_profile_consistent_with_serving_profile_for_case_studies(self):
-        # The Section 7.3 kind-specific models (two-sub-model style transfer,
-        # whole-image recognition with tripled parameter memory) must show
-        # through PerfProfile too, not just the serving path.
-        session = Session(backend="ecnn", cache=ResultCache())
-        for name in ("denoise", "super_resolution", "style_transfer", "recognition"):
-            profile = session.profile(name)
-            serving = session.serving_profile(name)
-            assert profile.frame_latency_s == serving.frame_latency_s
-            assert profile.dram_gb_s == serving.dram_gb_s
-            assert profile.power_w == serving.power_w
-            assert profile.load_time_s == serving.load_time_s
-
-    def test_engine_profile_goes_through_session(self):
-        cache = ResultCache()
-        engine = ServingEngine(num_instances=1, cache=cache)
-        assert engine.backend_name == "ecnn"
-        assert engine.profile("denoise") == engine.session.serving_profile("denoise")
-
 
 # ---------------------------------------------------------------- cross-backend
 class TestCrossBackend:
@@ -315,18 +287,3 @@ class TestSessionArithmeticIsolation:
         assert lookup.tobytes() == first.tobytes()
         network = session_a.compile("denoise").network
         assert np.array_equal(first, frame_based_inference(network, image).data)
-
-
-# ---------------------------------------------------------------- deprecation
-class TestDeprecationShims:
-    def test_analyze_performance_warns_and_matches(self):
-        network = build_ernet(PAPER_MODELS["dn"]["UHD30"])
-        spec = SPECIFICATIONS["UHD30"]
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shimmed = analyze_performance(network, spec)
-        assert shimmed == evaluate_performance(network, spec)
-
-    def test_analyze_area_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shimmed = analyze_area()
-        assert shimmed == area_report()

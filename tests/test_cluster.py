@@ -38,7 +38,7 @@ class TestHandles:
         assert rebuilt.frame_cache.max_entries == 8
         assert rebuilt.cache is not session.cache  # scoped, not shared
         # Equal handles rebuild sessions that answer identically.
-        assert rebuilt.serving_profile("denoise") == session.serving_profile("denoise")
+        assert rebuilt.profile("denoise") == session.profile("denoise")
 
     def test_plan_handle_resolves_bit_identical_plans(self):
         session = Session(backend="ecnn", cache=ResultCache())
@@ -215,7 +215,7 @@ class TestClusterInline:
         assert "2/2 workers live" in stats.describe()
 
     def test_profile_matches_session(self, inline_cluster):
-        reference = Session(backend="ecnn", cache=ResultCache()).serving_profile("denoise")
+        reference = Session(backend="ecnn", cache=ResultCache()).profile("denoise")
         assert inline_cluster.profile("denoise") == reference
 
     def test_closed_cluster_refuses_work(self):
@@ -289,7 +289,7 @@ class TestClusterInline:
                 assert np.array_equal(answer.output.data, expected.output.data)
                 displaced, served = 1, 1
             else:
-                assert cluster.profile("denoise") == reference.serving_profile("denoise")
+                assert cluster.profile("denoise") == reference.profile("denoise")
                 displaced, served = 1, 0
             # The owner was asked exactly once; a single frame travels as a
             # one-frame batch.

@@ -108,15 +108,15 @@ class TestLatencyHistogram:
 class TestCostModel:
     def test_seeds_from_the_serving_profile(self):
         session = _engine().session
-        model = CostModel(session.serving_profile)
-        profile = session.serving_profile("denoise")
+        model = CostModel(session.profile)
+        profile = session.profile("denoise")
         assert model.frame_cost_s("denoise", 3) == pytest.approx(
             3 * profile.frame_latency_s
         )
         assert model.load_cost_s("denoise") == pytest.approx(profile.load_time_s)
 
     def test_observation_moves_the_estimate_toward_measurements(self):
-        model = CostModel(_engine().session.serving_profile, smoothing=0.5)
+        model = CostModel(_engine().session.profile, smoothing=0.5)
         before = model.frame_cost_s("denoise", 1)
         model.observe("denoise", 1, before * 4)
         after = model.frame_cost_s("denoise", 1)
@@ -127,7 +127,7 @@ class TestCostModel:
         for index in range(6):
             engine.submit(f"s{index}", "denoise", frames=2, arrival_s=index * 0.01)
         schedule = engine.run().schedule
-        model = CostModel(engine.session.serving_profile)
+        model = CostModel(engine.session.profile)
         before = model.frame_cost_s("denoise", 1)
         model.observe_schedule(schedule)
         assert model.frame_cost_s("denoise", 1) > 0
@@ -137,7 +137,7 @@ class TestCostModel:
 
     def test_smoothing_is_validated(self):
         with pytest.raises(ValueError, match="smoothing"):
-            CostModel(_engine().session.serving_profile, smoothing=0.0)
+            CostModel(_engine().session.profile, smoothing=0.0)
 
 
 # ------------------------------------------------------------- admission core

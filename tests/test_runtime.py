@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sweeps import parallel_sweep, sweep
-from repro.api import Session, create_backend
+from repro.api import PerfProfile, Session, create_backend
 from repro.core.overheads import normalized_bandwidth_ratio
 from repro.fbisa.compiler import compile_network
 from repro.hw.performance import evaluate_performance
@@ -17,7 +17,6 @@ from repro.runtime import (
     ResultCache,
     Scheduler,
     ServingEngine,
-    WorkloadProfile,
     fingerprint,
     form_batches,
     trace,
@@ -85,10 +84,10 @@ class TestResultCache:
 
     def test_workload_profile_is_cached(self):
         cache = ResultCache()
-        first = workload("denoise").profile(cache=cache)
-        second = workload("denoise").profile(cache=cache)
+        first = Session(cache=cache).profile("denoise")
+        second = Session(cache=cache).profile("denoise")
         assert first is second
-        assert cache.stats.misses == 1
+        assert cache.stats.misses == 2  # the profile and the plan it charges
         assert cache.stats.hits == 1
 
 
@@ -139,13 +138,15 @@ class TestSharedNetworkMemos:
 def _profiles():
     """Hand-sized profiles so expected completions are exact by construction."""
     return {
-        "a": WorkloadProfile(
-            workload="a", model_name="A", spec_name="S",
+        "a": PerfProfile(
+            backend="test", model_name="A", spec_name="S",
             frame_latency_s=0.01, dram_gb_s=1.0, power_w=5.0, load_time_s=0.002,
+            peak_tops=1.0, achieved_tops=1.0,
         ),
-        "b": WorkloadProfile(
-            workload="b", model_name="B", spec_name="S",
+        "b": PerfProfile(
+            backend="test", model_name="B", spec_name="S",
             frame_latency_s=0.02, dram_gb_s=1.0, power_w=5.0, load_time_s=0.004,
+            peak_tops=1.0, achieved_tops=1.0,
         ),
     }
 
@@ -175,7 +176,7 @@ class TestScheduler:
         assert again == batches
 
     def test_exact_schedule_timing(self):
-        scheduler = Scheduler(_profiles(), num_instances=2, max_batch_frames=4)
+        scheduler = Scheduler(_profiles().__getitem__, num_instances=2, max_batch_frames=4)
         result = scheduler.run(_queue_four_requests().drain())
         by_seq = {record.request.seq: record for record in result.records}
         # Instance 0: load a (2 ms) + 2x2 frames at 10 ms.
@@ -191,7 +192,7 @@ class TestScheduler:
         assert scheduler.run(_queue_four_requests().drain()) == result
 
     def test_per_stream_fps_accounting(self):
-        scheduler = Scheduler(_profiles(), num_instances=2, max_batch_frames=4)
+        scheduler = Scheduler(_profiles().__getitem__, num_instances=2, max_batch_frames=4)
         stats = scheduler.run(_queue_four_requests().drain()).stream_stats()
         assert sorted(stats) == ["s1", "s2", "s3"]
         s1 = stats["s1"]
@@ -202,7 +203,7 @@ class TestScheduler:
         assert stats["s3"].max_latency_s == pytest.approx(0.012)  # 0.112 - 0.1
 
     def test_latency_percentiles_nearest_rank(self):
-        scheduler = Scheduler(_profiles(), num_instances=2, max_batch_frames=4)
+        scheduler = Scheduler(_profiles().__getitem__, num_instances=2, max_batch_frames=4)
         result = scheduler.run(_queue_four_requests().drain())
         # Sorted latencies: 0.012, 0.022, 0.024, 0.042 (see the timing test).
         percentiles = result.latency_percentiles((0.25, 0.5, 0.95, 0.99, 1.0))
@@ -226,7 +227,7 @@ class TestScheduler:
         requests = queue.drain()
         batches = form_batches(requests, max_batch_frames=4)
         assert [batch.workload for batch in batches] == ["b", "a"]
-        result = Scheduler(_profiles(), num_instances=1).run(requests)
+        result = Scheduler(_profiles().__getitem__, num_instances=1).run(requests)
         by_stream = {rec.request.stream_id: rec for rec in result.records}
         # The early arrival is served immediately, not queued behind seq 0.
         assert by_stream["s2"].completion_s == pytest.approx(0.024)
@@ -235,7 +236,7 @@ class TestScheduler:
         with pytest.raises(ValueError):
             form_batches([], max_batch_frames=0)
         with pytest.raises(ValueError):
-            Scheduler(_profiles(), num_instances=0)
+            Scheduler(_profiles().__getitem__, num_instances=0)
         with pytest.raises(ValueError):
             RequestQueue().submit("s", "a", frames=0)
 
@@ -257,22 +258,38 @@ class TestServingEngine:
         assert stats["tv0"].fps > 12.0
         for stream in stats.values():
             assert stream.max_latency_s < 1.0
-        # The scheduler asked the profile cache once per workload, then hit.
-        assert report.cache.misses == 4
+        # The scheduler asked the profile cache once per workload (each
+        # profile compiling its plan once), then hit.
+        assert report.cache.misses == 8
         assert report.cache.hits > 0
         # Replaying the identical trace yields the identical schedule.
         engine2 = ServingEngine(num_instances=2, cache=ResultCache())
         engine2.play(trace("demo"))
         assert engine2.run().schedule == report.schedule
 
+    @pytest.mark.parametrize("backend", ["ecnn", "eyeriss"])
+    def test_one_plan_and_one_profile_per_workload(self, backend):
+        """The scheduler charges ``Session.profile``: serving the demo trace
+        and then asking every workload's profile adds no second entry."""
+        cache = ResultCache()
+        engine = ServingEngine(num_instances=2, cache=cache, backend=backend)
+        engine.play(trace("demo"))
+        engine.run()
+        misses = cache.stats.misses
+        names = engine.session.catalogue()
+        for name in names:
+            engine.session.profile(name)
+        assert len(cache) == 2 * len(names)
+        assert cache.stats.misses == misses
+
     def test_profile_matches_performance_model(self):
         """Serving latency is exactly the Fig. 19 frame-time of the model."""
-        profile = workload("denoise").profile(cache=ResultCache())
+        profile = Session(cache=ResultCache()).profile("denoise")
         network = build_ernet(PAPER_MODELS["dn"]["UHD30"])
         perf = evaluate_performance(network, SPECIFICATIONS["UHD30"])
         assert profile.frame_latency_s == pytest.approx(perf.frame_time_s)
-        assert profile.fps_capacity == pytest.approx(perf.fps)
-        assert profile.fps_capacity > SPECIFICATIONS["UHD30"].fps  # real time
+        assert profile.fps == pytest.approx(perf.fps)
+        assert profile.fps > SPECIFICATIONS["UHD30"].fps  # real time
 
     def test_analytics_cached_and_consistent(self):
         engine = ServingEngine(num_instances=1, cache=ResultCache())

@@ -133,41 +133,20 @@ class TestChangeLocality:
 
 
 class TestCacheBound:
-    def test_eviction_honors_the_residency_bound(self, session):
-        bound = 4
-        stream = session.video_stream(
-            "small-cache", "denoise", max_cached_blocks=bound, output_block=BLOCK
-        )
-        base = _frame(5)
-        for _ in range(4):
-            stream.submit(base)
-            stats = stream.stats
-            assert stats.cache_entries <= bound
-        # 9 blocks through a 4-entry cache: the first frame alone evicts 5.
-        assert stream.stats.cache_evictions >= GRID_BLOCKS - bound
-        # Static frames still recompute the evicted blocks (residual 0 but
-        # not resident) — and eviction never affects pixels.
-        result = stream.submit(base)
-        assert result.blocks_recomputed > 0
-        assert result.blocks_reused == bound
-        assert np.array_equal(result.output.data, _reference(session, base))
+    """A stream holds a drift for every block of its grid: nothing is evicted."""
 
-    def test_unbounded_cache_never_evicts(self, session):
-        # Through the session API ``None`` means "the default bound";
-        # a truly unbounded cache takes the constructor.
-        stream = VideoStream(
-            session,
-            stream_id="unbounded",
-            workload_name="denoise",
-            max_cached_blocks=None,
-            output_block=BLOCK,
-        )
-        assert stream.max_cached_blocks is None
-        base = _frame(6)
-        for _ in range(3):
-            stream.submit(base)
+    def test_every_block_of_a_large_static_grid_is_reused(self, session):
+        # 144x144 at output_block 8: an 18x18 grid, more blocks than any
+        # block-cache bound the stream once had (256).
+        frame = synthetic_image(144, 144, seed=9)
+        stream = session.video_stream("large", "denoise", output_block=8)
+        first = stream.submit(frame)
+        assert first.blocks_recomputed == 324
+        second = stream.submit(frame)
+        assert second.blocks_reused == 324 and second.blocks_recomputed == 0
         assert stream.stats.cache_evictions == 0
-        assert stream.stats.cache_entries == GRID_BLOCKS
+        assert np.array_equal(second.output.data, _reference(session, frame))
+        assert stream.invalidate() == 324
 
     def test_bad_configuration_is_rejected(self, session):
         with pytest.raises(ValueError, match="recognition"):
@@ -176,10 +155,6 @@ class TestCacheBound:
             session.video_stream("cam", "denoise", metric="ssim")
         with pytest.raises(ValueError, match="threshold"):
             session.video_stream("cam", "denoise", threshold=-0.1)
-        with pytest.raises(ValueError, match="max_cached_blocks"):
-            VideoStream(
-                session, stream_id="cam", workload_name="denoise", max_cached_blocks=0
-            )
 
 
 class TestPlanStages:
