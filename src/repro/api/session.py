@@ -144,6 +144,10 @@ class Session:
         #: life; fingerprinting them costs about 0.1 ms, and the scheduler
         #: looks a profile up once per batch.
         self._keys: Dict[Tuple[str, RuntimeWorkload], str] = {}
+        #: The per-(workload, plan) part of every frame key, with the plan
+        #: it names, so a frame request fingerprints only its own shape,
+        #: dtype and digest.
+        self._frame_prefixes: Dict[RuntimeWorkload, Tuple[CompiledPlan, str]] = {}
 
     # ------------------------------------------------------------- registries
     @property
@@ -225,16 +229,21 @@ class Session:
         return getattr(self.backend, "cache_identity", None)
 
     def _key(self, kind: str, entry: RuntimeWorkload) -> str:
+        """Memoized analytic key; kind ``"workload"`` is the workload's own."""
         from repro.runtime.cache import ResultCache
 
         key = self._keys.get((kind, entry))
         if key is None:
-            key = self._keys[(kind, entry)] = ResultCache.key(
-                "api",
-                kind,
-                self.backend_name,
-                self._backend_identity(),
-                entry.cache_key(self.config),
+            key = self._keys[(kind, entry)] = (
+                entry.cache_key(self.config)
+                if kind == "workload"
+                else ResultCache.key(
+                    "api",
+                    kind,
+                    self.backend_name,
+                    self._backend_identity(),
+                    self._key("workload", entry),
+                )
             )
         return key
 
@@ -311,17 +320,22 @@ class Session:
         """
         from repro.runtime.cache import ResultCache
 
+        memo = self._frame_prefixes.get(entry)
+        if memo is None or memo[0] is not plan:
+            memo = self._frame_prefixes[entry] = (
+                plan,
+                ResultCache.key(
+                    "api",
+                    "frame",
+                    self.backend_name,
+                    self._backend_identity(),
+                    self._key("workload", entry),
+                    plan.stages,
+                    plan.formats,
+                ),
+            )
         return ResultCache.key(
-            "api",
-            "frame",
-            self.backend_name,
-            self._backend_identity(),
-            entry.cache_key(self.config),
-            plan.stages,
-            plan.formats,
-            frame.shape,
-            frame.data.dtype.str,
-            digest or frame_digest(frame),
+            memo[1], frame.shape, frame.data.dtype.str, digest or frame_digest(frame)
         )
 
     def execute(

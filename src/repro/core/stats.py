@@ -19,6 +19,7 @@ go through :func:`percentiles_from_counts`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, Sequence, Tuple
 
@@ -87,6 +88,8 @@ def percentiles_from_counts(
 #: nearest-rank percentile reports its bin's upper edge, which is exact to
 #: the bin resolution (~4.6% relative) and fully deterministic.
 LATENCY_EDGES = np.logspace(-5.0, 5.0, 513)
+#: The edges as Python floats: bisect bins one sample without numpy scalars.
+_EDGES = tuple(LATENCY_EDGES.tolist())
 
 
 class LatencyHistogram:
@@ -103,8 +106,8 @@ class LatencyHistogram:
         return int(self.counts.sum())
 
     def observe(self, latency_s: float) -> None:
-        bin_index = np.searchsorted(LATENCY_EDGES, latency_s, side="right") - 1
-        self.counts[int(np.clip(bin_index, 0, len(self.counts) - 1))] += 1
+        bin_index = bisect.bisect_right(_EDGES, latency_s) - 1
+        self.counts[min(max(bin_index, 0), len(self.counts) - 1)] += 1
 
     def percentiles(
         self,

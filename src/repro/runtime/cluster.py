@@ -32,9 +32,11 @@ Semantics (documented in ``docs/serving.md``):
   streams and frames.  The cluster only fails when no shard is left.
 * **Fallback** — worker processes are started with the cheapest available
   start method (``fork`` where the platform allows, so workers inherit the
-  parent's warm memos; ``spawn`` otherwise).  Sandboxes that forbid
-  spawning processes fall back to in-process shards transparently
-  (``mode == "inline"``), mirroring :class:`~repro.runtime.sweep.ParallelSweep`.
+  parent's warm memos; ``spawn`` otherwise).  A worker builds only its
+  ``warm_plans`` at startup; any other plan or profile is built on first
+  use.  Sandboxes that forbid spawning processes fall back to in-process
+  shards transparently (``mode == "inline"``), mirroring
+  :class:`~repro.runtime.sweep.ParallelSweep`.
 * **Fault injection** — :meth:`ServingCluster.kill_worker` kills a live
   worker (the OS process in process mode — death is *discovered* at the
   next dispatch, exactly like a real crash — or an immediate mark-dead
@@ -128,13 +130,10 @@ class _WorkerState:
             backend=self.session,
             policy=policy,
         )
-        # Warm the per-worker hot path: profiles for the whole catalogue
-        # (what the scheduler charges; each compiles and verifies its plan)
-        # and the named pixel workloads' plans, so the first dispatched
-        # request pays no cold-build latency.  Under the fork start method
-        # the process memos arrive pre-warmed from the parent.
-        for name in self.session.catalogue():
-            self.session.profile(name)
+        # Build only the plans the cluster was told it serves; every other
+        # plan and profile is built on first use and memoized by the
+        # session's cache.  Under the fork start method whatever the parent
+        # built before starting the cluster arrives copy-on-write.
         for plan in warm_plans:
             plan.resolve(self.session)
 
@@ -541,7 +540,8 @@ class ServingCluster:
         full, :meth:`submit` raises :class:`ClusterBackpressure`.
     warm_plans:
         :class:`~repro.api.PlanHandle` list every worker resolves at
-        startup, pre-compiling the pixel workloads it will serve.
+        startup, pre-compiling the pixel workloads it will serve; every
+        other plan and profile is built on first use.
     mode:
         ``"process"`` (require worker processes), ``"inline"`` (in-process
         shards, no parallelism — tests and constrained sandboxes), or
@@ -653,9 +653,8 @@ class ServingCluster:
     ) -> List[_ProcessShard]:
         import multiprocessing
 
-        # fork inherits the parent's warm hot-path memos (network builds,
-        # FBISA compilations) copy-on-write, making worker startup nearly
-        # free; platforms without fork pay one cold build per worker.
+        # fork inherits the parent's warm memos copy-on-write; under spawn
+        # each worker builds what it serves itself.
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         shards = [

@@ -3,6 +3,8 @@ and cross-backend sweeps."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,10 @@ from repro.hw.config import DEFAULT_CONFIG
 from repro.hw.dram import dram_traffic
 from repro.hw.performance import evaluate_performance
 from repro.models.ernet import PAPER_MODELS, build_ernet
+from repro.nn.tensor import FeatureMap
 from repro.runtime import ResultCache, ServingCluster, ServingEngine
 from repro.runtime.cli import main as cli_main
+from repro.runtime.workloads import RuntimeWorkload
 from repro.specs import SPECIFICATIONS
 
 
@@ -287,3 +291,69 @@ class TestSessionArithmeticIsolation:
         assert lookup.tobytes() == first.tobytes()
         network = session_a.compile("denoise").network
         assert np.array_equal(first, frame_based_inference(network, image).data)
+
+
+# ------------------------------------------------------------------ frame keys
+class TestFrameKey:
+    """The frame key memoizes its per-(workload, plan) part; every input of
+    the key must still change it."""
+
+    _IMAGE = synthetic_image(16, 16, seed=3)
+
+    @staticmethod
+    def _key(session, plan=None, frame=None):
+        plan = plan if plan is not None else session.compile("denoise")
+        frame = frame if frame is not None else TestFrameKey._IMAGE
+        return session._frame_key(session.workload("denoise"), plan, frame)
+
+    def test_every_input_of_the_key_changes_it(self):
+        session = Session(backend="ecnn", cache=ResultCache())
+        plan = session.compile("denoise")
+        base = self._key(session)
+        assert self._key(session) == base  # the memo answers the same key
+        other_config = replace(DEFAULT_CONFIG, clock_hz=DEFAULT_CONFIG.clock_hz * 2)
+        other_backend = Session(
+            backend=create_backend("ecnn", config=other_config),
+            config=DEFAULT_CONFIG,
+            cache=ResultCache(),
+        )
+        other_session_config = Session(
+            backend=create_backend("ecnn", config=DEFAULT_CONFIG),
+            config=other_config,
+            cache=ResultCache(),
+        )
+        data = self._IMAGE.data
+        changed = {
+            "backend identity": self._key(other_backend, plan=plan),
+            "config": self._key(other_session_config, plan=plan),
+            "stages": self._key(session, plan=replace(plan, stages=plan.stages * 2)),
+            "formats": self._key(session, plan=replace(plan, formats=plan.formats + ("Q0",))),
+            # Same bytes under another shape or dtype: only the key's shape
+            # and dtype tell these frames apart.
+            "shape": self._key(session, frame=FeatureMap(data.reshape(3, 8, 32))),
+            "dtype": self._key(session, frame=FeatureMap(data.view(np.int64))),
+            "digest": self._key(session, frame=synthetic_image(16, 16, seed=4)),
+        }
+        for name, key in changed.items():
+            assert key != base, name
+        assert len(set(changed.values())) == len(changed)
+        # Back on the session's own plan, the memo is rebuilt, not stale.
+        assert self._key(session) == base
+
+    def test_workload_fingerprint_runs_once_per_session_and_workload(self, monkeypatch):
+        calls = []
+        fingerprint = RuntimeWorkload.cache_key
+
+        def counted(entry, config):
+            calls.append(entry.name)
+            return fingerprint(entry, config)
+
+        monkeypatch.setattr(RuntimeWorkload, "cache_key", counted)
+        session = Session(backend="ecnn", cache=ResultCache())
+        for _ in range(2):
+            session.compile("denoise")
+            session.profile("denoise")
+            session.execute("denoise", self._IMAGE)
+            session.execute_many("denoise", [self._IMAGE, synthetic_image(16, 16, seed=5)])
+        session.profile("super_resolution")
+        assert sorted(calls) == ["denoise", "super_resolution"]

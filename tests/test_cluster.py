@@ -516,6 +516,33 @@ class TestClusterProcesses:
                 cluster.execute_frame("denoise", synthetic_image(24, 24, seed=1))
 
 
+# ----------------------------------------------------------------- cold start
+@pytest.mark.parametrize("mode", ["inline", "auto"])
+class TestColdStart:
+    """A worker builds only its ``warm_plans`` at startup; everything else
+    is built on first use and answers like the coordinator's session."""
+
+    def test_startup_builds_only_the_warm_plans(self, mode):
+        warm = (PlanHandle(backend="ecnn", workload="denoise"),)
+        with ServingCluster(workers=2, backend="ecnn", mode=mode, warm_plans=warm) as cluster:
+            stats = cluster.stats()
+            assert [shard.cache.entries for shard in stats.shards] == [1, 1]
+        with ServingCluster(workers=2, backend="ecnn", mode=mode) as cluster:
+            assert [shard.cache.entries for shard in cluster.stats().shards] == [0, 0]
+
+    def test_first_use_of_an_unwarmed_workload_matches_the_coordinator(self, mode):
+        reference = Session(backend="ecnn", cache=ResultCache())
+        engine = ServingEngine(backend=reference, num_instances=1)
+        with ServingCluster(workers=1, backend="ecnn", mode=mode) as cluster:
+            assert cluster.profile("recognition") == reference.profile("recognition")
+            for target in (cluster, engine):
+                target.submit("sr", "super_resolution", frames=2)
+                target.submit("style", "style_transfer", frames=1, arrival_s=0.001)
+            report = cluster.run()
+            (_, served), = report.shard_reports
+            assert served.schedule == engine.run().schedule
+
+
 # -------------------------------------------------------------- chaos surface
 class TestFaultInjection:
     """The cluster's fault-injection primitives."""

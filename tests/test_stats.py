@@ -137,3 +137,23 @@ class TestCallSitesShareTheHelper:
         assert empty.latency_percentiles() == {}
         with pytest.raises(ValueError):
             empty.latency_percentiles(quantiles=(0.0,))
+
+
+class TestLatencyHistogramBins:
+    def test_observe_bins_like_the_numpy_expression(self):
+        from repro.core.stats import LATENCY_EDGES, LatencyHistogram
+
+        bins = len(LATENCY_EDGES) - 1
+        rng = np.random.default_rng(7)
+        values = [
+            *(10.0 ** rng.uniform(-7.0, 7.0, 2000)).tolist(),
+            *LATENCY_EDGES.tolist(),
+            *np.nextafter(LATENCY_EDGES, 0.0).tolist(),
+            0.0, -1.0, float("inf"), float("-inf"), float("nan"), 1e-5, 1e5,
+        ]
+        for value in values:
+            histogram = LatencyHistogram()
+            histogram.observe(value)
+            reference = np.searchsorted(LATENCY_EDGES, value, side="right") - 1
+            expected = int(np.clip(reference, 0, bins - 1))
+            assert histogram.counts[expected] == 1 and histogram.total == 1, value
