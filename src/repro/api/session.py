@@ -421,20 +421,13 @@ class Session:
         stream_id: str,
         workload_name: str,
         *,
-        threshold: float = 0.0,
-        metric: str = "mae",
         output_block: Optional[int] = None,
     ) -> "VideoStream":
         """The live :class:`~repro.runtime.video.VideoStream` for a stream id.
 
-        Created on first use; subsequent calls return the same stream with
-        the threshold/metric updated to the requested values (see
-        :meth:`~repro.runtime.video.VideoStream.reconfigure`: a cached block
-        is reused only while the residuals it was reused at, plus the next
-        frame's, stay within the new threshold, so tightening it recomputes
-        blocks already reused beyond it, and a metric change drops blocks
-        reused at a nonzero residual).  ``output_block`` only applies at
-        creation — it shapes long-lived per-stream state.
+        Created on first use; subsequent calls return the same stream.
+        ``output_block`` only applies at creation — it shapes long-lived
+        per-stream state.
         """
         from repro.runtime.video import VideoStream
 
@@ -446,13 +439,9 @@ class Session:
                 self,
                 stream_id=str(stream_id),
                 workload_name=workload_name,
-                threshold=threshold,
-                metric=metric,
                 output_block=output_block,
             )
             self._video_streams[key] = stream
-        else:
-            stream.reconfigure(threshold=threshold, metric=metric)
         return stream
 
     def execute_stream(
@@ -461,29 +450,19 @@ class Session:
         workload_name: str,
         frame: FeatureMap,
         *,
-        threshold: float = 0.0,
-        metric: str = "mae",
         output_block: Optional[int] = None,
     ) -> "StreamFrameResult":
         """Serve the next ordered frame of a video stream by block deltas.
 
         Frames of one ``(stream_id, workload)`` pair are diffed against
-        their predecessor at execution-block granularity; only changed
-        blocks re-run inference (where the cached block is exact, only the
-        output pixels their changed input can reach), and the rest are
-        served from the predecessor's output.  A camera pan is diffed
+        their predecessor at execution-block granularity; only the output
+        pixels that changed input can reach re-run inference, and the rest
+        are served from the predecessor's output.  A camera pan is diffed
         against the predecessor moved by the pan, so it re-runs about its
-        border band.  ``threshold=0.0`` (the default) is exact-reuse mode —
-        the result is bit-identical to :meth:`execute` on the same frame.
-        See :class:`~repro.runtime.video.VideoStream`.
+        border band.  The result is bit-identical to :meth:`execute` on the
+        same frame.  See :class:`~repro.runtime.video.VideoStream`.
         """
-        stream = self.video_stream(
-            stream_id,
-            workload_name,
-            threshold=threshold,
-            metric=metric,
-            output_block=output_block,
-        )
+        stream = self.video_stream(stream_id, workload_name, output_block=output_block)
         return stream.submit(frame)
 
     @property

@@ -449,11 +449,6 @@ def staged_inference(
     return FeatureMap(data=source), tuple(grids)
 
 
-#: Residual metrics the delta path understands: mean / sum of absolute
-#: per-value differences over a block's *input window* (margin included).
-RESIDUAL_METRICS = ("mae", "sad")
-
-
 def pad_frame(image: FeatureMap, layers: Sequence[Layer]) -> np.ndarray:
     """Zero-pad a frame by the stack's total input margin.
 
@@ -508,56 +503,28 @@ def _moved(padded: np.ndarray, shift: Tuple[int, int]) -> Tuple[np.ndarray, np.n
 def block_window_residuals(
     prev_padded: np.ndarray,
     cur_padded: np.ndarray,
-    grid: BlockGrid,
-    margin: int,
     *,
-    metric: str = "mae",
     shift: Tuple[int, int] = (0, 0),
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-block residual and the changed-sample mask between two padded frames.
+) -> np.ndarray:
+    """The ``(H, W)`` mask of the samples where two padded frames differ.
 
-    Both frames are zero-padded by ``margin`` (:func:`pad_frame`).  The
-    residual of a block is computed over the *entire* input window the
-    block consumes — margin included — so a zero residual proves the block's
-    output is unchanged (a block's output is a pure function of its input
-    window).  That is what makes threshold-0 reuse bit-exact by
-    construction rather than by approximation.
-
-    ``metric`` is ``"mae"`` (mean absolute difference per value) or
-    ``"sad"`` (sum of absolute differences, the classic block-matching
-    criterion); both are zero exactly when the windows are identical.
-    ``shift`` ``(dy, dx)`` compares ``cur_padded`` with the predecessor's
-    content moved down and right by that many samples, for motion
-    compensation: samples moved in from outside the predecessor are zero
-    and always count as changed.  One ``!=`` comparison of the two frames
-    gives the ``(H, W)`` mask of changed samples (in padded coordinates,
-    for :func:`reach_blocks`) and proves the residual of a block whose
-    window did not change to be 0, so only changed windows are differenced.
+    Both frames are zero-padded alike (:func:`pad_frame`); the mask is in
+    padded coordinates, for :func:`reach_blocks`.  A block's output is a
+    pure function of its input window — margin included — so outputs whose
+    windows hold no set sample are unchanged, exactly.  ``shift``
+    ``(dy, dx)`` compares ``cur_padded`` with the predecessor's content
+    moved down and right by that many samples, for motion compensation:
+    samples moved in from outside the predecessor always count as changed.
     """
-    if metric not in RESIDUAL_METRICS:
-        raise ValueError(
-            f"unknown residual metric {metric!r}; expected one of {RESIDUAL_METRICS}"
-        )
     if prev_padded.shape != cur_padded.shape:
         raise ValueError(
             f"padded frames differ in shape: {prev_padded.shape} vs {cur_padded.shape}"
         )
     if shift == (0, 0):
-        changed = (cur_padded != prev_padded).any(axis=0, keepdims=True)
-    else:
-        prev_padded, changed = _moved(prev_padded, shift)
-        changed |= (cur_padded != prev_padded).any(axis=0, keepdims=True)
-    origin = (-margin, -margin)
-    residuals = np.zeros(grid.num_blocks, dtype=np.float64)
-    for index, block in enumerate(grid.blocks):
-        if not _block_window(changed, block, origin).any():
-            continue
-        prev = _block_window(prev_padded, block, origin)
-        cur = _block_window(cur_padded, block, origin)
-        diff = np.subtract(cur, prev, dtype=np.float64)
-        np.abs(diff, out=diff)
-        residuals[index] = float(diff.sum()) if metric == "sad" else float(diff.mean())
-    return residuals, changed[0]
+        return (cur_padded != prev_padded).any(axis=0)
+    moved, changed = _moved(prev_padded, shift)
+    changed |= (cur_padded != moved).any(axis=0, keepdims=True)
+    return changed[0]
 
 
 #: Output rectangles: ``(rows, cols)`` half-open intervals.
@@ -735,7 +702,7 @@ def run_selected_blocks(
     them — and gets each block's cropped output back in order.  Pixels are
     bit-identical to a full run — both use the same per-block runner, and
     the served arithmetic gives the same bits under any partition — which
-    is the invariant the video delta path's exact-reuse mode rests on.
+    is the invariant that keeps every video delta frame exact.
     """
     return [
         result

@@ -13,12 +13,9 @@ rung taken is recorded as a :class:`DegradeDecision`.  When nothing fits,
 :class:`AdmissionRejected` is raised with a ``retry_after_s`` hint instead
 of queueing the request unboundedly.
 
-The core is synchronous (the soak harness and perfbench drive many
-admissions through :meth:`SLOGateway.admit` / :meth:`SLOGateway.drain_now`
-in a hot loop); :meth:`SLOGateway.submit` and :meth:`SLOGateway.drain` are
-the asyncio facade over the same core, serialized by an ``asyncio.Lock``
-with the drain running in the default executor so the event loop stays
-responsive while a schedule runs.
+The gateway is synchronous: callers (the soak harness, perfbench) drive
+admissions through :meth:`SLOGateway.admit` and run the admitted work with
+:meth:`SLOGateway.drain_now`.
 
 Cost-model calibration
 ----------------------
@@ -32,7 +29,6 @@ into future estimates.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -239,7 +235,6 @@ class SLOGateway:
         #: charged once per drain window, like the scheduler charges it
         #: once per switch).
         self._warm: Dict[int, Set[str]] = {}
-        self._lock: Optional[asyncio.Lock] = None
 
     # ----------------------------------------------------------- internals
     @property
@@ -558,33 +553,6 @@ class SLOGateway:
             latency_s=self.latency.percentiles(),
             degrade_log=tuple(self.degrade_log),
         )
-
-    # -------------------------------------------------------- async facade
-    def _ensure_lock(self) -> asyncio.Lock:
-        if self._lock is None:
-            self._lock = asyncio.Lock()
-        return self._lock
-
-    async def submit(
-        self,
-        stream_id: str,
-        workload: str,
-        *,
-        frames: int = 1,
-        arrival_s: float = 0.0,
-        slo: Optional[str] = None,
-    ) -> AdmissionTicket:
-        """Async admission: :meth:`admit` serialized behind the gateway lock."""
-        async with self._ensure_lock():
-            return self.admit(
-                stream_id, workload, frames=frames, arrival_s=arrival_s, slo=slo
-            )
-
-    async def drain(self) -> "GatewayReport":
-        """Async drain: runs :meth:`drain_now` in the default executor."""
-        async with self._ensure_lock():
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(None, self.drain_now)
 
 
 @dataclass(frozen=True)

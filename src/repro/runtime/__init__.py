@@ -29,10 +29,10 @@ Modules
   mid-run) and ``evict_frame_caches``, plus the ``fault_hook`` callback;
 * :mod:`repro.runtime.video` — video-stream serving:
   :class:`~repro.runtime.video.VideoStream` diffs ordered frames at
-  execution-block granularity (SAD/MAE residual per input window),
-  motion-compensates camera pans, and re-runs inference only where the
-  changed pixels reach, serving the rest from the predecessor's output —
-  bit-identical to full re-inference in exact-reuse mode (threshold 0);
+  execution-block granularity, motion-compensates camera pans, and
+  re-runs inference only where the changed pixels reach, serving the rest
+  from the predecessor's output — always bit-identical to full
+  re-inference;
 * :mod:`repro.runtime.sweep` — process-parallel design-space sweeps,
   bit-identical to :func:`repro.analysis.sweeps.sweep`;
 * :mod:`repro.runtime.cli` — ``python -m repro.runtime --trace demo
@@ -66,7 +66,6 @@ from repro.runtime.scheduler import (
 from repro.runtime.sweep import ParallelSweep
 from repro.runtime.trace import TRACES, TraceEvent, TrafficTrace, trace
 from repro.runtime.video import (
-    RESIDUAL_HISTOGRAM_EDGES,
     StagedPlanStreamError,
     StreamFrameResult,
     VideoStream,
@@ -93,7 +92,6 @@ __all__ = [
     "ParallelSweep",
     "QueueFull",
     "policy_key",
-    "RESIDUAL_HISTOGRAM_EDGES",
     "RequestQueue",
     "RequestRecord",
     "ResultCache",

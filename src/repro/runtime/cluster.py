@@ -160,14 +160,9 @@ def _execute_command(state: _WorkerState, command: str, payload: Any) -> Any:
         workload_name, frames, digests, cached = payload
         return session.execute_many(workload_name, frames, cached=cached, digests=digests)
     if command == "execute_stream":
-        stream_id, workload_name, frame, threshold, metric, output_block = payload
+        stream_id, workload_name, frame, output_block = payload
         return session.execute_stream(
-            stream_id,
-            workload_name,
-            frame,
-            threshold=threshold,
-            metric=metric,
-            output_block=output_block,
+            stream_id, workload_name, frame, output_block=output_block
         )
     if command == "profile":
         return session.profile(payload)
@@ -1079,8 +1074,6 @@ class ServingCluster:
         workload_name: str,
         image: FeatureMap,
         *,
-        threshold: float = 0.0,
-        metric: str = "mae",
         output_block: Optional[int] = None,
     ) -> StreamFrameResult:
         """Serve a video stream's next frame on the shard owning the stream.
@@ -1098,7 +1091,7 @@ class ServingCluster:
         return self._call(
             lambda: self._route_stream(stream_id),
             "execute_stream",
-            (stream_id, workload_name, image, threshold, metric, output_block),
+            (stream_id, workload_name, image, output_block),
             frames=1,
         )
 

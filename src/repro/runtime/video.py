@@ -6,42 +6,27 @@ cache only hits on byte-identical whole frames.  :class:`VideoStream`
 closes that gap the way block-matching video codecs do — at execution-block
 granularity:
 
-* every submitted frame is diffed against its predecessor over each
-  block's *input window* (margin included), using a SAD or MAE residual;
-  the same comparison marks the changed pixels;
-* a cached block is reused while its *drift* — the sum of the residuals
-  it was reused at since it was computed — plus this frame's residual
-  stays within the stream's threshold;
-* a block that must recompute, and whose cached output is exact for the
-  predecessor's window (drift 0), recomputes only the outputs its changed
-  pixels can reach (:func:`repro.core.blockflow.reach_blocks`: one
-  rectangle, or several where the changed pixels form an L) and patches
-  them into the predecessor's output; any other block recomputes whole.
-  Both run through the block flow's one selective runner
+* every submitted frame is compared with its predecessor, which marks the
+  changed samples of the padded frame;
+* a block whose input window (margin included) holds no changed sample is
+  reused: it is served from the predecessor's stitched output, which the
+  stream keeps;
+* any other block re-runs only the outputs its changed samples can reach
+  (:func:`repro.core.blockflow.reach_blocks`: one rectangle, several where
+  the changed samples form an L, or the whole block), patched into the
+  predecessor's output through the block flow's one selective runner
   (:func:`repro.core.blockflow.run_selected_blocks`);
-* the stream keeps its predecessor's stitched output, and a reused block
-  is served from it; one array holds every block's drift (``inf`` for a
-  block that may not be reused) and decides which blocks may be reused;
 * a camera pan is motion compensated: the frame is compared with the
   predecessor *moved* by the pan, and only what that comparison finds
   changed re-runs (below).
 
-Because the residual covers the entire input window and a block's output is
-a pure function of that window, **threshold 0 is exact-reuse mode**: the
-delta-served frame is bit-identical to full re-inference, by construction.
-A sub-block is a block of a finer partition, and the served program is
-fixed-point, whose sums are exact in any order, so the pixels do not
-depend on the block geometry: whole blocks, patched sub-blocks or a custom
-``output_block`` all equal ``Session.execute`` bit for bit.
-A positive threshold trades bounded pixel error for more reuse.  MAE and
-SAD obey the triangle inequality, so the drift bounds the distance from
-the served block's own source window to the current one — a slow fade
-cannot creep past the threshold one small residual at a time, and
-tightening the threshold also recomputes blocks already reused beyond it.
-The stream records the largest drift it ever served
-(:attr:`VideoStreamStats.max_reused_residual`) so the error stays a
-*measured* quantity, and the video parity tests measure the actual pixel
-error against full re-inference.
+A block's output is a pure function of its input window, so **every
+delta-served frame is bit-identical to full re-inference**, by
+construction: reuse changes cost, never values.  A sub-block is a block of
+a finer partition, and the served program is fixed-point, whose sums are
+exact in any order, so the pixels do not depend on the block geometry:
+whole blocks, patched sub-blocks or a custom ``output_block`` all equal
+``Session.execute`` bit for bit.
 
 Motion compensation
 -------------------
@@ -65,13 +50,11 @@ its previous frame was served at, then every shift within
 its score is at most :data:`SHIFT_WIDESPREAD`.
 
 Fallbacks.  The stream serves shift 0 as before when the search accepts
-no shift (a cut), when the predecessor holds a block served at nonzero
-drift (its output is not exact), when a pooling stage would divide the
-shift unevenly (:func:`repro.core.blockflow.output_shift`), and when the
-moved comparison would re-run at least as many output pixels as shift 0.
-The last rule keeps the 64x64 super-resolution camera, whose 21-px
-margin makes the border band the whole frame, on the shift-0 path.  A
-compensated frame leaves every block exact, at drift 0.
+no shift (a cut), when a pooling stage would divide the shift unevenly
+(:func:`repro.core.blockflow.output_shift`), and when the moved comparison
+would re-run at least as many output pixels as shift 0.  The last rule
+keeps the 64x64 super-resolution camera, whose 21-px margin makes the
+border band the whole frame, on the shift-0 path.
 
 Only single-stage plans stream: a block's output is a pure function of its
 input window only when one block-flow pass maps frame to output.  A
@@ -80,9 +63,9 @@ feature map, so :class:`VideoStream` refuses it with
 :class:`StagedPlanStreamError` before any stream state exists.
 
 Streams are shard-local state: the cluster's sticky stream routing keeps a
-stream id on one shard, so its previous frame and block cache live next to
-the inference that feeds them.  :meth:`VideoStream.invalidate` drops the
-block drifts and the predecessor frame and output — it is wired into
+stream id on one shard, so its previous frame and output live next to the
+inference that feeds them.  :meth:`VideoStream.invalidate` drops the
+predecessor frame and output — it is wired into
 ``Session.evict_pixel_caches`` so the cluster's ``evict_frame_caches``
 primitive clears the whole-frame cache and every delta cache through one
 path (a stream that survives an eviction recomputes its next frame in full
@@ -97,7 +80,6 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core.blockflow import (
-    RESIDUAL_METRICS,
     BlockGrid,
     BlockSpec,
     _moved,
@@ -239,7 +221,6 @@ class _FramePlan(NamedTuple):
 
     shift: Tuple[int, int]
     out_shift: Tuple[int, int]
-    residuals: Optional[np.ndarray]
     reused: List[int]
     recomputed: List[int]
     specs: List[List[BlockSpec]]
@@ -250,56 +231,31 @@ class _FramePlan(NamedTuple):
         return sum(spec.output_pixels for specs in self.specs for spec in specs)
 
 
-#: Residual histogram bucket edges.  Bucket 0 counts exact matches
-#: (residual == 0); bucket ``i`` counts residuals in
-#: ``(EDGES[i-1], EDGES[i]]``; the last bucket counts everything above the
-#: final edge (scene cuts land there).
-RESIDUAL_HISTOGRAM_EDGES: Tuple[float, ...] = (0.0, 1e-6, 1e-4, 1e-2, 1.0)
-
-
-def _histogram_bucket(residual: float) -> int:
-    for index, edge in enumerate(RESIDUAL_HISTOGRAM_EDGES):
-        if residual <= edge:
-            return index
-    return len(RESIDUAL_HISTOGRAM_EDGES)
-
-
 @dataclass(frozen=True)
 class VideoStreamStats:
     """Lifetime counters of one :class:`VideoStream`.
 
-    ``blocks_total`` always equals ``blocks_reused + blocks_recomputed``,
-    and the residual histogram sums to the number of blocks that were
-    actually diffed (first frames and resolution changes recompute without
-    residuals).  A block patched by a sub-block counts as recomputed.
-    ``bytes_saved`` counts the input-window and output bytes the reused
-    blocks did not move; ``max_reused_residual`` is the largest drift (sum
-    of the residuals a block was reused at since it was computed) ever
-    served from cache — 0.0 in exact-reuse mode, and the measured
-    input-side error bound against the block's source window in
-    thresholded mode.  ``motion_compensated_frames`` counts the frames
-    served from the predecessor's moved output (nonzero
-    :attr:`StreamFrameResult.shift`); in those, a block with no output to
-    re-run counts as reused.
+    ``blocks_total`` always equals ``blocks_reused + blocks_recomputed``.
+    A block patched by a sub-block counts as recomputed; a block with no
+    output to re-run counts as reused.  ``bytes_saved`` counts the
+    input-window and output bytes the reused blocks did not move.
+    ``motion_compensated_frames`` counts the frames served from the
+    predecessor's moved output (nonzero :attr:`StreamFrameResult.shift`).
     """
 
     stream_id: str
     workload: str
-    threshold: float
-    metric: str
     frames: int
     blocks_total: int
     blocks_reused: int
     blocks_recomputed: int
-    residual_histogram: Tuple[int, ...]
     bytes_saved: int
-    max_reused_residual: float
     motion_compensated_frames: int = 0
 
     @property
     def cache_evictions(self) -> int:
-        """Always 0: a stream holds a drift for every block, so nothing is
-        evicted.  perfbench's ``video.evictions`` metric reads it."""
+        """Always 0: a stream keeps its whole predecessor output, so no
+        block is evicted.  perfbench's ``video.evictions`` metric reads it."""
         return 0
 
     @property
@@ -310,7 +266,7 @@ class VideoStreamStats:
         return (
             f"stream {self.stream_id}/{self.workload}: {self.frames} frames, "
             f"{self.blocks_reused}/{self.blocks_total} blocks reused "
-            f"({self.reuse_rate:.0%}, {self.metric} threshold {self.threshold:g}), "
+            f"({self.reuse_rate:.0%}), "
             f"{self.motion_compensated_frames} motion-compensated frames, "
             f"{self.bytes_saved} bytes saved"
         )
@@ -320,14 +276,10 @@ class VideoStreamStats:
 class StreamFrameResult:
     """One frame served through a :class:`VideoStream`.
 
-    ``residuals`` is ``None`` when the frame was recomputed in full without
-    diffing (the stream's first frame, a resolution/dtype change, or the
-    frame after an invalidation); otherwise it carries one residual per
-    block of the partition grid, against the predecessor moved by
-    ``shift``.  ``shift`` is the ``(dy, dx)`` input pixels the content
-    moved down and right since the predecessor, ``(0, 0)`` unless the
-    frame was motion compensated.  ``output`` is read-only: the stream
-    keeps it as the predecessor of its next frame.
+    ``shift`` is the ``(dy, dx)`` input pixels the content moved down and
+    right since the predecessor, ``(0, 0)`` unless the frame was motion
+    compensated.  ``output`` is read-only: the stream keeps it as the
+    predecessor of its next frame.
     """
 
     output: FeatureMap
@@ -335,7 +287,6 @@ class StreamFrameResult:
     blocks_recomputed: int
     #: Grid indices of the blocks that re-ran inference this frame.
     recomputed_blocks: Tuple[int, ...]
-    residuals: Optional[Tuple[float, ...]] = None
     shift: Tuple[int, int] = (0, 0)
 
     @property
@@ -346,6 +297,8 @@ class StreamFrameResult:
 class VideoStream:
     """Ordered frames of one (stream id, workload), served by block deltas.
 
+    Every served frame is bit-identical to ``Session.execute`` on it.
+
     Parameters
     ----------
     session:
@@ -354,20 +307,10 @@ class VideoStream:
     stream_id / workload_name:
         Identity of the stream.  Only block-flow workloads stream
         (recognition serves single zero-padded blocks).
-    threshold:
-        Bound on a cached block's drift plus this frame's residual, at or
-        below which the block is served from the cache.  ``0.0`` (the
-        default) is exact-reuse mode: a block reuses only when its input
-        window is bit-identical to the one it was computed from, so the
-        stitched frame equals full re-inference exactly.
-    metric:
-        ``"mae"`` or ``"sad"`` (see
-        :func:`repro.core.blockflow.block_window_residuals`).
     output_block:
         Output-resolution block size of the delta grid; defaults to the
-        compiled plan's geometry (making exact-reuse mode bit-identical to
-        ``Session.execute``).  Smaller blocks localize change detection at
-        the price of more margin recomputation; exact-reuse outputs stay
+        compiled plan's geometry.  Smaller blocks localize change detection
+        at the price of more margin recomputation; outputs stay
         bit-identical to ``Session.execute``, whose fixed-point arithmetic
         is exact at any block size.
     """
@@ -378,8 +321,6 @@ class VideoStream:
         *,
         stream_id: str,
         workload_name: str,
-        threshold: float = 0.0,
-        metric: str = "mae",
         output_block: Optional[int] = None,
     ) -> None:
         entry = session.workload(workload_name)
@@ -387,64 +328,24 @@ class VideoStream:
             raise ValueError(
                 "recognition serves single zero-padded blocks, not video streams"
             )
-        if metric not in RESIDUAL_METRICS:
-            raise ValueError(
-                f"unknown residual metric {metric!r}; expected one of {RESIDUAL_METRICS}"
-            )
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative")
         if output_block is not None and output_block < 1:
             raise ValueError("output_block must be positive (or None for the plan's)")
         _stream_block(session.compile(workload_name))
         self.session = session
         self.stream_id = str(stream_id)
         self.workload = workload_name
-        self.threshold = float(threshold)
-        self.metric = metric
         self._output_block = output_block
         self._geometry: Optional[_FrameGeometry] = None
+        #: The predecessor's padded frame, its stitched output and the shift
+        #: it was served at; ``None`` while there is no predecessor.
         self._prev_padded: Optional[np.ndarray] = None
-        #: The predecessor's stitched output, whether every block of it was
-        #: served at drift 0 (so it is exact), and the shift it was served at.
         self._prev_output: Optional[np.ndarray] = None
-        self._prev_exact = False
         self._prev_shift: Tuple[int, int] = (0, 0)
-        #: Per grid block, the sum of the residuals the block's output in
-        #: the predecessor was reused at since it was computed; ``inf``
-        #: where it may not be reused.  The pixels themselves are the
-        #: predecessor's output.  ``None`` while there is no predecessor.
-        self._drift: Optional[np.ndarray] = None
         self._frames = 0
         self._blocks_reused = 0
         self._blocks_recomputed = 0
-        self._histogram = [0] * (len(RESIDUAL_HISTOGRAM_EDGES) + 1)
         self._bytes_saved = 0
-        self._max_reused_residual = 0.0
         self._motion_compensated = 0
-
-    # ------------------------------------------------------------ configuration
-    def reconfigure(self, *, threshold: float, metric: str) -> None:
-        """Adopt a new threshold/metric for subsequent frames.
-
-        Each cached block carries its drift — the sum of the residuals it
-        was reused at since it was computed — and the next frame reuses it
-        only if that drift plus the frame's residual is within the *new*
-        threshold.  Tightening the threshold therefore also recomputes
-        blocks already reused beyond it: at threshold 0 only blocks with no
-        drift are reused, exactly.  A drift is measured in its metric, so a
-        metric change makes every block that has drifted not reusable;
-        blocks with no drift stay valid under either metric.
-        """
-        if metric not in RESIDUAL_METRICS:
-            raise ValueError(
-                f"unknown residual metric {metric!r}; expected one of {RESIDUAL_METRICS}"
-            )
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        if metric != self.metric and self._drift is not None:
-            self._drift[self._drift > 0.0] = np.inf
-        self.threshold = float(threshold)
-        self.metric = metric
 
     def _frame_geometry(self, frame: FeatureMap) -> _FrameGeometry:
         """This frame's geometry; a new one forgets the predecessor."""
@@ -469,47 +370,37 @@ class VideoStream:
     def submit(self, frame: FeatureMap) -> StreamFrameResult:
         """Serve the stream's next frame, reusing unchanged blocks.
 
-        A cached block is served from the predecessor's output while the
-        residuals it was reused at since it was computed, plus this frame's
-        residual against the predecessor, sum to at most the threshold.  A
-        block that must recompute and whose cached output is exact for the
-        predecessor's window (drift 0) re-runs only the outputs its changed
-        input pixels can reach (:func:`repro.core.blockflow.reach_blocks`);
-        the rest re-run whole.
+        A block whose input window holds no sample that differs from the
+        predecessor is served from the predecessor's output; any other
+        block re-runs only the outputs its changed input samples can reach
+        (:func:`repro.core.blockflow.reach_blocks`).
 
-        When the whole predecessor was served at drift 0 and shift 0 shows
-        widespread change, the stream searches for the shift the content
-        moved by (a camera pan), compares the frame with the predecessor
-        moved by it, and re-runs only the outputs the changed samples
-        reach — the newly exposed strip, the band along the frame border
-        whose windows see the zero padding move, and anything that moved
-        on its own — patched into the predecessor's output moved by the
-        output shift.  It serves that frame so only when it re-runs fewer
-        output pixels than shift 0 would.  The first frame, a frame after
-        a resolution/dtype or plan change, and the frame after an
+        When shift 0 shows widespread change, the stream searches for the
+        shift the content moved by (a camera pan), compares the frame with
+        the predecessor moved by it, and re-runs only the outputs the
+        changed samples reach — the newly exposed strip, the band along the
+        frame border whose windows see the zero padding move, and anything
+        that moved on its own — patched into the predecessor's output moved
+        by the output shift.  It serves that frame so only when it re-runs
+        fewer output pixels than shift 0 would.  The first frame, a frame
+        after a resolution/dtype or plan change, and the frame after an
         :meth:`invalidate` recompute in full.
         """
         geometry = self._frame_geometry(frame)
         grid = geometry.grid
         padded = geometry.pad(frame, self._prev_padded)
-        if self._prev_padded is None:
-            # Nothing trustworthy to diff against: full recompute, and the
-            # drifts restart because they may describe an old grid.
-            self._drift = np.full(grid.num_blocks, np.inf)
+        full = self._prev_padded is None
+        if full:
             plan = _FramePlan(
-                (0, 0), (0, 0), None, [], list(range(grid.num_blocks)),
+                (0, 0), (0, 0), [], list(range(grid.num_blocks)),
                 [[block] for block in grid.blocks],
             )
         else:
             plan = self._plan(geometry, padded, (0, 0))
-            shift = (
-                _search_shift(
-                    geometry.interior(self._prev_padded),
-                    geometry.interior(padded),
-                    self._prev_shift,
-                )
-                if self._prev_exact
-                else (0, 0)
+            shift = _search_shift(
+                geometry.interior(self._prev_padded),
+                geometry.interior(padded),
+                self._prev_shift,
             )
             if shift != (0, 0):
                 moved = self._plan(geometry, padded, shift)
@@ -518,7 +409,7 @@ class VideoStream:
 
         specs = [spec for block_specs in plan.specs for spec in block_specs]
         fresh = run_selected_blocks(geometry.network, padded, specs)
-        if plan.residuals is None:  # a full recompute: nothing to patch
+        if full:
             output = _stitch(zip(specs, fresh), grid.output_height, grid.output_width)
             assert output is not None
         else:
@@ -544,11 +435,6 @@ class VideoStream:
             blocks_reused=len(plan.reused),
             blocks_recomputed=len(plan.recomputed),
             recomputed_blocks=tuple(plan.recomputed),
-            residuals=(
-                tuple(float(r) for r in plan.residuals)
-                if plan.residuals is not None
-                else None
-            ),
             shift=plan.shift,
         )
 
@@ -557,80 +443,52 @@ class VideoStream:
     ) -> Optional[_FramePlan]:
         """Serve against the predecessor moved by ``shift`` (``None``: cannot).
 
-        At shift 0 the drift rule decides which blocks reuse.  At any other
-        shift every block is exact, reused when none of its outputs sees a
-        changed sample.
+        A block is reused when none of its outputs sees a changed sample,
+        and re-runs the outputs that do otherwise.
         """
         out_rows, out_cols = (output_shift(s, geometry.layers) for s in shift)
         if out_rows is None or out_cols is None:
             return None
         assert self._prev_padded is not None
         grid, layers, margin = geometry.grid, geometry.layers, geometry.margin
-        residuals, changed = block_window_residuals(
-            self._prev_padded, padded, grid, margin, metric=self.metric, shift=shift
-        )
+        changed = block_window_residuals(self._prev_padded, padded, shift=shift)
         reused: List[int] = []
         recomputed: List[int] = []
         specs: List[List[BlockSpec]] = []
-        for index, (block, residual) in enumerate(zip(grid.blocks, residuals)):
-            if shift == (0, 0):
-                drift = self._drift[index]
-                if drift + residual <= self.threshold:
-                    reused.append(index)
-                    continue
-                # A block exact for the predecessor's window re-runs only
-                # what its changed samples reach.
-                block_specs = (
-                    reach_blocks(changed, block, grid, layers, margin)
-                    if drift == 0.0
-                    else [block]
-                )
+        for index, block in enumerate(grid.blocks):
+            block_specs = reach_blocks(changed, block, grid, layers, margin)
+            if block_specs:
+                recomputed.append(index)
+                specs.append(block_specs)
             else:
-                block_specs = reach_blocks(changed, block, grid, layers, margin)
-                if not block_specs:
-                    reused.append(index)
-                    continue
-            recomputed.append(index)
-            specs.append(block_specs)
-        return _FramePlan(shift, (out_rows, out_cols), residuals, reused, recomputed, specs)
+                reused.append(index)
+        return _FramePlan(shift, (out_rows, out_cols), reused, recomputed, specs)
 
     def _account(
         self, plan: _FramePlan, grid: BlockGrid, frame: FeatureMap, output: np.ndarray
     ) -> None:
-        """Update the block drifts and the lifetime counters for a served frame."""
-        compensated = plan.shift != (0, 0)
-        drifts = self._drift
-        exact = True
-        if plan.residuals is not None:
-            for residual in plan.residuals:
-                self._histogram[_histogram_bucket(float(residual))] += 1
+        """Update the lifetime counters for a served frame."""
         for index in plan.reused:
-            drift = 0.0 if compensated else float(drifts[index] + plan.residuals[index])
-            drifts[index] = drift
             block = grid.blocks[index]
             self._bytes_saved += (
                 block.input_pixels * frame.channels * frame.data.dtype.itemsize
                 + block.output_pixels * output.shape[0] * output.dtype.itemsize
             )
-            self._max_reused_residual = max(self._max_reused_residual, drift)
-            exact = exact and drift == 0.0
-        drifts[plan.recomputed] = 0.0
-        self._prev_exact = exact
         self._frames += 1
         self._blocks_reused += len(plan.reused)
         self._blocks_recomputed += len(plan.recomputed)
-        self._motion_compensated += compensated
+        self._motion_compensated += plan.shift != (0, 0)
 
     # ------------------------------------------------------------- invalidation
     def invalidate(self) -> int:
-        """Drop the block drifts *and* the predecessor frame; returns blocks dropped.
+        """Drop the predecessor frame and output; returns the grid blocks it held.
 
-        After an invalidation the next frame recomputes in full — the
-        stream never diffs against a frame it no longer holds, so a chaos
-        eviction can never leave a stale block servable.
+        0 when there is no predecessor.  After an invalidation the next
+        frame recomputes in full — the stream never diffs against a frame it
+        no longer holds, so a chaos eviction can never leave a stale block
+        servable.
         """
-        dropped = 0 if self._drift is None else int(np.isfinite(self._drift).sum())
-        self._drift = None
+        dropped = 0 if self._prev_padded is None else self._geometry.grid.num_blocks
         self._prev_padded = None
         self._prev_output = None
         return dropped
@@ -641,14 +499,10 @@ class VideoStream:
         return VideoStreamStats(
             stream_id=self.stream_id,
             workload=self.workload,
-            threshold=self.threshold,
-            metric=self.metric,
             frames=self._frames,
             blocks_total=self._blocks_reused + self._blocks_recomputed,
             blocks_reused=self._blocks_reused,
             blocks_recomputed=self._blocks_recomputed,
-            residual_histogram=tuple(self._histogram),
             bytes_saved=self._bytes_saved,
-            max_reused_residual=self._max_reused_residual,
             motion_compensated_frames=self._motion_compensated,
         )

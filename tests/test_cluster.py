@@ -580,7 +580,7 @@ class TestFaultInjection:
         eviction — exactly the staleness the event is meant to flush.  The
         shared ``Session.evict_pixel_caches`` path drops the block caches
         and predecessor frames too, which shows up as the next stream frame
-        recomputing in full (``residuals is None``) instead of reusing.
+        recomputing in full instead of reusing, though it is identical.
         """
         image = synthetic_image(32, 32, seed=11)
         with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
@@ -595,8 +595,9 @@ class TestFaultInjection:
             # plus streams bypass it).
             assert cluster.evict_frame_caches() >= warm.blocks_total
             after = cluster.execute_stream("evict-cam", "denoise", image)
-            assert after.residuals is None  # no stale predecessor to diff against
+            # No stale predecessor to diff against: nothing is reused.
             assert after.blocks_reused == 0
+            assert after.recomputed_blocks == tuple(range(after.blocks_total))
             assert after.blocks_recomputed == after.blocks_total
             # And the recomputed frame is still bit-identical — eviction
             # costs work, never pixels.

@@ -11,8 +11,6 @@ regression property.
 
 from __future__ import annotations
 
-import asyncio
-
 import numpy as np
 import pytest
 
@@ -360,54 +358,6 @@ class TestGatewayDrain:
             stats = cluster.stats()
             assert stats.total_deadline_requests == report.stats.deadline_requests
             assert "deadline" in stats.describe() or stats.total_deadline_requests == 0
-
-
-# ------------------------------------------------------------- asyncio facade
-class TestAsyncFacade:
-    def test_async_submit_then_drain(self):
-        async def scenario():
-            gateway = SLOGateway(_engine())
-            tickets = []
-            for index in range(6):
-                tickets.append(
-                    await gateway.submit(
-                        f"cam-{index}", "recognition", frames=1, arrival_s=0.02 * index
-                    )
-                )
-            report = await gateway.drain()
-            return tickets, report
-
-        tickets, report = asyncio.run(scenario())
-        assert len(tickets) == 6
-        assert report.stats.served == sum(t.queued for t in tickets)
-
-    def test_concurrent_submits_serialize_under_the_gateway_lock(self):
-        async def scenario():
-            gateway = SLOGateway(_engine(instances=2))
-            tickets = await asyncio.gather(
-                *(
-                    gateway.submit(f"u{index}", "denoise", frames=1, arrival_s=0.1 * index)
-                    for index in range(12)
-                )
-            )
-            report = await gateway.drain()
-            return tickets, report
-
-        tickets, report = asyncio.run(scenario())
-        queued = sum(t.queued for t in tickets)
-        assert report.stats.served == queued
-        assert report.stats.admitted + report.stats.degraded == len(tickets)
-
-    def test_async_rejection_propagates(self):
-        async def scenario():
-            gateway = SLOGateway(_engine())
-            with pytest.raises(AdmissionRejected):
-                for index in range(400):
-                    await gateway.submit(
-                        f"u{index}", "style_transfer", frames=4, arrival_s=0.0
-                    )
-
-        asyncio.run(scenario())
 
 
 # --------------------------------------------------- gateway under chaos soak

@@ -340,8 +340,8 @@ class TestRandomizedVideoStreams:
     """Delta-reuse serving is bit-identical to full re-inference.
 
     For every seed, streaming workload and motion model, each frame served
-    through the video-stream tier (session and sharded cluster, exact-reuse
-    mode at the default block geometry) must equal full re-inference of
+    through the video-stream tier (session and sharded cluster, at the
+    default block geometry) must equal full re-inference of
     that same frame — reuse is an optimization, never an approximation.
     """
 
@@ -375,36 +375,10 @@ class TestRandomizedVideoStreams:
             s for s in session.video_stream_stats if s.stream_id == stream_id
         )
         assert stats.frames == len(frames)
-        # Exact-reuse mode never serves a block whose window changed.
-        assert stats.max_reused_residual == 0.0
         if kind == "static":
-            assert stats.blocks_reused > 0
-
-    def test_thresholded_reuse_error_is_bounded_and_measured(self, seed):
-        rng = np.random.default_rng(7000 + seed)
-        height = int(rng.integers(24, 49))
-        width = int(rng.integers(24, 49))
-        threshold = 1e-2
-        base = synthetic_image(height, width, seed=seed)
-        noisy = FeatureMap(
-            data=base.data + rng.normal(scale=1e-4, size=base.data.shape)
-        )
-        session = Session(backend="ecnn", cache=ResultCache())
-        stream = session.video_stream("lossy", "denoise", threshold=threshold)
-        stream.submit(base)
-        served = stream.submit(noisy)
-        reference_prev = session.execute("denoise", base, cached=False).output.data
-        reference_cur = session.execute("denoise", noisy, cached=False).output.data
-        # Low-amplitude noise reuses everything; the served pixels are the
-        # predecessor's exact output, so the error against fresh
-        # re-inference is bounded by the drift between the two references —
-        # a measured bound, not a trust-me bound.
-        assert served.blocks_reused == served.blocks_total
-        assert np.array_equal(served.output.data, reference_prev)
-        error = float(np.abs(served.output.data - reference_cur).max())
-        assert error <= float(np.abs(reference_cur - reference_prev).max())
-        stats = stream.stats
-        assert 0.0 < stats.max_reused_residual <= threshold
+            # Every frame after the first reuses every block.
+            first = stats.blocks_total // len(frames)
+            assert stats.blocks_reused == stats.blocks_total - first
 
 
 @pytest.mark.parametrize("seed", SEEDS)

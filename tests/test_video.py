@@ -21,9 +21,9 @@ import pytest
 
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
-from repro.core.blockflow import pad_frame, partition_image, total_input_margin
+from repro.core.blockflow import block_window_residuals, partition_image, total_input_margin
 from repro.nn.tensor import FeatureMap
-from repro.runtime import RESIDUAL_HISTOGRAM_EDGES, ResultCache, VideoStream
+from repro.runtime import ResultCache, VideoStream
 import repro.runtime.video as video
 from repro.runtime.video import StagedPlanStreamError
 
@@ -63,12 +63,12 @@ def _reference(session: Session, frame: FeatureMap) -> np.ndarray:
 
 
 class TestChangeLocality:
-    def test_first_frame_recomputes_everything_without_residuals(self, stream):
+    def test_first_frame_recomputes_everything_without_residuals(self, session, stream):
         result = stream.submit(_frame(0))
-        assert result.residuals is None
         assert result.blocks_reused == 0
         assert result.blocks_recomputed == GRID_BLOCKS
         assert result.recomputed_blocks == tuple(range(GRID_BLOCKS))
+        assert np.array_equal(result.output.data, _reference(session, _frame(0)))
 
     @pytest.mark.parametrize(
         "mutated_blocks",
@@ -102,7 +102,7 @@ class TestChangeLocality:
             result = stream.submit(base)
             assert result.blocks_reused == GRID_BLOCKS
             assert result.recomputed_blocks == ()
-            assert result.residuals == (0.0,) * GRID_BLOCKS
+            assert result.blocks_recomputed == 0
             assert np.array_equal(result.output.data, _reference(session, base))
 
     def test_scene_cut_invalidates_every_block(self, session, stream):
@@ -111,29 +111,33 @@ class TestChangeLocality:
         result = stream.submit(cut)
         assert result.blocks_reused == 0
         assert result.blocks_recomputed == GRID_BLOCKS
-        assert result.residuals is not None and min(result.residuals) > 0.0
         assert np.array_equal(result.output.data, _reference(session, cut))
 
-    def test_invalidate_forces_full_undiffed_recompute(self, stream):
+    def test_invalidate_forces_full_undiffed_recompute(self, session, stream):
+        assert stream.invalidate() == 0  # no predecessor yet
         base = _frame(3)
         stream.submit(base)
         assert stream.submit(base).blocks_reused == GRID_BLOCKS
         dropped = stream.invalidate()
         assert dropped == GRID_BLOCKS
+        assert stream.invalidate() == 0
+        # The identical frame again: nothing to diff against, so no reuse.
         result = stream.submit(base)
-        assert result.residuals is None
-        assert result.blocks_recomputed == GRID_BLOCKS
+        assert result.blocks_reused == 0
+        assert result.recomputed_blocks == tuple(range(GRID_BLOCKS))
+        assert np.array_equal(result.output.data, _reference(session, base))
 
-    def test_resolution_change_recomputes_without_diffing(self, stream):
+    def test_resolution_change_recomputes_without_diffing(self, session, stream):
         stream.submit(_frame(4))
         wide = synthetic_image(SIZE, SIZE + 16, seed=4)
         result = stream.submit(wide)
-        assert result.residuals is None
         assert result.blocks_reused == 0
+        assert result.blocks_recomputed == len(result.recomputed_blocks) > GRID_BLOCKS
+        assert np.array_equal(result.output.data, _reference(session, wide))
 
 
 class TestCacheBound:
-    """A stream holds a drift for every block of its grid: nothing is evicted."""
+    """A stream keeps its whole predecessor output: nothing is evicted."""
 
     def test_every_block_of_a_large_static_grid_is_reused(self, session):
         # 144x144 at output_block 8: an 18x18 grid, more blocks than any
@@ -151,10 +155,8 @@ class TestCacheBound:
     def test_bad_configuration_is_rejected(self, session):
         with pytest.raises(ValueError, match="recognition"):
             session.video_stream("cam", "recognition")
-        with pytest.raises(ValueError, match="metric"):
-            session.video_stream("cam", "denoise", metric="ssim")
-        with pytest.raises(ValueError, match="threshold"):
-            session.video_stream("cam", "denoise", threshold=-0.1)
+        with pytest.raises(ValueError, match="output_block"):
+            session.video_stream("cam", "denoise", output_block=0)
 
 
 class TestPlanStages:
@@ -198,14 +200,7 @@ class TestStatsReconciliation:
         assert stats.blocks_recomputed == sum(r.blocks_recomputed for r in results)
         assert stats.blocks_total == stats.blocks_reused + stats.blocks_recomputed
         assert stats.blocks_total == sum(r.blocks_total for r in results)
-        # The histogram covers exactly the diffed blocks: every frame after
-        # the first contributes one residual per grid block.
-        diffed = sum(GRID_BLOCKS for r in results if r.residuals is not None)
-        assert sum(stats.residual_histogram) == diffed
-        assert len(stats.residual_histogram) == len(RESIDUAL_HISTOGRAM_EDGES) + 1
-        # Exact-reuse mode never accepts a nonzero residual.
-        assert stats.threshold == 0.0
-        assert stats.max_reused_residual == 0.0
+        assert [r.blocks_reused for r in results] == [0, GRID_BLOCKS, GRID_BLOCKS - 1, GRID_BLOCKS, 0]
         assert stats.bytes_saved > 0
         assert 0.0 < stats.reuse_rate < 1.0
         assert stream.stream_id in stats.describe()
@@ -216,44 +211,6 @@ class TestStatsReconciliation:
         stats = session.video_stream_stats
         assert [s.stream_id for s in stats] == ["a", "b"]
         assert all(s.frames == 1 for s in stats)
-
-    def test_thresholded_reuse_reports_measured_residuals(self, session):
-        stream = session.video_stream(
-            "lossy", "denoise", threshold=1e-3, output_block=BLOCK
-        )
-        base = _frame(10)
-        stream.submit(base)
-        noisy = FeatureMap(
-            data=base.data + np.random.default_rng(11).normal(scale=1e-5, size=base.data.shape),
-        )
-        result = stream.submit(noisy)
-        # Low-amplitude noise stays under the MAE threshold: all reuse.
-        assert result.blocks_reused == GRID_BLOCKS
-        stats = stream.stats
-        assert 0.0 < stats.max_reused_residual <= 1e-3
-        # The served pixels equal the *predecessor's* reference exactly, so
-        # the pixel error against fresh re-inference is bounded by the
-        # drift between the two references.
-        ref_prev = _reference(session, base)
-        ref_cur = _reference(session, noisy)
-        assert np.array_equal(result.output.data, ref_prev)
-        error = np.abs(result.output.data - ref_cur).max()
-        assert error <= np.abs(ref_cur - ref_prev).max()
-
-    def test_reconfigure_tightens_future_frames_only(self, session):
-        stream = session.video_stream(
-            "tighten", "denoise", threshold=1.0, output_block=BLOCK
-        )
-        base = _frame(12)
-        stream.submit(base)
-        drifted = _mutated(base, [(1, 1)])
-        assert stream.submit(drifted).blocks_reused == GRID_BLOCKS
-        session.video_stream("tighten", "denoise", threshold=0.0)
-        assert stream.threshold == 0.0
-        # At threshold 0 the drifted block now recomputes (its residual
-        # against the previous frame is 0 only for untouched blocks).
-        result = stream.submit(_mutated(drifted, [(1, 1)]))
-        assert result.recomputed_blocks == (4,)
 
 
 def _record_specs(monkeypatch) -> list:
@@ -267,61 +224,6 @@ def _record_specs(monkeypatch) -> list:
 
     monkeypatch.setattr(video, "run_selected_blocks", recording)
     return calls
-
-
-class TestDriftBoundedReuse:
-    """A block is reused only while the residuals it was reused at since it
-    was computed, plus this frame's, stay within the threshold — so the
-    served input error is bounded against the block's own source window."""
-
-    def test_tightening_to_zero_recomputes_a_block_reused_with_a_residual(self, session):
-        stream = session.video_stream("stale", "denoise", threshold=0.05)
-        base = synthetic_image(96, 96, seed=20)
-        data = base.data.copy()
-        data[:, 40:44, 40:44] += 0.5
-        changed = FeatureMap(data=data)
-        stream.submit(base)
-        assert stream.submit(changed).blocks_reused == 1
-        # The same frame again: its residual against the predecessor is 0,
-        # but the cached block still holds the output of ``base``.
-        session.video_stream("stale", "denoise", threshold=0.0)
-        result = stream.submit(changed)
-        assert result.recomputed_blocks == (0,)
-        assert np.array_equal(result.output.data, _reference(session, changed))
-
-    def test_a_slow_fade_cannot_drift_past_the_threshold(self, session):
-        threshold = 0.005
-        stream = session.video_stream("fade", "denoise", threshold=threshold)
-        layers = session.compile("denoise").network.layers
-        base = synthetic_image(96, 96, seed=21)
-        frames = [FeatureMap(data=base.data + 0.004 * step) for step in range(40)]
-        references: dict = {}
-        source = 0
-        for step, frame in enumerate(frames):
-            result = stream.submit(frame)
-            if result.blocks_recomputed:
-                source = step
-            if source not in references:
-                references[source] = _reference(session, frames[source])
-            # The served block is its source frame's exact output, and the
-            # source's window is within the threshold of this frame's.
-            assert np.array_equal(result.output.data, references[source])
-            drift = np.abs(pad_frame(frame, layers) - pad_frame(frames[source], layers)).mean()
-            assert drift <= threshold + 1e-12
-        stats = stream.stats
-        assert 0.0 < stats.max_reused_residual <= threshold
-        assert stats.blocks_recomputed > 1
-
-    def test_a_metric_change_drops_drifted_blocks_only(self, session):
-        stream = session.video_stream("units", "denoise", threshold=1.0, output_block=BLOCK)
-        base = _frame(22)
-        stream.submit(base)
-        drifted = _mutated(base, [(1, 1)])
-        assert stream.submit(drifted).blocks_reused == GRID_BLOCKS
-        stream.reconfigure(threshold=1.0, metric="sad")
-        result = stream.submit(drifted)
-        assert result.recomputed_blocks == (4,)
-        assert np.array_equal(result.output.data, _reference(session, drifted))
 
 
 class TestSubBlockReuse:
@@ -390,6 +292,59 @@ class TestGridAssumptions:
                     and block.in_col <= x < block.in_col + block.in_width
                 )
                 assert inside == (index == 3 * row + col)
+
+
+class TestChangedSampleMask:
+    """``block_window_residuals`` returns the mask of samples that differ
+    from the predecessor moved by a shift, which decides every reuse."""
+
+    @staticmethod
+    def _brute_force(prev: np.ndarray, cur: np.ndarray, shift) -> np.ndarray:
+        (dy, dx), (_, height, width) = shift, cur.shape
+        mask = np.ones((height, width), dtype=bool)  # moved in from outside
+        for y in range(height):
+            for x in range(width):
+                if 0 <= y - dy < height and 0 <= x - dx < width:
+                    mask[y, x] = bool((cur[:, y, x] != prev[:, y - dy, x - dx]).any())
+        return mask
+
+    @staticmethod
+    def _padded(data: np.ndarray, margin: int = 3) -> np.ndarray:
+        return np.pad(data, ((0, 0), (margin, margin), (margin, margin)))
+
+    def test_mask_matches_brute_force_at_shift_zero_and_random_shifts(self):
+        rng = np.random.default_rng(50)
+        radius = video.SHIFT_SEARCH_RADIUS
+        canvas = rng.random((3, 40, 40))
+        shifts = [(0, 0)] + [tuple(int(v) for v in rng.integers(-radius, radius + 1, 2)) for _ in range(8)]
+        for shift in shifts:
+            dy, dx = shift
+            prev = self._padded(canvas[:, 8:32, 8:30])
+            data = canvas[:, 8 - dy : 32 - dy, 8 - dx : 30 - dx].copy()
+            # Samples that moved on their own, one in a single channel.
+            data[:, 5:8, 10:14] = rng.random((3, 3, 4))
+            data[1, 15, 3] += 1.0
+            cur = self._padded(data)
+            mask = block_window_residuals(prev, cur, shift=shift)
+            assert mask.dtype == bool and mask.shape == cur.shape[1:]
+            assert np.array_equal(mask, self._brute_force(prev, cur, shift)), shift
+            # Samples moved in from outside the predecessor count as changed,
+            # even where both frames hold zero padding.
+            if dy:
+                assert mask[:dy].all() if dy > 0 else mask[dy:].all()
+            if dx:
+                assert mask[:, :dx].all() if dx > 0 else mask[:, dx:].all()
+
+    def test_identical_frames_change_nothing(self):
+        frame = self._padded(np.random.default_rng(51).random((3, 20, 20)))
+        assert not block_window_residuals(frame, frame.copy()).any()
+
+    def test_frames_of_mismatched_shapes_are_rejected(self):
+        prev = np.zeros((3, 20, 20))
+        with pytest.raises(ValueError, match="shape"):
+            block_window_residuals(prev, np.zeros((3, 20, 22)))
+        with pytest.raises(ValueError, match="shape"):
+            block_window_residuals(prev, np.zeros((1, 20, 20)), shift=(1, 1))
 
 
 def _camera(side: int, seed: int, cycles: int = 2) -> list:
