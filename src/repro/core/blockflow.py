@@ -650,6 +650,13 @@ def reach_blocks(
     keeping each cut that lowers the input pixels the rectangles' windows
     hold.
     """
+    # The block's input window is the union of its outputs' windows: with
+    # no changed sample there, nothing in the block is reached.
+    if not changed[
+        block.in_row + margin : block.in_row + block.in_height + margin,
+        block.in_col + margin : block.in_col + block.in_width + margin,
+    ].any():
+        return []
     region = (
         (block.out_row, block.out_row + block.out_height),
         (block.out_col, block.out_col + block.out_width),

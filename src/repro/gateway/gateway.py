@@ -1,17 +1,17 @@
-"""The SLO gateway: deadline admission control over the serving tier.
+"""The SLO gateway: deadline admission control over the serving cluster.
 
-:class:`SLOGateway` fronts a :class:`~repro.runtime.engine.ServingEngine`
-or a :class:`~repro.runtime.cluster.ServingCluster`.  Each request resolves
-to an :class:`~repro.gateway.slo.SLOClass` (deadline budget + priority),
-and admission asks one question against a calibrated :class:`CostModel`:
-*can the owning shard complete this request inside its budget, given the
-work already admitted ahead of it?*  If yes, the request enters the target
-with an absolute deadline and the EDF policy orders it.  If not, the
-degradation ladder runs in order — serve on the fallback backend's separate
-capacity, halve the requested frames, or answer cache-only — and every
-rung taken is recorded as a :class:`DegradeDecision`.  When nothing fits,
-:class:`AdmissionRejected` is raised with a ``retry_after_s`` hint instead
-of queueing the request unboundedly.
+:class:`SLOGateway` fronts a :class:`~repro.runtime.cluster.ServingCluster`.
+Each request's workload maps to an :class:`~repro.gateway.slo.SLOClass`
+(deadline budget + priority), and admission asks one question against a
+calibrated :class:`CostModel`: *can the owning shard complete this request
+inside its budget, given the work already admitted ahead of it?*  If yes,
+the request enters the cluster with an absolute deadline and the EDF policy
+orders it.  If not, a degradable class walks a fixed ladder — serve on the
+``frame_based`` fallback engine's separate capacity, halve the requested
+frames, or answer cache-only — and the rung taken is recorded as a
+:class:`DegradeDecision`.  A class that cannot degrade is shed with
+:class:`AdmissionRejected` and a ``retry_after_s`` hint instead of queueing
+the request unboundedly.
 
 The gateway is synchronous: callers (the soak harness, perfbench) drive
 admissions through :meth:`SLOGateway.admit` and run the admitted work with
@@ -30,25 +30,23 @@ into future estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.core.stats import LatencyHistogram
-from repro.runtime.cluster import ClusterReport, ServingCluster
-from repro.runtime.engine import ServingEngine, ServingReport
+from repro.runtime.cluster import ServingCluster
+from repro.runtime.engine import ServingEngine
 from repro.runtime.scheduler import ScheduleResult
-from repro.gateway.slo import (
-    DEFAULT_SLO_CLASSES,
-    DEFAULT_WORKLOAD_SLO,
-    SLOClass,
-    resolve_slo,
-)
+from repro.gateway.slo import DEFAULT_SLO_CLASSES, SLOClass, slo_class
 from repro.gateway.stats import GatewayStats
 
 #: Shard index the gateway reports for its fallback engine's schedules.
 FALLBACK_SHARD = -1
 
-#: The degradation ladder, tried in order when the primary misses a budget.
-DEFAULT_LADDER: Tuple[str, ...] = ("fallback_backend", "reduce_frames", "cache_only")
+#: Backend of the fallback engine, the degradation ladder's first rung.
+FALLBACK_BACKEND = "frame_based"
+
+#: EWMA weight of one observed batch in the cost model.
+SMOOTHING = 0.3
 
 
 class AdmissionRejected(RuntimeError):
@@ -127,16 +125,8 @@ class CostModel:
     """Per-workload service-cost estimates, seeded from the session's
     profiles and re-calibrated from observed schedules (EWMA)."""
 
-    def __init__(
-        self,
-        profile_for: Callable[[str], Any],
-        *,
-        smoothing: float = 0.3,
-    ) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
+    def __init__(self, profile_for: Callable[[str], Any]) -> None:
         self._profile_for = profile_for
-        self._smoothing = smoothing
         self._frame_s: Dict[str, float] = {}
         self._load_s: Dict[str, float] = {}
 
@@ -160,8 +150,9 @@ class CostModel:
             return
         self._seed(workload)
         observed = busy_s / frames
-        alpha = self._smoothing
-        self._frame_s[workload] = (1 - alpha) * self._frame_s[workload] + alpha * observed
+        self._frame_s[workload] = (
+            (1 - SMOOTHING) * self._frame_s[workload] + SMOOTHING * observed
+        )
 
     def observe_schedule(self, schedule: ScheduleResult) -> None:
         """Calibrate from every batch of a drained schedule."""
@@ -178,53 +169,29 @@ class CostModel:
             self.observe(records[0].request.workload, frames, busy)
 
 
-class SLOGateway:
-    """Deadline-aware admission in front of an engine or cluster.
+class _Ask(NamedTuple):
+    """One admission request as asked, with its SLO class resolved."""
 
-    Parameters
-    ----------
-    target:
-        The serving tier to protect.  Build it with ``policy="edf"`` so
-        admitted deadlines actually order the schedule; the gateway only
-        decides *whether* work enters, the policy decides *in what order*.
-    slo_classes / workload_slo:
-        The SLO catalogue and the workload -> class mapping (defaults:
-        :data:`~repro.gateway.slo.DEFAULT_SLO_CLASSES` /
-        :data:`~repro.gateway.slo.DEFAULT_WORKLOAD_SLO`).
-    fallback_backend:
-        Backend name for the degrade ladder's separate-capacity engine
-        (``None`` disables the rung).  Built lazily on first use.
-    degrade_ladder:
-        Rung order; subset of :data:`DEFAULT_LADDER`.
-    headroom:
-        Multiplier on completion estimates (>1 admits more conservatively).
+    stream_id: str
+    workload: str
+    frames: int
+    arrival_s: float
+    slo: SLOClass
+
+
+class SLOGateway:
+    """Deadline-aware admission in front of a serving cluster.
+
+    Build the cluster with ``policy="edf"`` so admitted deadlines actually
+    order the schedule; the gateway only decides *whether* work enters, the
+    policy decides *in what order*.
     """
 
-    def __init__(
-        self,
-        target: Union[ServingEngine, ServingCluster],
-        *,
-        slo_classes: Optional[Dict[str, SLOClass]] = None,
-        workload_slo: Optional[Dict[str, str]] = None,
-        fallback_backend: Optional[str] = "frame_based",
-        degrade_ladder: Tuple[str, ...] = DEFAULT_LADDER,
-        headroom: float = 1.0,
-    ) -> None:
-        unknown = set(degrade_ladder) - set(DEFAULT_LADDER)
-        if unknown:
-            raise ValueError(f"unknown degrade rungs {sorted(unknown)}")
-        if headroom <= 0:
-            raise ValueError("headroom must be positive")
-        self.target = target
-        self.slo_classes = dict(slo_classes or DEFAULT_SLO_CLASSES)
-        self.workload_slo = dict(workload_slo or DEFAULT_WORKLOAD_SLO)
-        self.degrade_ladder = tuple(degrade_ladder)
-        self.headroom = headroom
-        self._fallback_backend = fallback_backend
-        self._fallback: Optional[ServingEngine] = None
-        self._is_cluster = isinstance(target, ServingCluster)
-        self.cost_model = CostModel(target.session.profile)
-        self._fallback_cost: Optional[CostModel] = None
+    def __init__(self, cluster: ServingCluster) -> None:
+        self.cluster = cluster
+        self.cost_model = CostModel(cluster.session.profile)
+        #: The fallback engine and its cost model, built on first degrade.
+        self._fallback: Optional[Tuple[ServingEngine, CostModel]] = None
         self.stats = GatewayStats()
         self.latency = LatencyHistogram()
         self.degrade_log: List[DegradeDecision] = []
@@ -236,83 +203,84 @@ class SLOGateway:
         #: once per switch).
         self._warm: Dict[int, Set[str]] = {}
 
-    # ----------------------------------------------------------- internals
-    @property
-    def _instances_per_shard(self) -> int:
-        if self._is_cluster:
-            return self.target.instances_per_worker
-        return self.target.scheduler.num_instances
-
-    def _route(self, stream_id: str) -> int:
-        if self._is_cluster:
-            return self.target.route_stream(stream_id)
-        return 0
-
-    def _fallback_engine(self) -> ServingEngine:
+    def _fallback_engine(self) -> Tuple[ServingEngine, CostModel]:
         if self._fallback is None:
             from repro.runtime.cache import ResultCache
 
-            self._fallback = ServingEngine(
+            engine = ServingEngine(
                 num_instances=1,
-                backend=self._fallback_backend,
+                backend=FALLBACK_BACKEND,
                 cache=ResultCache(),
                 policy="edf",
             )
-            self._fallback_cost = CostModel(self._fallback.session.profile)
+            self._fallback = (engine, CostModel(engine.session.profile))
         return self._fallback
 
-    def _estimate(
-        self,
-        cost_model: CostModel,
-        backlog: Dict[str, float],
-        warm: Set[str],
-        instances: int,
-        workload: str,
-        frames: int,
-        slo: SLOClass,
-    ) -> float:
-        """Completion estimate: competing backlog (shared across instances)
-        plus this request's own cost, scaled by the headroom factor.
+    @staticmethod
+    def _ticket(
+        request: _Ask, frames: int, action: str, where: str, estimate: float
+    ) -> AdmissionTicket:
+        return AdmissionTicket(
+            stream_id=request.stream_id,
+            workload=request.workload,
+            frames=frames,
+            requested_frames=request.frames,
+            arrival_s=request.arrival_s,
+            deadline_s=request.arrival_s + request.slo.deadline_s,
+            priority=request.slo.priority,
+            slo=request.slo.name,
+            action=action,
+            target=where,
+            estimated_s=estimate,
+        )
 
-        Under EDF only work with an equal-or-tighter budget runs ahead of
-        this request, so looser classes' backlog does not delay it.
+    def _place(
+        self,
+        target: Union[ServingCluster, ServingEngine],
+        cost_model: CostModel,
+        shard: int,
+        instances: int,
+        request: _Ask,
+        frames: int,
+        action: str,
+        where: str,
+    ) -> Tuple[float, Optional[AdmissionTicket]]:
+        """Estimate ``frames`` of ``request`` on one shard; submit if it fits.
+
+        The completion estimate is the competing backlog, shared across the
+        shard's ``instances``, plus this request's own cost: its frames, and
+        its parameter load unless the workload is already warm there.  Under
+        EDF only work with an equal-or-tighter budget runs ahead of this
+        request, so looser classes' backlog does not delay it.  Returns the
+        estimate and the ticket, or ``None`` when the budget is busted.
         """
+        slo = request.slo
+        backlog = self._backlog_s.setdefault(shard, {})
+        warm = self._warm.setdefault(shard, set())
         competing = sum(
             seconds
             for name, seconds in backlog.items()
-            if self.slo_classes[name].deadline_s <= slo.deadline_s
+            if DEFAULT_SLO_CLASSES[name].deadline_s <= slo.deadline_s
         )
-        own = cost_model.frame_cost_s(workload, frames)
-        if workload not in warm:
-            own += cost_model.load_cost_s(workload)
-        return self.headroom * (competing / instances + own)
+        own = cost_model.frame_cost_s(request.workload, frames)
+        if request.workload not in warm:
+            own += cost_model.load_cost_s(request.workload)
+        estimate = competing / instances + own
+        if estimate > slo.deadline_s:
+            return estimate, None
+        ticket = self._ticket(request, frames, action, where, estimate)
+        target.submit(
+            request.stream_id,
+            request.workload,
+            frames=frames,
+            arrival_s=request.arrival_s,
+            deadline_s=ticket.deadline_s,
+            priority=slo.priority,
+        )
+        backlog[slo.name] = backlog.get(slo.name, 0.0) + own
+        warm.add(request.workload)
+        return estimate, ticket
 
-    def _charge(
-        self,
-        backlog: Dict[str, float],
-        warm: Set[str],
-        cost_model: CostModel,
-        workload: str,
-        frames: int,
-        slo: SLOClass,
-    ) -> None:
-        cost = cost_model.frame_cost_s(workload, frames)
-        if workload not in warm:
-            cost += cost_model.load_cost_s(workload)
-            warm.add(workload)
-        backlog[slo.name] = backlog.get(slo.name, 0.0) + cost
-
-    def _record_admission(self, ticket: AdmissionTicket, slo: SLOClass) -> None:
-        if ticket.degraded:
-            self.stats.degraded += 1
-            self.stats.by_action[ticket.action] = (
-                self.stats.by_action.get(ticket.action, 0) + 1
-            )
-        else:
-            self.stats.admitted += 1
-        self.stats.by_class[slo.name] = self.stats.by_class.get(slo.name, 0) + 1
-
-    # ----------------------------------------------------------- sync core
     def admit(
         self,
         stream_id: str,
@@ -320,221 +288,83 @@ class SLOGateway:
         *,
         frames: int = 1,
         arrival_s: float = 0.0,
-        slo: Optional[str] = None,
     ) -> AdmissionTicket:
         """Admit, degrade, or shed one request (synchronous core).
 
-        Raises :class:`AdmissionRejected` when no rung of the ladder meets
-        the SLO budget, and propagates the target's backpressure
+        Raises :class:`AdmissionRejected` when the budget is busted and the
+        class cannot degrade, and propagates the cluster's backpressure
         (:class:`~repro.runtime.cluster.ClusterBackpressure`) unchanged —
         backpressure means "drain and retry", rejection means "slow down".
         """
-        slo_class = resolve_slo(workload, slo, self.slo_classes, self.workload_slo)
-        deadline_s = arrival_s + slo_class.deadline_s
-        shard = self._route(stream_id)
-        backlog = self._backlog_s.setdefault(shard, {})
-        warm = self._warm.setdefault(shard, set())
-        estimate = self._estimate(
-            self.cost_model, backlog, warm, self._instances_per_shard,
-            workload, frames, slo_class,
+        request = _Ask(stream_id, workload, frames, arrival_s, slo_class(workload))
+        slo = request.slo
+        shard = self.cluster.route_stream(stream_id)
+        estimate, ticket = self._place(
+            self.cluster, self.cost_model, shard, self.cluster.instances_per_worker,
+            request, frames, "admit", "primary",
         )
-        if estimate <= slo_class.deadline_s:
-            self.target.submit(
-                stream_id,
-                workload,
-                frames=frames,
-                arrival_s=arrival_s,
-                deadline_s=deadline_s,
-                priority=slo_class.priority,
-            )
-            self._charge(backlog, warm, self.cost_model, workload, frames, slo_class)
-            ticket = AdmissionTicket(
-                stream_id=stream_id,
-                workload=workload,
-                frames=frames,
-                requested_frames=frames,
-                arrival_s=arrival_s,
-                deadline_s=deadline_s,
-                priority=slo_class.priority,
-                slo=slo_class.name,
-                action="admit",
-                target="primary",
-                estimated_s=estimate,
-            )
-            self._record_admission(ticket, slo_class)
-            return ticket
-        if slo_class.degradable:
-            ticket = self._degrade(
-                stream_id, workload, frames, arrival_s, deadline_s, slo_class, estimate
-            )
-            if ticket is not None:
-                self._record_admission(ticket, slo_class)
-                return ticket
-        self.stats.shed += 1
-        raise AdmissionRejected(
-            f"cannot meet the {slo_class.name!r} deadline for {workload!r} on "
-            f"stream {stream_id!r}: estimated {estimate:.3f}s against a "
-            f"{slo_class.deadline_s:.3f}s budget",
-            retry_after_s=max(0.0, estimate - slo_class.deadline_s),
-            stream_id=stream_id,
-            workload=workload,
-            slo=slo_class.name,
-        )
-
-    def _degrade(
-        self,
-        stream_id: str,
-        workload: str,
-        frames: int,
-        arrival_s: float,
-        deadline_s: float,
-        slo_class: SLOClass,
-        primary_estimate: float,
-    ) -> Optional[AdmissionTicket]:
-        """Walk the ladder; returns the first ticket that fits, else None."""
-        for action in self.degrade_ladder:
-            if action == "fallback_backend" and self._fallback_backend is not None:
-                fallback = self._fallback_engine()
-                try:
-                    fallback.session.workload(workload)
-                except Exception:
-                    continue  # the fallback backend cannot serve this workload
-                backlog = self._backlog_s.setdefault(FALLBACK_SHARD, {})
-                warm = self._warm.setdefault(FALLBACK_SHARD, set())
-                assert self._fallback_cost is not None
-                estimate = self._estimate(
-                    self._fallback_cost, backlog, warm, 1, workload, frames, slo_class
-                )
-                if estimate <= slo_class.deadline_s:
-                    fallback.submit(
-                        stream_id,
-                        workload,
-                        frames=frames,
-                        arrival_s=arrival_s,
-                        deadline_s=deadline_s,
-                        priority=slo_class.priority,
-                    )
-                    self._charge(
-                        backlog, warm, self._fallback_cost, workload, frames, slo_class
-                    )
-                    self._log_degrade(
-                        stream_id, workload, slo_class, action, frames, frames,
-                        primary_estimate,
-                    )
-                    return AdmissionTicket(
-                        stream_id=stream_id,
-                        workload=workload,
-                        frames=frames,
-                        requested_frames=frames,
-                        arrival_s=arrival_s,
-                        deadline_s=deadline_s,
-                        priority=slo_class.priority,
-                        slo=slo_class.name,
-                        action=action,
-                        target="fallback",
-                        estimated_s=estimate,
-                    )
-            elif action == "reduce_frames" and frames > 1:
-                # Halving the ask is the resolution degrade of this serving
-                # model: fewer frames of the same stream inside the budget.
-                reduced = max(1, frames // 2)
-                shard = self._route(stream_id)
-                backlog = self._backlog_s.setdefault(shard, {})
-                warm = self._warm.setdefault(shard, set())
-                estimate = self._estimate(
-                    self.cost_model, backlog, warm, self._instances_per_shard,
-                    workload, reduced, slo_class,
-                )
-                if estimate <= slo_class.deadline_s:
-                    self.target.submit(
-                        stream_id,
-                        workload,
-                        frames=reduced,
-                        arrival_s=arrival_s,
-                        deadline_s=deadline_s,
-                        priority=slo_class.priority,
-                    )
-                    self._charge(
-                        backlog, warm, self.cost_model, workload, reduced, slo_class
-                    )
-                    self._log_degrade(
-                        stream_id, workload, slo_class, action, frames, reduced,
-                        primary_estimate,
-                    )
-                    return AdmissionTicket(
-                        stream_id=stream_id,
-                        workload=workload,
-                        frames=reduced,
-                        requested_frames=frames,
-                        arrival_s=arrival_s,
-                        deadline_s=deadline_s,
-                        priority=slo_class.priority,
-                        slo=slo_class.name,
-                        action=action,
-                        target="primary",
-                        estimated_s=estimate,
-                    )
-            elif action == "cache_only":
-                # Zero-cost degraded answer: serve whatever the caches hold
-                # (stale video blocks, cached frames) without queueing new
-                # work.  Always meets the deadline; never enters the ledger.
-                self._log_degrade(
-                    stream_id, workload, slo_class, action, frames, 0,
-                    primary_estimate,
-                )
-                return AdmissionTicket(
+        if ticket is None and slo.degradable:
+            ticket = self._degrade(request, shard)
+            self.degrade_log.append(
+                DegradeDecision(
                     stream_id=stream_id,
                     workload=workload,
-                    frames=0,
+                    slo=slo.name,
+                    action=ticket.action,
                     requested_frames=frames,
-                    arrival_s=arrival_s,
-                    deadline_s=deadline_s,
-                    priority=slo_class.priority,
-                    slo=slo_class.name,
-                    action=action,
-                    target="none",
-                    estimated_s=0.0,
+                    admitted_frames=ticket.frames,
+                    primary_estimate_s=estimate,
+                    deadline_budget_s=slo.deadline_s,
                 )
-        return None
-
-    def _log_degrade(
-        self,
-        stream_id: str,
-        workload: str,
-        slo_class: SLOClass,
-        action: str,
-        requested: int,
-        admitted: int,
-        primary_estimate: float,
-    ) -> None:
-        self.degrade_log.append(
-            DegradeDecision(
+            )
+        if ticket is None:
+            self.stats.shed += 1
+            raise AdmissionRejected(
+                f"cannot meet the {slo.name!r} deadline for {workload!r} on "
+                f"stream {stream_id!r}: estimated {estimate:.3f}s against a "
+                f"{slo.deadline_s:.3f}s budget",
+                retry_after_s=max(0.0, estimate - slo.deadline_s),
                 stream_id=stream_id,
                 workload=workload,
-                slo=slo_class.name,
-                action=action,
-                requested_frames=requested,
-                admitted_frames=admitted,
-                primary_estimate_s=primary_estimate,
-                deadline_budget_s=slo_class.deadline_s,
+                slo=slo.name,
             )
+        if ticket.degraded:
+            self.stats.degraded += 1
+            self.stats.by_action[ticket.action] = self.stats.by_action.get(ticket.action, 0) + 1
+        else:
+            self.stats.admitted += 1
+        self.stats.by_class[slo.name] = self.stats.by_class.get(slo.name, 0) + 1
+        return ticket
+
+    def _degrade(self, request: _Ask, shard: int) -> AdmissionTicket:
+        """The first rung that fits: the fallback engine, half the frames on
+        the owning shard, else a cache-only answer."""
+        fallback, fallback_cost = self._fallback_engine()
+        _, ticket = self._place(
+            fallback, fallback_cost, FALLBACK_SHARD, 1,
+            request, request.frames, "fallback_backend", "fallback",
         )
+        if ticket is None and request.frames > 1:
+            # Halving the ask is the resolution degrade of this serving
+            # model: fewer frames of the same stream inside the budget.
+            _, ticket = self._place(
+                self.cluster, self.cost_model, shard, self.cluster.instances_per_worker,
+                request, request.frames // 2, "reduce_frames", "primary",
+            )
+        if ticket is None:
+            # Zero-cost degraded answer: serve whatever the caches hold
+            # (stale video blocks, cached frames) without queueing new
+            # work.  Always meets the deadline; never enters the ledger.
+            ticket = self._ticket(request, 0, "cache_only", "none", 0.0)
+        return ticket
 
     def drain_now(self) -> "GatewayReport":
-        """Drain the target (and the fallback engine), account, report."""
-        primary = self.target.run()
-        fallback_report: Optional[ServingReport] = None
-        if self._fallback is not None and len(self._fallback.queue):
-            fallback_report = self._fallback.run()
-        schedules: List[Tuple[int, ScheduleResult]] = []
-        if isinstance(primary, ClusterReport):
-            schedules.extend(
-                (index, report.schedule) for index, report in primary.shard_reports
-            )
-        else:
-            schedules.append((0, primary.schedule))
-        if fallback_report is not None:
-            schedules.append((FALLBACK_SHARD, fallback_report.schedule))
+        """Drain the cluster (and the fallback engine), account, report."""
+        schedules: List[Tuple[int, ScheduleResult]] = [
+            (index, report.schedule) for index, report in self.cluster.run().shard_reports
+        ]
+        if self._fallback is not None and len(self._fallback[0].queue):
+            schedules.append((FALLBACK_SHARD, self._fallback[0].run().schedule))
         for _, schedule in schedules:
             self.cost_model.observe_schedule(schedule)
             for record in schedule.records:
@@ -546,8 +376,6 @@ class SLOGateway:
         self._backlog_s.clear()
         self._warm.clear()
         return GatewayReport(
-            primary=primary,
-            fallback=fallback_report,
             schedules=tuple(schedules),
             stats=self.stats.snapshot(),
             latency_s=self.latency.percentiles(),
@@ -559,11 +387,6 @@ class SLOGateway:
 class GatewayReport:
     """Outcome of one gateway drain plus cumulative admission counters."""
 
-    #: The target's own report (per-shard reports for a cluster).
-    primary: Union[ServingReport, ClusterReport]
-    #: The fallback engine's report (``None`` when nothing was degraded
-    #: onto it this drain).
-    fallback: Optional[ServingReport]
     #: Every schedule this drain produced, as ``(shard index, schedule)``;
     #: the fallback engine reports as shard :data:`FALLBACK_SHARD`.
     schedules: Tuple[Tuple[int, ScheduleResult], ...]
@@ -605,8 +428,8 @@ __all__ = [
     "AdmissionRejected",
     "AdmissionTicket",
     "CostModel",
-    "DEFAULT_LADDER",
     "DegradeDecision",
+    "FALLBACK_BACKEND",
     "FALLBACK_SHARD",
     "GatewayReport",
     "SLOGateway",

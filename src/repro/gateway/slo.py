@@ -16,7 +16,7 @@ across the cluster's process boundary (lint rule ECNN206).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -56,20 +56,9 @@ DEFAULT_WORKLOAD_SLO: Dict[str, str] = {
 DEFAULT_CLASS = "standard"
 
 
-def resolve_slo(
-    workload: str,
-    slo: Optional[str],
-    classes: Mapping[str, SLOClass],
-    workload_slo: Mapping[str, str],
-) -> SLOClass:
-    """The SLO class of one request: explicit name, else the workload map."""
-    name = slo if slo is not None else workload_slo.get(workload, DEFAULT_CLASS)
-    try:
-        return classes[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown SLO class {name!r}; expected one of {sorted(classes)}"
-        ) from None
+def slo_class(workload: str) -> SLOClass:
+    """The SLO class a workload's requests serve under."""
+    return DEFAULT_SLO_CLASSES[DEFAULT_WORKLOAD_SLO.get(workload, DEFAULT_CLASS)]
 
 
 __all__ = [
@@ -77,5 +66,5 @@ __all__ = [
     "DEFAULT_SLO_CLASSES",
     "DEFAULT_WORKLOAD_SLO",
     "SLOClass",
-    "resolve_slo",
+    "slo_class",
 ]

@@ -306,25 +306,33 @@ class Conv2d(Layer):
         self.padding = padding
         self.name = name or f"conv{kernel}x{kernel}"
 
-        fan_in = in_channels * kernel * kernel
-        if weights is None:
-            rng = seeded_rng(seed if seed is not None else 0)
-            weights = he_laplace(
-                (out_channels, in_channels, kernel, kernel), fan_in, rng
-            )
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (out_channels, in_channels, kernel, kernel):
-            raise ValueError(
-                f"weights shape {weights.shape} does not match "
-                f"({out_channels}, {in_channels}, {kernel}, {kernel})"
-            )
+        self.seed = seed if seed is not None else 0
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != self._weight_shape:
+                raise ValueError(
+                    f"weights shape {weights.shape} does not match "
+                    f"({out_channels}, {in_channels}, {kernel}, {kernel})"
+                )
+            self.weights = weights
         if bias is None:
             bias = np.zeros(out_channels, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (out_channels,):
             raise ValueError(f"bias shape {bias.shape} does not match ({out_channels},)")
-        self.weights = weights
         self.bias = bias
+
+    @property
+    def _weight_shape(self) -> Tuple[int, int, int, int]:
+        return (self.out_channels, self.in_channels, self.kernel, self.kernel)
+
+    # Drawn on first use: shape-only callers (complexity, the Fig. 8 scan)
+    # never pay for the draw.  Explicit weights shadow it in ``__init__``.
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """He-Laplace weights drawn from ``seed``."""
+        fan_in = self.in_channels * self.kernel * self.kernel
+        return he_laplace(self._weight_shape, fan_in, seeded_rng(self.seed))
 
     @property
     def margin(self) -> int:
@@ -332,7 +340,7 @@ class Conv2d(Layer):
 
     @property
     def num_parameters(self) -> int:
-        return int(self.weights.size + self.bias.size)
+        return self.out_channels * (self.in_channels * self.kernel * self.kernel + 1)
 
     def macs_per_output_pixel(self, out_channels_hint: Optional[int] = None) -> int:
         return self.in_channels * self.out_channels * self.kernel * self.kernel

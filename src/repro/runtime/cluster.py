@@ -359,11 +359,6 @@ class ShardStats:
     streams: Tuple[str, ...]
     served_requests: int
     served_frames: int
-    #: Deadline-carrying requests served by this shard, and how many of
-    #: them completed after their deadline (both 0 when no request carried
-    #: a deadline — the historical FIFO paths).
-    deadline_requests: int = 0
-    deadline_misses: int = 0
     #: The worker session's analytic cache counters (``None`` for a dead shard).
     cache: Optional[CacheStats] = None
     #: The worker session's pixel frame-cache counters (``None`` for a dead shard).
@@ -406,33 +401,13 @@ class ClusterStats:
     def total_served_frames(self) -> int:
         return sum(shard.served_frames for shard in self.shards)
 
-    @property
-    def total_deadline_requests(self) -> int:
-        return sum(shard.deadline_requests for shard in self.shards)
-
-    @property
-    def total_deadline_misses(self) -> int:
-        return sum(shard.deadline_misses for shard in self.shards)
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        """Misses over deadline-carrying requests (0.0 when none carried one)."""
-        carrying = self.total_deadline_requests
-        return self.total_deadline_misses / carrying if carrying else 0.0
-
     def describe(self) -> str:
-        described = (
+        return (
             f"{self.live_workers}/{self.workers} workers live ({self.mode}), "
             f"{self.total_queue_depth} queued, "
             f"{self.total_served_frames} frames served, "
             f"{self.requeued} requeued"
         )
-        if self.total_deadline_requests:
-            described += (
-                f", {self.total_deadline_misses}/{self.total_deadline_requests} "
-                f"deadlines missed"
-            )
-        return described
 
 
 @dataclass(frozen=True)
@@ -466,19 +441,6 @@ class ClusterReport:
     def throughput_fps(self) -> float:
         makespan = self.makespan_s
         return self.total_frames / makespan if makespan else 0.0
-
-    @property
-    def deadline_requests(self) -> int:
-        return sum(r.schedule.deadline_requests for _, r in self.shard_reports)
-
-    @property
-    def deadline_misses(self) -> int:
-        return sum(r.schedule.deadline_misses for _, r in self.shard_reports)
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        carrying = self.deadline_requests
-        return self.deadline_misses / carrying if carrying else 0.0
 
     def render(self) -> str:
         """The CLI's per-shard throughput report."""
@@ -603,8 +565,6 @@ class ServingCluster:
         #: Per-shard-index serving counters behind :class:`ShardStats`.
         self._served_requests: Counter[int] = Counter()
         self._served_frames: Counter[int] = Counter()
-        self._deadline_requests: Counter[int] = Counter()
-        self._deadline_misses: Counter[int] = Counter()
         self._stream_shard: Dict[str, int] = {}
         #: Live-stream count per shard index, maintained incrementally so
         #: balanced routing stays O(workers) per placement even with
@@ -973,8 +933,6 @@ class ServingCluster:
             reports.append((index, report))
             self._served_requests[index] += len(group)
             self._served_frames[index] += sum(items[position][2] for position in group)
-            self._deadline_misses[index] += report.schedule.deadline_misses
-            self._deadline_requests[index] += report.schedule.deadline_requests
 
         self._scatter(
             len(items),
@@ -1125,8 +1083,6 @@ class ServingCluster:
                     ),
                     served_requests=self._served_requests[shard.index],
                     served_frames=self._served_frames[shard.index],
-                    deadline_requests=self._deadline_requests[shard.index],
-                    deadline_misses=self._deadline_misses[shard.index],
                     cache=cache,
                     frame_cache=frame_cache,
                     video_streams=video_streams,
