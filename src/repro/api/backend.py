@@ -21,7 +21,7 @@ Registration is declarative::
         description = "my accelerator model"
         ...
 
-after which ``Session(backend="mine")``, the serving engine's ``--backend``
+after which ``Session(backend="mine")``, the runtime CLI's ``--backend``
 flag and every cross-backend sweep pick it up with no further wiring.
 """
 

@@ -36,6 +36,7 @@ from repro.baselines.eyeriss import EYERISS_VGG16
 from repro.baselines.frame_based import frame_based_report
 from repro.baselines.ideal import IDEAL_BM3D
 from repro.baselines.scale_sim import SystolicConfig, TPU_CONFIG, simulate_systolic
+from repro.core.blockflow import network_scale
 from repro.core.partition import plan_stages, submodel_plan
 from repro.fbisa.compiler import compile_network
 from repro.hw.area_power import (
@@ -49,7 +50,7 @@ from repro.hw.dram import DRAM_CONFIGS, dram_traffic, parameter_load_time_s, tot
 from repro.hw.performance import evaluate_performance
 from repro.hw.processor import EcnnProcessor
 from repro.models.complexity import kop_per_pixel, parameter_count
-from repro.nn.network import Network
+from repro.nn.network import Network, flatten_layers
 from repro.specs import SPECIFICATIONS, RealTimeSpec
 
 #: The operating point the published computational-imaging figures refer to.
@@ -84,17 +85,6 @@ def _compile_fbisa(network: Network, block: int):
     return compiled[block]
 
 
-def _network_scale(network: Network) -> float:
-    """Net resolution scale of the flattened network (output over input)."""
-    from repro.baselines.scale_sim import _flatten
-    from repro.nn.receptive_field import layer_geometry
-
-    scale = 1.0
-    for layer in _flatten(network):
-        scale *= layer_geometry(layer).scale
-    return scale
-
-
 def _ops_per_frame(network: Network, spec: RealTimeSpec) -> float:
     """Operations one frame of ``network`` costs at ``spec``.
 
@@ -104,7 +94,7 @@ def _ops_per_frame(network: Network, spec: RealTimeSpec) -> float:
     count is scaled down for networks that reduce resolution (the
     recognition trunk outputs 1/32-resolution features).
     """
-    scale = min(1.0, _network_scale(network))
+    scale = min(1.0, network_scale(flatten_layers(network)))
     output_pixels = spec.pixels_per_frame * scale * scale
     return kop_per_pixel(network) * 1e3 * output_pixels
 

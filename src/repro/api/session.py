@@ -11,7 +11,7 @@ A session binds together everything one evaluation context needs:
 * the workload catalogue (:data:`repro.runtime.workloads.WORKLOADS` by
   default — inject a dict to scope or extend it).
 
-The serving engine, the sweep helpers and the examples all go through a
+The serving cluster, the sweep helpers and the examples all go through a
 session instead of reaching into ``hw``/``core``/``fbisa`` directly, so a
 newly registered backend is served, swept and reported with no further
 wiring.

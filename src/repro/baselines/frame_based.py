@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from repro.models.complexity import kop_per_pixel
 from repro.nn.layers import Conv2d
-from repro.nn.network import Sequential, iter_conv_layers
+from repro.nn.network import Sequential, flatten_layers, iter_conv_layers
 from repro.nn.receptive_field import layer_geometry
 from repro.specs import RealTimeSpec
 
@@ -84,7 +84,7 @@ def frame_based_report(
     # Walk the flattened network tracking the relative resolution.
     total_feature_bits = 0.0
     scale = 1.0  # relative to the *input* image resolution
-    flat = _flatten(network)
+    flat = list(flatten_layers(network))
     upscale = getattr(network, "upscale", 1)
     input_pixels = spec.pixels_per_frame / (upscale * upscale)
     for index, layer in enumerate(flat):
@@ -106,22 +106,3 @@ def frame_based_report(
         required_tops=tops,
     )
 
-
-def _flatten(network: Sequential):
-    from repro.nn.layers import Residual
-
-    result = []
-
-    def walk(layer):
-        if isinstance(layer, Residual):
-            for inner in layer.body:
-                walk(inner)
-        elif isinstance(layer, Sequential):
-            for inner in layer.layers:
-                walk(inner)
-        else:
-            result.append(layer)
-
-    for layer in network.layers:
-        walk(layer)
-    return result

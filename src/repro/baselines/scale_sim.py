@@ -17,10 +17,8 @@ DRAM bandwidth — with a standard weight-stationary cycle model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
 from repro.nn.layers import Conv2d
-from repro.nn.network import Sequential
+from repro.nn.network import Sequential, flatten_layers
 from repro.nn.receptive_field import layer_geometry
 from repro.specs import RealTimeSpec
 
@@ -79,26 +77,6 @@ class SystolicReport:
         return self.peak_tops / self.dram_bandwidth_gb_s
 
 
-def _flatten(network: Sequential) -> List:
-    from repro.nn.layers import Residual
-
-    result = []
-
-    def walk(layer):
-        if isinstance(layer, Residual):
-            for inner in layer.body:
-                walk(inner)
-        elif isinstance(layer, Sequential):
-            for inner in layer.layers:
-                walk(inner)
-        else:
-            result.append(layer)
-
-    for layer in network.layers:
-        walk(layer)
-    return result
-
-
 def simulate_systolic(
     network: Sequential,
     spec: RealTimeSpec,
@@ -115,7 +93,7 @@ def simulate_systolic(
     cycles = 0.0
     dram_bytes = 0.0
     scale = 1.0
-    flat = _flatten(network)
+    flat = list(flatten_layers(network))
     previous_map_bytes = input_pixels * 3 * config.feature_bytes
     for index, layer in enumerate(flat):
         geom = layer_geometry(layer)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.nn.layers import Conv2d, Layer, Residual
-from repro.nn.network import Sequential
+from repro.nn.layers import Conv2d, Layer
+from repro.nn.network import Sequential, flatten_layers
 from repro.nn.receptive_field import layer_geometry
 
 
@@ -121,23 +121,13 @@ def intrinsic_macs_per_output_pixel(layers: Sequence[Layer]) -> float:
 
 def _probe_block(layers: Sequence[Layer]) -> int:
     """A safely large probe block for intrinsic accounting."""
-    margin = sum(layer_geometry(layer).margin for layer in _flatten(layers))
+    margin = sum(layer_geometry(layer).margin for layer in flatten_layers(layers))
     return 4 * margin + 64
-
-
-def _flatten(layers: Sequence[Layer]):
-    for layer in layers:
-        if isinstance(layer, Sequential):
-            yield from _flatten(layer.layers)
-        elif isinstance(layer, Residual):
-            yield from _flatten(layer.body)
-        else:
-            yield layer
 
 
 def _output_size(layers: Sequence[Layer], input_block: int) -> int:
     size = float(input_block)
-    for layer in _flatten(layers):
+    for layer in flatten_layers(layers):
         geom = layer_geometry(layer)
         size -= 2 * geom.margin
         if size <= 0:
@@ -152,7 +142,7 @@ def _pyramid_macs(layers: Sequence[Layer], input_block: int) -> tuple[float, int
     block_macs = 0.0
     relative_area = 1.0  # output pixels of the final image per pixel at this layer
     intrinsic_per_pixel = 0.0
-    flat = list(_flatten(layers))
+    flat = list(flatten_layers(layers))
 
     # Net scale from each layer position to the output determines how many
     # final output pixels each current-resolution pixel corresponds to.
@@ -231,7 +221,7 @@ def overhead_report(
         channels = metadata.get("channels")
     if channels is None:
         channels = max(
-            (layer.out_channels for layer in _flatten(layers) if isinstance(layer, Conv2d)),
+            (layer.out_channels for layer in flatten_layers(layers) if isinstance(layer, Conv2d)),
             default=3,
         )
     return OverheadReport(

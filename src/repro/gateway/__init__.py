@@ -6,8 +6,8 @@ serving into deadline-aware serving: every request's workload maps to an
 SLO class (:mod:`repro.gateway.slo`), carries an absolute deadline and a
 priority into the EDF scheduling policy, and is admitted only when a
 calibrated cost model says the owning shard can meet the deadline —
-otherwise the request is degraded (the ``frame_based`` fallback engine,
-fewer frames, or cache-only) or shed with a typed
+otherwise the request is degraded (the ``frame_based`` fallback, or fewer
+frames) or, when no degradation fits, shed with a typed
 :class:`AdmissionRejected` carrying a retry-after hint.
 """
 

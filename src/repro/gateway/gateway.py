@@ -7,11 +7,15 @@ calibrated :class:`CostModel`: *can the owning shard complete this request
 inside its budget, given the work already admitted ahead of it?*  If yes,
 the request enters the cluster with an absolute deadline and the EDF policy
 orders it.  If not, a degradable class walks a fixed ladder — serve on the
-``frame_based`` fallback engine's separate capacity, halve the requested
-frames, or answer cache-only — and the rung taken is recorded as a
-:class:`DegradeDecision`.  A class that cannot degrade is shed with
-:class:`AdmissionRejected` and a ``retry_after_s`` hint instead of queueing
-the request unboundedly.
+``frame_based`` fallback's separate capacity (one EDF
+:class:`~repro.runtime.scheduler.RequestQueue` and one single-instance
+:class:`~repro.runtime.scheduler.Scheduler` over a ``frame_based``
+:class:`~repro.api.Session`), or halve the requested frames on the owning
+shard — and the rung taken is recorded as a :class:`DegradeDecision`.  A
+request no rung fits, and any request of a class that cannot degrade, is
+shed with :class:`AdmissionRejected` and a ``retry_after_s`` hint (the
+primary estimate's overshoot of the budget) instead of queueing the request
+unboundedly.
 
 The gateway is synchronous: callers (the soak harness, perfbench) drive
 admissions through :meth:`SLOGateway.admit` and run the admitted work with
@@ -32,17 +36,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
+from repro.api.session import Session
 from repro.core.stats import LatencyHistogram
+from repro.runtime.cache import ResultCache
 from repro.runtime.cluster import ServingCluster
-from repro.runtime.engine import ServingEngine
-from repro.runtime.scheduler import ScheduleResult
+from repro.runtime.scheduler import RequestQueue, ScheduleResult, Scheduler
 from repro.gateway.slo import DEFAULT_SLO_CLASSES, SLOClass, slo_class
 from repro.gateway.stats import GatewayStats
 
-#: Shard index the gateway reports for its fallback engine's schedules.
+#: Shard index the gateway reports for its fallback's schedules.
 FALLBACK_SHARD = -1
 
-#: Backend of the fallback engine, the degradation ladder's first rung.
+#: Backend of the fallback, the degradation ladder's first rung.
 FALLBACK_BACKEND = "frame_based"
 
 #: EWMA weight of one observed batch in the cost model.
@@ -91,7 +96,7 @@ class AdmissionTicket:
     slo: str
     #: ``"admit"`` or the degradation-ladder rung taken.
     action: str
-    #: ``"primary"``, ``"fallback"``, or ``"none"`` (cache-only).
+    #: ``"primary"`` (the cluster) or ``"fallback"``.
     target: str
     #: The cost model's completion estimate at admission time.
     estimated_s: float
@@ -102,8 +107,9 @@ class AdmissionTicket:
 
     @property
     def queued(self) -> bool:
-        """Whether the request entered a queue (cache-only answers don't)."""
-        return self.target != "none"
+        """Whether the request entered a queue: every ticket's did, since a
+        request no rung fits is shed instead of ticketed."""
+        return True
 
 
 @dataclass(frozen=True)
@@ -190,8 +196,8 @@ class SLOGateway:
     def __init__(self, cluster: ServingCluster) -> None:
         self.cluster = cluster
         self.cost_model = CostModel(cluster.session.profile)
-        #: The fallback engine and its cost model, built on first degrade.
-        self._fallback: Optional[Tuple[ServingEngine, CostModel]] = None
+        #: The fallback's queue, scheduler and cost model, built on first degrade.
+        self._fallback: Optional[Tuple[RequestQueue, Scheduler, CostModel]] = None
         self.stats = GatewayStats()
         self.latency = LatencyHistogram()
         self.degrade_log: List[DegradeDecision] = []
@@ -203,40 +209,19 @@ class SLOGateway:
         #: once per switch).
         self._warm: Dict[int, Set[str]] = {}
 
-    def _fallback_engine(self) -> Tuple[ServingEngine, CostModel]:
+    def _fallback_path(self) -> Tuple[RequestQueue, Scheduler, CostModel]:
         if self._fallback is None:
-            from repro.runtime.cache import ResultCache
-
-            engine = ServingEngine(
-                num_instances=1,
-                backend=FALLBACK_BACKEND,
-                cache=ResultCache(),
-                policy="edf",
+            session = Session(backend=FALLBACK_BACKEND, cache=ResultCache())
+            self._fallback = (
+                RequestQueue(policy="edf"),
+                Scheduler(session.profile, num_instances=1, policy="edf"),
+                CostModel(session.profile),
             )
-            self._fallback = (engine, CostModel(engine.session.profile))
         return self._fallback
-
-    @staticmethod
-    def _ticket(
-        request: _Ask, frames: int, action: str, where: str, estimate: float
-    ) -> AdmissionTicket:
-        return AdmissionTicket(
-            stream_id=request.stream_id,
-            workload=request.workload,
-            frames=frames,
-            requested_frames=request.frames,
-            arrival_s=request.arrival_s,
-            deadline_s=request.arrival_s + request.slo.deadline_s,
-            priority=request.slo.priority,
-            slo=request.slo.name,
-            action=action,
-            target=where,
-            estimated_s=estimate,
-        )
 
     def _place(
         self,
-        target: Union[ServingCluster, ServingEngine],
+        target: Union[ServingCluster, RequestQueue],
         cost_model: CostModel,
         shard: int,
         instances: int,
@@ -268,7 +253,19 @@ class SLOGateway:
         estimate = competing / instances + own
         if estimate > slo.deadline_s:
             return estimate, None
-        ticket = self._ticket(request, frames, action, where, estimate)
+        ticket = AdmissionTicket(
+            stream_id=request.stream_id,
+            workload=request.workload,
+            frames=frames,
+            requested_frames=request.frames,
+            arrival_s=request.arrival_s,
+            deadline_s=request.arrival_s + slo.deadline_s,
+            priority=slo.priority,
+            slo=slo.name,
+            action=action,
+            target=where,
+            estimated_s=estimate,
+        )
         target.submit(
             request.stream_id,
             request.workload,
@@ -292,9 +289,10 @@ class SLOGateway:
         """Admit, degrade, or shed one request (synchronous core).
 
         Raises :class:`AdmissionRejected` when the budget is busted and the
-        class cannot degrade, and propagates the cluster's backpressure
-        (:class:`~repro.runtime.cluster.ClusterBackpressure`) unchanged —
-        backpressure means "drain and retry", rejection means "slow down".
+        class cannot degrade or no rung fits, and propagates the cluster's
+        backpressure (:class:`~repro.runtime.cluster.ClusterBackpressure`)
+        unchanged — backpressure means "drain and retry", rejection means
+        "slow down".
         """
         request = _Ask(stream_id, workload, frames, arrival_s, slo_class(workload))
         slo = request.slo
@@ -305,18 +303,6 @@ class SLOGateway:
         )
         if ticket is None and slo.degradable:
             ticket = self._degrade(request, shard)
-            self.degrade_log.append(
-                DegradeDecision(
-                    stream_id=stream_id,
-                    workload=workload,
-                    slo=slo.name,
-                    action=ticket.action,
-                    requested_frames=frames,
-                    admitted_frames=ticket.frames,
-                    primary_estimate_s=estimate,
-                    deadline_budget_s=slo.deadline_s,
-                )
-            )
         if ticket is None:
             self.stats.shed += 1
             raise AdmissionRejected(
@@ -329,6 +315,18 @@ class SLOGateway:
                 slo=slo.name,
             )
         if ticket.degraded:
+            self.degrade_log.append(
+                DegradeDecision(
+                    stream_id=stream_id,
+                    workload=workload,
+                    slo=slo.name,
+                    action=ticket.action,
+                    requested_frames=frames,
+                    admitted_frames=ticket.frames,
+                    primary_estimate_s=estimate,
+                    deadline_budget_s=slo.deadline_s,
+                )
+            )
             self.stats.degraded += 1
             self.stats.by_action[ticket.action] = self.stats.by_action.get(ticket.action, 0) + 1
         else:
@@ -336,12 +334,12 @@ class SLOGateway:
         self.stats.by_class[slo.name] = self.stats.by_class.get(slo.name, 0) + 1
         return ticket
 
-    def _degrade(self, request: _Ask, shard: int) -> AdmissionTicket:
-        """The first rung that fits: the fallback engine, half the frames on
-        the owning shard, else a cache-only answer."""
-        fallback, fallback_cost = self._fallback_engine()
+    def _degrade(self, request: _Ask, shard: int) -> Optional[AdmissionTicket]:
+        """The first rung that fits: the fallback, else half the frames on
+        the owning shard; ``None`` when neither does."""
+        fallback_queue, _, fallback_cost = self._fallback_path()
         _, ticket = self._place(
-            fallback, fallback_cost, FALLBACK_SHARD, 1,
+            fallback_queue, fallback_cost, FALLBACK_SHARD, 1,
             request, request.frames, "fallback_backend", "fallback",
         )
         if ticket is None and request.frames > 1:
@@ -351,20 +349,14 @@ class SLOGateway:
                 self.cluster, self.cost_model, shard, self.cluster.instances_per_worker,
                 request, request.frames // 2, "reduce_frames", "primary",
             )
-        if ticket is None:
-            # Zero-cost degraded answer: serve whatever the caches hold
-            # (stale video blocks, cached frames) without queueing new
-            # work.  Always meets the deadline; never enters the ledger.
-            ticket = self._ticket(request, 0, "cache_only", "none", 0.0)
         return ticket
 
     def drain_now(self) -> "GatewayReport":
-        """Drain the cluster (and the fallback engine), account, report."""
-        schedules: List[Tuple[int, ScheduleResult]] = [
-            (index, report.schedule) for index, report in self.cluster.run().shard_reports
-        ]
-        if self._fallback is not None and len(self._fallback[0].queue):
-            schedules.append((FALLBACK_SHARD, self._fallback[0].run().schedule))
+        """Drain the cluster (and the fallback), account, report."""
+        schedules = list(self.cluster.run().schedules)
+        if self._fallback is not None and len(self._fallback[0]):
+            fallback_queue, fallback_scheduler, _ = self._fallback
+            schedules.append((FALLBACK_SHARD, fallback_scheduler.run(fallback_queue.drain())))
         for _, schedule in schedules:
             self.cost_model.observe_schedule(schedule)
             for record in schedule.records:
@@ -388,7 +380,7 @@ class GatewayReport:
     """Outcome of one gateway drain plus cumulative admission counters."""
 
     #: Every schedule this drain produced, as ``(shard index, schedule)``;
-    #: the fallback engine reports as shard :data:`FALLBACK_SHARD`.
+    #: the fallback reports as shard :data:`FALLBACK_SHARD`.
     schedules: Tuple[Tuple[int, ScheduleResult], ...]
     #: Cumulative gateway counters at report time.
     stats: GatewayStats

@@ -28,8 +28,8 @@ class SLOClass:
     deadline_s: float
     #: Tie-break between equal absolute deadlines (higher wins) under EDF.
     priority: int
-    #: Whether the gateway may degrade (cheaper backend / fewer frames /
-    #: cache-only) instead of shedding when the deadline cannot be met.
+    #: Whether the gateway may degrade (cheaper backend / fewer frames)
+    #: instead of shedding when the deadline cannot be met.
     degradable: bool = True
 
     def __post_init__(self) -> None:

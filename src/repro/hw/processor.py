@@ -31,7 +31,7 @@ class BlockExecutionReport:
     stage costs ``max(CIU_i, IDU_{i+1})``, so the whole stage array is a
     single elementwise maximum of the CIU cycles against the IDU cycles
     shifted by one instruction.  Reports are frozen, so the derived figures
-    are cached on first access (the serving engine and the recognition
+    are cached on first access (the runtime's analytics and the recognition
     profile ask for ``pipelined_cycles`` repeatedly).
     """
 

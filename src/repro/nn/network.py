@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-from repro.nn.layers import Layer
+from repro.nn.layers import Conv2d, Layer, Residual
 from repro.nn.tensor import FeatureMap
 
 
@@ -108,15 +108,20 @@ class Network(Sequential):
         )
 
 
+def flatten_layers(layers: Iterable[Layer]) -> Iterator[Layer]:
+    """Yield the leaf layers of ``layers`` in execution order, walking into
+    every nested :class:`Sequential` and residual body."""
+    for layer in layers:
+        if isinstance(layer, Sequential):
+            yield from flatten_layers(layer.layers)
+        elif isinstance(layer, Residual):
+            yield from flatten_layers(layer.body)
+        else:
+            yield layer
+
+
 def iter_conv_layers(layer: Layer) -> Iterable[Layer]:
     """Yield every convolution layer nested anywhere inside ``layer``."""
-    from repro.nn.layers import Conv2d, Residual  # local import to avoid cycle
-
-    if isinstance(layer, Conv2d):
-        yield layer
-    elif isinstance(layer, Residual):
-        for inner in layer.body:
-            yield from iter_conv_layers(inner)
-    elif isinstance(layer, Sequential):
-        for inner in layer.layers:
-            yield from iter_conv_layers(inner)
+    for leaf in flatten_layers((layer,)):
+        if isinstance(leaf, Conv2d):
+            yield leaf

@@ -1,8 +1,9 @@
 """Multi-scenario serving runtime on top of the eCNN simulator.
 
 The paper's processor sustains real-time rates on single workloads; this
-subpackage turns the repository's analytic models into a serving engine that
-handles many streams at once — the deployment the edge box actually faces.
+subpackage turns the repository's analytic models into a serving runtime
+that handles many streams at once — the deployment the edge box actually
+faces.
 
 Modules
 -------
@@ -15,15 +16,16 @@ Modules
   placement across simulated eCNN instances with per-stream FPS accounting;
 * :mod:`repro.runtime.trace` — replayable traffic traces (``demo``,
   ``burst``, ``steady``);
-* :mod:`repro.runtime.engine` — the :class:`~repro.runtime.engine.ServingEngine`
-  front door tying queue, scheduler and cache together, serving through a
-  :class:`repro.api.Session` so any registered accelerator backend
-  (``ecnn``, ``eyeriss``, ``diffy``, ``ideal``, ``frame_based``,
-  ``scale_sim``) can stand in for the eCNN processor;
-* :mod:`repro.runtime.cluster` — the scale-out tier:
+* :mod:`repro.runtime.engine` — :func:`~repro.runtime.engine.analyze`, the
+  cached per-workload analytics (layer timing, profile, cost) of a session;
+* :mod:`repro.runtime.cluster` — the serving front door:
   :class:`~repro.runtime.cluster.ServingCluster` shards streams and
-  workloads across a pool of worker processes (one pinned session per
-  worker) with bounded per-shard queues, one failover loop, aggregated
+  workloads across a pool of worker processes (one pinned
+  :class:`repro.api.Session` per worker, so any registered accelerator
+  backend — ``ecnn``, ``eyeriss``, ``diffy``, ``ideal``, ``frame_based``,
+  ``scale_sim`` — can stand in for the eCNN processor, and one
+  :class:`~repro.runtime.scheduler.Scheduler` over its profiles) with
+  bounded per-shard queues, one failover loop, aggregated
   :class:`~repro.runtime.cluster.ClusterStats`, and the fault-injection
   primitives ``kill_worker`` (which the :mod:`repro.soak` tier fires
   mid-run) and ``evict_frame_caches``, plus the ``fault_hook`` callback;
@@ -36,7 +38,7 @@ Modules
 * :mod:`repro.runtime.sweep` — process-parallel design-space sweeps,
   bit-identical to :func:`repro.analysis.sweeps.sweep`;
 * :mod:`repro.runtime.cli` — ``python -m repro.runtime --trace demo
-  [--backend eyeriss] [--workers 4]``.
+  [--backend eyeriss] [--workers 4]``, always through the cluster.
 """
 
 from repro.runtime.cache import CacheStats, DEFAULT_CACHE, ResultCache, fingerprint
@@ -49,7 +51,7 @@ from repro.runtime.cluster import (
     ServingCluster,
     ShardStats,
 )
-from repro.runtime.engine import ServingEngine, ServingReport, WorkloadAnalytics
+from repro.runtime.engine import WorkloadAnalytics, analyze
 from repro.runtime.scheduler import (
     POLICIES,
     Batch,
@@ -99,8 +101,6 @@ __all__ = [
     "ScheduleResult",
     "Scheduler",
     "ServingCluster",
-    "ServingEngine",
-    "ServingReport",
     "ShardStats",
     "StagedPlanStreamError",
     "StreamFrameResult",
@@ -112,6 +112,7 @@ __all__ = [
     "VideoStreamStats",
     "WORKLOADS",
     "WorkloadAnalytics",
+    "analyze",
     "fingerprint",
     "form_batches",
     "register_workload",

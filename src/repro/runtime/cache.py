@@ -2,7 +2,7 @@
 
 Throughput, DRAM-traffic, power and layer-timing queries are pure functions
 of (network specification, hardware configuration, input geometry).  The
-serving engine asks the same questions for every batch of a workload, and
+scheduler asks the same questions for every batch of a workload, and
 design-space sweeps ask them for every point, so the runtime computes each
 answer once and addresses it by a digest of its inputs.  Keys are built by
 :func:`fingerprint`, which canonicalizes dataclasses, mappings and sequences
@@ -150,7 +150,7 @@ class ResultCache:
         )
 
 
-#: Process-wide cache shared by the default serving engine and the cached
-#: analytic helpers; scoped instances can be passed wherever isolation or a
+#: Process-wide cache shared by every session built without one and the
+#: cached analytic helpers; scoped instances can be passed wherever isolation or a
 #: bounded footprint matters (tests construct their own).
 DEFAULT_CACHE = ResultCache()

@@ -1,15 +1,14 @@
 """Command-line front end: ``python -m repro.runtime --trace demo``.
 
-Replays a named traffic trace through a :class:`~repro.runtime.engine.ServingEngine`
-and prints the per-stream throughput/latency report, instance utilization and
-cache statistics.  ``--backend`` serves the same trace on any registered
-accelerator backend (``--list-backends`` enumerates them); ``--analyze``
-appends the per-workload analytic summary (capacity, DRAM, power) and
-demonstrates the content-addressed cache by asking every analytic question
-twice.  ``--workers N`` serves through a sharded
-:class:`~repro.runtime.cluster.ServingCluster` instead — N worker
-processes, ``--instances`` simulated accelerators each — and prints the
-per-shard report plus the aggregated cluster statistics.
+Replays a named traffic trace through a sharded
+:class:`~repro.runtime.cluster.ServingCluster` — ``--workers`` shards
+(default 1), ``--instances`` simulated accelerators each — and prints the
+per-shard, per-stream and per-instance report, latency percentiles and the
+aggregated cluster statistics.  ``--backend`` serves the same trace on any
+registered accelerator backend (``--list-backends`` enumerates them);
+``--analyze`` appends the per-workload analytic summary (capacity, DRAM,
+power) and demonstrates the content-addressed cache by asking every
+analytic question twice.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ import argparse
 from typing import Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.api import available_backends, describe_backends
+from repro.api import Session, available_backends, describe_backends
 from repro.runtime.cluster import ServingCluster
-from repro.runtime.engine import ServingEngine
+from repro.runtime.engine import analyze
 from repro.runtime.scheduler import POLICIES
 from repro.runtime.trace import TRACES, trace
 
@@ -58,17 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=0,
-        help="serve through a sharded cluster of N worker processes, "
-        "--instances simulated accelerators each (default: 0 = in-process "
-        "engine, no cluster)",
+        default=1,
+        help="number of cluster shards (worker processes), --instances "
+        "simulated accelerators each (default: 1)",
     )
     parser.add_argument(
         "--cluster-mode",
         default="auto",
         choices=("auto", "process", "inline"),
-        help="with --workers: worker processes, in-process shards, or "
-        "processes with inline fallback (default: auto)",
+        help="worker processes, in-process shards, or processes with "
+        "inline fallback (default: auto)",
     )
     parser.add_argument(
         "--policy",
@@ -95,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _analytics_section(engine: ServingEngine, workload_names: Sequence[str]) -> str:
+def _analytics_section(session: Session, workload_names: Sequence[str]) -> str:
     rows = []
     for name in workload_names:
         # Ask twice on purpose: the second query is a cache hit, which the
         # closing cache line makes visible.
-        analytics = engine.analyze(name)
-        analytics = engine.analyze(name)
+        analytics = analyze(session, name)
+        analytics = analyze(session, name)
         profile = analytics.profile
         rows.append(
             (
@@ -129,8 +127,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--instances must be at least 1")
     if args.batch_frames < 1:
         parser.error("--batch-frames must be at least 1")
-    if args.workers < 0:
-        parser.error("--workers cannot be negative")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
     if args.list_traces:
         for name in sorted(TRACES):
             built = trace(name)
@@ -143,55 +141,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     selected = trace(args.trace)
-    if args.workers:
-        with ServingCluster(
-            workers=args.workers,
-            backend=args.backend,
-            instances_per_worker=args.instances,
-            max_batch_frames=args.batch_frames,
-            mode=args.cluster_mode,
-            policy=args.policy,
-        ) as cluster:
-            print(f"backend {cluster.backend_name!r}, "
-                  f"{args.workers} worker shard(s) ({cluster.mode})")
-            print(f"trace {selected.name!r}: {selected.description}")
-            print(f"streams: {', '.join(selected.streams)}; "
-                  f"{len(selected.events)} requests, {selected.total_frames} frames\n")
-            cluster.play(selected)
-            print(cluster.run().render())
-            print(f"\ncluster: {cluster.stats().describe()}")
-            if args.analyze:
-                # Analytics are pure cache-resident questions, answered by
-                # the coordinator session (same backend/config as every
-                # worker), not by a shard.
-                engine = ServingEngine(
-                    num_instances=args.instances,
-                    max_batch_frames=args.batch_frames,
-                    backend=cluster.session,
-                )
-                names = sorted({event.workload for event in selected.events})
-                print()
-                print(_analytics_section(engine, names))
-                print(f"\nanalytic cache after re-query: {engine.cache.stats.describe()}")
-        return 0
-    engine = ServingEngine(
-        num_instances=args.instances,
-        max_batch_frames=args.batch_frames,
+    with ServingCluster(
+        workers=args.workers,
         backend=args.backend,
+        instances_per_worker=args.instances,
+        max_batch_frames=args.batch_frames,
+        mode=args.cluster_mode,
         policy=args.policy,
-    )
-    print(f"backend {engine.backend_name!r}")
-    print(f"trace {selected.name!r}: {selected.description}")
-    print(f"streams: {', '.join(selected.streams)}; "
-          f"{len(selected.events)} requests, {selected.total_frames} frames\n")
-    engine.play(selected)
-    report = engine.run()
-    print(report.render())
-    if args.analyze:
-        names = sorted({event.workload for event in selected.events})
-        print()
-        print(_analytics_section(engine, names))
-        print(f"\nanalytic cache after re-query: {engine.cache.stats.describe()}")
+    ) as cluster:
+        print(f"backend {cluster.backend_name!r}, "
+              f"{args.workers} worker shard(s) ({cluster.mode})")
+        print(f"trace {selected.name!r}: {selected.description}")
+        print(f"streams: {', '.join(selected.streams)}; "
+              f"{len(selected.events)} requests, {selected.total_frames} frames\n")
+        cluster.play(selected)
+        print(cluster.run().render())
+        print(f"\ncluster: {cluster.stats().describe()}")
+        if args.analyze:
+            # Analytics are pure cache-resident questions, answered by the
+            # coordinator session (same backend/config as every worker),
+            # not by a shard.
+            names = sorted({event.workload for event in selected.events})
+            print()
+            print(_analytics_section(cluster.session, names))
+            print(f"\nanalytic cache after re-query: {cluster.session.cache.stats.describe()}")
     return 0
 
 

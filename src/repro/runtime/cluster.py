@@ -1,16 +1,17 @@
-"""Sharded multi-worker serving: the scale-out tier above the engine.
+"""Sharded multi-worker serving: the runtime's one serving front door.
 
 :class:`ServingCluster` spreads the serving catalogue across a pool of
 worker *processes*.  Each worker is one pinned :class:`~repro.api.Session`
 — rebuilt inside the worker from a picklable
 :class:`~repro.api.SessionHandle`, with its own scoped analytic and frame
 caches and process-local hot-path memos.  Pixel, profile, stats and
-eviction commands are answered straight from that session; only ``run``
-goes through a :class:`~repro.runtime.engine.ServingEngine` over it, which
-schedules the shard's queued requests on ``instances_per_worker``
-simulated accelerator instances.  The cluster is to the engine what the
-engine is to one processor: the engine batches requests across instances,
-the cluster shards streams across engines.
+eviction commands are answered straight from that session.  ``run`` hands
+the worker the requests its shard's queue drained, in the queue's policy
+order; the worker numbers them in that order and schedules them with a
+:class:`~repro.runtime.scheduler.Scheduler` over the session's profiles on
+``instances_per_worker`` simulated accelerator instances.  The scheduler
+batches requests across instances; the cluster shards streams across
+workers.
 
 Semantics (documented in ``docs/serving.md``):
 
@@ -67,11 +68,18 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.api.results import PerfProfile, PlanHandle
 from repro.api.session import Session, SessionHandle, frame_digest
 from repro.core.pipeline import InferenceResult
+from repro.core.stats import percentiles_from_sorted
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.nn.tensor import FeatureMap
 from repro.runtime.cache import CacheStats, ResultCache
-from repro.runtime.engine import ServingEngine, ServingReport
-from repro.runtime.scheduler import QueueFull, RequestQueue, policy_key
+from repro.runtime.scheduler import (
+    InferenceRequest,
+    QueueFull,
+    RequestQueue,
+    ScheduleResult,
+    Scheduler,
+    policy_key,
+)
 from repro.runtime.trace import TrafficTrace
 from repro.runtime.video import StreamFrameResult, VideoStreamStats
 
@@ -100,6 +108,14 @@ _RERAISABLE = {"ValueError": ValueError, "KeyError": KeyError, "TypeError": Type
 #: Request id of the one-time worker startup acknowledgement.
 _READY = -1
 
+#: Seconds to wait for a worker's startup acknowledgement before declaring
+#: its shard dead.
+START_TIMEOUT_S = 120.0
+
+#: Seconds to wait for a worker's reply to one command before declaring its
+#: shard dead.
+CALL_TIMEOUT_S = 600.0
+
 
 def _describe_error(exc: BaseException) -> Tuple[str, str]:
     return (type(exc).__name__, str(exc))
@@ -113,7 +129,7 @@ def _reraise(kind: str, message: str) -> None:
 
 # --------------------------------------------------------------------- worker
 class _WorkerState:
-    """Everything one worker owns: pinned session, its ``run`` engine, warm plans."""
+    """Everything one worker owns: pinned session, its ``run`` scheduler, warm plans."""
 
     def __init__(
         self,
@@ -124,10 +140,10 @@ class _WorkerState:
         policy: str = "fifo",
     ) -> None:
         self.session = handle.create()
-        self.engine = ServingEngine(
+        self.scheduler = Scheduler(
+            self.session.profile,
             num_instances=instances,
             max_batch_frames=max_batch_frames,
-            backend=self.session,
             policy=policy,
         )
         # Build only the plans the cluster was told it serves; every other
@@ -141,21 +157,17 @@ class _WorkerState:
 def _execute_command(state: _WorkerState, command: str, payload: Any) -> Any:
     """The one dispatch table shared by process workers and inline shards.
 
-    ``run`` drains through the worker's engine (queue + scheduler); every
+    ``run`` schedules the sent requests on the worker's scheduler; every
     other command is answered straight from the worker's session.
     """
     session = state.session
     if command == "run":
-        for stream_id, workload_name, frames, arrival_s, deadline_s, priority in payload:
-            state.engine.submit(
-                stream_id,
-                workload_name,
-                frames=frames,
-                arrival_s=arrival_s,
-                deadline_s=deadline_s,
-                priority=priority,
-            )
-        return state.engine.run()
+        # The payload is the shard's requests in its queue's policy order,
+        # then any a dead shard left behind; numbering them in the order
+        # sent makes that order the policy's last tie-break.
+        return state.scheduler.run(
+            [InferenceRequest(position, *item) for position, item in enumerate(payload)]
+        )
     if command == "execute_frames":
         workload_name, frames, digests, cached = payload
         return session.execute_many(workload_name, frames, cached=cached, digests=digests)
@@ -412,30 +424,25 @@ class ClusterStats:
 
 @dataclass(frozen=True)
 class ClusterReport:
-    """Outcome of one :meth:`ServingCluster.run`: per-shard serving reports."""
+    """Outcome of one :meth:`ServingCluster.run`: every shard's schedule."""
 
     backend: str
     mode: str
     workers: int
-    #: (shard index, that shard's engine report), sorted by shard index;
+    #: (shard index, the schedule its worker ran), sorted by shard index;
     #: shards that had no routed requests are omitted, and a shard that
-    #: absorbed requeued work after a failure contributes one report per
-    #: schedule it ran.
-    shard_reports: Tuple[Tuple[int, ServingReport], ...]
+    #: absorbed requeued work after a failure contributes one schedule per
+    #: dispatch round it served.
+    schedules: Tuple[Tuple[int, ScheduleResult], ...]
 
     @property
     def total_frames(self) -> int:
-        return sum(
-            report.schedule.total_frames for _, report in self.shard_reports
-        )
+        return sum(schedule.total_frames for _, schedule in self.schedules)
 
     @property
     def makespan_s(self) -> float:
         """Simulated wall time: shards serve concurrently from a shared origin."""
-        return max(
-            (report.schedule.makespan_s for _, report in self.shard_reports),
-            default=0.0,
-        )
+        return max((schedule.makespan_s for _, schedule in self.schedules), default=0.0)
 
     @property
     def throughput_fps(self) -> float:
@@ -443,36 +450,78 @@ class ClusterReport:
         return self.total_frames / makespan if makespan else 0.0
 
     def render(self) -> str:
-        """The CLI's per-shard throughput report."""
+        """The CLI's report: per shard, per stream, per instance, then totals."""
         from repro.analysis.report import format_table
 
-        rows = []
-        for shard, report in self.shard_reports:
-            schedule = report.schedule
-            streams = schedule.stream_stats()
-            rows.append(
+        shards = format_table(
+            "Per-shard serving report",
+            ["shard", "streams", "requests", "frames", "makespan (ms)", "fps"],
+            [
                 (
                     shard,
-                    "+".join(sorted(streams)),
+                    "+".join(schedule.stream_stats()),
                     len(schedule.records),
                     schedule.total_frames,
                     round(schedule.makespan_s * 1e3, 2),
                     round(schedule.throughput_fps, 1),
-                    f"{report.cache.hit_rate:.0%}",
                 )
-            )
-        table = format_table(
-            "Per-shard serving report",
-            ["shard", "streams", "requests", "frames", "makespan (ms)", "fps", "cache hits"],
-            rows,
+                for shard, schedule in self.schedules
+            ],
+        )
+        streams = format_table(
+            "Per-stream serving report",
+            ["shard", "stream", "workload(s)", "requests", "frames", "fps",
+             "mean latency (ms)", "max latency (ms)"],
+            [
+                (
+                    shard,
+                    stats.stream_id,
+                    "+".join(stats.workloads),
+                    stats.requests,
+                    stats.frames,
+                    round(stats.fps, 2),
+                    round(stats.mean_latency_s * 1e3, 2),
+                    round(stats.max_latency_s * 1e3, 2),
+                )
+                for shard, schedule in self.schedules
+                for stats in schedule.stream_stats().values()
+            ],
+        )
+        instances = format_table(
+            "Instance utilization",
+            ["shard", "instance", "busy (ms)", "utilization"],
+            [
+                (shard, index, round(schedule.instance_busy_s[index] * 1e3, 2),
+                 f"{schedule.utilization(index):.0%}")
+                for shard, schedule in self.schedules
+                for index in range(schedule.num_instances)
+            ],
         )
         summary = (
-            f"cluster served {self.total_frames} frames on {self.workers} "
-            f"{self.backend} worker(s) ({self.mode} shards); "
+            f"cluster served {self.total_frames} frames in "
+            f"{sum(len(schedule.batches) for _, schedule in self.schedules)} batches "
+            f"on {self.workers} {self.backend} worker(s) ({self.mode} shards); "
             f"makespan {self.makespan_s * 1e3:.2f} ms, "
             f"aggregate {self.throughput_fps:.1f} fps"
         )
-        return "\n\n".join([table, summary])
+        percentiles = percentiles_from_sorted(
+            sorted(
+                record.latency_s for _, schedule in self.schedules for record in schedule.records
+            ),
+            (0.5, 0.95, 0.99),
+        )
+        if percentiles:
+            summary += "\nlatency " + " ".join(
+                f"p{int(q * 100)} {value * 1e3:.2f} ms" for q, value in percentiles.items()
+            )
+        deadline_requests = sum(schedule.deadline_requests for _, schedule in self.schedules)
+        if deadline_requests:
+            misses = sum(schedule.deadline_misses for _, schedule in self.schedules)
+            summary += (
+                f"\ndeadlines: {misses}/{deadline_requests} "
+                f"missed ({misses / deadline_requests:.1%})"
+            )
+        return "\n\n".join([shards, streams, instances, summary])
 
 
 # -------------------------------------------------------------------- cluster
@@ -482,14 +531,14 @@ class ServingCluster:
     Parameters
     ----------
     workers:
-        Number of shards (one pinned session + engine per shard).
+        Number of shards (one pinned session + scheduler per shard).
     backend:
         Backend registry name, or a :class:`~repro.api.Session` whose
         :meth:`~repro.api.Session.handle` describes the workers' sessions.
     config:
         Hardware configuration forwarded to every worker session.
     instances_per_worker:
-        Simulated accelerator instances inside each worker's engine.
+        Simulated accelerator instances inside each worker's scheduler.
     max_batch_frames:
         Scheduler batch budget inside each worker.
     max_pending:
@@ -507,9 +556,6 @@ class ServingCluster:
         Queue/scheduler ordering inside every shard — ``"fifo"`` (default,
         bit-identical to the historical cluster) or ``"edf"`` for the SLO
         gateway's deadline-aware serving.
-    start_timeout_s / call_timeout_s:
-        How long to wait for worker startup acks / command replies before
-        declaring a shard dead.
     fault_hook:
         Optional callable ``hook(cluster, point)`` invoked at documented
         injection points inside :meth:`run` (``"run:start"`` once per
@@ -531,8 +577,6 @@ class ServingCluster:
         frame_cache_entries: Optional[int] = 64,
         mode: str = "auto",
         policy: str = "fifo",
-        start_timeout_s: float = 120.0,
-        call_timeout_s: float = 600.0,
         fault_hook: Optional[Callable[["ServingCluster", str], None]] = None,
     ) -> None:
         if workers < 1:
@@ -558,7 +602,6 @@ class ServingCluster:
         self.max_batch_frames = max_batch_frames
         self.max_pending = max_pending
         self.policy = policy
-        self.call_timeout_s = call_timeout_s
         self.fault_hook = fault_hook
         self.requeued = 0
         self._closed = False
@@ -581,7 +624,7 @@ class ServingCluster:
         self._shards: List[Any] = []
         if mode in ("auto", "process"):
             try:
-                self._shards = self._start_processes(warm, start_timeout_s)
+                self._shards = self._start_processes(warm)
                 self.mode = "process"
             except (_ShardFailure, OSError, ValueError, ImportError) as exc:
                 for shard in self._shards:
@@ -603,9 +646,7 @@ class ServingCluster:
                 for index in range(workers)
             ]
 
-    def _start_processes(
-        self, warm: Tuple[PlanHandle, ...], start_timeout_s: float
-    ) -> List[_ProcessShard]:
+    def _start_processes(self, warm: Tuple[PlanHandle, ...]) -> List[_ProcessShard]:
         import multiprocessing
 
         # fork inherits the parent's warm memos copy-on-write; under spawn
@@ -627,7 +668,7 @@ class ServingCluster:
         ]
         try:
             for shard in shards:
-                shard.wait_ready(start_timeout_s)
+                shard.wait_ready(START_TIMEOUT_S)
         except _ShardFailure:
             for shard in shards:
                 shard.close()
@@ -741,7 +782,7 @@ class ServingCluster:
                     failed.extend(group)
             for shard, group, request_id in in_flight:
                 try:
-                    reply = shard.receive(request_id, self.call_timeout_s)
+                    reply = shard.receive(request_id, CALL_TIMEOUT_S)
                 except _ShardFailure:
                     self._mark_dead(shard)
                     failed.extend(group)
@@ -772,7 +813,7 @@ class ServingCluster:
             if shard.alive:
                 try:
                     replies[shard.index] = shard.receive(
-                        shard.send(command, None), self.call_timeout_s
+                        shard.send(command, None), CALL_TIMEOUT_S
                     )
                 except _ShardFailure:
                     self._mark_dead(shard)
@@ -896,7 +937,7 @@ class ServingCluster:
 
     # --------------------------------------------------------------- serving
     def run(self) -> ClusterReport:
-        """Drain every shard's queue through its worker engine and aggregate.
+        """Drain every shard's queue through its worker's scheduler and aggregate.
 
         Shards schedule concurrently (in process mode the workers really do
         run in parallel); a shard that fails mid-run has its requests
@@ -917,8 +958,8 @@ class ServingCluster:
         items.extend(orphaned)
         # A list, not a dict: after a failure the requeued requests run as a
         # *second* schedule on a surviving shard, so one shard index may
-        # legitimately contribute more than one report.
-        reports: List[Tuple[int, ServingReport]] = []
+        # legitimately contribute more than one schedule.
+        schedules: List[Tuple[int, ScheduleResult]] = []
 
         def route(pending: List[int]) -> Dict[int, List[int]]:
             groups: Dict[int, List[int]] = {}
@@ -929,8 +970,8 @@ class ServingCluster:
             self._fire_hook("run:round")
             return groups
 
-        def on_reply(index: int, group: List[int], report: ServingReport) -> None:
-            reports.append((index, report))
+        def on_reply(index: int, group: List[int], schedule: ScheduleResult) -> None:
+            schedules.append((index, schedule))
             self._served_requests[index] += len(group)
             self._served_frames[index] += sum(items[position][2] for position in group)
 
@@ -946,7 +987,7 @@ class ServingCluster:
             backend=self.backend_name,
             mode=self.mode,
             workers=self.workers,
-            shard_reports=tuple(sorted(reports, key=lambda pair: pair[0])),
+            schedules=tuple(sorted(schedules, key=lambda pair: pair[0])),
         )
 
     # ---------------------------------------------------------------- pixels

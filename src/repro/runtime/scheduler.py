@@ -95,8 +95,8 @@ class RequestQueue:
         Optional bound on queued (undrained) requests.  When the bound is
         reached, :meth:`submit` raises :class:`QueueFull` instead of
         accepting the request — the backpressure signal the cluster's
-        per-shard queues rely on.  Unbounded by default (the single-process
-        engine drains synchronously, so depth is naturally limited).
+        per-shard queues rely on.  Unbounded by default (the gateway's fallback
+        queue drains synchronously, so depth is naturally limited).
     policy:
         Drain ordering — ``"fifo"`` (default, bit-identical to the
         historical queue) or ``"edf"`` (earliest absolute deadline first,
@@ -371,7 +371,7 @@ class Scheduler:
     ----------
     profiles:
         ``name -> profile`` callable giving each workload's serving figures;
-        the serving engine passes its session's cached ``profile``.
+        each cluster worker passes its session's cached ``profile``.
     num_instances:
         Simulated processors serving in parallel.
     max_batch_frames:

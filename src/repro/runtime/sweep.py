@@ -44,18 +44,12 @@ class ParallelSweep:
     max_workers:
         Process count; defaults to the CPU count capped at 8 (analytic
         sweeps are short — a large pool costs more to spawn than it saves).
-    chunksize:
-        Points handed to a worker per dispatch; larger chunks amortize IPC
-        for very cheap functions.
     """
 
-    def __init__(self, max_workers: Optional[int] = None, *, chunksize: int = 1) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be positive")
-        if chunksize < 1:
-            raise ValueError("chunksize must be positive")
         self.max_workers = max_workers
-        self.chunksize = chunksize
         #: ``"parallel"`` or ``"serial"`` — how the last :meth:`run` executed.
         self.last_mode: Optional[str] = None
 
@@ -80,7 +74,7 @@ class ParallelSweep:
             return sweep(points, function)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(function, points, chunksize=self.chunksize))
+                results = list(pool.map(function, points))
         except (BrokenProcessPool, OSError):
             # A worker died or could not be spawned at all (a sandbox that
             # forbids fork raises PermissionError at pool start-up): the

@@ -1,4 +1,4 @@
-"""Deterministic traffic traces for the serving engine.
+"""Deterministic traffic traces for the serving runtime.
 
 A trace is a list of timed submissions — which stream asks for how many
 frames of which workload, when.  The built-in traces model the mixed edge
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
-
-from repro.runtime.scheduler import RequestQueue
 
 
 @dataclass(frozen=True)
@@ -40,17 +38,6 @@ class TrafficTrace:
     @property
     def streams(self) -> Tuple[str, ...]:
         return tuple(sorted({event.stream_id for event in self.events}))
-
-    def submit_to(self, queue: RequestQueue) -> int:
-        """Replay the trace into a request queue; returns requests submitted."""
-        for event in self.events:
-            queue.submit(
-                event.stream_id,
-                event.workload,
-                frames=event.frames,
-                arrival_s=event.time_s,
-            )
-        return len(self.events)
 
 
 def demo_trace() -> TrafficTrace:

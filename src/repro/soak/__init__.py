@@ -3,7 +3,7 @@
 Replays a seeded streaming trace at scales where it cannot be
 materialized, kills workers mid-run (``kill-worker@50%``), and proves per
 run that no request is lost or double-served and that surviving shards'
-pixels stay bit-identical to the single-process engine.
+pixels stay bit-identical to a single-process session.
 
 Modules
 -------

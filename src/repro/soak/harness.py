@@ -299,14 +299,11 @@ def _drain(
 ) -> None:
     """Run the queues dry and account every served record.
 
-    With a gateway, the drain goes through it, so the fallback engine's
-    degraded schedules are accounted too.
+    With a gateway, the drain goes through it, so the fallback's degraded
+    schedules are accounted too.
     """
-    if gateway is not None:
-        schedules = [schedule for _, schedule in gateway.drain_now().schedules]
-    else:
-        schedules = [report.schedule for _, report in cluster.run().shard_reports]
-    for schedule in schedules:
+    report = gateway.drain_now() if gateway is not None else cluster.run()
+    for _, schedule in report.schedules:
         for record in schedule.records:
             request = record.request
             accounting.serve(
@@ -319,7 +316,7 @@ def _drain(
 
 
 def _submit_with_retry(
-    submit_once: Callable[[], Optional[LedgerKey]],
+    submit_once: Callable[[], LedgerKey],
     drain: Callable[[], None],
     accounting: _Accounting,
     retries: int,
@@ -327,8 +324,8 @@ def _submit_with_retry(
     """One admission, draining and retrying on backpressure.
 
     Returns the admitted ledger key (``None`` when the request was shed
-    after ``retries`` retries, or answered without queueing).  Cluster time
-    is simulated, so the drain between attempts is what frees capacity.
+    after ``retries`` retries).  Cluster time is simulated, so the drain
+    between attempts is what frees capacity.
     :class:`~repro.gateway.AdmissionRejected` is *not* retried: rejection
     means "slow down", not "drain and retry".
     """
@@ -394,14 +391,13 @@ def run_soak(config: SoakConfig) -> SoakReport:
         def drain() -> None:
             _drain(cluster, accounting, gateway)
 
-        def submit_once(event: Any) -> Optional[LedgerKey]:
+        def submit_once(event: Any) -> LedgerKey:
             """One admission; the ledger key of what actually entered a queue.
 
             Through the gateway the key carries the *ticket's* identity —
             a frame-reducing degrade changes the admitted frame count, and
             exactly-once accounting must reconcile against what was
-            admitted, not what was asked.  Cache-only answers never enter
-            a queue, so they never enter the ledger either.
+            admitted, not what was asked.
             """
             if gateway is None:
                 cluster.submit(
@@ -419,8 +415,6 @@ def run_soak(config: SoakConfig) -> SoakReport:
             )
             if ticket.degraded:
                 accounting.degraded += 1
-            if not ticket.queued:
-                return None
             return (ticket.stream_id, ticket.workload, ticket.frames, ticket.arrival_s)
 
         for processed, event in enumerate(events, start=1):
@@ -450,7 +444,7 @@ def run_soak(config: SoakConfig) -> SoakReport:
                         )
                     parity_checks += 1
             if key is None:
-                continue  # rejected, shed after retries, or answered cache-only
+                continue  # rejected, or shed after retries
             accounting.admit(key)
             if accounting.admitted % config.window == 0:
                 drain()

@@ -28,7 +28,7 @@ from repro.hw.dram import dram_traffic
 from repro.hw.performance import evaluate_performance
 from repro.models.ernet import PAPER_MODELS, build_ernet
 from repro.nn.tensor import FeatureMap
-from repro.runtime import ResultCache, ServingCluster, ServingEngine
+from repro.runtime import ResultCache, ServingCluster
 from repro.runtime.cli import main as cli_main
 from repro.runtime.workloads import RuntimeWorkload
 from repro.specs import SPECIFICATIONS
@@ -222,8 +222,8 @@ class TestPixelBackendMatrix:
     @classmethod
     def _reference_bytes(cls) -> bytes:
         if "pixels" not in cls._REFERENCE:
-            engine = ServingEngine(backend="ecnn", cache=ResultCache())
-            result = engine.session.execute("denoise", cls._IMAGE, cached=False)
+            session = Session(backend="ecnn", cache=ResultCache())
+            result = session.execute("denoise", cls._IMAGE, cached=False)
             cls._REFERENCE["pixels"] = result.output.data.tobytes()
         return cls._REFERENCE["pixels"]
 
@@ -231,9 +231,9 @@ class TestPixelBackendMatrix:
     def test_execute_frame_smoke_determinism_and_cross_backend_identity(
         self, backend
     ):
-        engine = ServingEngine(backend=backend, cache=ResultCache())
-        first = engine.session.execute("denoise", self._IMAGE, cached=False)
-        second = engine.session.execute("denoise", self._IMAGE, cached=False)
+        session = Session(backend=backend, cache=ResultCache())
+        first = session.execute("denoise", self._IMAGE, cached=False)
+        second = session.execute("denoise", self._IMAGE, cached=False)
         # Smoke: a real denoised frame came back.
         assert first.output.data.shape == self._IMAGE.data.shape
         assert np.isfinite(first.output.data).all()
@@ -245,11 +245,11 @@ class TestPixelBackendMatrix:
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_cached_serving_returns_the_same_bytes(self, backend):
-        engine = ServingEngine(backend=backend, cache=ResultCache())
-        served = engine.session.execute("denoise", self._IMAGE)
-        repeat = engine.session.execute("denoise", self._IMAGE)
+        session = Session(backend=backend, cache=ResultCache())
+        served = session.execute("denoise", self._IMAGE)
+        repeat = session.execute("denoise", self._IMAGE)
         assert repeat.output.data.tobytes() == served.output.data.tobytes()
-        assert engine.session.frame_cache_stats.hits >= 1
+        assert session.frame_cache_stats.hits >= 1
 
 
 # ------------------------------------------------------- arithmetic isolation
@@ -277,9 +277,6 @@ class TestSessionArithmeticIsolation:
         ]
         for other in others:
             other.execute("denoise", image, cached=False)
-        ServingEngine(backend="ecnn", cache=ResultCache()).session.execute(
-            "denoise", image, cached=False
-        )
         with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
             cluster.execute_frame("denoise", image, cached=False)
 

@@ -17,7 +17,6 @@ import pytest
 from repro.analysis.workloads import synthetic_image
 from repro.api import Session
 from repro.runtime.cache import ResultCache
-from repro.runtime.engine import ServingEngine
 
 #: The two functionally-executing backend families.
 PIXEL_BACKENDS = ("ecnn", "frame_based")
@@ -72,11 +71,11 @@ class TestServingParity:
         assert session.frame_cache.stats.hits >= 1
 
     def test_engine_execute_frames(self):
-        engine = ServingEngine(backend="ecnn", cache=ResultCache())
+        session = Session(backend="ecnn", cache=ResultCache())
         images = [synthetic_image(35, 27, seed=seed) for seed in (1, 2)]
-        batch = engine.session.execute_many("denoise", images, cached=False)
+        batch = session.execute_many("denoise", images, cached=False)
         for image, result in zip(images, batch):
-            single = engine.session.execute("denoise", image, cached=False)
+            single = session.execute("denoise", image, cached=False)
             assert np.array_equal(result.output.data, single.output.data)
 
     def test_recognition_still_has_no_pixel_path(self):

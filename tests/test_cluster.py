@@ -19,8 +19,8 @@ from repro.runtime import (
     QueueFull,
     RequestQueue,
     ResultCache,
+    Scheduler,
     ServingCluster,
-    ServingEngine,
 )
 from repro.runtime.cli import main as cli_main
 from repro.runtime.cluster import _ShardFailure
@@ -238,7 +238,7 @@ class TestClusterInline:
             report = cluster.run()
             assert report.total_frames == 5  # nothing dropped
             assert cluster.requeued == 1  # the dead shard's one queued request
-            assert all(index == second for index, _ in report.shard_reports)
+            assert all(index == second for index, _ in report.schedules)
 
     def test_served_frame_stats_count_each_frame_once(self):
         with ServingCluster(workers=2, backend="ecnn", mode="inline") as cluster:
@@ -438,11 +438,11 @@ class TestClusterProcesses:
     dispatch path)."""
 
     def test_pixels_bit_identical_to_single_process_engine(self, process_cluster, assert_parity):
-        engine = ServingEngine(backend="ecnn", cache=ResultCache())
+        session = Session(backend="ecnn", cache=ResultCache())
         image = synthetic_image(40, 40, seed=11)
         assert_parity(
             {
-                "engine": engine.session.execute("denoise", image, cached=False),
+                "session": session.execute("denoise", image, cached=False),
                 "cluster": process_cluster.execute_frame("denoise", image, cached=False),
             },
             context=f"mode={process_cluster.mode}",
@@ -532,15 +532,15 @@ class TestColdStart:
 
     def test_first_use_of_an_unwarmed_workload_matches_the_coordinator(self, mode):
         reference = Session(backend="ecnn", cache=ResultCache())
-        engine = ServingEngine(backend=reference, num_instances=1)
+        queue = RequestQueue()
         with ServingCluster(workers=1, backend="ecnn", mode=mode) as cluster:
             assert cluster.profile("recognition") == reference.profile("recognition")
-            for target in (cluster, engine):
+            for target in (cluster, queue):
                 target.submit("sr", "super_resolution", frames=2)
                 target.submit("style", "style_transfer", frames=1, arrival_s=0.001)
             report = cluster.run()
-            (_, served), = report.shard_reports
-            assert served.schedule == engine.run().schedule
+            (_, served), = report.schedules
+            assert served == Scheduler(reference.profile).run(queue.drain())
 
 
 # -------------------------------------------------------------- chaos surface
@@ -643,9 +643,7 @@ class TestFaultInjection:
             # Both kills fired, both requests still served exactly once...
             assert len(kills) == 2
             assert len(set(kills)) == 2
-            assert sum(
-                len(shard.schedule.records) for _, shard in report.shard_reports
-            ) == 2
+            assert sum(len(schedule.records) for _, schedule in report.schedules) == 2
             assert report.total_frames == 2
             # ...and each displaced request counted once, not once per move.
             assert cluster.requeued == 2
@@ -661,10 +659,53 @@ class TestFaultInjection:
             for index in range(6):
                 cluster.submit(f"recon{index}", "denoise")
             report = cluster.run()
-            assert sum(
-                len(shard.schedule.records) for _, shard in report.shard_reports
-            ) == 6
+            assert sum(len(schedule.records) for _, schedule in report.schedules) == 6
             assert cluster.requeued <= 6
+
+    def test_survivor_schedules_its_own_and_the_dead_shards_requests(self):
+        """A shard killed as ``run`` starts leaves its queue to the survivor,
+        whose one schedule is ``Scheduler.run`` over both queues' requests,
+        numbered in dispatch order: its own in policy order, then the dead
+        shard's.  Every request arrives at the same instant, so the numbering
+        is the tie-break that decides the batch order."""
+        submissions = (
+            ("cam0", "denoise", 2, 0.0),
+            ("tv0", "super_resolution", 1, 0.0),
+            ("cam1", "denoise", 1, 0.0),
+            ("tv1", "super_resolution", 2, 0.0),
+            ("cam0", "denoise", 1, 0.0),
+            ("tv1", "super_resolution", 1, 0.0),
+        )
+
+        def kill_shard_one(cluster, point):
+            if point == "run:start":
+                cluster.kill_worker(1)
+
+        with ServingCluster(
+            workers=2, backend="ecnn", mode="inline", instances_per_worker=2,
+            max_batch_frames=2, fault_hook=kill_shard_one,
+        ) as cluster:
+            queues = {0: RequestQueue(), 1: RequestQueue()}
+            for stream_id, workload, frames, arrival_s in submissions:
+                owner = cluster.submit(stream_id, workload, frames=frames, arrival_s=arrival_s)
+                queues[owner].submit(stream_id, workload, frames=frames, arrival_s=arrival_s)
+            report = cluster.run()
+            assert cluster.requeued == len(queues[1]) == 3
+            dispatched = queues[0].drain() + queues[1].drain()
+            expected = Scheduler(
+                cluster.session.profile, num_instances=2, max_batch_frames=2
+            ).run([dataclasses.replace(r, seq=seq) for seq, r in enumerate(dispatched)])
+        assert report.schedules == ((0, expected),)
+        assert [
+            (r.request.stream_id, r.instance, r.start_s, r.completion_s) for r in expected.records
+        ] == [
+            ("tv0", 0, 0.0, 0.0322920322937619),
+            ("tv1", 1, 0.0, 0.0641853845875238),
+            ("tv1", 0, 0.0322920322937619, 0.0641853845875238),
+            ("cam0", 0, 0.0641853845875238, 0.12011919573751531),
+            ("cam1", 1, 0.0641853845875238, 0.09216627873394813),
+            ("cam0", 1, 0.0641853845875238, 0.12011919573751531),
+        ]
 
 
 # ------------------------------------------------------------------------ CLI
@@ -689,5 +730,6 @@ class TestClusterCli:
         assert "analytic cache after re-query" in out
 
     def test_workers_flag_validation(self):
-        with pytest.raises(SystemExit):
-            cli_main(["--workers", "-1"])
+        for workers in ("-1", "0"):
+            with pytest.raises(SystemExit):
+                cli_main(["--workers", workers])

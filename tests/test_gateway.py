@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.gateway import (
     AdmissionRejected,
     CostModel,
@@ -28,19 +29,22 @@ from repro.gateway.gateway import FALLBACK_SHARD
 from repro.gateway.slo import slo_class
 from repro.runtime.cache import ResultCache
 from repro.runtime.cluster import ServingCluster
-from repro.runtime.engine import ServingEngine
+from repro.runtime.scheduler import RequestQueue, ScheduleResult, Scheduler
 from repro.soak import ChaosEvent, SoakConfig, run_soak
 from repro.soak.tracegen import ARRIVALS, arrival_trace
 
 
-def _engine(policy: str = "edf", instances: int = 1, **kwargs) -> ServingEngine:
-    return ServingEngine(
-        num_instances=instances,
-        backend="ecnn",
-        cache=ResultCache(),
-        policy=policy,
-        **kwargs,
-    )
+def _session() -> Session:
+    return Session(backend="ecnn", cache=ResultCache())
+
+
+def _serve(policy: str, *submissions: dict) -> ScheduleResult:
+    """Queue ``submissions`` (``submit`` keyword arguments) under
+    ``policy`` and schedule them on one instance, as a cluster worker does."""
+    queue = RequestQueue(policy=policy)
+    for submission in submissions:
+        queue.submit(**submission)
+    return Scheduler(_session().profile, policy=policy).run(queue.drain())
 
 
 def _cluster(instances: int = 1) -> ServingCluster:
@@ -109,7 +113,7 @@ class TestLatencyHistogram:
 # -------------------------------------------------------------- cost model
 class TestCostModel:
     def test_seeds_from_the_serving_profile(self):
-        session = _engine().session
+        session = _session()
         model = CostModel(session.profile)
         profile = session.profile("denoise")
         assert model.frame_cost_s("denoise", 3) == pytest.approx(
@@ -118,18 +122,21 @@ class TestCostModel:
         assert model.load_cost_s("denoise") == pytest.approx(profile.load_time_s)
 
     def test_observation_moves_the_estimate_toward_measurements(self):
-        model = CostModel(_engine().session.profile)
+        model = CostModel(_session().profile)
         before = model.frame_cost_s("denoise", 1)
         model.observe("denoise", 1, before * 4)
         after = model.frame_cost_s("denoise", 1)
         assert before < after < before * 4
 
     def test_observe_schedule_calibrates_from_a_real_drain(self):
-        engine = _engine(policy="fifo")
-        for index in range(6):
-            engine.submit(f"s{index}", "denoise", frames=2, arrival_s=index * 0.01)
-        schedule = engine.run().schedule
-        model = CostModel(engine.session.profile)
+        schedule = _serve(
+            "fifo",
+            *(
+                dict(stream_id=f"s{index}", workload="denoise", frames=2, arrival_s=index * 0.01)
+                for index in range(6)
+            ),
+        )
+        model = CostModel(_session().profile)
         before = model.frame_cost_s("denoise", 1)
         model.observe_schedule(schedule)
         assert model.frame_cost_s("denoise", 1) > 0
@@ -153,30 +160,48 @@ class TestAdmission:
 
     def test_overload_walks_the_degradation_ladder(self):
         gateway = SLOGateway(_cluster())
-        tickets = [
-            gateway.admit(f"u{index}", "denoise", frames=4, arrival_s=0.0)
-            for index in range(120)
-        ]
+        tickets = []
+        for index in range(120):
+            try:
+                tickets.append(gateway.admit(f"u{index}", "denoise", frames=4, arrival_s=0.0))
+            except AdmissionRejected:
+                pass
         degraded = [ticket for ticket in tickets if ticket.degraded]
         assert degraded, "a 120-request instantaneous burst must overload one instance"
         assert gateway.stats.degraded == len(degraded) == len(gateway.degrade_log)
+        assert gateway.stats.shed == 120 - len(tickets)
         actions = {ticket.action for ticket in degraded}
-        assert actions <= {"fallback_backend", "reduce_frames", "cache_only"}
+        assert actions <= {"fallback_backend", "reduce_frames"}
         for ticket, decision in zip(degraded, gateway.degrade_log):
             assert decision.action == ticket.action
             assert decision.primary_estimate_s > DEFAULT_SLO_CLASSES["standard"].deadline_s
 
-    def test_cache_only_tickets_never_enter_a_queue(self):
+    def test_request_no_rung_fits_is_shed_with_the_primary_overshoot(self):
         gateway = SLOGateway(_cluster())
-        cache_only = None
-        for index in range(300):
-            ticket = gateway.admit(f"u{index}", "denoise", frames=1, arrival_s=0.0)
-            if ticket.action == "cache_only":
-                cache_only = ticket
-                break
-        assert cache_only is not None
-        assert cache_only.frames == 0 and cache_only.requested_frames == 1
-        assert cache_only.target == "none" and not cache_only.queued
+        tickets = []
+        with pytest.raises(AdmissionRejected) as excinfo:
+            for index in range(300):
+                tickets.append(gateway.admit(f"u{index}", "denoise", frames=1, arrival_s=0.0))
+        rejected = excinfo.value
+        # A shed is no degrade: it logs no decision and queues nothing.
+        assert gateway.stats.shed == 1
+        assert gateway.stats.degraded == len(gateway.degrade_log) == sum(
+            ticket.degraded for ticket in tickets
+        )
+        assert all(ticket.action == "fallback_backend" for ticket in tickets if ticket.degraded)
+        # The primary estimate: the owning shard's one parameter load, every
+        # frame queued there, and this request's own frame.
+        model = gateway.cost_model
+        estimate = (
+            model.load_cost_s("denoise")
+            + sum(model.frame_cost_s("denoise", t.frames) for t in tickets if t.target == "primary")
+            + model.frame_cost_s("denoise", 1)
+        )
+        budget = DEFAULT_SLO_CLASSES["standard"].deadline_s
+        assert rejected.retry_after_s == pytest.approx(estimate - budget)
+        assert rejected.retry_after_s > 0
+        report = gateway.drain_now()
+        assert sum(len(schedule.records) for _, schedule in report.schedules) == len(tickets)
 
     def test_non_degradable_class_is_shed_with_a_retry_hint(self):
         gateway = SLOGateway(_cluster())
@@ -208,17 +233,20 @@ class TestAdmission:
 class TestEdfVersusFifo:
     @staticmethod
     def _schedule(policy, deadlines, frames):
-        engine = _engine(policy=policy, instances=1)
-        for index, (deadline, count) in enumerate(zip(deadlines, frames)):
-            engine.submit(
-                f"s{index}",
-                "denoise",
-                frames=count,
-                arrival_s=0.0,
-                deadline_s=deadline,
-                priority=0,
-            )
-        return engine.run().schedule
+        return _serve(
+            policy,
+            *(
+                dict(
+                    stream_id=f"s{index}",
+                    workload="denoise",
+                    frames=count,
+                    arrival_s=0.0,
+                    deadline_s=deadline,
+                    priority=0,
+                )
+                for index, (deadline, count) in enumerate(zip(deadlines, frames))
+            ),
+        )
 
     @pytest.mark.parametrize("trial", range(10))
     def test_edf_meets_every_deadline_fifo_meets(self, trial):
@@ -248,10 +276,11 @@ class TestEdfVersusFifo:
         assert edf.max_lateness_s < fifo.max_lateness_s
 
     def test_priority_breaks_deadline_ties(self):
-        engine = _engine(policy="edf", instances=1)
-        engine.submit("low", "denoise", frames=1, arrival_s=0.0, deadline_s=1.0, priority=0)
-        engine.submit("high", "denoise", frames=1, arrival_s=0.0, deadline_s=1.0, priority=5)
-        schedule = engine.run().schedule
+        schedule = _serve(
+            "edf",
+            dict(stream_id="low", workload="denoise", deadline_s=1.0, priority=0),
+            dict(stream_id="high", workload="denoise", deadline_s=1.0, priority=5),
+        )
         order = [record.request.stream_id for record in schedule.records]
         assert order == ["high", "low"]
 
@@ -320,8 +349,8 @@ class TestGatewayDrain:
     @pytest.mark.parametrize(
         "instances, requests, outcome",
         [
-            (1, 250, (94, 156, {"cache_only": 153, "fallback_backend": 2, "reduce_frames": 1}, 0, 97, 97, 19)),
-            (2, 150, (79, 71, {"cache_only": 68, "fallback_backend": 2, "reduce_frames": 1}, 0, 82, 82, 9)),
+            (1, 250, (94, 3, {"fallback_backend": 2, "reduce_frames": 1}, 153, 97, 97, 19)),
+            (2, 150, (79, 3, {"fallback_backend": 2, "reduce_frames": 1}, 68, 82, 82, 9)),
         ],
     )
     def test_flood_outcome_is_pinned(self, instances, requests, outcome):
@@ -338,12 +367,12 @@ class TestGatewayDrain:
         assert {shard for shard, _ in report.schedules} == {FALLBACK_SHARD, 0}
 
     def test_engine_report_mentions_latency_and_deadlines(self):
-        engine = _engine(policy="edf")
-        engine.submit("a", "denoise", frames=1, arrival_s=0.0, deadline_s=0.001)
-        engine.submit("b", "denoise", frames=1, arrival_s=0.0, deadline_s=10.0)
-        rendered = engine.run().render()
+        with _cluster() as cluster:
+            cluster.submit("a", "denoise", frames=1, arrival_s=0.0, deadline_s=0.001)
+            cluster.submit("b", "denoise", frames=1, arrival_s=0.0, deadline_s=10.0)
+            rendered = cluster.run().render()
         assert "latency p50" in rendered
-        assert "deadlines:" in rendered
+        assert "deadlines: 1/2 missed (50.0%)" in rendered
 
     def test_cluster_target_routes_and_accounts_deadlines(self):
         with ServingCluster(
@@ -392,14 +421,10 @@ class TestGatewaySoak:
         assert kill["applied"] is True
         assert report.live_workers_end == 2
         assert report.deadline_requests > 0
-        # ``degraded`` overlaps ``admitted`` (queued degrades are ledgered);
-        # only cache-only degrades bypass the ledger entirely, so the
-        # counters must bracket the request count from both sides.
-        assert report.admitted + report.shed <= report.config["requests"]
-        assert (
-            report.admitted + report.shed + report.degraded
-            >= report.config["requests"]
-        )
+        # Every request is either ledgered (``degraded`` overlaps
+        # ``admitted``: a degrade still enters a queue) or shed.
+        assert report.admitted + report.shed == report.config["requests"]
+        assert report.degraded <= report.admitted
         assert report.config["gateway"] is True
 
     def test_gateway_soak_is_deterministic(self):

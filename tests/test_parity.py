@@ -9,7 +9,7 @@ the block flow against ``frame_based_inference`` (the paper's invariant:
 bit-exact for the served fixed-point programs, whose sums are exact in any
 order; to float tolerance for float networks, whose summation order
 differs by construction), random networks' fixed-point programs, the
-session / engine / sharded-cluster serving stack and the video delta path —
+session / sharded-cluster serving stack and the video delta path —
 asserting exact equality between serving tiers with the shared
 :func:`conftest.assert_parity` helper.
 
@@ -39,7 +39,7 @@ from repro.nn.ops import MaxPool2x2, PixelShuffle, PixelUnshuffle
 from repro.nn.receptive_field import output_size_valid, required_input_size
 from repro.nn.tensor import FeatureMap
 from repro.quant.fixed import fixed_point_formats, fixed_point_network
-from repro.runtime import ResultCache, ServingCluster, ServingEngine
+from repro.runtime import ResultCache, ServingCluster
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -59,8 +59,9 @@ STREAM_WORKLOADS = ("denoise", "super_resolution")
 
 # ------------------------------------------------------------------- fixtures
 @pytest.fixture(scope="module")
-def engine() -> ServingEngine:
-    return ServingEngine(backend="ecnn", cache=ResultCache())
+def shared_session() -> Session:
+    """One long-lived session, its plans warm across every seed."""
+    return Session(backend="ecnn", cache=ResultCache())
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +87,9 @@ class TestAssertParityHelper:
         with pytest.raises(ValueError):
             assert_parity({"only": np.zeros(3)})
 
-    def test_unwraps_feature_maps_and_results(self, engine, assert_parity):
+    def test_unwraps_feature_maps_and_results(self, shared_session, assert_parity):
         image = synthetic_image(24, 24, seed=0)
-        result = engine.session.execute("denoise", image, cached=False)
+        result = shared_session.execute("denoise", image, cached=False)
         assert_parity(
             {
                 "raw": result.output.data,
@@ -383,7 +384,7 @@ class TestRandomizedVideoStreams:
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestRandomizedServingStack:
-    def test_session_engine_cluster_bit_identical(self, seed, engine, cluster, assert_parity):
+    def test_session_engine_cluster_bit_identical(self, seed, shared_session, cluster, assert_parity):
         rng = np.random.default_rng(4000 + seed)
         workload = str(rng.choice(sorted(PIXEL_WORKLOADS)))
         low, high = PIXEL_WORKLOADS[workload]
@@ -394,7 +395,7 @@ class TestRandomizedServingStack:
         assert_parity(
             {
                 "session": session.execute(workload, image, cached=False),
-                "engine": engine.session.execute(workload, image, cached=False),
+                "shared_session": shared_session.execute(workload, image, cached=False),
                 "cluster": cluster.execute_frame(workload, image, cached=False),
                 "cluster_batch": cluster.execute_frames(
                     workload, [image], cached=False

@@ -16,7 +16,8 @@ from repro.runtime import (
     RequestQueue,
     ResultCache,
     Scheduler,
-    ServingEngine,
+    ServingCluster,
+    analyze,
     fingerprint,
     form_batches,
     trace,
@@ -241,44 +242,51 @@ class TestScheduler:
             RequestQueue().submit("s", "a", frames=0)
 
 
-# --------------------------------------------------------------------- engine
+# -------------------------------------------------------------------- serving
+def _serve_trace(session: Session, name: str = "demo", instances: int = 2):
+    """Schedule a built-in trace over a session's profiles, as a worker does."""
+    queue = RequestQueue()
+    for event in trace(name).events:
+        queue.submit(event.stream_id, event.workload, frames=event.frames, arrival_s=event.time_s)
+    return Scheduler(session.profile, num_instances=instances).run(queue.drain())
+
+
 class TestServingEngine:
+    """Trace -> queue -> scheduler over ``Session.profile``, plus analytics."""
+
     def test_demo_trace_multi_stream_fps_regression(self):
         """The demo trace serves all four workloads at stable per-stream rates."""
-        engine = ServingEngine(num_instances=2, cache=ResultCache())
+        session = Session(cache=ResultCache())
         demo = trace("demo")
-        assert engine.play(demo) == len(demo.events)
-        report = engine.run()
-        stats = report.schedule.stream_stats()
+        schedule = _serve_trace(session)
+        stats = schedule.stream_stats()
         assert sorted(stats) == ["art0", "cam0", "gate0", "tv0"]
         # Per-stream FPS regression: the video streams must hold a video-rate
         # cadence on two shared instances, and every request must finish.
-        assert report.schedule.total_frames == demo.total_frames
+        assert len(schedule.records) == len(demo.events)
+        assert schedule.total_frames == demo.total_frames
         assert stats["cam0"].fps > 15.0
         assert stats["tv0"].fps > 12.0
         for stream in stats.values():
             assert stream.max_latency_s < 1.0
         # The scheduler asked the profile cache once per workload (each
         # profile compiling its plan once), then hit.
-        assert report.cache.misses == 8
-        assert report.cache.hits > 0
+        assert session.cache.stats.misses == 8
+        assert session.cache.stats.hits > 0
         # Replaying the identical trace yields the identical schedule.
-        engine2 = ServingEngine(num_instances=2, cache=ResultCache())
-        engine2.play(trace("demo"))
-        assert engine2.run().schedule == report.schedule
+        assert _serve_trace(Session(cache=ResultCache())) == schedule
 
     @pytest.mark.parametrize("backend", ["ecnn", "eyeriss"])
     def test_one_plan_and_one_profile_per_workload(self, backend):
         """The scheduler charges ``Session.profile``: serving the demo trace
         and then asking every workload's profile adds no second entry."""
         cache = ResultCache()
-        engine = ServingEngine(num_instances=2, cache=cache, backend=backend)
-        engine.play(trace("demo"))
-        engine.run()
+        session = Session(backend=backend, cache=cache)
+        _serve_trace(session)
         misses = cache.stats.misses
-        names = engine.session.catalogue()
+        names = session.catalogue()
         for name in names:
-            engine.session.profile(name)
+            session.profile(name)
         assert len(cache) == 2 * len(names)
         assert cache.stats.misses == misses
 
@@ -292,17 +300,20 @@ class TestServingEngine:
         assert profile.fps > SPECIFICATIONS["UHD30"].fps  # real time
 
     def test_analytics_cached_and_consistent(self):
-        engine = ServingEngine(num_instances=1, cache=ResultCache())
-        first = engine.analyze("denoise")
-        second = engine.analyze("denoise")
+        session = Session(cache=ResultCache())
+        first = analyze(session, "denoise")
+        second = analyze(session, "denoise")
         assert first is second
         assert first.layer_timing  # one entry per FBISA line
         assert first.profile.model_name == "DnERNet-B3R1N0"
 
     def test_unknown_workload_rejected(self):
-        engine = ServingEngine(cache=ResultCache())
+        session = Session(cache=ResultCache())
         with pytest.raises(KeyError):
-            engine.submit("s0", "no-such-workload")
+            analyze(session, "no-such-workload")
+        with ServingCluster(workers=1, mode="inline", backend=session) as cluster:
+            with pytest.raises(KeyError):
+                cluster.submit("s0", "no-such-workload")
 
     def test_cycles_per_block_matches_processor_timing_model(self):
         """Regression: analytics must charge IDU-bound pipeline stages.
@@ -314,11 +325,11 @@ class TestServingEngine:
         from repro.fbisa.compiler import compile_network
         from repro.hw.processor import EcnnProcessor
 
-        engine = ServingEngine(num_instances=1, cache=ResultCache())
+        session = Session(cache=ResultCache())
         for name in ("denoise", "super_resolution"):
-            analytics = engine.analyze(name)
-            plan = engine.session.compile(name)
-            config = engine.session.backend.evaluation_config(plan.network)
+            analytics = analyze(session, name)
+            plan = session.compile(name)
+            config = session.backend.evaluation_config(plan.network)
             compiled = compile_network(
                 workload(name).build_network(), input_block=plan.input_block
             )
