@@ -26,6 +26,8 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.api.backend import AcceleratorBackend, available_backends, create_backend
 from repro.api.results import CompiledPlan, CostReport, PerfProfile, PlanHandle
 from repro.check import PlanVerificationError, verify_plan
+from repro.core.blockflow import Stage
+from repro.core.partition import cheapest_stages, submodel_plan
 from repro.core.pipeline import InferenceResult, execute_stages
 from repro.hw.config import DEFAULT_CONFIG, EcnnConfig
 from repro.nn.network import Network
@@ -34,6 +36,7 @@ from repro.quant.fixed import fixed_point_formats
 
 if TYPE_CHECKING:  # runtime modules are imported lazily: repro.runtime.engine
     # imports this module, so a top-level import here would be circular.
+    from repro.check import CheckReport
     from repro.runtime.cache import CacheStats, ResultCache
     from repro.runtime.video import StreamFrameResult, VideoStream, VideoStreamStats
     from repro.runtime.workloads import RuntimeWorkload
@@ -148,6 +151,12 @@ class Session:
         #: it names, so a frame request fingerprints only its own shape,
         #: dtype and digest.
         self._frame_prefixes: Dict[RuntimeWorkload, Tuple[CompiledPlan, str]] = {}
+        #: The split each (workload, frame shape) runs and the NCR its plan
+        #: is charged, with the plan they belong to: both are functions of
+        #: the plan and the frame shape, so the frame keys need not name them.
+        self._splits: Dict[
+            Tuple[RuntimeWorkload, int, int], Tuple[CompiledPlan, Tuple[Stage, ...], float]
+        ] = {}
 
     # ------------------------------------------------------------- registries
     @property
@@ -271,12 +280,34 @@ class Session:
             plan = self.backend.compile(program, entry.spec)
             plan = replace(plan, formats=fixed_point_formats(program))
             if self.verify:
-                report = verify_plan(plan, config=self.config)
+                report = self._verification(program, plan, entry)
                 if not report.ok:
                     raise PlanVerificationError(report)
             return plan
 
         return self.cache.get_or_compute(self._key("plan", entry), build)
+
+    def _verification(
+        self, program: Network, plan: CompiledPlan, entry: RuntimeWorkload
+    ) -> "CheckReport":
+        """:func:`repro.check.verify_plan` of ``plan``, once per process.
+
+        The report is a pure function of the shared program, the backend
+        identity, the spec and the config, so it is kept in the program's
+        own ``__dict__`` next to its FBISA compilations, keyed by the
+        backend's name and identity, the spec and the config, and every
+        session compiling that plan reads it.  A backend
+        without a ``cache_identity`` (or a program not marked ``shared``)
+        is verified every time.
+        """
+        identity = self._backend_identity()
+        if identity is None or not (getattr(program, "metadata", {}) or {}).get("shared"):
+            return verify_plan(plan, config=self.config)
+        reports = program.__dict__.setdefault("_verifications", {})
+        key = (self.backend_name, identity, entry.spec, self.config)
+        if key not in reports:
+            reports[key] = verify_plan(plan, config=self.config)
+        return reports[key]
 
     def profile(self, workload_name: str) -> PerfProfile:
         """Per-frame serving figures of a workload on this backend (cached).
@@ -338,6 +369,25 @@ class Session:
             memo[1], frame.shape, frame.data.dtype.str, digest or frame_digest(frame)
         )
 
+    def _run(self, entry: RuntimeWorkload, plan: CompiledPlan, frame: FeatureMap) -> InferenceResult:
+        """Run ``frame`` on the cheapest admissible split of the plan's stages.
+
+        The split (:func:`repro.core.partition.cheapest_stages`) and the
+        plan's charged NCR are derived once per workload, plan and frame
+        shape; the result reports the split that ran and is charged the
+        plan's NCR, as the profile is.
+        """
+        key = (entry, frame.height, frame.width)
+        memo = self._splits.get(key)
+        if memo is None or memo[0] is not plan:
+            memo = self._splits[key] = (
+                plan,
+                cheapest_stages(plan.network, plan.stages, frame.height, frame.width),
+                submodel_plan(plan.network, plan.stages).combined_ncr,
+            )
+        _, stages, ncr = memo
+        return replace(execute_stages(plan.network, stages, frame), ncr=ncr)
+
     def execute(
         self,
         workload_name: str,
@@ -345,10 +395,13 @@ class Session:
         *,
         cached: bool = True,
     ) -> InferenceResult:
-        """Run one frame of pixels through the compiled plan's stages.
+        """Run one frame of pixels through the compiled plan.
 
-        The session executes the plan (:func:`repro.core.pipeline.execute_stages`);
-        backends only model its cost.  Only block-flow workloads support
+        The session executes the plan (:func:`repro.core.pipeline.execute_stages`)
+        on the cheapest admissible split of its stages for the frame's
+        shape (:func:`repro.core.partition.cheapest_stages`): the same
+        pixels, the fewest executed MACs.  Backends only model its cost,
+        and charge the plan's own stages.  Only block-flow workloads support
         pixel serving (recognition runs single zero-padded blocks).
 
         With ``cached=True`` results are content-addressed in the session's
@@ -358,7 +411,7 @@ class Session:
         """
         entry = self._pixel_entry(workload_name)
         plan = self.compile(workload_name)
-        compute = lambda: execute_stages(plan.network, plan.stages, frame)  # noqa: E731
+        compute = lambda: self._run(entry, plan, frame)  # noqa: E731
         if not cached:
             return compute()
         return self.frame_cache.get_or_compute(
@@ -377,7 +430,7 @@ class Session:
 
         Frames already in the :attr:`frame_cache` are answered from it, and
         a frame repeated within the batch is computed once; every remaining
-        frame runs through the plan's stages and is cached for the next
+        frame runs as :meth:`execute` runs it and is cached for the next
         request.  Each result equals :meth:`execute` on that frame.
         ``digests`` are the frames' :func:`frame_digest` values, if known.
         """
@@ -405,7 +458,7 @@ class Session:
         else:
             misses = list(range(len(frames)))
         for index in misses:
-            result = execute_stages(plan.network, plan.stages, frames[index])
+            result = self._run(entry, plan, frames[index])
             if cached:
                 self.frame_cache.get_or_compute(keys[index], lambda value=result: value)
                 for duplicate in seen[keys[index]]:

@@ -17,8 +17,8 @@ The subpackage provides:
 * :mod:`repro.core.overheads` — the NBR / NCR analytical overhead model
   (Eqs. 2-3) plus its generalisation to arbitrary layer stacks;
 * :mod:`repro.core.partition` — sub-model partitioning (Fig. 12), the
-  DRAM-traffic trade-off it introduces, and the one derivation of a plan's
-  stage list;
+  DRAM-traffic trade-off it introduces, the one derivation of a plan's
+  stage list, and the cheapest admissible split of it for a frame shape;
 * :mod:`repro.core.pipeline` — :func:`execute_stages`, the staged runner plus
   the NCR a plan is charged, as the session serves it.
 """
@@ -27,8 +27,10 @@ from repro.core.blockflow import (
     BlockGrid,
     BlockSpec,
     Stage,
+    executed_macs,
     frame_based_inference,
     partition_image,
+    stage_grids,
     staged_inference,
 )
 from repro.core.overheads import (
@@ -43,6 +45,7 @@ from repro.core.overheads import (
 )
 from repro.core.partition import (
     SubModelPlan,
+    cheapest_stages,
     partition_into_submodels,
     plan_stages,
     submodel_plan,
@@ -57,7 +60,9 @@ __all__ = [
     "Stage",
     "SubModelPlan",
     "block_buffer_bytes",
+    "cheapest_stages",
     "execute_stages",
+    "executed_macs",
     "frame_based_inference",
     "general_nbr",
     "general_ncr",
@@ -68,6 +73,7 @@ __all__ = [
     "partition_into_submodels",
     "plan_stages",
     "pyramid_volume",
+    "stage_grids",
     "staged_inference",
     "submodel_plan",
 ]

@@ -40,16 +40,23 @@ block flow at its own input block.  A single-model plan is one stage over
 every layer (the paper's block-based flow); the sub-model split (Section 7.3,
 Fig. 12) is several.  :func:`staged_inference` runs any stage list: stage *k*
 cuts its windows from stage *k-1*'s stitched output, held in memory where
-the hardware round-trips it through DRAM.
+the hardware round-trips it through DRAM.  :func:`stage_grids` gives the
+block grids a stage list runs on a frame from shapes alone, and
+:func:`executed_macs` the conv MACs those grids execute, edge blocks
+included; :func:`repro.core.partition.cheapest_stages` uses that count to
+pick the split a session runs.  Every split of an exact network gives the
+same pixels.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.overheads import window_macs
 from repro.nn.layers import Layer
 from repro.nn.network import Sequential
 from repro.nn.receptive_field import layer_geometry, output_size_valid
@@ -379,37 +386,28 @@ def _stitch(
     return output
 
 
-def staged_inference(
-    network: Sequential, stages: Sequence[Stage], image: FeatureMap
-) -> Tuple[FeatureMap, Tuple[BlockGrid, ...]]:
-    """Run a plan's stage list by block flow and stitch the result.
+def stage_grids(
+    network: Sequential, stages: Sequence[Stage], height: int, width: int
+) -> Tuple[BlockGrid, ...]:
+    """The block grid each stage of ``stages`` runs on a ``height`` x ``width`` frame.
 
-    Every stage's output region is derived backwards from the frame's
-    output: the last stage produces the frame, each earlier stage the
-    window its successor reads (margin included).  Stage 0 cuts its block
-    windows from the zero-padded frame; stage *k* cuts them from stage
-    *k-1*'s stitched output, offset by that intermediate's origin.  The
-    intermediate's border is computed from the zero padding, exactly as the
-    frame-based flow computes it, so the result equals
-    :func:`frame_based_inference` exactly for an exact network (a
-    fixed-point program, whose sums do not depend on their order); a float
-    network's block and frame gemms have different shapes, so BLAS may
-    round them differently.
-
-    A one-stage plan is the paper's block-based flow: its grid is
-    :func:`partition_image` at the stage's output block, and its windows
-    are those :func:`pad_frame` and :func:`run_selected_blocks` use.
-    Returns the output and one :class:`BlockGrid` per stage.
+    Shapes only; :func:`staged_inference` runs exactly these grids.  Every
+    stage's output region is derived backwards from the frame's output:
+    the last stage produces the frame, each earlier stage the window its
+    successor reads (margin included).  Each region is tiled at the
+    stage's output block, so its first block sits at the region's
+    top-left corner.
     """
-    layers = list(network.layers)
+    # The grids depend on the layers' geometry alone, computed once.
+    layers = [layer_geometry(layer) for layer in network.layers]
     bounds = [0] + [stage.stop for stage in stages]
     if [stage.start for stage in stages] != bounds[:-1] or bounds[-1] != len(layers) \
             or any(stage.start >= stage.stop for stage in stages):
         raise ValueError(f"stages {list(stages)} do not tile the {len(layers)} network layers")
     pieces = [layers[stage.start : stage.stop] for stage in stages]
     scale = network_scale(layers)
-    out_h = int(round(image.height * scale))
-    out_w = int(round(image.width * scale))
+    out_h = int(round(height * scale))
+    out_w = int(round(width * scale))
     if out_h <= 0 or out_w <= 0:
         raise ValueError("network scale collapses the image to zero size")
 
@@ -420,33 +418,82 @@ def staged_inference(
             0,
             (input_interval_for_output(*rows, piece), input_interval_for_output(*cols, piece)),
         )
-    rows, cols = regions[0]
-    in_rows = input_interval_for_output(*rows, pieces[0])
-    in_cols = input_interval_for_output(*cols, pieces[0])
-    # Pad like pad_frame: the total margin on every side, widened at the
-    # bottom/right only when rounding through scale stages reads further.
+    grids: List[BlockGrid] = []
+    for stage, piece, (rows, cols) in zip(stages, pieces, regions):
+        grid = _region_grid(
+            height, width, rows, cols, piece, output_size_valid(stage.input_block, piece)
+        )
+        height, width = grid.output_height, grid.output_width
+        grids.append(grid)
+    return tuple(grids)
+
+
+def executed_macs(
+    network: Sequential, stages: Sequence[Stage], height: int, width: int
+) -> int:
+    """Conv MACs :func:`staged_inference` executes on a ``height`` x ``width`` frame.
+
+    From shapes alone: every block of every stage's grid
+    (:func:`stage_grids`) runs its stage's layers on its whole input
+    window, rectangular edge windows included
+    (:func:`~repro.core.overheads.window_macs`).  Blocks with equal windows
+    cost the same, so each distinct window is walked once.
+    """
+    layers = list(network.layers)
+    total = 0
+    for stage, grid in zip(stages, stage_grids(network, stages, height, width)):
+        windows = Counter((block.in_height, block.in_width) for block in grid.blocks)
+        piece = layers[stage.start : stage.stop]
+        total += sum(count * window_macs(piece, *window) for window, count in windows.items())
+    return total
+
+
+def staged_inference(
+    network: Sequential, stages: Sequence[Stage], image: FeatureMap
+) -> Tuple[FeatureMap, Tuple[BlockGrid, ...]]:
+    """Run a plan's stage list by block flow and stitch the result.
+
+    Each stage runs its grid of :func:`stage_grids`.  Stage 0 cuts its
+    block windows from the zero-padded frame; stage *k* cuts them from
+    stage *k-1*'s stitched output, offset by that intermediate's origin.
+    The intermediate's border is computed from the zero padding, exactly
+    as the frame-based flow computes it, so the result equals
+    :func:`frame_based_inference` exactly for an exact network (a
+    fixed-point program, whose sums do not depend on their order) under
+    any stage list that tiles the layers; a float network's block and
+    frame gemms have different shapes, so BLAS may round them differently.
+
+    A one-stage plan is the paper's block-based flow: its grid is
+    :func:`partition_image` at the stage's output block, and its windows
+    are those :func:`pad_frame` and :func:`run_selected_blocks` use.
+    Returns the output and one :class:`BlockGrid` per stage.
+    """
+    layers = list(network.layers)
+    grids = stage_grids(network, stages, image.height, image.width)
+    # Windows grow monotonically with the output, so the first and last
+    # blocks of stage 0 bound the input it reads.  Pad like pad_frame: the
+    # total margin on every side, widened at the bottom/right only when
+    # rounding through scale stages reads further.
+    first, last = grids[0].blocks[0], grids[0].blocks[-1]
+    top, left = first.in_row, first.in_col
+    bottom, right = last.in_row + last.in_height, last.in_col + last.in_width
     source = np.pad(
         image.data,
         (
             (0, 0),
-            (-in_rows[0], max(-in_rows[0], in_rows[1] - image.height)),
-            (-in_cols[0], max(-in_cols[0], in_cols[1] - image.width)),
+            (-top, max(-top, bottom - image.height)),
+            (-left, max(-left, right - image.width)),
         ),
     )
-    origin = (in_rows[0], in_cols[0])
-    in_height, in_width = image.height, image.width
-    grids: List[BlockGrid] = []
-    for stage, piece, (rows, cols) in zip(stages, pieces, regions):
+    origin = (top, left)
+    for stage, grid in zip(stages, grids):
+        piece = layers[stage.start : stage.stop]
         forward = network.forward if len(piece) == len(layers) else Sequential(piece).forward
-        grid = _region_grid(
-            in_height, in_width, rows, cols, piece, output_size_valid(stage.input_block, piece)
-        )
         blocks = _run_blocks(forward, source, grid.blocks, piece, origin)
-        source = _stitch(blocks, grid.output_height, grid.output_width, (rows[0], cols[0]))
-        origin = (rows[0], cols[0])
-        in_height, in_width = grid.output_height, grid.output_width
-        grids.append(grid)
-    return FeatureMap(data=source), tuple(grids)
+        corner = (grid.blocks[0].out_row, grid.blocks[0].out_col)
+        source = _stitch(blocks, grid.output_height, grid.output_width, corner)
+        origin = corner
+    return FeatureMap(data=source), grids
 
 
 def pad_frame(image: FeatureMap, layers: Sequence[Layer]) -> np.ndarray:

@@ -4,13 +4,14 @@ Implements Eqs. (2) and (3) of the paper (NBR and NCR for the plain
 CONV3x3-only network of Fig. 4) and generalises both ratios to arbitrary
 layer stacks by explicit per-layer pyramid accounting, which is what the
 model-scanning procedure (Section 4.2) and the hardware profiling (Fig. 19)
-use.
+use.  The same per-layer walk on a window of any shape
+(:func:`window_macs`) counts the MACs a finite frame's blocks execute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.nn.layers import Conv2d, Layer
 from repro.nn.network import Sequential, flatten_layers
@@ -136,12 +137,43 @@ def _output_size(layers: Sequence[Layer], input_block: int) -> int:
     return int(size)
 
 
+def _conv_windows(
+    flat: Sequence[Layer], height: float, width: float
+) -> Tuple[List[Tuple[int, Conv2d, float, float]], float]:
+    """Every convolution of the leaf stack ``flat`` run on one input window.
+
+    Walks a ``height`` x ``width`` window forwards: each layer trims its
+    margin from both sides, then scales them.  Returns
+    ``(index, conv, out_height, out_width)`` for every convolution, in
+    order, and the stack's output height.
+    """
+    convs = []
+    for index, layer in enumerate(flat):
+        geom = layer_geometry(layer)
+        height -= 2 * geom.margin
+        width -= 2 * geom.margin
+        if height <= 0 or width <= 0:
+            raise ValueError("input block fully consumed by the network")
+        if isinstance(layer, Conv2d):
+            convs.append((index, layer, height, width))
+        height *= geom.scale
+        width *= geom.scale
+    return convs, height
+
+
+def window_macs(layers: Sequence[Layer], height: int, width: int) -> int:
+    """Conv MACs of running ``layers`` (valid mode) on one ``height`` x ``width`` window.
+
+    The executed counterpart of the square truncated pyramid the NCR
+    counts: the same walk on a window of any shape, as a grid's edge
+    blocks are rectangles.
+    """
+    convs, _ = _conv_windows(list(flatten_layers(layers)), height, width)
+    return sum(conv.macs_per_output_pixel() * int(h) * int(w) for _, conv, h, w in convs)
+
+
 def _pyramid_macs(layers: Sequence[Layer], input_block: int) -> tuple[float, int, float]:
     """Return (block MACs, output size, intrinsic MACs per output pixel)."""
-    size = float(input_block)
-    block_macs = 0.0
-    relative_area = 1.0  # output pixels of the final image per pixel at this layer
-    intrinsic_per_pixel = 0.0
     flat = list(flatten_layers(layers))
 
     # Net scale from each layer position to the output determines how many
@@ -150,21 +182,15 @@ def _pyramid_macs(layers: Sequence[Layer], input_block: int) -> tuple[float, int
     for i in range(len(flat) - 1, -1, -1):
         scales_after[i] = scales_after[i + 1] * layer_geometry(flat[i]).scale
 
-    for i, layer in enumerate(flat):
-        geom = layer_geometry(layer)
-        out_side = size - 2 * geom.margin
-        if out_side <= 0:
-            raise ValueError("input block fully consumed by the network")
-        if isinstance(layer, Conv2d):
-            macs = layer.macs_per_output_pixel()
-            block_macs += macs * out_side * out_side
-            # One pixel at this layer's output maps to scales_after[i+1]^2
-            # pixels of the final output.
-            per_final_pixel = macs / (scales_after[i + 1] ** 2)
-            intrinsic_per_pixel += per_final_pixel
-        size = out_side * geom.scale
-        relative_area *= geom.scale * geom.scale
-
+    convs, size = _conv_windows(flat, float(input_block), float(input_block))
+    block_macs = 0.0
+    intrinsic_per_pixel = 0.0
+    for i, layer, height, width in convs:
+        macs = layer.macs_per_output_pixel()
+        block_macs += macs * height * width
+        # One pixel at this layer's output maps to scales_after[i+1]^2
+        # pixels of the final output.
+        intrinsic_per_pixel += macs / (scales_after[i + 1] ** 2)
     return block_macs, int(size), intrinsic_per_pixel
 
 

@@ -8,21 +8,25 @@ overhead against DRAM bandwidth.  The style-transfer example in Section 7.3
 uses exactly this trick (two sub-models).
 
 :func:`plan_stages` is the one place a plan's stage list is derived: every
-backend's :class:`~repro.api.results.CompiledPlan` carries its result, the
-session executes it (:func:`repro.core.blockflow.staged_inference`) and the
-eCNN profile charges it (:func:`submodel_plan`).
+backend's :class:`~repro.api.results.CompiledPlan` carries its result and
+the eCNN profile charges it (:func:`submodel_plan`).  The session executes
+:func:`cheapest_stages` of it for each frame shape: the split with the
+plan's stage count and blocks, no wider windows and no more DRAM traffic,
+that executes the fewest MACs (:func:`repro.core.blockflow.executed_macs`)
+through :func:`repro.core.blockflow.staged_inference`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from repro.core.blockflow import Stage
+from repro.core.blockflow import Stage, executed_macs, stage_grids
 from repro.core.overheads import general_ncr, intrinsic_macs_per_output_pixel
 from repro.nn.layers import Conv2d, Layer
 from repro.nn.network import Sequential
-from repro.nn.receptive_field import layer_geometry
+from repro.nn.receptive_field import layer_geometry, output_size_valid
 from repro.specs import RealTimeSpec
 
 if TYPE_CHECKING:
@@ -109,6 +113,28 @@ def _balanced_stages(
     return tuple(Stage(start, stop, input_block) for start, stop in zip(boundaries, stops))
 
 
+def _boundary_dram_bytes(
+    layers: Sequence[Layer], boundaries: Sequence[int], feature_bits: int = 8
+) -> float:
+    """DRAM bytes per final output pixel that sub-model ``boundaries`` add.
+
+    Intermediate feature maps are written then read once each (factor 2),
+    expressed per final output pixel at the boundary's spatial resolution.
+    """
+    extra_bytes = 0.0
+    scale_to_output = 1.0
+    for layer in layers:
+        scale_to_output *= layer_geometry(layer).scale
+    for boundary in boundaries[1:]:
+        channels = _intermediate_channels(layers, boundary)
+        scale_here = 1.0
+        for layer in layers[:boundary]:
+            scale_here *= layer_geometry(layer).scale
+        pixels_per_output_pixel = (scale_here / scale_to_output) ** 2
+        extra_bytes += 2.0 * channels * pixels_per_output_pixel * feature_bits / 8.0
+    return extra_bytes
+
+
 def submodel_plan(
     network: Sequential, stages: Sequence[Stage], *, feature_bits: int = 8
 ) -> SubModelPlan:
@@ -137,21 +163,8 @@ def submodel_plan(
     else:
         combined = 1.0
 
-    # Intermediate feature maps are written then read once each (factor 2),
-    # expressed per final output pixel at the boundary's spatial resolution.
     boundaries = tuple(stage.start for stage in stages)
-    extra_bytes = 0.0
-    scale_to_output = 1.0
-    for layer in layers:
-        scale_to_output *= layer_geometry(layer).scale
-    for boundary in boundaries[1:]:
-        channels = _intermediate_channels(layers, boundary)
-        scale_here = 1.0
-        for layer in layers[:boundary]:
-            scale_here *= layer_geometry(layer).scale
-        pixels_per_output_pixel = (scale_here / scale_to_output) ** 2
-        extra_bytes += 2.0 * channels * pixels_per_output_pixel * feature_bits / 8.0
-
+    extra_bytes = _boundary_dram_bytes(layers, boundaries, feature_bits)
     return SubModelPlan(
         model_name=getattr(network, "name", "network"),
         input_block=stages[0].input_block,
@@ -182,3 +195,61 @@ def plan_stages(
         return (Stage(0, len(layers), spec.width),)
     block = recommended_input_block(network, config)
     return _balanced_stages(layers, int(metadata.get("submodels", 1)), block)
+
+
+def cheapest_stages(
+    network: Sequential, stages: Sequence[Stage], height: int, width: int
+) -> Tuple[Stage, ...]:
+    """The admissible split of a plan's ``stages`` that executes the fewest MACs.
+
+    The plan's split is balanced for an infinite frame; on a finite
+    ``height`` x ``width`` frame, with its edge blocks and partial last
+    blocks, another split can execute less.  The served program is exact,
+    so every split that tiles the layers gives the same pixels
+    (:func:`~repro.core.blockflow.staged_inference`); only the work
+    differs.  Candidates keep the plan's stage count and each stage's
+    ``input_block`` and move the boundaries.  A candidate is admissible
+    when the hardware could run it as it runs the plan:
+
+    * every stage's block passes
+      :func:`~repro.nn.receptive_field.output_size_valid`;
+    * no block window exceeds its stage's ``input_block`` on either side,
+      so the plan's block buffers hold it;
+    * its boundaries add no more DRAM traffic per output pixel than the
+      plan's (:func:`submodel_plan`).
+
+    The plan's own stages are always admissible.  The candidate with the
+    fewest :func:`~repro.core.blockflow.executed_macs` wins; a tie keeps
+    the plan's stages, and otherwise the earliest boundaries.  A one-stage
+    plan is returned as it is.
+    """
+    stages = tuple(stages)
+    if len(stages) == 1:
+        return stages
+    layers = list(network.layers)
+    dram = _boundary_dram_bytes(layers, [stage.start for stage in stages])
+    best, fewest = stages, executed_macs(network, stages, height, width)
+    for starts in combinations(range(1, len(layers)), len(stages) - 1):
+        bounds = (0,) + starts + (len(layers),)
+        candidate = tuple(
+            Stage(start, stop, stage.input_block)
+            for start, stop, stage in zip(bounds, bounds[1:], stages)
+        )
+        if candidate == stages or _boundary_dram_bytes(layers, bounds[:-1]) > dram:
+            continue
+        try:
+            for stage in candidate:
+                output_size_valid(stage.input_block, layers[stage.start : stage.stop])
+        except ValueError:
+            continue
+        grids = stage_grids(network, candidate, height, width)
+        if any(
+            max(block.in_height, block.in_width) > stage.input_block
+            for stage, grid in zip(candidate, grids)
+            for block in grid.blocks
+        ):
+            continue
+        macs = executed_macs(network, candidate, height, width)
+        if macs < fewest:
+            best, fewest = candidate, macs
+    return best

@@ -408,6 +408,37 @@ class TestSessionGating:
         plan = session.compile("denoise")
         assert plan.model_name == "broken"
 
+    def test_a_failing_report_raises_in_every_session(self):
+        # A backend with an identity has its report kept on the shared
+        # program; a failing one must still refuse the plan each time.
+        class Identified(_BrokenPlanBackend):
+            cache_identity = ("broken", 1)
+
+        for _ in range(2):
+            session = Session(backend=Identified(), cache=ResultCache())
+            with pytest.raises(PlanVerificationError) as excinfo:
+                session.compile("denoise")
+            assert "ECNN101" in _rule_ids(excinfo.value.report)
+
+    def test_each_plan_is_verified_once_per_process(self, monkeypatch):
+        import repro.api.session as session_module
+
+        calls = []
+        verify = session_module.verify_plan
+
+        def counted(plan, **kwargs):
+            calls.append(plan.model_name)
+            return verify(plan, **kwargs)
+
+        monkeypatch.setattr(session_module, "verify_plan", counted)
+        Session(backend="ecnn", cache=ResultCache()).compile("denoise")
+        first = len(calls)
+        for backend in ("ecnn", "ecnn", "eyeriss"):
+            Session(backend=backend, cache=ResultCache()).compile("denoise")
+        # Fresh sessions read the report; only a new backend identity
+        # verifies again (once, if no earlier session in the process did).
+        assert first <= 1 and len(calls) - first <= 1
+
     def test_catalogue_compiles_verified_by_default(self):
         session = Session(backend="ecnn", cache=ResultCache())
         assert session.verify is True
